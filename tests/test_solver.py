@@ -296,11 +296,15 @@ class TestSolverInvariants:
         q3 = solve_qopt(inst.payload, inst.K, SolverConfig(grid, 1e-6, 0.0, workers=3))
         assert report_to_json(q1) == report_to_json(q3)
 
-    def test_row_min_path_matches_pure_eval(self):
-        inst = random_instance(13, 1)
-        cfg = cfg_for(inst, 101, eps=inst.eps_default)
+    @pytest.mark.parametrize("seed, dim, m", [(13, 1, 101), (1004, 2, 41)], ids=["1d", "2d"])
+    def test_row_min_path_matches_pure_eval(self, seed, dim, m):
+        inst = random_instance(seed, dim)
+        cfg = cfg_for(inst, m, eps=inst.eps_default)
         f = inst.bifunction()
         pure = Bifunction(f.fn, f.scalar_kind, f.provenance, f.domain)
         a = solve_qep(f, inst.K, cfg)
         b = solve_qep(pure, inst.K, cfg)
+        q = solve_qopt(inst.payload, inst.K, cfg)
+        assert a.solutions
         assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, r.min_f) for r in b.solutions]
+        assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, -r.gap) for r in q.solutions]
