@@ -132,8 +132,9 @@ class Bifunction:
 
     ``row`` evaluates f(x, .) over a batch of second arguments and must be
     float-identical to mapping ``eval``; adapters use it to vectorize the
-    solvers' inner scans.  ``row_pre`` lets callers precompute the part of a
-    row that depends only on the batch (e.g. h over a fixed image grid).
+    solvers' inner scans.  ``objective``, when set, declares f separable:
+    f(x, y) = h(y) - h(x) for that objective h, so the solvers take the
+    minimum of f(x, .) over an image as the minimum of h over it minus h(x).
     """
 
     def __init__(
@@ -143,9 +144,8 @@ class Bifunction:
         provenance: str,
         domain: CompactBox,
         row_fn: Optional[Callable] = None,
-        row_pre_fn: Optional[Callable] = None,
-        row_min_fn: Optional[Callable] = None,
         expr: Optional[Expression] = None,
+        objective: Optional[ObjectiveFunction] = None,
     ) -> None:
         if scalar_kind not in (REAL, EXACT):
             raise InstanceDefinitionError(f"unknown scalar kind {scalar_kind!r}")
@@ -154,9 +154,8 @@ class Bifunction:
         self.provenance = provenance
         self.domain = domain
         self.row_fn = row_fn
-        self.row_pre_fn = row_pre_fn
-        self.row_min_fn = row_min_fn
         self.expr = expr
+        self.objective = objective
 
     def eval(self, x: Point, y: Point):
         """f(x, y); arguments must lie in C."""
@@ -165,22 +164,11 @@ class Bifunction:
             raise ValueError("bifunction arguments must lie in the domain box")
         return self.fn(x, y)
 
-    def row_pre(self, Y: np.ndarray):
-        return self.row_pre_fn(Y) if self.row_pre_fn is not None else None
-
-    def row(self, x: Point, Y: np.ndarray, pre=None) -> np.ndarray:
+    def row(self, x: Point, Y: np.ndarray) -> np.ndarray:
         """f(x, y) for every row y of Y (floats only)."""
         if self.row_fn is not None:
-            return self.row_fn(x, Y, pre)
+            return self.row_fn(x, Y)
         return np.array([self.fn(x, tuple(y)) for y in Y], dtype=float)
-
-    def row_min(self, x: Point, pre_view: np.ndarray) -> float:
-        """min over a batch of f(x, .) given the row-pre values for the batch.
-
-        Only available when ``row_min_fn`` is set; must be float-identical to
-        ``row(x, Y, pre).min()`` over the matching batch.
-        """
-        return self.row_min_fn(x, pre_view)
 
 
 def make_expression_bifunction(expr: Expression, domain: CompactBox) -> Bifunction:
@@ -191,7 +179,7 @@ def make_expression_bifunction(expr: Expression, domain: CompactBox) -> Bifuncti
         env.update({f"y_{k + 1}": y[k] for k in range(dim)})
         return _e(env)
 
-    def row_fn(x: Point, Y: np.ndarray, pre, _e=expr):
+    def row_fn(x: Point, Y: np.ndarray, _e=expr):
         env = {f"x_{k + 1}": x[k] for k in range(dim)}
         env.update({f"y_{k + 1}": Y[:, k] for k in range(dim)})
         out = _e.eval_batch(env)
@@ -201,37 +189,12 @@ def make_expression_bifunction(expr: Expression, domain: CompactBox) -> Bifuncti
 
 
 def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox, scalar_kind: str = REAL) -> Bifunction:
-    """f(x, y) = h(y) - h(x)."""
+    """f(x, y) = h(y) - h(x), declared separable with objective h."""
 
     def fn(x: Point, y: Point):
         return h.fn(y) - h.fn(x)
 
-    row_pre_fn = None
-    row_fn = None
-    row_min_fn = None
-    if scalar_kind == REAL:
-
-        def row_pre_fn(Y: np.ndarray):
-            return h.eval_batch(Y)
-
-        def row_fn(x: Point, Y: np.ndarray, pre):
-            h_y = pre if pre is not None else h.eval_batch(Y)
-            return h_y - h.fn(x)
-
-        def row_min_fn(x: Point, pre_view: np.ndarray):
-            # float-identical to row(...).min(): subtraction by a constant is
-            # monotone under correct rounding, so min and subtract commute
-            return float(pre_view.min() - h.fn(x))
-
-    return Bifunction(
-        fn,
-        scalar_kind,
-        "opt-adapter",
-        domain,
-        row_fn=row_fn,
-        row_pre_fn=row_pre_fn,
-        row_min_fn=row_min_fn,
-    )
+    return Bifunction(fn, scalar_kind, "opt-adapter", domain, objective=h)
 
 
 def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
@@ -247,7 +210,7 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
                 best = s
         return best
 
-    def row_fn(x: Point, Y: np.ndarray, pre):
+    def row_fn(x: Point, Y: np.ndarray):
         V = np.asarray(T.vertices(x), dtype=float)
         D = Y - np.asarray(x, dtype=float)
         return (V @ D.T).max(axis=0)

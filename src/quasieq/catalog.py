@@ -27,9 +27,9 @@ from .bifunction import (
 )
 from .errors import InstanceDefinitionError, SpecError
 from .expressions import parse_expression
-from .geometry import CompactBox, Grid, Root2, grid_points
-from .setmap import SetValuedMap, image_index_ranges, membership_residuals, validate_setmap
-from .solver import EP, QEP, QOPT, QVI, SolverConfig, _coords_matrix, _flat_indices
+from .geometry import CompactBox, Grid, Root2, grid_coords, grid_points
+from .setmap import SetValuedMap, image_grid, membership_residuals, validate_setmap
+from .solver import EP, QEP, QOPT, QVI, SolverConfig
 
 Payload = Union[Bifunction, ObjectiveFunction, QviOperator]
 
@@ -76,13 +76,11 @@ class ProblemInstance:
         points_per_axis: Optional[tuple] = None,
         eps: Optional[float] = None,
         delta: Optional[float] = None,
-        workers: int = 1,
     ) -> SolverConfig:
         return SolverConfig(
             grid=self.grid(points_per_axis),
             eps_value=self.eps_default if eps is None else eps,
             delta_membership=self.delta_default if delta is None else delta,
-            workers=workers,
         )
 
     def solve(self, cfg: Optional[SolverConfig] = None):
@@ -369,16 +367,7 @@ def random_instance(seed: int, dim: int = 1) -> ProblemInstance:
 
 
 def _anchor_in_all_images(K: SetValuedMap, grid: Grid, anchor: tuple) -> bool:
-    from .setmap import _grid_env
-
-    env = _grid_env(grid)
-    batch = K.bounds_batch(env) if env is not None else None
-    if batch is None:
-        return all(
-            all(lo <= a <= hi for lo, hi, a in zip(K.evaluate(p).lower, K.evaluate(p).upper, anchor))
-            for p in grid_points(grid)
-        )
-    lo, hi = batch
+    lo, hi = K.bounds_batch(grid_coords(grid))
     a = np.asarray(anchor)
     return bool(((lo <= a) & (a <= hi)).all())
 
@@ -470,19 +459,15 @@ def qvi_vertex_oracle(T: QviOperator, K: SetValuedMap, cfg: SolverConfig) -> lis
     min over y).  This is a separate code path from the adapter-based solver.
     """
     grid = cfg.grid
-    snap = grid.box.snap()
-    residuals = membership_residuals(K, grid)
-    pts = grid_points(grid)
-    coords = _coords_matrix(grid)
+    limit = cfg.delta_membership + grid.box.snap()
     out = []
-    for i, x in enumerate(pts):
-        if not (residuals[i] <= cfg.delta_membership + snap):
+    for x, r in zip(grid_points(grid), membership_residuals(K, grid)):
+        if not (r <= limit):
             continue
-        ranges = image_index_ranges(K, x, grid)
-        if any(s >= e for s, e in ranges):
+        pts = image_grid(K, x, grid)
+        if not pts:
             continue
-        sel = _flat_indices(grid, ranges)
-        Y = coords[sel]
+        Y = np.asarray(pts, dtype=float)
         V = np.asarray(T.vertices(x), dtype=float)
         dots = V @ (Y - np.asarray(x, dtype=float)).T
         if dots.min(axis=1).max() >= -cfg.eps_value:

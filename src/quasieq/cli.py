@@ -2,19 +2,25 @@
 
 Commands::
 
-    quasieq solve  TARGET [--grid M[,M]] [--eps E] [--delta D] [--workers N]
-                          [--out PATH] [--format csv|json]
-    quasieq verify TARGET [--grid M[,M]] [--eps E] [--delta D] [--trials T]
-                          [--seed S] [--out PATH]
+    quasieq solve  TARGET [--grid M[,M]] [--eps E] [--delta D] [--out PATH]
+                          [--format csv|json]
+    quasieq verify TARGET [--grid M[,M]] [--eps E] [--delta D] [--out PATH]
+                          [--trials T] [--seed S]
     quasieq catalog list
-    quasieq catalog run NAME [solve flags]
+    quasieq catalog run NAME [--grid M[,M]] [--eps E] [--delta D] [--out PATH]
+                             [--format csv|json]
 
-TARGET is a problem-definition file path or a catalog instance name.  Exit
-codes: 0 = ran, 2 = bad input, 3 = verify flagged an anomaly (all hypothesis
-checks clean yet the solution set came back empty).
+Each flag is accepted only by the commands that read it.  TARGET is a
+problem-definition file path or a catalog instance name.  Exit codes: 0 =
+ran, 2 = bad input (unknown flags, malformed or negative numbers, bad files;
+always with an ``error:`` line, never a traceback), 3 = verify flagged an
+anomaly (all hypothesis checks clean yet the solution set came back empty).
 
-Reports go to --out (or stdout); a one-line JSON run summary always goes to
-stderr.  Identical inputs and flags produce byte-identical report files.
+solve, catalog run and the solve step of verify all run the solver's one
+scan kernel (its table branch for expression maps on float grids, its
+per-point branch otherwise), single-threaded.  Reports go to --out (or
+stdout); a one-line JSON run summary always goes to stderr.  Identical inputs
+and flags produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -37,34 +43,54 @@ from .solver import SolverConfig, verify_theorem_instance
 from .specfile import EXTRA_CHECKS, build_instance, load_spec
 
 
+def _grid_arg(text: str) -> tuple:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _tolerance_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quasieq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid", type=str, default=None, help="points per axis, e.g. 2001 or 41,41")
-        p.add_argument("--eps", type=float, default=None, help="slack on f >= 0 / gap <= eps")
-        p.add_argument("--delta", type=float, default=None, help="membership slack")
-        p.add_argument("--seed", type=int, default=1729, help="seed for sampled checkers")
-        p.add_argument("--workers", type=int, default=1)
+    def add_solver_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--grid", type=_grid_arg, default=None, help="points per axis, e.g. 2001 or 41,41")
+        p.add_argument("--eps", type=_tolerance_arg, default=None, help="slack on f >= 0 / gap <= eps")
+        p.add_argument("--delta", type=_tolerance_arg, default=None, help="membership slack")
         p.add_argument("--out", type=Path, default=None, help="report file (default: stdout)")
+
+    def add_format_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     solve_cmd = sub.add_parser("solve", help="solve a problem definition or catalog instance")
     solve_cmd.add_argument("target", type=str)
-    add_common(solve_cmd)
+    add_solver_flags(solve_cmd)
+    add_format_flag(solve_cmd)
 
     verify_cmd = sub.add_parser("verify", help="run hypothesis checkers and flag anomalies")
     verify_cmd.add_argument("target", type=str)
-    add_common(verify_cmd)
+    add_solver_flags(verify_cmd)
     verify_cmd.add_argument("--trials", type=int, default=400)
+    verify_cmd.add_argument("--seed", type=int, default=1729, help="seed for sampled checkers")
 
     cat = sub.add_parser("catalog", help="list or run built-in instances")
     cat_sub = cat.add_subparsers(dest="catalog_command", required=True)
     cat_sub.add_parser("list", help="list instance names")
     run_cmd = cat_sub.add_parser("run", help="solve a catalog instance")
     run_cmd.add_argument("name", type=str)
-    add_common(run_cmd)
+    add_solver_flags(run_cmd)
+    add_format_flag(run_cmd)
 
     return parser
 
@@ -83,18 +109,12 @@ def _resolve_target(target: str) -> tuple[ProblemInstance, tuple]:
 
 
 def _config(instance: ProblemInstance, args: argparse.Namespace) -> SolverConfig:
-    grid = None
-    if args.grid is not None:
-        parts = [int(p) for p in args.grid.split(",")]
-        grid = tuple(parts) * instance.C.dim if len(parts) == 1 else tuple(parts)
+    grid = args.grid
+    if grid is not None:
+        grid = grid * instance.C.dim if len(grid) == 1 else grid
         if len(grid) != instance.C.dim:
             raise QuasieqError("--grid must have 1 or dim entries")
-    return instance.config(
-        points_per_axis=grid,
-        eps=args.eps,
-        delta=args.delta,
-        workers=args.workers,
-    )
+    return instance.config(points_per_axis=grid, eps=args.eps, delta=args.delta)
 
 
 def _emit(text: str, out: Optional[Path]) -> None:

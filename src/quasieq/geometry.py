@@ -16,7 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import InstanceDefinitionError
 
@@ -348,6 +350,17 @@ class Grid:
 def grid_points(grid: Grid) -> list:
     """All grid points in lexicographic order (exactly prod(m_i) of them)."""
     return [p for p in itertools.product(*grid.axes)]
+
+
+def grid_coords(grid: Grid) -> Optional[np.ndarray]:
+    """All grid points as an (N, dim) float array, row i being grid_points(grid)[i].
+
+    None on exact grids, whose coordinates have no float rendering here.
+    """
+    if grid.box.is_exact:
+        return None
+    mesh = np.meshgrid(*[np.asarray(ax) for ax in grid.axes], indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:

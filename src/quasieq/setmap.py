@@ -24,6 +24,7 @@ from .geometry import (
     Root2,
     box_distance,
     contains,
+    grid_coords,
     grid_points,
     point_distance,
 )
@@ -151,17 +152,17 @@ class SetValuedMap:
             hi.append(b)
         return ConvexRegion(tuple(lo), tuple(hi))
 
-    def bounds_batch(self, env: dict) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Clipped bound matrices for a batch of points, or None if not expression-backed.
+    def bounds_batch(self, X: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Clipped bound matrices for the rows of X, or None if not expression-backed.
 
-        ``env`` maps x_1.. to 1-d coordinate arrays of equal length N; the
-        result is a pair of (N, dim) arrays.
+        ``X`` is an (N, dim) array of points; the result is a pair of (N, dim)
+        arrays.
         """
         if self.lower_exprs is None or self.domain.is_exact:
             return None
-        n = len(next(iter(env.values())))
-        lo = np.empty((n, self.domain.dim))
-        hi = np.empty((n, self.domain.dim))
+        env = {f"x_{k + 1}": X[:, k] for k in range(self.domain.dim)}
+        lo = np.empty(X.shape)
+        hi = np.empty(X.shape)
         for k in range(self.domain.dim):
             lo[:, k] = np.maximum(self.lower_exprs[k].eval_batch(env), float(self.domain.lower[k]))
             hi[:, k] = np.minimum(self.upper_exprs[k].eval_batch(env), float(self.domain.upper[k]))
@@ -207,17 +208,8 @@ def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:
     """All grid x with dist(x, K(x)) <= delta, lexicographic order."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    snap = K.domain.snap()
-    residuals = membership_residuals(K, grid)
-    points = _all_grid_points(grid)
-    if isinstance(residuals, np.ndarray):
-        mask = residuals <= delta + snap
-        return [points[i] for i in np.nonzero(mask)[0]]
-    out = []
-    for p, r in zip(points, residuals):
-        if r <= (delta if K.domain.is_exact else delta + snap):
-            out.append(p)
-    return out
+    limit = delta + K.domain.snap()
+    return [p for p, r in zip(grid_points(grid), membership_residuals(K, grid)) if r <= limit]
 
 
 def membership_residuals(K: SetValuedMap, grid: Grid):
@@ -225,27 +217,17 @@ def membership_residuals(K: SetValuedMap, grid: Grid):
 
     Returns a numpy array on the vectorized path, else a list.
     """
-    env = _grid_env(grid)
-    if env is not None:
-        batch = K.bounds_batch(env)
-        if batch is not None:
-            lo, hi = batch
-            coords = np.column_stack([env[f"x_{k + 1}"] for k in range(grid.dim)])
-            gap = np.maximum(lo - coords, coords - hi)
-            return np.maximum(gap.max(axis=1), 0.0)
-    return [K.evaluate(p).distance_to(p) for p in _all_grid_points(grid)]
+    X = grid_coords(grid)
+    bounds = None if X is None else K.bounds_batch(X)
+    if bounds is not None:
+        return residuals_from_bounds(X, *bounds)
+    return [K.evaluate(p).distance_to(p) for p in grid_points(grid)]
 
 
-def _all_grid_points(grid: Grid) -> list:
-    return grid_points(grid)
-
-
-def _grid_env(grid: Grid) -> Optional[dict]:
-    """Coordinate columns for all grid points (lexicographic), float grids only."""
-    if grid.box.is_exact:
-        return None
-    mesh = np.meshgrid(*[np.asarray(ax) for ax in grid.axes], indexing="ij")
-    return {f"x_{k + 1}": m.ravel() for k, m in enumerate(mesh)}
+def residuals_from_bounds(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sup-norm distance from each row of X to the box [lo, hi] of the same row."""
+    gap = np.maximum(lo - X, X - hi)
+    return np.maximum(gap.max(axis=1), 0.0)
 
 
 # -- topology probes -------------------------------------------------------
@@ -516,14 +498,14 @@ def check_convex_values(
 
 def validate_setmap(K: SetValuedMap, grid: Grid) -> None:
     """Load-time validation: every grid x has a nonempty image inside C."""
-    if grid.box.is_exact or K.bounds_batch(_grid_env(grid) or {}) is None:
-        for p in _all_grid_points(grid):
+    X = grid_coords(grid)
+    bounds = None if X is None else K.bounds_batch(X)
+    if bounds is None:
+        for p in grid_points(grid):
             K.evaluate(p)  # raises InstanceDefinitionError when empty
         return
-    env = _grid_env(grid)
-    lo, hi = K.bounds_batch(env)  # type: ignore[misc]
+    lo, hi = bounds
     bad = np.nonzero((lo > hi).any(axis=1))[0]
     if bad.size:
-        i = int(bad[0])
-        x = _all_grid_points(grid)[i]
+        x = grid.point_at(np.unravel_index(int(bad[0]), grid.points_per_axis))
         raise InstanceDefinitionError(f"image of grid point {x} is empty after clipping")

@@ -6,24 +6,36 @@ truth.  The inner minimization over K(x) always uses the restriction of the
 single global grid, which makes solution-set comparisons across problem
 reformulations literal sequence equalities.
 
-Reports are deterministic for a given instance and config, and byte-identical
-regardless of worker count (the outer scan is chunked by index; chunk results
-are concatenated in index order).
+QEP, EP, QVI and QOpt share one scan kernel, ``_scan``: it finds the fixed
+points x in K(x) in lexicographic order, counts those whose image holds no
+grid point, and hands every other one, with the index ranges of its image
+grid, to the solver's inner minimum.  The kernel has two branches:
+
+* table branch (float grids with expression maps): the map's bounds are
+  evaluated once over the whole grid, the fixed points are picked with one
+  comparison, their image ranges come from per-axis searchsorted tables, and
+  points are built only at the fixed indices;
+* per-point branch (exact grids, constant and callable maps): K is evaluated
+  at every grid point and the ranges come from ``image_index_ranges``.
+
+The inner minimum is the exact scalar loop on exact grids, the minimum over
+one table of h for separable payloads (the opt adapter's h(y) - h(x) and
+QOpt gaps), and the payload's row evaluation otherwise.  Reports are
+deterministic for a given instance and config.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bifunction import Bifunction, ObjectiveFunction, make_opt_bifunction
 from .errors import DegenerateImageError
-from .geometry import Grid, Point, grid_points
+from .geometry import Grid, Point, grid_coords, grid_points
 from .setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
@@ -37,6 +49,7 @@ from .setmap import (
     image_grid,
     image_index_ranges,
     membership_residuals,
+    residuals_from_bounds,
 )
 
 QEP = "QEP"
@@ -50,17 +63,12 @@ class SolverConfig:
     grid: Grid
     eps_value: float = 1e-6
     delta_membership: float = 0.0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.eps_value < 0 or self.delta_membership < 0:
             raise ValueError("tolerances must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def echo(self) -> dict:
-        # worker count deliberately omitted: reports must be byte-identical
-        # regardless of how the scan was parallelized
         return {
             "grid": list(self.grid.points_per_axis),
             "eps": self.eps_value,
@@ -102,14 +110,7 @@ class TheoremReport:
         return {name: rep.verdict for name, rep in self.checks.items()}
 
 
-# -- internal helpers -------------------------------------------------------
-
-
-def _coords_matrix(grid: Grid) -> Optional[np.ndarray]:
-    if grid.box.is_exact:
-        return None
-    mesh = np.meshgrid(*[np.asarray(ax) for ax in grid.axes], indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+# -- the scan kernel --------------------------------------------------------
 
 
 def _flat_indices(grid: Grid, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -122,25 +123,66 @@ def _flat_indices(grid: Grid, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
     return idx
 
 
-def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, workers * 4) if workers > 1 else 1
-    size = max(1, -(-n // pieces))
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
+def _scan(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray], inner: Callable) -> tuple[list, int]:
+    """The outer scan behind every solver.
+
+    ``X`` is ``grid_coords(cfg.grid)``.  At every fixed point x, in
+    lexicographic order, whose image holds a grid point, calls
+    ``inner(i, x, r, ranges)`` with the flat index i, the membership residual
+    r and the per-axis (start, stop) index ranges of the image grid, and
+    keeps what it returns unless None.  Returns those results and the number
+    of fixed points whose image held no grid point.
+    """
+    grid = cfg.grid
+    limit = cfg.delta_membership + grid.box.snap()
+    bounds = None if X is None else K.bounds_batch(X)
+    if bounds is None:
+        candidates = (
+            (i, x, r, image_index_ranges(K, x, grid))
+            for i, (x, r) in enumerate(zip(grid_points(grid), membership_residuals(K, grid)))
+            if r <= limit
+        )
+    else:
+        lo, hi = bounds
+        residuals = residuals_from_bounds(X, lo, hi)
+        fixed = np.nonzero(residuals <= limit)[0]
+        # (start, stop) per fixed point and axis, with the searchsorted
+        # semantics and membership snap of image_index_ranges
+        snap = K.domain.snap()
+        spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
+        for k, ax in enumerate(grid.axes):
+            spans[:, k, 0] = np.searchsorted(ax, lo[fixed, k] - snap, side="left")
+            spans[:, k, 1] = np.searchsorted(ax, hi[fixed, k] + snap, side="right")
+        # rows are read one fixed point at a time: whole-array tolist() raises peak memory
+        candidates = (
+            (i, tuple(X[i].tolist()), residuals[i], spans[j].tolist()) for j, i in enumerate(fixed)
+        )
+    found = []
+    degenerate = 0
+    for i, x, r, ranges in candidates:
+        if any(s >= e for s, e in ranges):
+            degenerate += 1
+            continue
+        result = inner(i, x, r, ranges)
+        if result is not None:
+            found.append(result)
+    return found, degenerate
 
 
-def _run_chunked(n: int, workers: int, work) -> list:
-    spans = _chunks(n, workers)
-    if workers == 1 or len(spans) == 1:
-        out: list = []
-        for span in spans:
-            out.extend(work(span))
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(work, spans))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+def _image_min(h: ObjectiveFunction, grid: Grid, X: Optional[np.ndarray]) -> tuple:
+    """The table of h over the grid and the minimum of h over an image grid.
+
+    Returns ``(table, image_min)`` where ``image_min(ranges)`` is the
+    minimum of the table over the sub-rectangle the ranges give.  This is
+    the one separable inner minimum: the opt adapter's min over y of
+    h(y) - h(x) and the QOpt gap both read it.
+    """
+    if X is None:
+        table = [h.fn(p) for p in grid_points(grid)]
+        return table, lambda ranges: min(table[j] for j in _flat_indices(grid, ranges))
+    table = h.eval_batch(X)
+    shaped = table.reshape(grid.points_per_axis)
+    return table, lambda ranges: shaped[tuple(slice(s, e) for s, e in ranges)].min()
 
 
 # -- the selection map ------------------------------------------------------
@@ -161,104 +203,51 @@ def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> SMapRes
                 members.append(x0)
         return SMapResult(x, tuple(members))
     Y = np.asarray(pts, dtype=float)
-    pre = f.row_pre(Y)
-    members = []
-    for x0 in pts:
-        row = f.row(x0, Y, pre)
-        if row.min() >= -eps:
-            members.append(x0)
-    return SMapResult(x, tuple(members))
+    h = f.objective
+    if h is not None:
+        h_min = h.eval_batch(Y).min()
+        return SMapResult(x, tuple(x0 for x0 in pts if h_min - h.fn(x0) >= -eps))
+    return SMapResult(x, tuple(x0 for x0 in pts if f.row(x0, Y).min() >= -eps))
 
 
-# -- QEP / EP ---------------------------------------------------------------
-
-
-def _range_tables(K: SetValuedMap, grid: Grid) -> Optional[list[np.ndarray]]:
-    """Per-axis (start, stop) image index ranges for every grid point at once.
-
-    Matches image_index_ranges exactly (same searchsorted semantics and
-    membership snap); None when the map has no batch bound path.
-    """
-    from .setmap import _grid_env
-
-    env = _grid_env(grid)
-    if env is None:
-        return None
-    batch = K.bounds_batch(env)
-    if batch is None:
-        return None
-    lo, hi = batch
-    snap = K.domain.snap()
-    tables = []
-    for k in range(grid.dim):
-        ax = np.asarray(grid.axes[k])
-        start = np.searchsorted(ax, lo[:, k] - snap, side="left")
-        stop = np.searchsorted(ax, hi[:, k] + snap, side="right")
-        tables.append(np.column_stack([start, stop]))
-    return tables
+# -- QEP / EP / QVI ---------------------------------------------------------
 
 
 def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
-    eps, delta = cfg.eps_value, cfg.delta_membership
-    snap = grid.box.snap()
-    residuals = membership_residuals(K, grid)
-    pts = grid_points(grid)
-    coords = _coords_matrix(grid)
-    range_tables = _range_tables(K, grid)
-    pre_full = None
-    pre_shaped = None
-    if coords is not None and f.row_pre_fn is not None:
-        pre_full = f.row_pre(coords)
-        pre_shaped = np.asarray(pre_full).reshape(grid.points_per_axis)
-    use_row_min = pre_shaped is not None and f.row_min_fn is not None
+    eps = cfg.eps_value
+    X = grid_coords(grid)
+    if X is None:
 
-    degenerate = [0]
+        def inner_min(x, ranges):
+            image = itertools.product(*(ax[s:e] for ax, (s, e) in zip(grid.axes, ranges)))
+            return min(f.fn(x, y) for y in image)
 
-    def scan(span: tuple[int, int]) -> list:
-        lo_i, hi_i = span
-        found = []
-        ndeg = 0
-        for i in range(lo_i, hi_i):
-            r = residuals[i]
-            if not (r <= delta + snap):
-                continue
-            x = pts[i]
-            if range_tables is not None:
-                ranges = tuple((int(t[i, 0]), int(t[i, 1])) for t in range_tables)
-            else:
-                ranges = image_index_ranges(K, x, grid)
-            if any(s >= e for s, e in ranges):
-                ndeg += 1
-                continue
-            if coords is None:
-                image_pts = image_grid(K, x, grid)
-                minf = min(f.fn(x, y) for y in image_pts)
-                ok = minf >= -eps
-                minf_out = float(minf)
-            elif use_row_min:
-                view = pre_shaped[tuple(slice(s, e) for s, e in ranges)]
-                minf_out = f.row_min(x, view)
-                ok = minf_out >= -eps
-            else:
-                sel = _flat_indices(grid, ranges)
-                Y = coords[sel]
-                pre = pre_full[sel] if pre_full is not None else None
-                row = f.row(x, Y, pre)
-                minf_out = float(row.min())
-                ok = minf_out >= -eps
-            if ok:
-                found.append(SolutionRecord(x, float(r), minf_out))
-        degenerate[0] += ndeg
-        return found
+    elif f.objective is not None:
+        h = f.objective
+        _table, h_min = _image_min(h, grid, X)
 
-    records = _run_chunked(len(pts), cfg.workers, scan)
+        def inner_min(x, ranges):
+            # float-identical to the row minimum: subtracting a constant is
+            # monotone under correct rounding, so min and subtract commute
+            return float(h_min(ranges) - h.fn(x))
+
+    else:
+
+        def inner_min(x, ranges):
+            return float(f.row(x, X[_flat_indices(grid, ranges)]).min())
+
+    def record(i, x, r, ranges):
+        m = inner_min(x, ranges)
+        return SolutionRecord(x, float(r), float(m)) if m >= -eps else None
+
+    records, degenerate = _scan(K, cfg, X, record)
     return SolveReport(
         problem_kind=kind,
         solutions=tuple(records),
         config=cfg.echo(),
-        degenerate_points=degenerate[0],
+        degenerate_points=degenerate,
         wall_time=time.perf_counter() - start,
     )
 
@@ -271,14 +260,6 @@ def solve_ep(f: Bifunction, C_box, cfg: SolverConfig) -> SolveReport:
 
 
 # -- QOpt -------------------------------------------------------------------
-
-
-def _objective_table(h: ObjectiveFunction, grid: Grid):
-    """h at every grid point, lexicographic (numpy array on the float path)."""
-    coords = _coords_matrix(grid)
-    if coords is None:
-        return [h.fn(p) for p in grid_points(grid)]
-    return h.eval_batch(coords)
 
 
 def qopt_gap(h: ObjectiveFunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> float:
@@ -297,69 +278,27 @@ def qopt_gap(h: ObjectiveFunction, K: SetValuedMap, x: Point, cfg: SolverConfig)
 def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
-    eps, delta = cfg.eps_value, cfg.delta_membership
-    snap = grid.box.snap()
-    residuals = membership_residuals(K, grid)
-    pts = grid_points(grid)
-    table = _objective_table(h, grid)
-    exact = grid.box.is_exact
-    shaped = None if exact else np.asarray(table).reshape(grid.points_per_axis)
-    range_tables = _range_tables(K, grid)
+    eps = cfg.eps_value
+    X = grid_coords(grid)
+    table, h_min = _image_min(h, grid, X)
+    min_gap = None
 
-    degenerate = [0]
-    gaps_min = [None]
+    def record(i, x, r, ranges):
+        nonlocal min_gap
+        gap = float(table[i] - h_min(ranges))
+        if min_gap is None or gap < min_gap:
+            min_gap = gap
+        return SolutionRecord(x, float(r), -gap, gap=gap) if gap <= eps else None
 
-    def scan(span: tuple[int, int]) -> list:
-        lo_i, hi_i = span
-        found = []
-        ndeg = 0
-        local_min = None
-        for i in range(lo_i, hi_i):
-            r = residuals[i]
-            if not (r <= delta + snap):
-                continue
-            x = pts[i]
-            if range_tables is not None:
-                ranges = tuple((int(t[i, 0]), int(t[i, 1])) for t in range_tables)
-            else:
-                ranges = image_index_ranges(K, x, grid)
-            if any(s >= e for s, e in ranges):
-                ndeg += 1
-                continue
-            if exact:
-                sub = min(
-                    table[_flat_index(grid, idx)]
-                    for idx in itertools.product(*(range(s, e) for s, e in ranges))
-                )
-                gap = float(table[i] - sub)
-            else:
-                view = shaped[tuple(slice(s, e) for s, e in ranges)]
-                gap = float(table[i] - view.min())
-            if local_min is None or gap < local_min:
-                local_min = gap
-            if gap <= eps:
-                found.append(SolutionRecord(x, float(r), -gap, gap=gap))
-        degenerate[0] += ndeg
-        if local_min is not None and (gaps_min[0] is None or local_min < gaps_min[0]):
-            gaps_min[0] = local_min
-        return found
-
-    records = _run_chunked(len(pts), cfg.workers, scan)
+    records, degenerate = _scan(K, cfg, X, record)
     return SolveReport(
         problem_kind=QOPT,
         solutions=tuple(records),
         config=cfg.echo(),
-        min_gap_over_fixed_points=gaps_min[0],
-        degenerate_points=degenerate[0],
+        min_gap_over_fixed_points=min_gap,
+        degenerate_points=degenerate,
         wall_time=time.perf_counter() - start,
     )
-
-
-def _flat_index(grid: Grid, idx: tuple) -> int:
-    flat = 0
-    for k, i in enumerate(idx):
-        flat = flat * grid.points_per_axis[k] + i
-    return flat
 
 
 # -- equivalence and theorem verification -----------------------------------

@@ -17,7 +17,7 @@
     expr = abs(x_1 - 0.5)
 
     [solver]                     ; optional; defaults m=201, eps=1e-6, delta=0
-    grid = 2001
+    grid = 2001                  ; no other keys: an unknown one is a SpecError
     eps = 1e-06
     delta = 0.0
 
@@ -27,8 +27,12 @@
     seed = 7
 
 All expressions parse and type-check (variable indices against the declared
-dimension) before anything is evaluated; map images are validated nonempty
-over the solver grid at load time.
+dimension) and every number parses before anything is evaluated; a malformed
+value is a SpecError naming its section and key.  Map images are validated
+nonempty over the solver grid at load time.  The [solver] values configure
+the solver's one scan kernel; expression maps (moving_box,
+piecewise_moving_interval) take its table branch, where the bounds are
+evaluated once over the whole grid, and constant maps its per-point branch.
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ class ProblemSpec:
     grid: tuple = (DEFAULT_GRID,)
     eps: float = DEFAULT_EPS
     delta: float = DEFAULT_DELTA
-    workers: int = 1
     checks_run: tuple = THEOREM_CHECKS + EXTRA_CHECKS
     trials: int = 400
     seed: int = 1729
@@ -95,6 +98,15 @@ def _floats(text: str, n: int, what: str) -> tuple:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise SpecError(f"bad number in {what}: {exc}")
+
+
+def _number(section: configparser.SectionProxy, key: str, default, cast):
+    if key not in section:
+        return default
+    try:
+        return cast(section[key])
+    except ValueError:
+        raise SpecError(f"[{section.name}] {key} must be a number, got {section[key]!r}")
 
 
 def _parse_checked(text: str, allowed: set[str], what: str) -> Expression:
@@ -176,23 +188,26 @@ def load_spec(text: str) -> ProblemSpec:
             raise SpecError("[payload] qvi_operator needs at least vertex_1")
 
     grid = (DEFAULT_GRID,) * dim
-    eps, delta, workers = DEFAULT_EPS, DEFAULT_DELTA, 1
+    eps, delta = DEFAULT_EPS, DEFAULT_DELTA
     if "solver" in cp:
         ssec = cp["solver"]
+        unknown = sorted(set(ssec) - {"grid", "eps", "delta"})
+        if unknown:
+            raise SpecError(f"[solver] unknown key(s): {', '.join(unknown)}")
         if "grid" in ssec:
-            parts = [p.strip() for p in ssec["grid"].split(",")]
-            if len(parts) == 1:
-                grid = (int(parts[0]),) * dim
-            elif len(parts) == dim:
-                grid = tuple(int(p) for p in parts)
-            else:
+            try:
+                grid = tuple(int(p) for p in ssec["grid"].split(","))
+            except ValueError:
+                raise SpecError(f"[solver] grid must be comma-separated integers, got {ssec['grid']!r}")
+            if len(grid) == 1:
+                grid = grid * dim
+            elif len(grid) != dim:
                 raise SpecError("[solver] grid must have 1 or dim entries")
             if any(m < 2 for m in grid):
                 raise SpecError("[solver] grid entries must be >= 2")
-        eps = float(ssec.get("eps", DEFAULT_EPS))
-        delta = float(ssec.get("delta", DEFAULT_DELTA))
-        workers = int(ssec.get("workers", 1))
-        if eps < 0 or delta < 0:
+        eps = _number(ssec, "eps", DEFAULT_EPS, float)
+        delta = _number(ssec, "delta", DEFAULT_DELTA, float)
+        if not (eps >= 0 and delta >= 0):
             raise SpecError("[solver] eps and delta must be nonnegative")
 
     checks_run: tuple = THEOREM_CHECKS + EXTRA_CHECKS
@@ -206,8 +221,8 @@ def load_spec(text: str) -> ProblemSpec:
             if bad:
                 raise SpecError(f"[checks] unknown checker(s): {', '.join(bad)}")
             checks_run = names
-        trials = int(csec.get("trials", 400))
-        seed = int(csec.get("seed", 1729))
+        trials = _number(csec, "trials", trials, int)
+        seed = _number(csec, "seed", seed, int)
 
     return ProblemSpec(
         dim=dim,
@@ -222,7 +237,6 @@ def load_spec(text: str) -> ProblemSpec:
         grid=grid,
         eps=eps,
         delta=delta,
-        workers=workers,
         checks_run=checks_run,
         trials=trials,
         seed=seed,

@@ -29,7 +29,6 @@ from quasieq.catalog import (
     remark_bifunction_instance,
 )
 from quasieq.geometry import CompactBox, Grid, Root2, grid_points
-from quasieq.reporting import report_to_json
 from quasieq.setmap import NO_VIOLATION_FOUND, evaluate, image_grid
 from quasieq.solver import (
     SolverConfig,
@@ -237,14 +236,6 @@ def test_criterion_7_structural_invariants():
         pts = image_grid(K_id, rec.point, cfg_id.grid)
         gap = h_id.fn(rec.point) - min(h_id.fn(p) for p in pts)
         assert abs(gap - rec.gap) <= 1e-12
-
-    # byte-identical reports across 1 vs N workers
-    inst_v = quasiconvex_variant_instance()
-    grid_v = inst_v.grid()
-    for workers in (2, 4):
-        a = solve_qopt(inst_v.payload, inst_v.K, SolverConfig(grid_v, 1e-6, 0.0, workers=1))
-        b = solve_qopt(inst_v.payload, inst_v.K, SolverConfig(grid_v, 1e-6, 0.0, workers=workers))
-        assert report_to_json(a) == report_to_json(b)
 
     _report(7, "structural invariants")
 

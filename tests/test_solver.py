@@ -14,7 +14,6 @@ from quasieq.catalog import (
 from quasieq.errors import DegenerateImageError
 from quasieq.expressions import parse_expression
 from quasieq.geometry import CompactBox, Grid, grid_points
-from quasieq.reporting import report_to_json
 from quasieq.setmap import NO_VIOLATION_FOUND, SetValuedMap, evaluate, fixed_point_set, image_grid
 from quasieq.solver import (
     SolverConfig,
@@ -31,9 +30,9 @@ from quasieq.solver import (
 C01 = CompactBox((0.0,), (1.0,))
 
 
-def cfg_for(box_or_inst, m, eps=1e-6, delta=0.0, workers=1):
+def cfg_for(box_or_inst, m, eps=1e-6, delta=0.0):
     box = box_or_inst if isinstance(box_or_inst, CompactBox) else box_or_inst.C
-    return SolverConfig(Grid(box, (m,) * box.dim), eps, delta, workers)
+    return SolverConfig(Grid(box, (m,) * box.dim), eps, delta)
 
 
 class TestSmap:
@@ -284,17 +283,6 @@ class TestSolverInvariants:
                 scaled = make_qvi_bifunction(inst.payload.scaled(lam), inst.C)
                 rep = solve_qep(scaled, inst.K, cfg)
                 assert [r.point for r in rep.solutions] == [r.point for r in base.solutions]
-
-    def test_workers_byte_identical(self):
-        inst = quasiconvex_variant_instance()
-        f = inst.bifunction()
-        grid = inst.grid((501,))
-        rep1 = solve_qep(f, inst.K, SolverConfig(grid, 1e-6, 0.0, workers=1))
-        rep3 = solve_qep(f, inst.K, SolverConfig(grid, 1e-6, 0.0, workers=3))
-        assert report_to_json(rep1) == report_to_json(rep3)
-        q1 = solve_qopt(inst.payload, inst.K, SolverConfig(grid, 1e-6, 0.0, workers=1))
-        q3 = solve_qopt(inst.payload, inst.K, SolverConfig(grid, 1e-6, 0.0, workers=3))
-        assert report_to_json(q1) == report_to_json(q3)
 
     @pytest.mark.parametrize("seed, dim, m", [(13, 1, 101), (1004, 2, 41)], ids=["1d", "2d"])
     def test_row_min_path_matches_pure_eval(self, seed, dim, m):

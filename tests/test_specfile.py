@@ -87,6 +87,22 @@ class TestLoadSpec:
         with pytest.raises(SpecError):
             load_spec(text)
 
+    @pytest.mark.parametrize(
+        "section, line, key",
+        [
+            ("solver", "grid = abc", "grid"),
+            ("solver", "grid = 41, x", "grid"),
+            ("solver", "eps = abc", "eps"),
+            ("solver", "delta = 1e-3e", "delta"),
+            ("solver", "workers = 4", "workers"),
+            ("checks", "trials = many", "trials"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, section, line, key):
+        with pytest.raises(SpecError) as err:
+            load_spec(MINIMAL + f"\n[{section}]\n{line}\n")
+        assert f"[{section}]" in str(err.value) and key in str(err.value)
+
 
 class TestBuildValidation:
     def test_image_outside_domain_names_offender(self):
