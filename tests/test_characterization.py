@@ -1,30 +1,48 @@
-"""Characterization digests: solver reports pinned byte for byte.
+"""Characterization digests: solver reports and checker output pinned byte for byte.
 
 Each case solves one problem and hashes the ``report_to_json`` bytes.  The
 digests were recorded before the QEP and QOpt scans were merged into one
 kernel; they cover the paths the benchmark's problem pools do not reach
 (constant and callable maps, exact grids, 1-D adapters, small 2-D grids), so
 a scan change that alters any solution, residual, inner minimum, gap or
-degenerate count shows up here.
+degenerate count shows up here.  The checker digests further down pin the
+hypothesis checkers the same way.
 """
 
+import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from quasieq.bifunction import ObjectiveFunction, make_opt_bifunction
+from quasieq import cli
+from quasieq.bifunction import (
+    Bifunction,
+    ObjectiveFunction,
+    check_condition_iii,
+    check_condition_iv,
+    make_opt_bifunction,
+)
 from quasieq.catalog import (
+    CATALOG,
     figure1_instance,
     get_instance,
     quasiconvex_variant_instance,
     qvi_instance,
     random_instance,
 )
+from quasieq.expressions import parse_expression
 from quasieq.geometry import CompactBox, Grid, Root2
-from quasieq.reporting import report_to_json
-from quasieq.setmap import SetValuedMap
-from quasieq.solver import SolverConfig, solve_qep, solve_qopt
+from quasieq.reporting import _sanitize, report_to_json, verify_to_json
+from quasieq.setmap import SetValuedMap, check_closed_graph, check_convex_values, check_lsc
+from quasieq.solver import (
+    SolverConfig,
+    smap_closed_graph_probe,
+    solve_qep,
+    solve_qopt,
+    verify_theorem_instance,
+)
 from quasieq.specfile import build_instance, load_spec
 
 AFFINE_FIELD_SPEC = """
@@ -185,3 +203,143 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_digest(name):
     assert digest(name) == DIGESTS[name]
+
+
+# -- checker output ---------------------------------------------------------
+#
+# Digests of the hypothesis checkers' output, recorded before their sampling
+# plans moved into one module: verdicts, witnesses, samples_used and probe
+# radii.  ``quasieq verify`` is hashed as its report file; a lone checker as
+# the sorted-key JSON of its report through the reporting sanitizer.
+
+BOX3D_SPEC = """
+[domain]
+dim = 3
+lower = 0.0, 0.0, 0.0
+upper = 1.0, 1.0, 1.0
+
+[map]
+kind = moving_box
+lower_1 = (0.5 + 0.1*x_2) - 0.22
+upper_1 = (0.5 + 0.1*x_2) + 0.22
+lower_2 = (0.4 - 0.15*x_3) - 0.2
+upper_2 = (0.4 - 0.15*x_3) + 0.2
+lower_3 = (0.6 + 0.05*x_1) - 0.25
+upper_3 = (0.6 + 0.05*x_1) + 0.25
+
+[payload]
+kind = objective
+expr = abs(x_1 - 0.3) + 0.8*abs(x_2 - 0.6) + max(0.5*x_3 - 0.2*x_1, 0.1 - 0.3*x_2)
+
+[solver]
+grid = 9, 9, 9
+eps = 0.01
+delta = 0.0
+"""
+
+
+def _cli_verify(name, tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", name, "--out", str(out)]) in (0, 3)
+    return out.read_bytes()
+
+
+def _theorem(inst, cfg):
+    return verify_to_json(verify_theorem_instance(inst, cfg)).encode()
+
+
+def _lone(report):
+    return json.dumps(_sanitize(dataclasses.asdict(report)), sort_keys=True).encode()
+
+
+def _half_open_map():
+    C = CompactBox((0.0,), (1.0,))
+    return SetValuedMap(C, [lambda x: 0.0], [lambda x: 1.0], member_predicate=lambda x, z: z[0] < 1.0)
+
+
+def _step_map():
+    C = CompactBox((0.0,), (2.0,))
+    return SetValuedMap(C, [lambda x: 0.0], [lambda x: 1.0 if x[0] <= 0.5 else 0.25])
+
+
+def _union_map():
+    C = CompactBox((0.0,), (1.0,))
+    return SetValuedMap(
+        C, [lambda x: 0.0], [lambda x: 1.0], member_predicate=lambda x, z: z[0] <= 0.2 or z[0] >= 0.8
+    )
+
+
+def _concave_objective():
+    C = CompactBox((0.0,), (2.0,))
+    h = ObjectiveFunction.from_expression(parse_expression("-power(x_1 - 1, 2)"))
+    return make_opt_bifunction(h, C), C
+
+
+def _jump():
+    box = CompactBox((0.0,), (1.0,))
+    return Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, "real", "direct-expression", box)
+
+
+def _smap_probe(inst, m):
+    cfg = inst.config(points_per_axis=(m,) * inst.C.dim)
+    return _lone(smap_closed_graph_probe(inst.bifunction(), inst.K, cfg))
+
+
+def _smap_jump():
+    # argmin of y over an image that jumps up at x = 1/2: the selection map's graph is not closed
+    C = CompactBox((0.0,), (1.0,))
+    K = SetValuedMap(C, [lambda x: 0.0 if x[0] < 0.5 else 0.6], [lambda x: 1.0])
+    h = ObjectiveFunction(lambda x: x[0])
+    cfg = SolverConfig(Grid(C, (101,)), 1e-6, 0.0)
+    return _lone(smap_closed_graph_probe(make_opt_bifunction(h, C), K, cfg))
+
+
+def _box3d():
+    return build_instance(load_spec(BOX3D_SPEC), name="box3d")
+
+
+CHECKER_CASES = {
+    **{f"verify-{name}": (lambda tmp, _n=name: _cli_verify(_n, tmp)) for name in sorted(CATALOG)},
+    "theorem-random(3101,2)@41": lambda tmp: _theorem(
+        random_instance(3101, 2), random_instance(3101, 2).config(points_per_axis=(41, 41))
+    ),
+    "theorem-box3d@9": lambda tmp: _theorem(_box3d(), _box3d().config()),
+    "closed-graph-half-open@101": lambda tmp: _lone(
+        check_closed_graph(_half_open_map(), Grid(_half_open_map().domain, (101,)))
+    ),
+    "lsc-step@201": lambda tmp: _lone(check_lsc(_step_map(), Grid(_step_map().domain, (201,)))),
+    "convex-values-union@101": lambda tmp: _lone(
+        check_convex_values(_union_map(), Grid(_union_map().domain, (101,)))
+    ),
+    "condition-iii-concave": lambda tmp: _lone(check_condition_iii(*_concave_objective())),
+    "condition-iv-jump@101": lambda tmp: _lone(check_condition_iv(_jump(), Grid(_jump().domain, (101,)))),
+    "smap-figure1@401": lambda tmp: _smap_probe(figure1_instance(), 401),
+    "smap-variant@401": lambda tmp: _smap_probe(quasiconvex_variant_instance(), 401),
+    "smap-random(1004,2)@21": lambda tmp: _smap_probe(random_instance(1004, 2), 21),
+    "smap-jump@101": lambda tmp: _smap_jump(),
+}
+
+CHECKER_DIGESTS = {
+    "closed-graph-half-open@101": "ca49c641de38d34f375ceff021891ebd452416cc88948b0b4818374ec39621b2",
+    "condition-iii-concave": "562de18d339cc0a6ae13b32357c14e0ecec2cc181a1e792174debcddf25c1423",
+    "condition-iv-jump@101": "5656dbc900027c62bec9c65d9274eacc3dd678be6ef6483511a84071ec01e9a5",
+    "convex-values-union@101": "e81c88b78b5c2741700979556147726d0ae0dc3f3b87fffeea2fec97f64d3063",
+    "lsc-step@201": "f7d9a43e55cf7ac5a2db0ed75a8bc201cf672e3d8134d4176f78c370bff224ed",
+    "smap-jump@101": "6f922418c7e2dac1dd5739583c716c78634b1a28a2ef11b6ebadf278a4b37f89",
+    "smap-figure1@401": "3869c3f6c760806cd338cab6e808b171a7b68e26ca675fe7de2439db78c08245",
+    "smap-random(1004,2)@21": "c3b70f95988771232a62e7df8bf1cbe46ed78cc2b5bb8c80e26586973974ae6d",
+    "smap-variant@401": "3869c3f6c760806cd338cab6e808b171a7b68e26ca675fe7de2439db78c08245",
+    "theorem-box3d@9": "54b7136e197b70e155a87566dd22b475adfc8fae4031935c6a72abe65741d204",
+    "theorem-random(3101,2)@41": "4dca6f3f1db0b5283570f8a7201f721c565f684617333119644ee1826a85a4b5",
+    "verify-figure1": "d92f2bd7f2f5501fd4b787ab8fbdae768f9f37b200d8eaf6e80f4cfd2d2b7851",
+    "verify-quasiconvex-variant": "dd9653f572e0aff37297475e23f70c85358db3e843148c042de651de61572494",
+    "verify-qvi-negative": "9871918e8b9ea4e17732ced50af0677d670f4de11ba649e3bee06529d26c0c0d",
+    "verify-qvi-unit": "13c97464cdecc1b5c5bd7e3041063d452909b987dc16614678efd2e1079d7285",
+    "verify-qvi-zero": "626368313483446581e32c36bfda902bac82c17644211377d93fccb9d9774d4b",
+    "verify-remark": "8af11a52142a6e85ff0be0ac9d4986e15e6bf1763315d0634814d5b0a80d6d19",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKER_CASES))
+def test_checker_digest(name, tmp_path):
+    assert hashlib.sha256(CHECKER_CASES[name](tmp_path)).hexdigest() == CHECKER_DIGESTS[name]
