@@ -30,6 +30,7 @@ from .catalog import (
 from .errors import (
     DegenerateImageError,
     InstanceDefinitionError,
+    NonFiniteValueError,
     ParseError,
     QuasieqError,
     SpecError,

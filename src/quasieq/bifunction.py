@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import sampling
 from .errors import InstanceDefinitionError
 from .expressions import Expression
 from .geometry import (
@@ -32,8 +33,6 @@ from .geometry import (
     grid_points,
 )
 from .setmap import FAIL, NO_VIOLATION_FOUND
-
-_CHECK_SEED = 1729
 
 REAL = "real"
 EXACT = "exact"
@@ -218,53 +217,10 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
     return Bifunction(fn, REAL, "qvi-adapter", domain, row_fn=row_fn)
 
 
-# -- sampling helpers -------------------------------------------------------
-
-
 def _default_tol(f: Bifunction, tol: Optional[float]) -> float:
     if tol is not None:
         return tol
     return 0.0 if f.scalar_kind == EXACT else 1e-9
-
-
-def _lattice(C: CompactBox, per_axis: int) -> list:
-    axes = []
-    for lo, hi in zip(C.lower, C.upper):
-        if isinstance(lo, Root2):
-            span = hi - lo
-            axes.append([lo + span * Fraction(i, per_axis - 1) for i in range(per_axis)])
-        else:
-            axes.append([lo + (hi - lo) * i / (per_axis - 1) for i in range(per_axis)])
-    return [p for p in itertools.product(*axes)]
-
-
-def _lattice_budget(dim: int) -> int:
-    return {1: 21, 2: 7, 3: 5}[dim]
-
-
-def _random_point(C: CompactBox, rng: random.Random) -> Point:
-    out = []
-    for lo, hi in zip(C.lower, C.upper):
-        if isinstance(lo, Root2):
-            t = Fraction(rng.randrange(0, 257), 256)
-            out.append(lo + (hi - lo) * Root2(t))
-        else:
-            out.append(rng.uniform(lo, hi))
-    return tuple(out)
-
-
-def _lambdas(exact: bool, rng: random.Random, extra: int = 2) -> list:
-    if exact:
-        base = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
-        base += [Fraction(rng.randrange(1, 64), 64) for _ in range(extra)]
-        return base
-    return [0.5, 0.25, 0.75] + [rng.uniform(0.05, 0.95) for _ in range(extra)]
-
-
-def _pair_weights(lam):
-    if isinstance(lam, Fraction):
-        return (lam, Fraction(1) - lam)
-    return (lam, 1.0 - lam)
 
 
 # -- condition checkers -----------------------------------------------------
@@ -276,7 +232,7 @@ def check_condition_ii(
     y_samples: int = 24,
     pair_samples: int = 400,
     tol: Optional[float] = None,
-    seed: int = _CHECK_SEED,
+    seed: int = sampling.CHECK_SEED,
 ) -> ConditionReport:
     """Convexity of {x in C : f(x, y) >= 0} for sampled y.
 
@@ -287,38 +243,30 @@ def check_condition_ii(
     tol = _default_tol(f, tol)
     exact = f.scalar_kind == EXACT
     rng = random.Random(seed)
-    xs = _lattice(C, _lattice_budget(C.dim))
+    xs = sampling.box_lattice(C)
     ys = list(xs[: max(1, y_samples)])
-    ys += [_random_point(C, rng) for _ in range(max(0, y_samples - len(ys)))]
+    ys += sampling.random_points(C, rng, max(0, y_samples - len(ys)))
     samples = 0
     for y in ys:
         vals = [f.fn(x, y) for x in xs]
         samples += len(vals)
         eligible = [x for x, v in zip(xs, vals) if v >= 0]
-        budget = pair_samples
-        for i in range(len(eligible)):
-            for j in range(i + 1, len(eligible)):
-                if budget <= 0:
-                    break
-                budget -= 1
-                x1, x2 = eligible[i], eligible[j]
-                for lam in _lambdas(exact, rng):
-                    mid = convex_combination((x1, x2), _pair_weights(lam))
-                    v = f.fn(mid, y)
-                    samples += 1
-                    if v < -tol:
-                        witness = {
-                            "x1": x1,
-                            "x2": x2,
-                            "lambda": lam,
-                            "y": y,
-                            "f_x1": f.fn(x1, y),
-                            "f_x2": f.fn(x2, y),
-                            "f_combination": v,
-                        }
-                        return ConditionReport("ii", FAIL, witness, samples, tol)
-            if budget <= 0:
-                break
+        for x1, x2 in itertools.islice(itertools.combinations(eligible, 2), pair_samples):
+            for lam in sampling.lambdas(exact, rng):
+                mid = convex_combination((x1, x2), sampling.pair_weights(lam))
+                v = f.fn(mid, y)
+                samples += 1
+                if v < -tol:
+                    witness = {
+                        "x1": x1,
+                        "x2": x2,
+                        "lambda": lam,
+                        "y": y,
+                        "f_x1": f.fn(x1, y),
+                        "f_x2": f.fn(x2, y),
+                        "f_combination": v,
+                    }
+                    return ConditionReport("ii", FAIL, witness, samples, tol)
     return ConditionReport("ii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
@@ -328,7 +276,7 @@ def check_condition_iii(
     subset_size_max: int = 4,
     trials: int = 400,
     tol: Optional[float] = None,
-    seed: int = _CHECK_SEED,
+    seed: int = sampling.CHECK_SEED,
 ) -> ConditionReport:
     """The finite-subset condition: max_i f(x, x_i) >= 0 for x in the convex hull."""
     if subset_size_max < 1 or trials < 1:
@@ -336,7 +284,7 @@ def check_condition_iii(
     tol = _default_tol(f, tol)
     exact = f.scalar_kind == EXACT
     rng = random.Random(seed + 1)
-    lattice = _lattice(C, _lattice_budget(C.dim))
+    lattice = sampling.box_lattice(C)
     samples = 0
 
     def violates(subset, weights):
@@ -356,27 +304,15 @@ def check_condition_iii(
         return None
 
     # structured: all lattice pairs at the midpoint
-    half = Fraction(1, 2) if exact else 0.5
-    for i in range(len(lattice)):
-        for j in range(i + 1, len(lattice)):
-            w = violates((lattice[i], lattice[j]), (half, (1 - half) if exact else 0.5))
-            if w is not None:
-                return ConditionReport("iii", FAIL, w, samples, tol)
+    halves = sampling.pair_weights(Fraction(1, 2) if exact else 0.5)
+    for pair in itertools.combinations(lattice, 2):
+        w = violates(pair, halves)
+        if w is not None:
+            return ConditionReport("iii", FAIL, w, samples, tol)
     # seeded random subsets and weights
-    pool = lattice + [_random_point(C, rng) for _ in range(16)]
+    pool = lattice + sampling.random_points(C, rng, 16)
     for _ in range(trials):
-        k = rng.randint(2, max(2, subset_size_max))
-        subset = tuple(pool[rng.randrange(len(pool))] for _ in range(k))
-        if exact:
-            raw = [Fraction(rng.randrange(1, 16)) for _ in range(k)]
-            total = sum(raw)
-            weights = tuple(r / total for r in raw)
-        else:
-            raw = [rng.uniform(0.05, 1.0) for _ in range(k)]
-            total = sum(raw)
-            weights = tuple(r / total for r in raw)
-            weights = weights[:-1] + (1.0 - sum(weights[:-1]),)
-        w = violates(subset, weights)
+        w = violates(*sampling.random_subset(pool, rng, exact, subset_size_max))
         if w is not None:
             return ConditionReport("iii", FAIL, w, samples, tol)
     return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
@@ -387,7 +323,7 @@ def check_condition_iv(
     grid: Grid,
     radii: Optional[Sequence[float]] = None,
     tol: Optional[float] = None,
-    seed: int = _CHECK_SEED,
+    seed: int = sampling.CHECK_SEED,
 ) -> ConditionReport:
     """Falsifier for closedness of {(x, y) : f(x, y) >= 0}.
 
@@ -398,7 +334,7 @@ def check_condition_iv(
     C = grid.box
     exact = f.scalar_kind == EXACT
     rng = random.Random(seed + 2)
-    lattice = _lattice(C, _lattice_budget(C.dim))
+    lattice = sampling.box_lattice(C)
     pairs = [(x, y) for x in lattice for y in lattice]
     vals = [f.fn(x, y) for x, y in pairs]
     samples = len(vals)
@@ -407,45 +343,18 @@ def check_condition_iv(
     margin = max(tol if tol is not None else 0.0, 0.02 * value_range)
     if margin == 0.0:
         margin = 1e-9
-    diam = C.diameter()
-    if radii is None:
-        ladder = [0.1 * diam]
-        while ladder[-1] > 1e-5 * diam:
-            ladder.append(ladder[-1] / 2.0)
-        radii = tuple(ladder)
-    else:
-        radii = tuple(radii)
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-
-    lo = [float(v) for v in C.lower]
-    hi = [float(v) for v in C.upper]
-
-    def clamp(p):
-        return tuple(min(max(v, lo[k]), hi[k]) for k, v in enumerate(p))
+    radii = tuple(radii) if radii is not None else sampling.pair_probe_radii(C)
+    sampling.check_ladder(radii, margin)
 
     def to_domain(p):
         return tuple(Root2.from_float(v) for v in p) if exact else p
 
     def nonneg_near(xf, yf, r):
         nonlocal samples
-        cands = []
-        for k in range(len(xf)):
-            for s in (r, -r):
-                q = list(xf)
-                q[k] += s
-                cands.append((clamp(tuple(q)), yf))
-                q2 = list(yf)
-                q2[k] += s
-                cands.append((xf, clamp(tuple(q2))))
-        for _ in range(4):
-            qx = clamp(tuple(v + rng.uniform(-r, r) for v in xf))
-            qy = clamp(tuple(v + rng.uniform(-r, r) for v in yf))
-            cands.append((qx, qy))
-        for qx, qy in cands:
+        for qx, qy in sampling.pair_ball_candidates(xf, yf, r, C, rng):
             samples += 1
             if f.fn(to_domain(qx), to_domain(qy)) >= 0:
-                return qx, qy
+                return {"radius": r, "x_prime": qx, "y_prime": qy}
         return None
 
     for (x, y), v in zip(pairs, vals):
@@ -453,33 +362,33 @@ def check_condition_iv(
             continue
         xf = tuple(float(c) for c in x)
         yf = tuple(float(c) for c in y)
-        trail = []
-        for r in radii:
-            hit = nonneg_near(xf, yf, r)
-            if hit is None:
-                break
-            trail.append({"radius": r, "x_prime": hit[0], "y_prime": hit[1]})
-        if len(trail) == len(radii):
+        trail = sampling.ladder_search(radii, lambda r: nonneg_near(xf, yf, r))
+        if trail is not None:
             witness = {"x": x, "y": y, "f_value": v, "approach": trail, "margin": margin}
             return ConditionReport("iv", FAIL, witness, samples, margin)
     return ConditionReport("iv", NO_VIOLATION_FOUND, None, samples, margin)
 
 
-def _sqrt2_witness_pairs(C: CompactBox) -> list:
-    """Pairs of irrational points in C whose midpoint is rational."""
-    lo, hi = C.lower[0], C.upper[0]
-    span = hi - lo
-    centre = (lo + hi) * Root2(Fraction(1, 2))
-    pairs = []
-    for denom in (4, 8, 16):
-        t = span * Root2(0, Fraction(1, denom))
-        pairs.append((centre - t, centre + t))
-        pairs.append((lo + t, hi - t))
-    return [
-        (tuple([p1] + list(C.lower[1:])), tuple([p2] + list(C.lower[1:])))
-        for p1, p2 in pairs
-        if not p1.is_rational and not p2.is_rational
-    ]
+def _segment_check(condition_id, f, C, trials, tol, seed, draw, violates, lead=()) -> ConditionReport:
+    """The driver of the mirrored quasiconvexity checks.
+
+    Tries the ``lead`` probes, then the lattice-pair and random-trial stages
+    of ``sampling.segment_plan``.  ``violates(fixed, a, b, lam, tol)``
+    evaluates f three times and returns a witness or None; ``draw(rng)``
+    gives a random-trial triple (fixed, a, b).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    tol = _default_tol(f, tol)
+    exact = f.scalar_kind == EXACT
+    plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed), exact, trials, draw)
+    samples = 0
+    for probe in itertools.chain(lead, plan):
+        samples += 3
+        w = violates(*probe, tol)
+        if w is not None:
+            return ConditionReport(condition_id, FAIL, w, samples, tol)
+    return ConditionReport(condition_id, NO_VIOLATION_FOUND, None, samples, tol)
 
 
 def check_quasiconvex_second(
@@ -487,58 +396,26 @@ def check_quasiconvex_second(
     C: CompactBox,
     trials: int = 400,
     tol: Optional[float] = None,
-    seed: int = _CHECK_SEED,
+    seed: int = sampling.CHECK_SEED,
 ) -> ConditionReport:
     """Quasiconvexity of f(x, .): f(x, mid) <= max(f(x,y1), f(x,y2)) + tol."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    tol = _default_tol(f, tol)
-    exact = f.scalar_kind == EXACT
-    rng = random.Random(seed + 3)
-    lattice = _lattice(C, _lattice_budget(C.dim))
-    samples = 0
 
-    def violates(x, y1, y2, lam):
-        nonlocal samples
-        mid = convex_combination((y1, y2), _pair_weights(lam))
+    def violates(x, y1, y2, lam, tol):
+        mid = convex_combination((y1, y2), sampling.pair_weights(lam))
         v_mid = f.fn(x, mid)
         v1, v2 = f.fn(x, y1), f.fn(x, y2)
-        samples += 3
         if v_mid > max(v1, v2) + tol:
-            return {
-                "x": x,
-                "y1": y1,
-                "y2": y2,
-                "lambda": lam,
-                "f_mid": v_mid,
-                "f_y1": v1,
-                "f_y2": v2,
-            }
+            return {"x": x, "y1": y1, "y2": y2, "lambda": lam, "f_mid": v_mid, "f_y1": v1, "f_y2": v2}
         return None
 
-    if exact:
-        half = Fraction(1, 2)
-        for y1, y2 in _sqrt2_witness_pairs(C):
-            for x in lattice[: min(4, len(lattice))]:
-                w = violates(x, y1, y2, half)
-                if w is not None:
-                    return ConditionReport("qcvx_second", FAIL, w, samples, tol)
-    lam0 = Fraction(1, 2) if exact else 0.5
-    for x in lattice:
-        for i in range(len(lattice)):
-            for j in range(i + 1, len(lattice)):
-                w = violates(x, lattice[i], lattice[j], lam0)
-                if w is not None:
-                    return ConditionReport("qcvx_second", FAIL, w, samples, tol)
-    for _ in range(trials):
-        x = _random_point(C, rng)
-        y1 = _random_point(C, rng)
-        y2 = _random_point(C, rng)
-        for lam in _lambdas(exact, rng, extra=1):
-            w = violates(x, y1, y2, lam)
-            if w is not None:
-                return ConditionReport("qcvx_second", FAIL, w, samples, tol)
-    return ConditionReport("qcvx_second", NO_VIOLATION_FOUND, None, samples, tol)
+    def draw(rng):
+        return sampling.random_points(C, rng, 3)  # x, y1, y2
+
+    lead = []
+    if f.scalar_kind == EXACT:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
+        xs = sampling.box_lattice(C)[:4]
+        lead = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
+    return _segment_check("qcvx_second", f, C, trials, tol, seed + 3, draw, violates, lead)
 
 
 def check_quasiconcave_first(
@@ -546,51 +423,23 @@ def check_quasiconcave_first(
     C: CompactBox,
     trials: int = 400,
     tol: Optional[float] = None,
-    seed: int = _CHECK_SEED,
+    seed: int = sampling.CHECK_SEED,
 ) -> ConditionReport:
     """Quasiconcavity of f(., y): f(mid, y) >= min(f(x1,y), f(x2,y)) - tol."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    tol = _default_tol(f, tol)
-    exact = f.scalar_kind == EXACT
-    rng = random.Random(seed + 4)
-    lattice = _lattice(C, _lattice_budget(C.dim))
-    samples = 0
 
-    def violates(x1, x2, y, lam):
-        nonlocal samples
-        mid = convex_combination((x1, x2), _pair_weights(lam))
+    def violates(y, x1, x2, lam, tol):
+        mid = convex_combination((x1, x2), sampling.pair_weights(lam))
         v_mid = f.fn(mid, y)
         v1, v2 = f.fn(x1, y), f.fn(x2, y)
-        samples += 3
         if v_mid < min(v1, v2) - tol:
-            return {
-                "x1": x1,
-                "x2": x2,
-                "y": y,
-                "lambda": lam,
-                "f_mid": v_mid,
-                "f_x1": v1,
-                "f_x2": v2,
-            }
+            return {"x1": x1, "x2": x2, "y": y, "lambda": lam, "f_mid": v_mid, "f_x1": v1, "f_x2": v2}
         return None
 
-    lam0 = Fraction(1, 2) if exact else 0.5
-    for y in lattice:
-        for i in range(len(lattice)):
-            for j in range(i + 1, len(lattice)):
-                w = violates(lattice[i], lattice[j], y, lam0)
-                if w is not None:
-                    return ConditionReport("qccv_first", FAIL, w, samples, tol)
-    for _ in range(trials):
-        x1 = _random_point(C, rng)
-        x2 = _random_point(C, rng)
-        y = _random_point(C, rng)
-        for lam in _lambdas(exact, rng, extra=1):
-            w = violates(x1, x2, y, lam)
-            if w is not None:
-                return ConditionReport("qccv_first", FAIL, w, samples, tol)
-    return ConditionReport("qccv_first", NO_VIOLATION_FOUND, None, samples, tol)
+    def draw(rng):
+        x1, x2, y = sampling.random_points(C, rng, 3)
+        return y, x1, x2
+
+    return _segment_check("qccv_first", f, C, trials, tol, seed + 4, draw, violates)
 
 
 def check_diagonal_zero(

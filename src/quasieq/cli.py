@@ -11,7 +11,10 @@ Commands::
                              [--format csv|json]
 
 Each flag is accepted only by the commands that read it.  TARGET is a
-problem-definition file path or a catalog instance name.  Exit codes: 0 =
+problem-definition file path or a catalog instance name.  verify runs the six
+theorem checks and the extra checks a file's ``[checks] run`` names (all three
+by default); their sampling trials and seed come from --trials and --seed
+alone, and a file that sets them is refused.  Exit codes: 0 =
 ran, 2 = bad input (unknown flags, malformed or negative numbers, bad files;
 always with an ``error:`` line, never a traceback), 3 = verify flagged an
 anomaly (all hypothesis checks clean yet the solution set came back empty).

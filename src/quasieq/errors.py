@@ -13,6 +13,10 @@ class DegenerateImageError(QuasieqError):
     """An image grid came back empty where a nonempty one is required."""
 
 
+class NonFiniteValueError(QuasieqError):
+    """An objective, bifunction or bound evaluated to inf or NaN, or overflowed."""
+
+
 class SpecError(QuasieqError):
     """A problem-definition file failed schema validation."""
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteValueError, ParseError
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -358,7 +358,10 @@ class Expression:
         self._batch_fn: Callable = namespace_b["_f"]
 
     def __call__(self, env: dict) -> float:
-        return self._scalar_fn(env)
+        try:
+            return self._scalar_fn(env)
+        except OverflowError:
+            raise NonFiniteValueError(f"{self.text!r} overflows at {env}") from None
 
     def eval_batch(self, env: dict) -> np.ndarray:
         """Evaluate with numpy-array variable values (broadcastable)."""

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class Root2:
         return cls(Fraction(text), 0)
 
 
-Scalar = Union[float, Root2]
 Point = tuple  # tuple of scalars, homogeneous per instance
 
 
@@ -324,9 +323,6 @@ class Grid:
 
     def point_at(self, index: tuple) -> Point:
         return tuple(ax[i] for ax, i in zip(self.axes, index))
-
-    def indices(self):
-        return itertools.product(*(range(m) for m in self.points_per_axis))
 
     def axis_index_range(self, k: int, lo, hi, slack: float = 0.0) -> tuple[int, int]:
         """Smallest/largest axis index whose coordinate lies in [lo, hi].

@@ -15,13 +15,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import sampling
 from .errors import InstanceDefinitionError
 from .expressions import Expression
 from .geometry import (
     CompactBox,
     Grid,
     Point,
-    Root2,
     box_distance,
     contains,
     grid_coords,
@@ -31,8 +31,6 @@ from .geometry import (
 
 FAIL = "FAIL"
 NO_VIOLATION_FOUND = "NO_VIOLATION_FOUND"
-
-_PROBE_SEED = 947
 
 
 @dataclass(frozen=True)
@@ -168,15 +166,6 @@ class SetValuedMap:
             hi[:, k] = np.minimum(self.upper_exprs[k].eval_batch(env), float(self.domain.upper[k]))
         return lo, hi
 
-    def is_member(self, x: Point, z: Point, slack: float = 0.0) -> bool:
-        """z in K(x), box membership refined by the predicate when present."""
-        region = self.evaluate(x)
-        if not (region.distance_to(z) <= slack):
-            return False
-        if self.member_predicate is not None:
-            return bool(self.member_predicate(x, z))
-        return True
-
 
 # -- module-level operations (spec surface) --------------------------------
 
@@ -187,8 +176,11 @@ def evaluate(K: SetValuedMap, x: Point) -> ConvexRegion:
 
 def image_index_ranges(K: SetValuedMap, x: Point, grid: Grid) -> tuple:
     """Per-axis (start, stop) index ranges of grid points inside K(x)."""
-    region = K.evaluate(x)
-    snap = K.domain.snap()
+    return region_index_ranges(K.evaluate(x), grid, K.domain.snap())
+
+
+def region_index_ranges(region: ConvexRegion, grid: Grid, snap: float) -> tuple:
+    """Per-axis (start, stop) index ranges of grid points inside the region, with membership snap."""
     return tuple(
         grid.axis_index_range(k, region.lower[k], region.upper[k], slack=snap)
         for k in range(grid.dim)
@@ -233,93 +225,14 @@ def residuals_from_bounds(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
 # -- topology probes -------------------------------------------------------
 
 
-def default_probe_radii(grid: Grid) -> tuple:
-    """Halving ladder from 0.1 x diameter down to ~3 grid steps.
-
-    The spec's four base rungs are kept; extra rungs are appended for fine
-    grids so a Lipschitz-continuous map cannot be flagged (the smallest radius
-    must let bound variation fall below the margin).
-    """
-    diam = grid.box.diameter()
-    floor = 3.0 * grid.max_step()
-    radii = [0.1 * diam, 0.05 * diam, 0.025 * diam, 0.0125 * diam]
-    r = radii[-1] / 2.0
-    while r >= floor and len(radii) < 24:
-        radii.append(r)
-        r /= 2.0
-    return tuple(radii)
-
-
-def default_margin(grid: Grid, radii: Optional[Sequence[float]] = None) -> float:
-    """10 grid steps, floored at 4x the smallest probe radius.
-
-    The floor keeps a Lipschitz-continuous map (slope up to ~3) from being
-    diagonal-approached within the last radius rung and falsely flagged.
-    """
-    base = 10.0 * grid.max_step()
-    if radii:
-        base = max(base, 4.0 * min(radii))
-    return base
-
-
-def _lattice_indices(m: int, budget: int) -> list[int]:
-    if m <= budget:
-        return list(range(m))
-    return sorted({round(i * (m - 1) / (budget - 1)) for i in range(budget)})
-
-
-def _lattice_points(grid: Grid, per_axis: int) -> list:
-    axes = []
-    for k, m in enumerate(grid.points_per_axis):
-        idx = _lattice_indices(m, per_axis)
-        axes.append([float(grid.axes[k][i]) for i in idx])
-    return [p for p in itertools.product(*axes)]
-
-
-def _per_axis_budget(dim: int) -> int:
-    return {1: 33, 2: 9, 3: 5}[dim]
-
-
-def _float_region(K: SetValuedMap, x: Point) -> tuple[tuple, tuple]:
-    region = K.evaluate(x)
-    return (
-        tuple(float(v) for v in region.lower),
-        tuple(float(v) for v in region.upper),
-    )
-
-
-def _float_map_point(K: SetValuedMap, x: tuple) -> tuple:
-    if K.domain.is_exact:
-        return tuple(Root2.from_float(v) for v in x)
-    return x
-
-
-def _ball_candidates(x: tuple, r: float, box: CompactBox, rng: random.Random, extra: int = 2) -> list:
-    """A few points within sup-distance r of x, clipped to the box."""
-    lo = [float(v) for v in box.lower]
-    hi = [float(v) for v in box.upper]
-    cands = [x]
-    for k in range(len(x)):
-        for s in (+1.0, -1.0):
-            p = list(x)
-            p[k] = min(max(x[k] + s * r, lo[k]), hi[k])
-            cands.append(tuple(p))
-    for _ in range(extra):
-        p = tuple(
-            min(max(x[k] + rng.uniform(-r, r), lo[k]), hi[k]) for k in range(len(x))
-        )
-        cands.append(p)
-    return cands
-
-
 def _nearby_members(K: SetValuedMap, x_prime: tuple, z: tuple, r: float, grid: Grid) -> Optional[tuple]:
     """A point z' in K(x') with |z' - z| <= r, or None.
 
     For pure box maps the projection of z onto the image box is the closest
     member; predicate maps search grid points of the image near z.
     """
-    xp = _float_map_point(K, x_prime)
-    lo, hi = _float_region(K, xp)
+    xp = sampling.float_map_point(K, x_prime)
+    lo, hi = sampling.float_region(K, xp)
     proj = tuple(min(max(z[k], lo[k]), hi[k]) for k in range(len(z)))
     if K.member_predicate is None:
         if point_distance(proj, z) <= r:
@@ -343,6 +256,13 @@ def _nearby_members(K: SetValuedMap, x_prime: tuple, z: tuple, r: float, grid: G
     return best
 
 
+def _member_samples(K: SetValuedMap, x_map: Point, lo: tuple, hi: tuple, grid: Grid) -> list:
+    """The region samples of K(x) that are members (the predicate, when present, filters)."""
+    pts = sampling.region_samples(lo, hi, sampling.GRID_PROBE_BUDGET[grid.dim])
+    keep = K.member_predicate
+    return pts if keep is None else [p for p in pts if keep(x_map, p)]
+
+
 def check_closed_graph(
     K: SetValuedMap,
     grid: Grid,
@@ -355,19 +275,20 @@ def check_closed_graph(
     or excluded by the predicate) that graph points approach at every probe
     radius.
     """
-    radii = tuple(radii) if radii is not None else default_probe_radii(grid)
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    margin = margin if margin is not None else default_margin(grid, radii)
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    rng = random.Random(_PROBE_SEED)
-    budget = _per_axis_budget(grid.dim)
-    lattice = _lattice_points(grid, budget)
+    radii, margin = sampling.probe_ladder(grid, radii, margin)
+    rng = random.Random(sampling.PROBE_SEED)
+    regions = list(sampling.lattice_regions(K, grid))
+    lattice = [x for x, *_ in regions]
     samples = 0
-    for x in lattice:
-        x_map = _float_map_point(K, x)
-        lo, hi = _float_region(K, x_map)
+
+    def approach(x, z, r):
+        for x_prime in sampling.ball_candidates(x, r, K.domain, rng):
+            z_prime = _nearby_members(K, x_prime, z, r, grid)
+            if z_prime is not None:
+                return {"radius": r, "x_prime": x_prime, "z_prime": z_prime}
+        return None
+
+    for x, x_map, lo, hi in regions:
         for z in lattice:
             samples += 1
             outside = box_distance(lo, hi, z)
@@ -376,18 +297,8 @@ def check_closed_graph(
                     continue
             elif outside < margin:
                 continue
-            trail = []
-            for r in radii:
-                found = None
-                for x_prime in _ball_candidates(x, r, K.domain, rng):
-                    z_prime = _nearby_members(K, x_prime, z, r, grid)
-                    if z_prime is not None:
-                        found = {"radius": r, "x_prime": x_prime, "z_prime": z_prime}
-                        break
-                if found is None:
-                    break
-                trail.append(found)
-            if len(trail) == len(radii):
+            trail = sampling.ladder_search(radii, lambda r: approach(x, z, r))
+            if trail is not None:
                 witness = {"x": x, "z": z, "outside_distance": float(outside), "approach": trail}
                 return TopologyProbeReport(FAIL, witness, radii, samples)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
@@ -404,51 +315,27 @@ def check_lsc(
     FAIL needs (x, y in K(x)) such that at every probe radius some x' that
     close to x keeps K(x') at distance >= margin from y.
     """
-    radii = tuple(radii) if radii is not None else default_probe_radii(grid)
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    margin = margin if margin is not None else default_margin(grid, radii)
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    rng = random.Random(_PROBE_SEED + 1)
-    budget = _per_axis_budget(grid.dim)
-    lattice = _lattice_points(grid, budget)
+    radii, margin = sampling.probe_ladder(grid, radii, margin)
+    rng = random.Random(sampling.PROBE_SEED + 1)
     samples = 0
-    for x in lattice:
-        x_map = _float_map_point(K, x)
-        lo, hi = _float_region(K, x_map)
-        y_cands = _region_samples(lo, hi, budget)
-        if K.member_predicate is not None:
-            y_cands = [y for y in y_cands if K.member_predicate(x_map, y)]
-        for y in y_cands:
+
+    def receding(x, y, r):
+        # the first candidate whose image is farthest from y
+        x_prime, d = max(
+            ((xp, float(box_distance(*sampling.float_region(K, sampling.float_map_point(K, xp)), y)))
+             for xp in sampling.ball_candidates(x, r, K.domain, rng)),
+            key=lambda cand: cand[1],
+        )
+        return None if d < margin else {"radius": r, "x_prime": x_prime, "distance": d}
+
+    for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
+        for y in _member_samples(K, x_map, lo, hi, grid):
             samples += 1
-            trail = []
-            for r in radii:
-                worst = None
-                for x_prime in _ball_candidates(x, r, K.domain, rng):
-                    xp = _float_map_point(K, x_prime)
-                    plo, phi = _float_region(K, xp)
-                    d = float(box_distance(plo, phi, y))
-                    if worst is None or d > worst[1]:
-                        worst = (x_prime, d)
-                if worst is None or worst[1] < margin:
-                    break
-                trail.append({"radius": r, "x_prime": worst[0], "distance": worst[1]})
-            if len(trail) == len(radii):
+            trail = sampling.ladder_search(radii, lambda r: receding(x, y, r))
+            if trail is not None:
                 witness = {"x": x, "y": y, "receding": trail}
                 return TopologyProbeReport(FAIL, witness, radii, samples)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
-
-
-def _region_samples(lo: tuple, hi: tuple, per_axis: int) -> list:
-    axes = []
-    for a, b in zip(lo, hi):
-        n = min(per_axis, 7)
-        if b - a <= 0:
-            axes.append([a])
-        else:
-            axes.append([a + (b - a) * i / (n - 1) for i in range(n)])
-    return [p for p in itertools.product(*axes)]
 
 
 def check_convex_values(
@@ -463,36 +350,23 @@ def check_convex_values(
     """
     if segment_samples < 1:
         raise ValueError("segment_samples must be >= 1")
-    rng = random.Random(_PROBE_SEED + 2)
-    budget = _per_axis_budget(grid.dim)
-    lattice = _lattice_points(grid, budget)
+    rng = random.Random(sampling.PROBE_SEED + 2)
     snap = K.domain.snap()
     samples = 0
-    for x in lattice:
-        x_map = _float_map_point(K, x)
-        lo, hi = _float_region(K, x_map)
-        pts = _region_samples(lo, hi, budget)
-        if K.member_predicate is not None:
-            pts = [p for p in pts if K.member_predicate(x_map, p)]
-        lambdas = [0.5, 0.25, 0.75] + [rng.uniform(0.05, 0.95) for _ in range(3)]
-        budget_left = segment_samples
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if budget_left <= 0:
-                    break
-                budget_left -= 1
-                y1, y2 = pts[i], pts[j]
-                for lam in lambdas:
-                    samples += 1
-                    mid = tuple(lam * a + (1.0 - lam) * b for a, b in zip(y1, y2))
-                    inside = box_distance(lo, hi, mid) <= snap
-                    if inside and K.member_predicate is not None:
-                        inside = K.member_predicate(x_map, mid)
-                    if not inside:
-                        witness = {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
-                        return TopologyProbeReport(FAIL, witness, (), samples)
-            if budget_left <= 0:
-                break
+    for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
+        pts = _member_samples(K, x_map, lo, hi, grid)
+        lams = sampling.lambdas(False, rng, extra=3)
+        pairs = itertools.islice(itertools.combinations(pts, 2), segment_samples)
+        for y1, y2 in pairs:
+            for lam in lams:
+                samples += 1
+                mid = tuple(lam * a + (1.0 - lam) * b for a, b in zip(y1, y2))
+                inside = box_distance(lo, hi, mid) <= snap
+                if inside and K.member_predicate is not None:
+                    inside = K.member_predicate(x_map, mid)
+                if not inside:
+                    witness = {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
+                    return TopologyProbeReport(FAIL, witness, (), samples)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, (), samples)
 
 

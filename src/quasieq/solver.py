@@ -16,7 +16,8 @@ grid, to the solver's inner minimum.  The kernel has two branches:
   comparison, their image ranges come from per-axis searchsorted tables, and
   points are built only at the fixed indices;
 * per-point branch (exact grids, constant and callable maps): K is evaluated
-  at every grid point and the ranges come from ``image_index_ranges``.
+  once at every grid point, and that one image gives both the residual and
+  the index ranges.
 
 The inner minimum is the exact scalar loop on exact grids, the minimum over
 one table of h for separable payloads (the opt adapter's h(y) - h(x) and
@@ -27,14 +28,16 @@ deterministic for a given instance and config.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import sampling
 from .bifunction import Bifunction, ObjectiveFunction, make_opt_bifunction
-from .errors import DegenerateImageError
+from .errors import DegenerateImageError, NonFiniteValueError
 from .geometry import Grid, Point, grid_coords, grid_points
 from .setmap import (
     FAIL,
@@ -44,11 +47,8 @@ from .setmap import (
     check_closed_graph,
     check_convex_values,
     check_lsc,
-    default_margin,
-    default_probe_radii,
     image_grid,
-    image_index_ranges,
-    membership_residuals,
+    region_index_ranges,
     residuals_from_bounds,
 )
 
@@ -137,13 +137,19 @@ def _scan(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray], inner: Ca
     limit = cfg.delta_membership + grid.box.snap()
     bounds = None if X is None else K.bounds_batch(X)
     if bounds is None:
-        candidates = (
-            (i, x, r, image_index_ranges(K, x, grid))
-            for i, (x, r) in enumerate(zip(grid_points(grid), membership_residuals(K, grid)))
-            if r <= limit
-        )
+
+        def per_point():
+            snap = K.domain.snap()
+            for i, x in enumerate(grid_points(grid)):
+                region = K.evaluate(x)  # one evaluation gives the residual and the ranges
+                r = region.distance_to(x)
+                if r <= limit:
+                    yield i, x, r, region_index_ranges(region, grid, snap)
+
+        candidates = per_point()
     else:
         lo, hi = bounds
+        _require_finite("a map bound", np.hstack((lo, hi)), X)
         residuals = residuals_from_bounds(X, lo, hi)
         fixed = np.nonzero(residuals <= limit)[0]
         # (start, stop) per fixed point and axis, with the searchsorted
@@ -169,6 +175,20 @@ def _scan(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray], inner: Ca
     return found, degenerate
 
 
+def _require_finite(what: str, values: np.ndarray, X: np.ndarray) -> None:
+    """Raise NonFiniteValueError naming the first grid point (row of X) with a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(values.reshape(len(X), -1)).all(axis=1))
+    if bad.size:
+        raise NonFiniteValueError(f"{what} is not finite at grid point {tuple(X[bad[0]].tolist())}")
+
+
+def _finite(what: str, value, x: Point):
+    """The value, unless it is inf or NaN."""
+    if not math.isfinite(value):
+        raise NonFiniteValueError(f"{what} is {float(value)} at grid point {x}")
+    return value
+
+
 def _image_min(h: ObjectiveFunction, grid: Grid, X: Optional[np.ndarray]) -> tuple:
     """The table of h over the grid and the minimum of h over an image grid.
 
@@ -181,6 +201,7 @@ def _image_min(h: ObjectiveFunction, grid: Grid, X: Optional[np.ndarray]) -> tup
         table = [h.fn(p) for p in grid_points(grid)]
         return table, lambda ranges: min(table[j] for j in _flat_indices(grid, ranges))
     table = h.eval_batch(X)
+    _require_finite("the objective", table, X)
     shaped = table.reshape(grid.points_per_axis)
     return table, lambda ranges: shaped[tuple(slice(s, e) for s, e in ranges)].min()
 
@@ -213,6 +234,7 @@ def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> SMapRes
 # -- QEP / EP / QVI ---------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are found and named instead
 def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
@@ -239,7 +261,7 @@ def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP
             return float(f.row(x, X[_flat_indices(grid, ranges)]).min())
 
     def record(i, x, r, ranges):
-        m = inner_min(x, ranges)
+        m = _finite("the minimum of f(x, .) over K(x)", inner_min(x, ranges), x)
         return SolutionRecord(x, float(r), float(m)) if m >= -eps else None
 
     records, degenerate = _scan(K, cfg, X, record)
@@ -275,6 +297,7 @@ def qopt_gap(h: ObjectiveFunction, K: SetValuedMap, x: Point, cfg: SolverConfig)
     return float(h.fn(x) - h.eval_batch(Y).min())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are found and named instead
 def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
@@ -285,7 +308,7 @@ def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> Solv
 
     def record(i, x, r, ranges):
         nonlocal min_gap
-        gap = float(table[i] - h_min(ranges))
+        gap = _finite("the gap", float(table[i] - h_min(ranges)), x)
         if min_gap is None or gap < min_gap:
             min_gap = gap
         return SolutionRecord(x, float(r), -gap, gap=gap) if gap <= eps else None
@@ -353,7 +376,6 @@ def smap_closed_graph_probe(
     cfg: SolverConfig,
     radii: Optional[Sequence[float]] = None,
     margin: Optional[float] = None,
-    probe_budget: int = 21,
 ) -> TopologyProbeReport:
     """The closed-graph falsifier applied to the sampled graph of the selection map.
 
@@ -361,9 +383,7 @@ def smap_closed_graph_probe(
     and cached.  Verdict semantics match check_closed_graph.
     """
     grid = cfg.grid
-    radii = tuple(radii) if radii is not None else default_probe_radii(grid)
-    margin = margin if margin is not None else default_margin(grid, radii)
-    sizes = grid.points_per_axis
+    radii, margin = sampling.probe_ladder(grid, radii, margin)
 
     cache: dict = {}
 
@@ -376,34 +396,20 @@ def smap_closed_graph_probe(
                 cache[index] = ()
         return cache[index]
 
-    def dist_to_members(z: Point, members: tuple) -> float:
-        if not members:
-            return float("inf")
-        return min(max(abs(float(a) - float(b)) for a, b in zip(z, m)) for m in members)
+    def dist(p: Point, q: Point) -> float:
+        return max(abs(float(a) - float(b)) for a, b in zip(p, q))
 
-    def lattice_indices() -> list:
-        per_axis = max(2, probe_budget if grid.dim == 1 else {2: 7, 3: 4}[grid.dim])
-        axes = []
-        for m in sizes:
-            if m <= per_axis:
-                axes.append(list(range(m)))
-            else:
-                axes.append(sorted({round(i * (m - 1) / (per_axis - 1)) for i in range(per_axis)}))
-        return [idx for idx in itertools.product(*axes)]
+    def approach(xi: tuple, x: Point, z: Point, r: float) -> Optional[dict]:
+        for xpi in sampling.near_indices(grid, xi, r):
+            xp = grid.point_at(xpi)
+            if dist(x, xp) > r:
+                continue
+            for m in members_at(xpi):
+                if dist(z, m) <= r:
+                    return {"radius": r, "x_prime": xp, "z_prime": m}
+        return None
 
-    def near_indices(index: tuple, r: float) -> list:
-        out = []
-        for k in range(grid.dim):
-            step = (float(grid.box.upper[k]) - float(grid.box.lower[k])) / (sizes[k] - 1)
-            width = max(1, int(r / step))
-            for off in {-width, -max(1, width // 2), 0, max(1, width // 2), width}:
-                i = min(max(index[k] + off, 0), sizes[k] - 1)
-                cand = list(index)
-                cand[k] = i
-                out.append(tuple(cand))
-        return sorted(set(out))
-
-    probe = lattice_indices()
+    probe = sampling.index_lattice(grid, sampling.SMAP_PROBE_BUDGET)
     samples = 0
     for xi in probe:
         x = grid.point_at(xi)
@@ -411,26 +417,10 @@ def smap_closed_graph_probe(
         for zi in probe:
             z = grid.point_at(zi)
             samples += 1
-            if dist_to_members(z, mem_x) < margin:
+            if min((dist(z, m) for m in mem_x), default=float("inf")) < margin:
                 continue
-            trail = []
-            for r in radii:
-                hit = None
-                for xpi in near_indices(xi, r):
-                    xp = grid.point_at(xpi)
-                    if max(abs(float(a) - float(b)) for a, b in zip(x, xp)) > r:
-                        continue
-                    mem = members_at(xpi)
-                    for m in mem:
-                        if max(abs(float(a) - float(b)) for a, b in zip(z, m)) <= r:
-                            hit = {"radius": r, "x_prime": xp, "z_prime": m}
-                            break
-                    if hit:
-                        break
-                if hit is None:
-                    break
-                trail.append(hit)
-            if len(trail) == len(radii):
+            trail = sampling.ladder_search(radii, lambda r: approach(xi, x, z, r))
+            if trail is not None:
                 witness = {"x": x, "z": z, "approach": trail}
                 return TopologyProbeReport(FAIL, witness, radii, samples)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)

@@ -21,15 +21,16 @@
     eps = 1e-06
     delta = 0.0
 
-    [checks]                     ; optional; verify-command settings
+    [checks]                     ; optional; extra checks verify runs (default: all)
     run = condition_ii, qcvx_second
-    trials = 400
-    seed = 7
 
 All expressions parse and type-check (variable indices against the declared
 dimension) and every number parses before anything is evaluated; a malformed
-value is a SpecError naming its section and key.  Map images are validated
-nonempty over the solver grid at load time.  The [solver] values configure
+value is a SpecError naming its section and key.  [checks] takes ``run``
+alone: the checkers' trials and seed are set by verify's ``--trials`` and
+``--seed`` flags, so a ``trials`` or ``seed`` key there is a SpecError that
+says so, as is any other key.  Map images are validated nonempty over the
+solver grid at load time.  The [solver] values configure
 the solver's one scan kernel; expression maps (moving_box,
 piecewise_moving_interval) take its table branch, where the bounds are
 evaluated once over the whole grid, and constant maps its per-point branch.
@@ -85,8 +86,6 @@ class ProblemSpec:
     eps: float = DEFAULT_EPS
     delta: float = DEFAULT_DELTA
     checks_run: tuple = THEOREM_CHECKS + EXTRA_CHECKS
-    trials: int = 400
-    seed: int = 1729
     name: str = "spec"
 
 
@@ -211,9 +210,13 @@ def load_spec(text: str) -> ProblemSpec:
             raise SpecError("[solver] eps and delta must be nonnegative")
 
     checks_run: tuple = THEOREM_CHECKS + EXTRA_CHECKS
-    trials, seed = 400, 1729
     if "checks" in cp:
         csec = cp["checks"]
+        for key in csec:
+            if key in ("trials", "seed"):
+                raise SpecError(f"[checks] {key} is not read from a file; pass --{key} to quasieq verify")
+            if key != "run":
+                raise SpecError(f"[checks] unknown key: {key}")
         if "run" in csec:
             names = tuple(p.strip() for p in csec["run"].split(",") if p.strip())
             known = set(THEOREM_CHECKS) | set(EXTRA_CHECKS)
@@ -221,8 +224,6 @@ def load_spec(text: str) -> ProblemSpec:
             if bad:
                 raise SpecError(f"[checks] unknown checker(s): {', '.join(bad)}")
             checks_run = names
-        trials = _number(csec, "trials", trials, int)
-        seed = _number(csec, "seed", seed, int)
 
     return ProblemSpec(
         dim=dim,
@@ -238,8 +239,6 @@ def load_spec(text: str) -> ProblemSpec:
         eps=eps,
         delta=delta,
         checks_run=checks_run,
-        trials=trials,
-        seed=seed,
     )
 
 

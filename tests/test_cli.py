@@ -141,6 +141,21 @@ class TestExitCodes:
         assert main(["solve", str(spec)]) == 2
         assert capsys.readouterr().err.startswith("error: [solver]")
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_finite_objective(self, tmp_path, capsys, command):
+        spec = tmp_path / "overflow.spec"
+        spec.write_text(
+            "[domain]\ndim = 1\nlower = 0.0\nupper = 2.0\n\n[map]\nkind = constant\n\n"
+            "[payload]\nkind = objective\nexpr = power(x_1, 2000) - power(x_1, 2000)\n\n"
+            "[solver]\ngrid = 21\n"
+        )
+        assert main([command, str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if command == "solve":
+            assert "grid point (1.5,)" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quasieq.bifunction import check_condition_iv
 from quasieq.catalog import figure1_instance
 from quasieq.errors import InstanceDefinitionError
 from quasieq.geometry import CompactBox, Grid, contains, grid_points
@@ -17,6 +18,7 @@ from quasieq.setmap import (
     image_grid,
     validate_setmap,
 )
+from quasieq.solver import SolverConfig, smap_closed_graph_probe
 
 
 @pytest.fixture(scope="module")
@@ -155,11 +157,6 @@ class TestClosedGraphProbe:
             assert step["z_prime"][0] < 1.0
             assert abs(step["z_prime"][0] - 1.0) <= step["radius"]
 
-    def test_radii_must_decrease(self, fig1):
-        C, K = fig1
-        with pytest.raises(ValueError):
-            check_closed_graph(K, Grid(C, (11,)), radii=[0.1, 0.2])
-
 
 class TestLscProbe:
     def test_figure1_clean(self, fig1):
@@ -232,3 +229,21 @@ class TestLoadValidation:
     def test_convex_region_rejects_inverted_bounds(self):
         with pytest.raises(InstanceDefinitionError):
             ConvexRegion((1.0,), (0.0,))
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda inst, grid, radii: check_closed_graph(inst.K, grid, radii=radii),
+        lambda inst, grid, radii: check_lsc(inst.K, grid, radii=radii),
+        lambda inst, grid, radii: check_condition_iv(inst.bifunction(), grid, radii=radii),
+        lambda inst, grid, radii: smap_closed_graph_probe(
+            inst.bifunction(), inst.K, SolverConfig(grid), radii=radii
+        ),
+    ],
+    ids=["check_closed_graph", "check_lsc", "check_condition_iv", "smap_closed_graph_probe"],
+)
+def test_radii_must_decrease(probe):
+    inst = figure1_instance()
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        probe(inst, inst.grid((11,)), [0.1, 0.2])

@@ -11,7 +11,7 @@ from quasieq.catalog import (
     qvi_instance,
     random_instance,
 )
-from quasieq.errors import DegenerateImageError
+from quasieq.errors import DegenerateImageError, NonFiniteValueError
 from quasieq.expressions import parse_expression
 from quasieq.geometry import CompactBox, Grid, grid_points
 from quasieq.setmap import NO_VIOLATION_FOUND, SetValuedMap, evaluate, fixed_point_set, image_grid
@@ -184,6 +184,54 @@ class TestSolveQopt:
         rep = solve_qopt(h, K, cfg)
         assert [r.point for r in rep.solutions] == grid_points(cfg.grid)
         assert all(r.gap == 0.0 for r in rep.solutions)
+
+    def test_map_evaluated_once_per_grid_point(self):
+        calls = []
+        C = CompactBox((0.0,), (1.0,))
+        K = SetValuedMap(C, [lambda x: calls.append(x) or x[0]], [lambda x: x[0]])
+        h = ObjectiveFunction(lambda x: (x[0] - 0.3) ** 2)
+        rep = solve_qopt(h, K, SolverConfig(Grid(C, (1001,)), 0.0, 0.0))
+        assert len(rep.solutions) == 1001
+        assert len(calls) == 1001
+
+
+class TestNonFinite:
+    @staticmethod
+    def _overflowing():
+        h = ObjectiveFunction.from_expression(parse_expression("power(x_1, 2000) - power(x_1, 2000)"))
+        C = CompactBox((0.0,), (2.0,))
+        return h, SetValuedMap.constant(C), cfg_for(C, 21)
+
+    def test_qopt_names_first_offending_point(self):
+        h, K, cfg = self._overflowing()
+        with pytest.raises(NonFiniteValueError, match=r"objective is not finite at grid point \(1\.5,\)"):
+            solve_qopt(h, K, cfg)
+
+    def test_qep_adapter_names_first_offending_point(self):
+        h, K, cfg = self._overflowing()
+        with pytest.raises(NonFiniteValueError, match=r"\(1\.5,\)"):
+            solve_qep(make_opt_bifunction(h, K.domain), K, cfg)
+
+    def test_row_minimum_names_its_point(self):
+        f = Bifunction(
+            lambda x, y: 0.0, "real", "direct-expression", C01,
+            row_fn=lambda x, Y: np.full(len(Y), np.nan if x[0] > 0.6 else 0.0),
+        )
+        with pytest.raises(NonFiniteValueError, match=r"is nan at grid point \(0\.75,\)"):
+            solve_qep(f, SetValuedMap.constant(C01), cfg_for(C01, 5))
+
+    def test_nan_map_bound_is_named(self):
+        K = SetValuedMap.from_expressions(
+            C01, [parse_expression("x_1 - 0.1")], [parse_expression("power(10*x_1, 400) - power(10*x_1, 400)")]
+        )
+        h = ObjectiveFunction.from_expression(parse_expression("x_1"))
+        with pytest.raises(NonFiniteValueError, match="map bound"):
+            solve_qopt(h, K, cfg_for(C01, 11))
+
+    def test_scalar_overflow_is_named(self):
+        h, _K, _cfg = self._overflowing()
+        with pytest.raises(NonFiniteValueError, match="overflows"):
+            h((2.0,))
 
 
 class TestLemmaEquivalence:

@@ -77,10 +77,18 @@ class TestLoadSpec:
         assert inst.payload.vertices((0.25,)) == ((1.0,), (1.0,))
 
     def test_checks_section(self):
-        text = MINIMAL + "\n[checks]\nrun = condition_ii, qcvx_second\ntrials = 50\nseed = 3\n"
-        spec = load_spec(text)
-        assert spec.checks_run == ("condition_ii", "qcvx_second")
-        assert spec.trials == 50 and spec.seed == 3
+        text = MINIMAL + "\n[checks]\nrun = condition_ii, qcvx_second\n"
+        assert load_spec(text).checks_run == ("condition_ii", "qcvx_second")
+        # verify takes its trials and seed from --trials and --seed only
+        for line, flag in (("trials = 50", "--trials"), ("seed = 3", "--seed")):
+            with pytest.raises(SpecError) as err:
+                load_spec(text + line + "\n")
+            assert "[checks]" in str(err.value) and flag in str(err.value)
+
+    def test_unknown_checks_key_rejected(self):
+        with pytest.raises(SpecError) as err:
+            load_spec(MINIMAL + "\n[checks]\nrun = condition_ii\nrepeat = 2\n")
+        assert "[checks]" in str(err.value) and "repeat" in str(err.value)
 
     def test_unknown_check_rejected(self):
         text = MINIMAL + "\n[checks]\nrun = condition_v\n"
