@@ -27,8 +27,8 @@ from .bifunction import (
 )
 from .errors import InstanceDefinitionError, SpecError
 from .expressions import parse_expression
-from .geometry import CompactBox, Grid, Root2, grid_coords, grid_points
-from .setmap import SetValuedMap, image_grid, membership_residuals, validate_setmap
+from .geometry import CompactBox, Grid, Root2, grid_coords
+from .setmap import SetValuedMap, fixed_point_set, image_grid, validate_setmap
 from .solver import EP, QEP, QOPT, QVI, SolverConfig
 
 Payload = Union[Bifunction, ObjectiveFunction, QviOperator]
@@ -459,11 +459,8 @@ def qvi_vertex_oracle(T: QviOperator, K: SetValuedMap, cfg: SolverConfig) -> lis
     min over y).  This is a separate code path from the adapter-based solver.
     """
     grid = cfg.grid
-    limit = cfg.delta_membership + grid.box.snap()
     out = []
-    for x, r in zip(grid_points(grid), membership_residuals(K, grid)):
-        if not (r <= limit):
-            continue
+    for x in fixed_point_set(K, grid, cfg.delta_membership):
         pts = image_grid(K, x, grid)
         if not pts:
             continue

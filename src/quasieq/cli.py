@@ -11,19 +11,21 @@ Commands::
                              [--format csv|json]
 
 Each flag is accepted only by the commands that read it.  TARGET is a
-problem-definition file path or a catalog instance name.  verify runs the six
-theorem checks and the extra checks a file's ``[checks] run`` names (all three
-by default); their sampling trials and seed come from --trials and --seed
-alone, and a file that sets them is refused.  Exit codes: 0 =
-ran, 2 = bad input (unknown flags, malformed or negative numbers, bad files;
-always with an ``error:`` line, never a traceback), 3 = verify flagged an
-anomaly (all hypothesis checks clean yet the solution set came back empty).
+problem-definition file path or a catalog instance name.  verify always runs
+the six theorem checks, plus the extra checks a file's ``[checks] run``
+names (all three by default; a theorem check named there is refused); their
+sampling trials and seed come from --trials and --seed alone, and a file
+that sets them is refused.  Exit codes: 0 = ran, 2 = bad input (unknown
+flags, malformed or negative numbers, bad files, a map image that is empty
+or a value that is not finite at some grid point; always with an ``error:``
+line, never a traceback), 3 = verify flagged an anomaly (all hypothesis
+checks clean yet the solution set came back empty).
 
 solve, catalog run and the solve step of verify all run the solver's one
-scan kernel (its table branch for expression maps on float grids, its
-per-point branch otherwise), single-threaded.  Reports go to --out (or
-stdout); a one-line JSON run summary always goes to stderr.  Identical inputs
-and flags produce byte-identical report files.
+scan kernel, single-threaded.  It checks the map's images over the grid it
+scans, so a --grid at which some image is empty exits 2 naming the point.
+Reports go to --out (or stdout); a one-line JSON run summary always goes to
+stderr.  Identical inputs and flags produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _resolve_target(target: str) -> tuple[ProblemInstance, tuple]:
         # defaults from the file's solver section become instance defaults
         return instance, spec.checks_run
     if target in CATALOG:
-        return get_instance(target), None
+        return get_instance(target), EXTRA_CHECKS
     raise QuasieqError(f"no such file or catalog instance: {target!r}")
 
 
@@ -158,12 +160,9 @@ def _run_verify(args: argparse.Namespace) -> int:
     instance, checks_run = _resolve_target(args.target)
     cfg = _config(instance, args)
     theorem = verify_theorem_instance(instance, cfg, trials=args.trials, seed=args.seed)
-    wanted_extras = EXTRA_CHECKS if checks_run is None else tuple(
-        c for c in checks_run if c in EXTRA_CHECKS
-    )
     f = instance.bifunction()
     extra = {}
-    for name in wanted_extras:
+    for name in checks_run:
         if name == "qcvx_second":
             extra[name] = check_quasiconvex_second(f, instance.C, trials=args.trials, seed=args.seed)
         elif name == "qccv_first":

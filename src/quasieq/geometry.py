@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InstanceDefinitionError
+from .errors import InstanceDefinitionError, NonFiniteValueError
 
 MAX_DIM = 3
 
@@ -325,22 +325,14 @@ class Grid:
         return tuple(ax[i] for ax, i in zip(self.axes, index))
 
     def axis_index_range(self, k: int, lo, hi, slack: float = 0.0) -> tuple[int, int]:
-        """Smallest/largest axis index whose coordinate lies in [lo, hi].
+        """Smallest/largest axis index whose coordinate lies in [lo - slack, hi + slack].
 
-        Returns (start, stop) with stop exclusive; start == stop means empty.
+        Returns (start, stop) with stop exclusive; start >= stop means empty.
+        A zero slack is not applied, so exact bounds stay exact.
         """
-        ax = self.axes[k]
-        if isinstance(lo, Root2):
-            start = 0
-            while start < len(ax) and ax[start] < lo:
-                start += 1
-            stop = len(ax)
-            while stop > start and ax[stop - 1] > hi:
-                stop -= 1
-            return start, stop
-        start = bisect.bisect_left(ax, lo - slack)
-        stop = bisect.bisect_right(ax, hi + slack)
-        return start, stop
+        if slack:
+            lo, hi = lo - slack, hi + slack
+        return bisect.bisect_left(self.axes[k], lo), bisect.bisect_right(self.axes[k], hi)
 
 
 def grid_points(grid: Grid) -> list:
@@ -357,6 +349,16 @@ def grid_coords(grid: Grid) -> Optional[np.ndarray]:
         return None
     mesh = np.meshgrid(*[np.asarray(ax) for ax in grid.axes], indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
+
+
+def require_finite(what: str, X: np.ndarray, *values: np.ndarray) -> None:
+    """Raise NonFiniteValueError naming the first point (row of X) where one of the values is not finite."""
+    finite = np.ones(len(X), dtype=bool)
+    for v in values:
+        finite &= np.isfinite(v.reshape(len(X), -1)).all(axis=1)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise NonFiniteValueError(f"{what} is not finite at grid point {tuple(X[bad[0]].tolist())}")
 
 
 def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:

@@ -27,6 +27,7 @@ from .geometry import (
     grid_coords,
     grid_points,
     point_distance,
+    require_finite,
 )
 
 FAIL = "FAIL"
@@ -150,20 +151,36 @@ class SetValuedMap:
             hi.append(b)
         return ConvexRegion(tuple(lo), tuple(hi))
 
-    def bounds_batch(self, X: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Clipped bound matrices for the rows of X, or None if not expression-backed.
+    def bounds_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped bound matrices for the rows of X, an (N, dim) array of points of a float domain.
 
-        ``X`` is an (N, dim) array of points; the result is a pair of (N, dim)
-        arrays.
+        Expression maps are evaluated in one batch; constant and callable
+        maps call each bound function once per row, with the row as a tuple
+        of Python floats.  Raises NonFiniteValueError at the first row with a
+        non-finite clipped bound, then InstanceDefinitionError at the first
+        row whose image is empty, each naming that point.
         """
-        if self.lower_exprs is None or self.domain.is_exact:
-            return None
-        env = {f"x_{k + 1}": X[:, k] for k in range(self.domain.dim)}
+        box = self.domain
         lo = np.empty(X.shape)
         hi = np.empty(X.shape)
-        for k in range(self.domain.dim):
-            lo[:, k] = np.maximum(self.lower_exprs[k].eval_batch(env), float(self.domain.lower[k]))
-            hi[:, k] = np.minimum(self.upper_exprs[k].eval_batch(env), float(self.domain.upper[k]))
+        if self.lower_exprs is not None:
+            env = {f"x_{k + 1}": X[:, k] for k in range(box.dim)}
+            for k in range(box.dim):
+                lo[:, k] = self.lower_exprs[k].eval_batch(env)
+                hi[:, k] = self.upper_exprs[k].eval_batch(env)
+        else:
+            for i, row in enumerate(X):
+                x = tuple(row.tolist())
+                for k in range(box.dim):
+                    lo[i, k] = self.lower_fns[k](x)
+                    hi[i, k] = self.upper_fns[k](x)
+        np.maximum(lo, np.asarray(box.lower, dtype=float), out=lo)
+        np.minimum(hi, np.asarray(box.upper, dtype=float), out=hi)
+        require_finite("a map bound", X, lo, hi)
+        empty = np.flatnonzero((lo > hi).any(axis=1))
+        if empty.size:
+            x = tuple(X[empty[0]].tolist())
+            raise InstanceDefinitionError(f"image of grid point {x} is empty after clipping")
         return lo, hi
 
 
@@ -196,30 +213,44 @@ def image_grid(K: SetValuedMap, x: Point, grid: Grid) -> list:
     return [p for p in itertools.product(*axes)]
 
 
-def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:
-    """All grid x with dist(x, K(x)) <= delta, lexicographic order."""
+def fixed_images(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None):
+    """Every grid x with dist(x, K(x)) <= delta, in lexicographic order, with its image ranges.
+
+    Yields ``(i, x, r, ranges)``: the flat index i, the point x, its
+    membership residual r and the per-axis (start, stop) index ranges of the
+    grid points in K(x), where start >= stop marks an image holding none.
+    The domain's membership snap widens both the residual limit and the
+    ranges.  Float grids read everything from one ``bounds_batch`` table (a
+    caller already holding ``grid_coords(grid)`` passes it as ``X``); exact
+    grids evaluate K once per point.
+    """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    limit = delta + K.domain.snap()
-    return [p for p, r in zip(grid_points(grid), membership_residuals(K, grid)) if r <= limit]
+    snap = K.domain.snap()
+    limit = delta + snap
+    if grid.box.is_exact:
+        for i, x in enumerate(grid_points(grid)):
+            region = K.evaluate(x)  # one evaluation gives the residual and the ranges
+            r = region.distance_to(x)
+            if r <= limit:
+                yield i, x, r, region_index_ranges(region, grid, snap)
+        return
+    X = grid_coords(grid) if X is None else X
+    lo, hi = K.bounds_batch(X)
+    residuals = np.maximum(np.maximum(lo - X, X - hi).max(axis=1), 0.0)
+    fixed = np.nonzero(residuals <= limit)[0]
+    spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
+    for k, ax in enumerate(grid.axes):
+        spans[:, k, 0] = np.searchsorted(ax, lo[fixed, k] - snap, side="left")
+        spans[:, k, 1] = np.searchsorted(ax, hi[fixed, k] + snap, side="right")
+    # rows are read one fixed point at a time: whole-array tolist() raises peak memory
+    for j, i in enumerate(fixed):
+        yield i, tuple(X[i].tolist()), residuals[i], spans[j].tolist()
 
 
-def membership_residuals(K: SetValuedMap, grid: Grid):
-    """dist(x, K(x)) for every grid x, in lexicographic order.
-
-    Returns a numpy array on the vectorized path, else a list.
-    """
-    X = grid_coords(grid)
-    bounds = None if X is None else K.bounds_batch(X)
-    if bounds is not None:
-        return residuals_from_bounds(X, *bounds)
-    return [K.evaluate(p).distance_to(p) for p in grid_points(grid)]
-
-
-def residuals_from_bounds(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sup-norm distance from each row of X to the box [lo, hi] of the same row."""
-    gap = np.maximum(lo - X, X - hi)
-    return np.maximum(gap.max(axis=1), 0.0)
+def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:
+    """All grid x with dist(x, K(x)) <= delta, lexicographic order."""
+    return [x for _i, x, _r, _ranges in fixed_images(K, grid, delta)]
 
 
 # -- topology probes -------------------------------------------------------
@@ -371,15 +402,10 @@ def check_convex_values(
 
 
 def validate_setmap(K: SetValuedMap, grid: Grid) -> None:
-    """Load-time validation: every grid x has a nonempty image inside C."""
+    """Load-time validation: every grid x has a finite, nonempty image inside C."""
     X = grid_coords(grid)
-    bounds = None if X is None else K.bounds_batch(X)
-    if bounds is None:
+    if X is None:
         for p in grid_points(grid):
             K.evaluate(p)  # raises InstanceDefinitionError when empty
-        return
-    lo, hi = bounds
-    bad = np.nonzero((lo > hi).any(axis=1))[0]
-    if bad.size:
-        x = grid.point_at(np.unravel_index(int(bad[0]), grid.points_per_axis))
-        raise InstanceDefinitionError(f"image of grid point {x} is empty after clipping")
+    else:
+        K.bounds_batch(X)

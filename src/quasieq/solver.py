@@ -6,18 +6,12 @@ truth.  The inner minimization over K(x) always uses the restriction of the
 single global grid, which makes solution-set comparisons across problem
 reformulations literal sequence equalities.
 
-QEP, EP, QVI and QOpt share one scan kernel, ``_scan``: it finds the fixed
-points x in K(x) in lexicographic order, counts those whose image holds no
-grid point, and hands every other one, with the index ranges of its image
-grid, to the solver's inner minimum.  The kernel has two branches:
-
-* table branch (float grids with expression maps): the map's bounds are
-  evaluated once over the whole grid, the fixed points are picked with one
-  comparison, their image ranges come from per-axis searchsorted tables, and
-  points are built only at the fixed indices;
-* per-point branch (exact grids, constant and callable maps): K is evaluated
-  once at every grid point, and that one image gives both the residual and
-  the index ranges.
+QEP, EP, QVI and QOpt share one scan kernel, ``_scan``: it reads the fixed
+points x in K(x), in lexicographic order and with the index ranges of their
+image grids, from ``setmap.fixed_images``, counts those whose image holds no
+grid point, and hands every other one to the solver's inner minimum.  How
+they are found (one bounds table on float grids, one evaluation of K per
+point on exact grids) is decided in ``setmap`` alone.
 
 The inner minimum is the exact scalar loop on exact grids, the minimum over
 one table of h for separable payloads (the opt adapter's h(y) - h(x) and
@@ -38,7 +32,7 @@ import numpy as np
 from . import sampling
 from .bifunction import Bifunction, ObjectiveFunction, make_opt_bifunction
 from .errors import DegenerateImageError, NonFiniteValueError
-from .geometry import Grid, Point, grid_coords, grid_points
+from .geometry import Grid, Point, grid_coords, grid_points, require_finite
 from .setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
@@ -47,9 +41,8 @@ from .setmap import (
     check_closed_graph,
     check_convex_values,
     check_lsc,
+    fixed_images,
     image_grid,
-    region_index_ranges,
-    residuals_from_bounds,
 )
 
 QEP = "QEP"
@@ -126,46 +119,15 @@ def _flat_indices(grid: Grid, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
 def _scan(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray], inner: Callable) -> tuple[list, int]:
     """The outer scan behind every solver.
 
-    ``X`` is ``grid_coords(cfg.grid)``.  At every fixed point x, in
-    lexicographic order, whose image holds a grid point, calls
-    ``inner(i, x, r, ranges)`` with the flat index i, the membership residual
-    r and the per-axis (start, stop) index ranges of the image grid, and
-    keeps what it returns unless None.  Returns those results and the number
-    of fixed points whose image held no grid point.
+    At every fixed point of ``setmap.fixed_images`` (``X`` is
+    ``grid_coords(cfg.grid)``) whose image holds a grid point, calls
+    ``inner(i, x, r, ranges)`` and keeps what it returns unless None.
+    Returns those results and the number of fixed points whose image held no
+    grid point.
     """
-    grid = cfg.grid
-    limit = cfg.delta_membership + grid.box.snap()
-    bounds = None if X is None else K.bounds_batch(X)
-    if bounds is None:
-
-        def per_point():
-            snap = K.domain.snap()
-            for i, x in enumerate(grid_points(grid)):
-                region = K.evaluate(x)  # one evaluation gives the residual and the ranges
-                r = region.distance_to(x)
-                if r <= limit:
-                    yield i, x, r, region_index_ranges(region, grid, snap)
-
-        candidates = per_point()
-    else:
-        lo, hi = bounds
-        _require_finite("a map bound", np.hstack((lo, hi)), X)
-        residuals = residuals_from_bounds(X, lo, hi)
-        fixed = np.nonzero(residuals <= limit)[0]
-        # (start, stop) per fixed point and axis, with the searchsorted
-        # semantics and membership snap of image_index_ranges
-        snap = K.domain.snap()
-        spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
-        for k, ax in enumerate(grid.axes):
-            spans[:, k, 0] = np.searchsorted(ax, lo[fixed, k] - snap, side="left")
-            spans[:, k, 1] = np.searchsorted(ax, hi[fixed, k] + snap, side="right")
-        # rows are read one fixed point at a time: whole-array tolist() raises peak memory
-        candidates = (
-            (i, tuple(X[i].tolist()), residuals[i], spans[j].tolist()) for j, i in enumerate(fixed)
-        )
     found = []
     degenerate = 0
-    for i, x, r, ranges in candidates:
+    for i, x, r, ranges in fixed_images(K, cfg.grid, cfg.delta_membership, X):
         if any(s >= e for s, e in ranges):
             degenerate += 1
             continue
@@ -173,13 +135,6 @@ def _scan(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray], inner: Ca
         if result is not None:
             found.append(result)
     return found, degenerate
-
-
-def _require_finite(what: str, values: np.ndarray, X: np.ndarray) -> None:
-    """Raise NonFiniteValueError naming the first grid point (row of X) with a non-finite value."""
-    bad = np.flatnonzero(~np.isfinite(values.reshape(len(X), -1)).all(axis=1))
-    if bad.size:
-        raise NonFiniteValueError(f"{what} is not finite at grid point {tuple(X[bad[0]].tolist())}")
 
 
 def _finite(what: str, value, x: Point):
@@ -201,7 +156,7 @@ def _image_min(h: ObjectiveFunction, grid: Grid, X: Optional[np.ndarray]) -> tup
         table = [h.fn(p) for p in grid_points(grid)]
         return table, lambda ranges: min(table[j] for j in _flat_indices(grid, ranges))
     table = h.eval_batch(X)
-    _require_finite("the objective", table, X)
+    require_finite("the objective", X, table)
     shaped = table.reshape(grid.points_per_axis)
     return table, lambda ranges: shaped[tuple(slice(s, e) for s, e in ranges)].min()
 

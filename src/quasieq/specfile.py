@@ -21,19 +21,21 @@
     eps = 1e-06
     delta = 0.0
 
-    [checks]                     ; optional; extra checks verify runs (default: all)
-    run = condition_ii, qcvx_second
+    [checks]                     ; optional; extra checks verify runs (default: all three)
+    run = qcvx_second, diagonal_zero
 
 All expressions parse and type-check (variable indices against the declared
 dimension) and every number parses before anything is evaluated; a malformed
 value is a SpecError naming its section and key.  [checks] takes ``run``
-alone: the checkers' trials and seed are set by verify's ``--trials`` and
-``--seed`` flags, so a ``trials`` or ``seed`` key there is a SpecError that
-says so, as is any other key.  Map images are validated nonempty over the
-solver grid at load time.  The [solver] values configure
-the solver's one scan kernel; expression maps (moving_box,
-piecewise_moving_interval) take its table branch, where the bounds are
-evaluated once over the whole grid, and constant maps its per-point branch.
+alone, naming extra checks only: verify always runs the six theorem checks,
+so a theorem check named there is a SpecError.  The checkers' trials and
+seed are set by verify's ``--trials`` and ``--seed`` flags, so a ``trials``
+or ``seed`` key there is a SpecError that says so, as is any other key.
+Map bounds are validated finite and images nonempty over the file's solver
+grid at load time; the solver checks them again over the grid it scans,
+which ``--grid`` may change.  Every map's bounds are evaluated once over the
+whole grid: expression maps (moving_box, piecewise_moving_interval) in one
+batch, constant maps once per point.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class ProblemSpec:
     grid: tuple = (DEFAULT_GRID,)
     eps: float = DEFAULT_EPS
     delta: float = DEFAULT_DELTA
-    checks_run: tuple = THEOREM_CHECKS + EXTRA_CHECKS
+    checks_run: tuple = EXTRA_CHECKS
     name: str = "spec"
 
 
@@ -209,7 +211,7 @@ def load_spec(text: str) -> ProblemSpec:
         if not (eps >= 0 and delta >= 0):
             raise SpecError("[solver] eps and delta must be nonnegative")
 
-    checks_run: tuple = THEOREM_CHECKS + EXTRA_CHECKS
+    checks_run: tuple = EXTRA_CHECKS
     if "checks" in cp:
         csec = cp["checks"]
         for key in csec:
@@ -219,8 +221,13 @@ def load_spec(text: str) -> ProblemSpec:
                 raise SpecError(f"[checks] unknown key: {key}")
         if "run" in csec:
             names = tuple(p.strip() for p in csec["run"].split(",") if p.strip())
-            known = set(THEOREM_CHECKS) | set(EXTRA_CHECKS)
-            bad = [n for n in names if n not in known]
+            theorem = [n for n in names if n in THEOREM_CHECKS]
+            if theorem:
+                raise SpecError(
+                    f"[checks] run names theorem check(s) {', '.join(theorem)}; verify always runs "
+                    f"the six theorem checks, and run selects among {', '.join(EXTRA_CHECKS)}"
+                )
+            bad = [n for n in names if n not in EXTRA_CHECKS]
             if bad:
                 raise SpecError(f"[checks] unknown checker(s): {', '.join(bad)}")
             checks_run = names

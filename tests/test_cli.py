@@ -2,9 +2,27 @@ import json
 
 import pytest
 
-from quasieq.catalog import figure1_instance, qvi_instance
+from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, qvi_instance
 from quasieq.cli import main
 from quasieq.reporting import report_from_json, report_to_json, solution_csv
+
+
+# images are nonempty at the file's grid of 201 but empty at grid point 0.5005 of grid 2001
+HOLE_SPEC = """
+[domain]
+dim = 1
+lower = 0.0
+upper = 1.0
+
+[map]
+kind = moving_box
+lower_1 = 0
+upper_1 = 1000*abs(x_1 - 0.5005) - 0.1
+
+[payload]
+kind = objective
+expr = abs(x_1 - 0.25)
+"""
 
 
 class TestCatalogCommands:
@@ -62,6 +80,25 @@ class TestVerifyCommand:
             for name, c in doc["checks"].items()
             if name in ("closed_graph", "lsc", "convex_values", "condition_ii", "condition_iii", "condition_iv")
         )
+
+
+    def test_checks_run_selects_the_extra_checks(self, tmp_path):
+        spec = tmp_path / "variant.spec"
+        spec.write_text(quasiconvex_variant_instance().serialize() + "\n[checks]\nrun = diagonal_zero\n")
+        out = tmp_path / "variant.json"
+        assert main(["verify", str(spec), "--grid", "201", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert sorted(checks) == sorted(
+            ["closed_graph", "lsc", "convex_values", "condition_ii", "condition_iii", "condition_iv", "diagonal_zero"]
+        )
+
+    def test_checks_run_refuses_a_theorem_check(self, tmp_path, capsys):
+        spec = tmp_path / "variant.spec"
+        spec.write_text(quasiconvex_variant_instance().serialize() + "\n[checks]\nrun = condition_ii\n")
+        assert main(["verify", str(spec), "--grid", "201", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [checks]") and "condition_ii" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolveCommand:
@@ -155,6 +192,16 @@ class TestExitCodes:
         if command == "solve":
             assert "grid point (1.5,)" in err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_image_on_the_scanned_grid(self, tmp_path, capsys):
+        spec = tmp_path / "hole.spec"
+        spec.write_text(HOLE_SPEC)
+        assert main(["solve", str(spec), "--out", str(tmp_path / "coarse")]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(spec), "--grid", "2001", "--out", str(tmp_path / "fine")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: image of grid point (0.5005") and "empty" in err
+        assert "Traceback" not in err and not (tmp_path / "fine").exists()
 
     @pytest.mark.parametrize(
         "argv",

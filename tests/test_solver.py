@@ -4,17 +4,25 @@ import random
 import numpy as np
 import pytest
 
-from quasieq.bifunction import Bifunction, ObjectiveFunction, QviOperator, make_opt_bifunction, make_qvi_bifunction
+from quasieq.bifunction import (
+    Bifunction,
+    ObjectiveFunction,
+    QviOperator,
+    make_expression_bifunction,
+    make_opt_bifunction,
+    make_qvi_bifunction,
+)
 from quasieq.catalog import (
     figure1_instance,
     quasiconvex_variant_instance,
     qvi_instance,
     random_instance,
 )
-from quasieq.errors import DegenerateImageError, NonFiniteValueError
+from quasieq.errors import DegenerateImageError, InstanceDefinitionError, NonFiniteValueError
 from quasieq.expressions import parse_expression
 from quasieq.geometry import CompactBox, Grid, grid_points
 from quasieq.setmap import NO_VIOLATION_FOUND, SetValuedMap, evaluate, fixed_point_set, image_grid
+from quasieq.reporting import report_to_json
 from quasieq.solver import (
     SolverConfig,
     check_lemma_equivalence,
@@ -228,10 +236,67 @@ class TestNonFinite:
         with pytest.raises(NonFiniteValueError, match="map bound"):
             solve_qopt(h, K, cfg_for(C01, 11))
 
+    def test_nan_callable_bound_is_named(self):
+        K = SetValuedMap(C01, [lambda x: float("nan") if x[0] > 0.6 else 0.0], [lambda x: 1.0])
+        h = ObjectiveFunction(lambda x: x[0])
+        with pytest.raises(NonFiniteValueError, match=r"map bound is not finite at grid point \(0\.75,\)"):
+            solve_qopt(h, K, cfg_for(C01, 5))
+
     def test_scalar_overflow_is_named(self):
         h, _K, _cfg = self._overflowing()
         with pytest.raises(NonFiniteValueError, match="overflows"):
             h((2.0,))
+
+
+class TestOneBoundsPath:
+    """Float maps have one bounds path: callables and expressions give the same reports."""
+
+    BOUNDS = {
+        1: (["(0.3 + 0.4*x_1) - 0.15"], ["(0.3 + 0.4*x_1) + 0.15"]),
+        2: (
+            ["(0.45 + 0.1*x_2) - 0.3", "(0.55 - 0.15*x_1) - 0.25"],
+            ["(0.45 + 0.1*x_2) + 0.3", "(0.55 - 0.15*x_1) + 0.25"],
+        ),
+    }
+    OBJECTIVE = {1: "abs(x_1 - 0.6)", 2: "abs(x_1 - 0.4) + abs(x_2 - 0.6)"}
+    FIELD = {
+        1: "(0.6*x_1 - 0.1)*(y_1 - x_1)",
+        2: "(0.6*x_1 - 0.4*x_2 + 0.1)*(y_1 - x_1) + (-0.3*x_1 + 0.8*x_2 - 0.2)*(y_2 - x_2)",
+    }
+
+    @classmethod
+    def _solve(cls, payload, dim, K, cfg):
+        h = ObjectiveFunction.from_expression(parse_expression(cls.OBJECTIVE[dim]))
+        if payload == "qopt":
+            return solve_qopt(h, K, cfg)
+        if payload == "opt-adapter":
+            return solve_qep(make_opt_bifunction(h, K.domain), K, cfg)
+        field = parse_expression(cls.FIELD[dim])
+        return solve_qep(make_expression_bifunction(field, K.domain), K, cfg)
+
+    @pytest.mark.parametrize("payload", ["qopt", "opt-adapter", "affine-field"])
+    @pytest.mark.parametrize("dim, m", [(1, 201), (2, 31)])
+    def test_callable_twin_matches_expression_map(self, payload, dim, m):
+        C = CompactBox((0.0,) * dim, (1.0,) * dim)
+        lower, upper = self.BOUNDS[dim]
+        K_expr = SetValuedMap.from_expressions(
+            C, [parse_expression(t) for t in lower], [parse_expression(t) for t in upper]
+        )
+        K_call = SetValuedMap(C, K_expr.lower_fns, K_expr.upper_fns)  # the scalar evaluations, no expressions
+        assert K_call.lower_exprs is None
+        cfg = SolverConfig(Grid(C, (m,) * dim), 0.05, 0.01)
+        expr_report = self._solve(payload, dim, K_expr, cfg)
+        assert expr_report.solutions
+        assert report_to_json(self._solve(payload, dim, K_call, cfg)) == report_to_json(expr_report)
+
+    def test_empty_expression_image_raises(self):
+        K = SetValuedMap.from_expressions(
+            C01, [parse_expression("0")], [parse_expression("1000*abs(x_1 - 0.5005) - 0.1")]
+        )
+        h = ObjectiveFunction.from_expression(parse_expression("abs(x_1 - 0.25)"))
+        assert solve_qopt(h, K, cfg_for(C01, 201)).solutions
+        with pytest.raises(InstanceDefinitionError, match=r"image of grid point \(0\.5005"):
+            solve_qopt(h, K, cfg_for(C01, 2001))
 
 
 class TestLemmaEquivalence:

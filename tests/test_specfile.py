@@ -77,8 +77,12 @@ class TestLoadSpec:
         assert inst.payload.vertices((0.25,)) == ((1.0,), (1.0,))
 
     def test_checks_section(self):
-        text = MINIMAL + "\n[checks]\nrun = condition_ii, qcvx_second\n"
-        assert load_spec(text).checks_run == ("condition_ii", "qcvx_second")
+        assert load_spec(MINIMAL).checks_run == ("qcvx_second", "qccv_first", "diagonal_zero")
+        text = MINIMAL + "\n[checks]\nrun = diagonal_zero, qcvx_second\n"
+        assert load_spec(text).checks_run == ("diagonal_zero", "qcvx_second")
+        # verify always runs the six theorem checks, so run cannot name them
+        with pytest.raises(SpecError, match="condition_ii.*always runs the six"):
+            load_spec(MINIMAL + "\n[checks]\nrun = condition_ii, qcvx_second\n")
         # verify takes its trials and seed from --trials and --seed only
         for line, flag in (("trials = 50", "--trials"), ("seed = 3", "--seed")):
             with pytest.raises(SpecError) as err:
