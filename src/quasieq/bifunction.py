@@ -50,39 +50,29 @@ class ConditionReport:
         assert (self.verdict == FAIL) == (self.witness is not None)
 
 
-class ObjectiveFunction:
-    """A real-valued objective h on C."""
+def _column(values, n: int) -> np.ndarray:
+    """A batch evaluation's result as a writable float array of length n (a constant expression gives one number)."""
+    return np.broadcast_to(np.asarray(values, dtype=float), (n,)).copy()
 
-    def __init__(
-        self,
-        fn: Callable,
-        continuity_claim: bool = True,
-        batch_fn: Optional[Callable] = None,
-        expr: Optional[Expression] = None,
-    ) -> None:
+
+class ObjectiveFunction:
+    """A real-valued objective h on C; ``expr``, when set, is h and evaluates it in batches."""
+
+    def __init__(self, fn: Callable, expr: Optional[Expression] = None) -> None:
         self.fn = fn
-        self.continuity_claim = continuity_claim
-        self.batch_fn = batch_fn
         self.expr = expr
 
     @classmethod
-    def from_expression(cls, expr: Expression, continuity_claim: bool = True) -> ObjectiveFunction:
-        def fn(x: Point, _e=expr):
-            return _e({f"x_{k + 1}": x[k] for k in range(len(x))})
-
-        def batch_fn(X: np.ndarray, _e=expr):
-            env = {f"x_{k + 1}": X[:, k] for k in range(X.shape[1])}
-            out = _e.eval_batch(env)
-            return np.broadcast_to(np.asarray(out, dtype=float), (X.shape[0],)).copy()
-
-        return cls(fn, continuity_claim=continuity_claim, batch_fn=batch_fn, expr=expr)
+    def from_expression(cls, expr: Expression) -> ObjectiveFunction:
+        return cls(expr, expr=expr)
 
     def __call__(self, x: Point):
         return self.fn(x)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.batch_fn is not None:
-            return self.batch_fn(X)
+        """h at every row of X."""
+        if self.expr is not None:
+            return _column(self.expr.eval_batch(X.T), len(X))
         return np.array([self.fn(tuple(row)) for row in X], dtype=float)
 
 
@@ -106,8 +96,7 @@ class QviOperator:
             raise InstanceDefinitionError("vertex list must be nonempty")
 
         def vertex_fn(x: Point, _ve=tuple(tuple(v) for v in vertex_exprs)):
-            env = {f"x_{k + 1}": x[k] for k in range(len(x))}
-            return tuple(tuple(e(env) for e in vert) for vert in _ve)
+            return tuple(tuple(e(x) for e in vert) for vert in _ve)
 
         return cls(vertex_fn, vertex_exprs=vertex_exprs)
 
@@ -131,16 +120,18 @@ class Bifunction:
 
     ``row`` evaluates f(x, .) over a batch of second arguments and must be
     float-identical to mapping ``eval``; adapters use it to vectorize the
-    solvers' inner scans.  ``objective``, when set, declares f separable:
-    f(x, y) = h(y) - h(x) for that objective h, so the solvers take the
-    minimum of f(x, .) over an image as the minimum of h over it minus h(x).
+    solvers' inner scans.  For an expression bifunction, whose ``fn`` is the
+    expression itself, row == eval is tested on random expressions
+    (tests/test_expressions.py).  ``objective``, when set, declares f
+    separable: f(x, y) = h(y) - h(x) for that objective h, so the solvers
+    take the minimum of f(x, .) over an image as the minimum of h over it
+    minus h(x).
     """
 
     def __init__(
         self,
         fn: Callable,
         scalar_kind: str,
-        provenance: str,
         domain: CompactBox,
         row_fn: Optional[Callable] = None,
         expr: Optional[Expression] = None,
@@ -150,7 +141,6 @@ class Bifunction:
             raise InstanceDefinitionError(f"unknown scalar kind {scalar_kind!r}")
         self.fn = fn
         self.scalar_kind = scalar_kind
-        self.provenance = provenance
         self.domain = domain
         self.row_fn = row_fn
         self.expr = expr
@@ -171,20 +161,10 @@ class Bifunction:
 
 
 def make_expression_bifunction(expr: Expression, domain: CompactBox) -> Bifunction:
-    dim = domain.dim
+    def row_fn(x: Point, Y: np.ndarray):
+        return _column(expr.eval_batch(x, Y.T), len(Y))
 
-    def fn(x: Point, y: Point, _e=expr):
-        env = {f"x_{k + 1}": x[k] for k in range(dim)}
-        env.update({f"y_{k + 1}": y[k] for k in range(dim)})
-        return _e(env)
-
-    def row_fn(x: Point, Y: np.ndarray, _e=expr):
-        env = {f"x_{k + 1}": x[k] for k in range(dim)}
-        env.update({f"y_{k + 1}": Y[:, k] for k in range(dim)})
-        out = _e.eval_batch(env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (Y.shape[0],)).copy()
-
-    return Bifunction(fn, REAL, "direct-expression", domain, row_fn=row_fn, expr=expr)
+    return Bifunction(expr, REAL, domain, row_fn=row_fn, expr=expr)
 
 
 def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox, scalar_kind: str = REAL) -> Bifunction:
@@ -193,7 +173,7 @@ def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox, scalar_kind: s
     def fn(x: Point, y: Point):
         return h.fn(y) - h.fn(x)
 
-    return Bifunction(fn, scalar_kind, "opt-adapter", domain, objective=h)
+    return Bifunction(fn, scalar_kind, domain, objective=h)
 
 
 def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
@@ -214,7 +194,7 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
         D = Y - np.asarray(x, dtype=float)
         return (V @ D.T).max(axis=0)
 
-    return Bifunction(fn, REAL, "qvi-adapter", domain, row_fn=row_fn)
+    return Bifunction(fn, REAL, domain, row_fn=row_fn)
 
 
 def _default_tol(f: Bifunction, tol: Optional[float]) -> float:

@@ -235,7 +235,7 @@ def remark_bifunction_instance() -> ProblemInstance:
     def fn(x, y):
         return r_one if y[0].is_rational else r_zero
 
-    f = Bifunction(fn, EXACT, "direct-expression", C)
+    f = Bifunction(fn, EXACT, C)
     return ProblemInstance(
         name="remark",
         C=C,

@@ -13,12 +13,19 @@ Variables are x_1..x_3 and y_1..y_3.  Division requires a constant nonzero
 divisor (checked at parse time); ``power`` requires a nonnegative integer
 literal exponent.  Every parsed expression is total on its domain.
 
-Each Expression compiles to two evaluators: a scalar one (pure Python, used in
-tight per-point loops) and a batch one (numpy, variables may be arrays).
+Each Expression compiles to two evaluators that take points, not names:
+``x_k`` reads ``x[k-1]`` and ``y_k`` reads ``y[k-1]``.  The scalar one (pure
+Python, used in tight per-point loops) takes tuples of numbers, so an
+Expression is itself a map bound, an objective or a bifunction.  The batch one
+(numpy) takes one array per coordinate, e.g. ``X.T`` for a matrix whose rows
+are points.  The two give equal values (only a zero's sign can differ, where
+``min`` or ``max`` ties 0.0 with -0.0): ``power`` is one repeated-squaring
+routine in both, and the scalar ``min``/``max`` propagate NaN as numpy's do.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -126,38 +133,11 @@ class _Tokens:
 
 
 def _fold(node: Node) -> Optional[float]:
-    """Constant-fold, or None if the node references a variable."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+    """The value of a node that reads no variable (x and y are empty, so reading one fails), else None."""
+    try:
+        return _compile(node, batch=False)((), ())
+    except IndexError:
         return None
-    if isinstance(node, Neg):
-        v = _fold(node.operand)
-        return None if v is None else -v
-    if isinstance(node, Bin):
-        lv, rv = _fold(node.left), _fold(node.right)
-        if lv is None or rv is None:
-            return None
-        if node.op == "+":
-            return lv + rv
-        if node.op == "-":
-            return lv - rv
-        if node.op == "*":
-            return lv * rv
-        return lv / rv
-    if isinstance(node, Call):
-        vals = [_fold(a) for a in node.args]
-        if any(v is None for v in vals):
-            return None
-        if node.fn == "abs":
-            return abs(vals[0])
-        if node.fn == "min":
-            return min(vals)
-        if node.fn == "max":
-            return max(vals)
-        if node.fn == "power":
-            return vals[0] ** int(vals[1])
-    return None
 
 
 class _Parser:
@@ -293,54 +273,76 @@ def _to_text(node: Node, parent_prec: int = 0) -> str:
     raise TypeError(node)
 
 
-def _scalar_code(node: Node) -> str:
+def _power(base, n: int):
+    """base ** n for an integer n >= 0 by repeated squaring, on floats and arrays alike.
+
+    Both evaluators call this one routine (n = 2 is ``base * base``), so they
+    round alike; libm ``pow`` and numpy's SIMD power do not always agree.
+    """
+    result = 1.0
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def _minimum(a, b):
+    """min(a, b), but NaN when either is NaN, as in numpy.minimum (min(1.0, nan) is 1.0)."""
+    return b if b < a or b != b else a
+
+
+def _maximum(a, b):
+    """max(a, b), but NaN when either is NaN, as in numpy.maximum."""
+    return b if b > a or b != b else a
+
+
+def _code(node: Node, batch: bool) -> str:
+    """Python source for the node's value at the points x and y (x_k reads x[k-1]).
+
+    The two evaluators differ only in ``piecewise`` (lazy in the scalar one,
+    ``np.where`` in the batch one) and in what their namespaces bind.
+    """
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
-        return f"env[{node.name!r}]"
+        return f"{node.name[0]}[{int(node.name[2:]) - 1}]"
     if isinstance(node, Neg):
-        return f"(-{_scalar_code(node.operand)})"
+        return f"(-{_code(node.operand, batch)})"
     if isinstance(node, Bin):
-        return f"({_scalar_code(node.left)} {node.op} {_scalar_code(node.right)})"
+        return f"({_code(node.left, batch)} {node.op} {_code(node.right, batch)})"
     if isinstance(node, Call):
-        args = [_scalar_code(a) for a in node.args]
+        args = [_code(a, batch) for a in node.args]
         if node.fn == "power":
-            return f"({args[0]} ** {int(_fold(node.args[1]))})"
-        return f"{node.fn}({', '.join(args)})"
-    if isinstance(node, Piecewise):
-        cond = f"({_scalar_code(node.cond.left)} {node.cond.op} {_scalar_code(node.cond.right)})"
-        return f"({_scalar_code(node.then)} if {cond} else {_scalar_code(node.els)})"
-    raise TypeError(node)
-
-
-def _batch_code(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"env[{node.name!r}]"
-    if isinstance(node, Neg):
-        return f"(-{_batch_code(node.operand)})"
-    if isinstance(node, Bin):
-        return f"({_batch_code(node.left)} {node.op} {_batch_code(node.right)})"
-    if isinstance(node, Call):
-        args = [_batch_code(a) for a in node.args]
+            return f"_power({args[0]}, {int(node.args[1].value)})"
         if node.fn == "abs":
-            return f"np.abs({args[0]})"
-        if node.fn == "power":
-            return f"({args[0]} ** {int(_fold(node.args[1]))})"
-        reducer = "np.minimum" if node.fn == "min" else "np.maximum"
+            return f"abs({args[0]})"
         out = args[0]
         for a in args[1:]:
-            out = f"{reducer}({out}, {a})"
+            out = f"_{node.fn}imum({out}, {a})"
         return out
     if isinstance(node, Piecewise):
-        cond = f"({_batch_code(node.cond.left)} {node.cond.op} {_batch_code(node.cond.right)})"
-        return f"np.where({cond}, {_batch_code(node.then)}, {_batch_code(node.els)})"
+        cond = f"({_code(node.cond.left, batch)} {node.cond.op} {_code(node.cond.right, batch)})"
+        then, els = _code(node.then, batch), _code(node.els, batch)
+        return f"np.where({cond}, {then}, {els})" if batch else f"({then} if {cond} else {els})"
     raise TypeError(node)
+
+
+_SCALAR_NAMES = {"_power": _power, "_minimum": _minimum, "_maximum": _maximum}
+_BATCH_NAMES = {"np": np, "_power": _power, "_minimum": np.minimum, "_maximum": np.maximum}
+
+
+def _compile(node: Node, batch: bool) -> Callable:
+    """The node's evaluator, a function of the points x and y."""
+    namespace = dict(_BATCH_NAMES if batch else _SCALAR_NAMES)
+    exec(f"def _f(x, y):\n    return {_code(node, batch)}", namespace)
+    return namespace["_f"]
 
 
 class Expression:
-    """A parsed expression with scalar and numpy-batch evaluators."""
+    """A parsed expression with scalar and numpy-batch evaluators of points x and y."""
 
     __slots__ = ("ast", "text", "variables", "_scalar_fn", "_batch_fn")
 
@@ -348,24 +350,23 @@ class Expression:
         self.ast = ast
         self.text = text
         self.variables = variables
-        namespace: dict = {"abs": abs, "min": min, "max": max}
-        code = f"def _f(env):\n    return {_scalar_code(ast)}"
-        exec(code, namespace)
-        self._scalar_fn: Callable = namespace["_f"]
-        namespace_b: dict = {"np": np}
-        code_b = f"def _f(env):\n    return {_batch_code(ast)}"
-        exec(code_b, namespace_b)
-        self._batch_fn: Callable = namespace_b["_f"]
+        self._scalar_fn = _compile(ast, batch=False)
+        self._batch_fn = _compile(ast, batch=True)
 
-    def __call__(self, env: dict) -> float:
-        try:
-            return self._scalar_fn(env)
-        except OverflowError:
-            raise NonFiniteValueError(f"{self.text!r} overflows at {env}") from None
+    def __call__(self, x, y=()) -> float:
+        """The value at the points x and y (tuples of numbers); NonFiniteValueError if it is inf or NaN."""
+        v = self._scalar_fn(x, y)
+        if not math.isfinite(v):
+            at = f"x={tuple(x)}, y={tuple(y)}" if y else f"x={tuple(x)}"
+            raise NonFiniteValueError(f"{self.text!r} overflows at {at}")
+        return v
 
-    def eval_batch(self, env: dict) -> np.ndarray:
-        """Evaluate with numpy-array variable values (broadcastable)."""
-        return self._batch_fn(env)
+    def eval_batch(self, x, y=()) -> np.ndarray:
+        """The values with one array (or number) per coordinate of x and y, broadcast together.
+
+        For points given as the rows of matrices X and Y, pass ``X.T`` and ``Y.T``.
+        """
+        return self._batch_fn(x, y)
 
     def to_text(self) -> str:
         """Canonical rendering; reparsing yields an equal AST."""

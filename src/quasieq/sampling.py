@@ -10,6 +10,7 @@ witnesses: changing one changes reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -69,6 +70,11 @@ def float_region(K, x: Point) -> tuple[tuple, tuple]:
     """The image box K(x) as float (lower, upper) tuples."""
     region = K.evaluate(x)
     return tuple(map(float, region.lower)), tuple(map(float, region.upper))
+
+
+def region_lookup(K) -> Callable:
+    """x -> ``float_region`` of K at the float point x, evaluated once per distinct x."""
+    return functools.cache(lambda x: float_region(K, float_map_point(K, x)))
 
 
 def lattice_regions(K, grid: Grid):

@@ -9,6 +9,7 @@ never a proof.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sampling
-from .errors import InstanceDefinitionError
+from .errors import InstanceDefinitionError, NonFiniteValueError
 from .expressions import Expression
 from .geometry import (
     CompactBox,
@@ -115,16 +116,10 @@ class SetValuedMap:
         upper_exprs: Sequence[Expression],
         variant: str = "MovingBox",
     ) -> SetValuedMap:
-        def make_fn(expr: Expression) -> Callable:
-            def fn(x: Point, _e=expr):
-                return _e({f"x_{k + 1}": x[k] for k in range(len(x))})
-
-            return fn
-
         return cls(
             domain,
-            [make_fn(e) for e in lower_exprs],
-            [make_fn(e) for e in upper_exprs],
+            lower_exprs,
+            upper_exprs,
             variant=variant,
             lower_exprs=lower_exprs,
             upper_exprs=upper_exprs,
@@ -133,7 +128,7 @@ class SetValuedMap:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, x: Point) -> ConvexRegion:
-        """The image box at x, clipped to the domain; error if empty."""
+        """The image box at x, clipped to the domain; error if a bound is not finite or the box is empty."""
         box = self.domain
         if not contains(box, x, slack=box.snap()):
             raise ValueError(f"point {x} lies outside the domain box")
@@ -143,6 +138,8 @@ class SetValuedMap:
             b = self.upper_fns[k](x)
             a = max(a, box.lower[k])
             b = min(b, box.upper[k])
+            if not box.is_exact and not (math.isfinite(a) and math.isfinite(b)):
+                raise NonFiniteValueError(f"a map bound is not finite at {x} on axis {k + 1}: [{a}, {b}]")
             if not a <= b:
                 raise InstanceDefinitionError(
                     f"image of {x} is empty after clipping on axis {k + 1}: [{a}, {b}]"
@@ -164,10 +161,9 @@ class SetValuedMap:
         lo = np.empty(X.shape)
         hi = np.empty(X.shape)
         if self.lower_exprs is not None:
-            env = {f"x_{k + 1}": X[:, k] for k in range(box.dim)}
             for k in range(box.dim):
-                lo[:, k] = self.lower_exprs[k].eval_batch(env)
-                hi[:, k] = self.upper_exprs[k].eval_batch(env)
+                lo[:, k] = self.lower_exprs[k].eval_batch(X.T)
+                hi[:, k] = self.upper_exprs[k].eval_batch(X.T)
         else:
             for i, row in enumerate(X):
                 x = tuple(row.tolist())
@@ -256,20 +252,22 @@ def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:
 # -- topology probes -------------------------------------------------------
 
 
-def _nearby_members(K: SetValuedMap, x_prime: tuple, z: tuple, r: float, grid: Grid) -> Optional[tuple]:
-    """A point z' in K(x') with |z' - z| <= r, or None.
+def _nearby_members(
+    K: SetValuedMap, region: Callable, x_prime: tuple, z: tuple, r: float, grid: Grid
+) -> Optional[tuple]:
+    """A point z' in K(x') with |z' - z| <= r, or None; ``region`` is a ``sampling.region_lookup(K)``.
 
     For pure box maps the projection of z onto the image box is the closest
     member; predicate maps search grid points of the image near z.
     """
-    xp = sampling.float_map_point(K, x_prime)
-    lo, hi = sampling.float_region(K, xp)
+    lo, hi = region(x_prime)
     proj = tuple(min(max(z[k], lo[k]), hi[k]) for k in range(len(z)))
     if K.member_predicate is None:
         if point_distance(proj, z) <= r:
             return proj
         return None
     # predicate map: look along each axis' grid coordinates near the projection
+    xp = sampling.float_map_point(K, x_prime)
     snap = K.domain.snap()
     best = None
     for k in range(len(z)):
@@ -312,14 +310,15 @@ def check_closed_graph(
     lattice = [x for x, *_ in regions]
     samples = 0
 
-    def approach(x, z, r):
+    def approach(region, x, z, r):
         for x_prime in sampling.ball_candidates(x, r, K.domain, rng):
-            z_prime = _nearby_members(K, x_prime, z, r, grid)
+            z_prime = _nearby_members(K, region, x_prime, z, r, grid)
             if z_prime is not None:
                 return {"radius": r, "x_prime": x_prime, "z_prime": z_prime}
         return None
 
     for x, x_map, lo, hi in regions:
+        region = sampling.region_lookup(K)  # the ball candidates of x recur for every z
         for z in lattice:
             samples += 1
             outside = box_distance(lo, hi, z)
@@ -328,7 +327,7 @@ def check_closed_graph(
                     continue
             elif outside < margin:
                 continue
-            trail = sampling.ladder_search(radii, lambda r: approach(x, z, r))
+            trail = sampling.ladder_search(radii, lambda r: approach(region, x, z, r))
             if trail is not None:
                 witness = {"x": x, "z": z, "outside_distance": float(outside), "approach": trail}
                 return TopologyProbeReport(FAIL, witness, radii, samples)
@@ -350,19 +349,19 @@ def check_lsc(
     rng = random.Random(sampling.PROBE_SEED + 1)
     samples = 0
 
-    def receding(x, y, r):
+    def receding(region, x, y, r):
         # the first candidate whose image is farthest from y
         x_prime, d = max(
-            ((xp, float(box_distance(*sampling.float_region(K, sampling.float_map_point(K, xp)), y)))
-             for xp in sampling.ball_candidates(x, r, K.domain, rng)),
+            ((xp, float(box_distance(*region(xp), y))) for xp in sampling.ball_candidates(x, r, K.domain, rng)),
             key=lambda cand: cand[1],
         )
         return None if d < margin else {"radius": r, "x_prime": x_prime, "distance": d}
 
     for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
+        region = sampling.region_lookup(K)  # the ball candidates of x recur for every y
         for y in _member_samples(K, x_map, lo, hi, grid):
             samples += 1
-            trail = sampling.ladder_search(radii, lambda r: receding(x, y, r))
+            trail = sampling.ladder_search(radii, lambda r: receding(region, x, y, r))
             if trail is not None:
                 witness = {"x": x, "y": y, "receding": trail}
                 return TopologyProbeReport(FAIL, witness, radii, samples)

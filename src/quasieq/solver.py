@@ -30,7 +30,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sampling
-from .bifunction import Bifunction, ObjectiveFunction, make_opt_bifunction
+from .bifunction import (
+    Bifunction,
+    ObjectiveFunction,
+    check_condition_ii,
+    check_condition_iii,
+    check_condition_iv,
+    make_opt_bifunction,
+)
 from .errors import DegenerateImageError, NonFiniteValueError
 from .geometry import Grid, Point, grid_coords, grid_points, require_finite
 from .setmap import (
@@ -299,12 +306,6 @@ def verify_theorem_instance(
     checks clean is reported as an ANOMALY (grid artifact or counterexample
     candidate), never as a refutation.
     """
-    from .bifunction import (
-        check_condition_ii,
-        check_condition_iii,
-        check_condition_iv,
-    )
-
     f = instance.bifunction()
     K = instance.K
     grid = cfg.grid

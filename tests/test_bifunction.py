@@ -197,9 +197,7 @@ class TestConditionIV:
 
     def test_jump_fails(self):
         box = CompactBox((0.0,), (1.0,))
-        f = Bifunction(
-            lambda x, y: 1.0 if y[0] > 0.5 else -1.0, "real", "direct-expression", box
-        )
+        f = Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, "real", box)
         # f = -1 on the closed set {y <= 1/2} but f = 1 at y = 1/2 + r for all r
         rep = check_condition_iv(f, Grid(box, (101,)))
         assert rep.verdict == FAIL
@@ -249,7 +247,7 @@ class TestQuasiconcaveFirst:
 
     def test_constant_zero_clean(self):
         box = CompactBox((0.0,), (1.0,))
-        f = Bifunction(lambda x, y: 0.0, "real", "direct-expression", box)
+        f = Bifunction(lambda x, y: 0.0, "real", box)
         assert check_quasiconcave_first(f, box).verdict == NO_VIOLATION_FOUND
 
 

@@ -277,7 +277,7 @@ def _concave_objective():
 
 def _jump():
     box = CompactBox((0.0,), (1.0,))
-    return Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, "real", "direct-expression", box)
+    return Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, "real", box)
 
 
 def _smap_probe(inst, m):

@@ -193,6 +193,22 @@ class TestLscProbe:
         assert check_lsc(SetValuedMap.constant(C), Grid(C, (101,))).verdict == NO_VIOLATION_FOUND
 
 
+class TestProbeEvaluations:
+    @pytest.mark.parametrize("check", [check_lsc, check_closed_graph])
+    def test_ball_candidate_images_are_memoized(self, check):
+        calls = []
+        C = CompactBox((0.0, 0.0), (1.0, 1.0))
+        K = SetValuedMap(
+            C,
+            [lambda x: calls.append(x) or 0.3 * x[1] + 0.1, lambda x: 0.1],
+            [lambda x: 0.3 * x[1] + 0.4, lambda x: 0.5 - 0.1 * x[0]],
+        )
+        assert check(K, Grid(C, (41, 41))).verdict == NO_VIOLATION_FOUND
+        # the images of each lattice point's ball candidates are memoized; the 81
+        # lattice points are evaluated once more, as their own first candidates
+        assert len(set(calls)) > 81 and len(calls) == len(set(calls)) + 81
+
+
 class TestConvexValuesProbe:
     def test_moving_box_clean(self, fig1):
         C, K = fig1

@@ -45,7 +45,7 @@ def cfg_for(box_or_inst, m, eps=1e-6, delta=0.0):
 
 class TestSmap:
     def test_vacuous_condition_keeps_all(self):
-        f = Bifunction(lambda x, y: 0.0, "real", "direct-expression", C01)
+        f = Bifunction(lambda x, y: 0.0, "real", C01)
         K = SetValuedMap.constant(C01)
         cfg = cfg_for(C01, 11)
         res = smap(f, K, (0.0,), cfg)
@@ -73,7 +73,7 @@ class TestSmap:
     def test_empty_image_raises(self):
         C = CompactBox((0.0,), (1.0,))
         K = SetValuedMap(C, [lambda x: 0.26], [lambda x: 0.37])
-        f = Bifunction(lambda x, y: 0.0, "real", "direct-expression", C)
+        f = Bifunction(lambda x, y: 0.0, "real", C)
         with pytest.raises(DegenerateImageError):
             smap(f, K, (0.0,), cfg_for(C, 3))
 
@@ -125,7 +125,7 @@ class TestSolveEp:
         assert [r.point for r in rep.solutions] == [(1.0,)]
 
     def test_zero_bifunction_everything(self):
-        f = Bifunction(lambda x, y: 0.0, "real", "direct-expression", C01)
+        f = Bifunction(lambda x, y: 0.0, "real", C01)
         cfg = cfg_for(C01, 21)
         rep = solve_ep(f, C01, cfg)
         assert [r.point for r in rep.solutions] == grid_points(cfg.grid)
@@ -222,7 +222,7 @@ class TestNonFinite:
 
     def test_row_minimum_names_its_point(self):
         f = Bifunction(
-            lambda x, y: 0.0, "real", "direct-expression", C01,
+            lambda x, y: 0.0, "real", C01,
             row_fn=lambda x, Y: np.full(len(Y), np.nan if x[0] > 0.6 else 0.0),
         )
         with pytest.raises(NonFiniteValueError, match=r"is nan at grid point \(0\.75,\)"):
@@ -241,6 +241,12 @@ class TestNonFinite:
         h = ObjectiveFunction(lambda x: x[0])
         with pytest.raises(NonFiniteValueError, match=r"map bound is not finite at grid point \(0\.75,\)"):
             solve_qopt(h, K, cfg_for(C01, 5))
+
+    def test_nan_bound_of_one_image_is_named(self):
+        K = SetValuedMap(C01, [lambda x: float("nan") if x[0] > 0.6 else 0.0], [lambda x: 1.0])
+        h = ObjectiveFunction(lambda x: x[0])
+        with pytest.raises(NonFiniteValueError, match=r"map bound is not finite at \(0\.75,\)"):
+            qopt_gap(h, K, (0.75,), cfg_for(C01, 5))
 
     def test_scalar_overflow_is_named(self):
         h, _K, _cfg = self._overflowing()
@@ -402,7 +408,7 @@ class TestSolverInvariants:
         inst = random_instance(seed, dim)
         cfg = cfg_for(inst, m, eps=inst.eps_default)
         f = inst.bifunction()
-        pure = Bifunction(f.fn, f.scalar_kind, f.provenance, f.domain)
+        pure = Bifunction(f.fn, f.scalar_kind, f.domain)
         a = solve_qep(f, inst.K, cfg)
         b = solve_qep(pure, inst.K, cfg)
         q = solve_qopt(inst.payload, inst.K, cfg)
