@@ -4,6 +4,10 @@ Two adapters reduce other problem classes to bifunction form: an objective
 function h yields f(x, y) = h(y) - h(x), and a finite-vertex operator T yields
 f(x, y) = max over the vertex list of <v, y - x>.
 
+An objective's or a bifunction's ``fn`` may be an ``Expression``; it is then
+evaluated in batches because it is one.  Nothing declares the scalar field:
+f works over exact Q[sqrt(2)] scalars exactly when its domain box does.
+
 The checkers are falsifiers with verdicts FAIL / NO_VIOLATION_FOUND.  They run
 deterministic structured probes (coarse lattices, segment midpoints, and for
 exact scalars a sqrt(2)-witness family) before seeded random trials, so
@@ -34,9 +38,6 @@ from .geometry import (
 )
 from .setmap import FAIL, NO_VIOLATION_FOUND
 
-REAL = "real"
-EXACT = "exact"
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -56,23 +57,18 @@ def _column(values, n: int) -> np.ndarray:
 
 
 class ObjectiveFunction:
-    """A real-valued objective h on C; ``expr``, when set, is h and evaluates it in batches."""
+    """A real-valued objective h on C; an ``Expression`` as ``fn`` is evaluated in batches."""
 
-    def __init__(self, fn: Callable, expr: Optional[Expression] = None) -> None:
+    def __init__(self, fn: Callable) -> None:
         self.fn = fn
-        self.expr = expr
-
-    @classmethod
-    def from_expression(cls, expr: Expression) -> ObjectiveFunction:
-        return cls(expr, expr=expr)
 
     def __call__(self, x: Point):
         return self.fn(x)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """h at every row of X."""
-        if self.expr is not None:
-            return _column(self.expr.eval_batch(X.T), len(X))
+        if isinstance(self.fn, Expression):
+            return _column(self.fn.eval_batch(X.T), len(X))
         return np.array([self.fn(tuple(row)) for row in X], dtype=float)
 
 
@@ -119,10 +115,11 @@ class Bifunction:
     """An evaluable pairing f(x, y) -> scalar over C x C.
 
     ``row`` evaluates f(x, .) over a batch of second arguments and must be
-    float-identical to mapping ``eval``; adapters use it to vectorize the
-    solvers' inner scans.  For an expression bifunction, whose ``fn`` is the
-    expression itself, row == eval is tested on random expressions
-    (tests/test_expressions.py).  ``objective``, when set, declares f
+    float-identical to mapping ``eval``: adapters pass a vectorized
+    ``row_fn`` for the solvers' inner scans, and an ``Expression`` as ``fn``
+    is evaluated in one batch (row == eval is tested on random expressions,
+    tests/test_expressions.py).  Whether f works over exact scalars is read
+    from ``domain.is_exact``.  ``objective``, when set, declares f
     separable: f(x, y) = h(y) - h(x) for that objective h, so the solvers
     take the minimum of f(x, .) over an image as the minimum of h over it
     minus h(x).
@@ -131,19 +128,13 @@ class Bifunction:
     def __init__(
         self,
         fn: Callable,
-        scalar_kind: str,
         domain: CompactBox,
         row_fn: Optional[Callable] = None,
-        expr: Optional[Expression] = None,
         objective: Optional[ObjectiveFunction] = None,
     ) -> None:
-        if scalar_kind not in (REAL, EXACT):
-            raise InstanceDefinitionError(f"unknown scalar kind {scalar_kind!r}")
         self.fn = fn
-        self.scalar_kind = scalar_kind
         self.domain = domain
         self.row_fn = row_fn
-        self.expr = expr
         self.objective = objective
 
     def eval(self, x: Point, y: Point):
@@ -157,23 +148,18 @@ class Bifunction:
         """f(x, y) for every row y of Y (floats only)."""
         if self.row_fn is not None:
             return self.row_fn(x, Y)
+        if isinstance(self.fn, Expression):
+            return _column(self.fn.eval_batch(x, Y.T), len(Y))
         return np.array([self.fn(x, tuple(y)) for y in Y], dtype=float)
 
 
-def make_expression_bifunction(expr: Expression, domain: CompactBox) -> Bifunction:
-    def row_fn(x: Point, Y: np.ndarray):
-        return _column(expr.eval_batch(x, Y.T), len(Y))
-
-    return Bifunction(expr, REAL, domain, row_fn=row_fn, expr=expr)
-
-
-def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox, scalar_kind: str = REAL) -> Bifunction:
+def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox) -> Bifunction:
     """f(x, y) = h(y) - h(x), declared separable with objective h."""
 
     def fn(x: Point, y: Point):
         return h.fn(y) - h.fn(x)
 
-    return Bifunction(fn, scalar_kind, domain, objective=h)
+    return Bifunction(fn, domain, objective=h)
 
 
 def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
@@ -194,13 +180,13 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
         D = Y - np.asarray(x, dtype=float)
         return (V @ D.T).max(axis=0)
 
-    return Bifunction(fn, REAL, domain, row_fn=row_fn)
+    return Bifunction(fn, domain, row_fn=row_fn)
 
 
 def _default_tol(f: Bifunction, tol: Optional[float]) -> float:
     if tol is not None:
         return tol
-    return 0.0 if f.scalar_kind == EXACT else 1e-9
+    return 0.0 if f.domain.is_exact else 1e-9
 
 
 # -- condition checkers -----------------------------------------------------
@@ -221,7 +207,7 @@ def check_condition_ii(
     if y_samples < 1 or pair_samples < 1:
         raise ValueError("sample counts must be >= 1")
     tol = _default_tol(f, tol)
-    exact = f.scalar_kind == EXACT
+    exact = f.domain.is_exact
     rng = random.Random(seed)
     xs = sampling.box_lattice(C)
     ys = list(xs[: max(1, y_samples)])
@@ -262,7 +248,7 @@ def check_condition_iii(
     if subset_size_max < 1 or trials < 1:
         raise ValueError("subset_size_max and trials must be >= 1")
     tol = _default_tol(f, tol)
-    exact = f.scalar_kind == EXACT
+    exact = f.domain.is_exact
     rng = random.Random(seed + 1)
     lattice = sampling.box_lattice(C)
     samples = 0
@@ -312,7 +298,7 @@ def check_condition_iv(
     refinement search may evaluate off-grid since f is total on C x C.
     """
     C = grid.box
-    exact = f.scalar_kind == EXACT
+    exact = f.domain.is_exact
     rng = random.Random(seed + 2)
     lattice = sampling.box_lattice(C)
     pairs = [(x, y) for x in lattice for y in lattice]
@@ -360,7 +346,7 @@ def _segment_check(condition_id, f, C, trials, tol, seed, draw, violates, lead=(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tol = _default_tol(f, tol)
-    exact = f.scalar_kind == EXACT
+    exact = f.domain.is_exact
     plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed), exact, trials, draw)
     samples = 0
     for probe in itertools.chain(lead, plan):
@@ -392,7 +378,7 @@ def check_quasiconvex_second(
         return sampling.random_points(C, rng, 3)  # x, y1, y2
 
     lead = []
-    if f.scalar_kind == EXACT:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
+    if f.domain.is_exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
         xs = sampling.box_lattice(C)[:4]
         lead = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
     return _segment_check("qcvx_second", f, C, trials, tol, seed + 3, draw, violates, lead)
@@ -433,7 +419,7 @@ def check_diagonal_zero(
     for x in grid_points(grid):
         v = f.fn(x, x)
         samples += 1
-        bad = (v != 0) if f.scalar_kind == EXACT and tol == 0 else not (abs(v) <= tol)
+        bad = (v != 0) if f.domain.is_exact and tol == 0 else not (abs(v) <= tol)
         if bad:
             witness = {"x": x, "f_value": v}
             return ConditionReport("diagonal_zero", FAIL, witness, samples, tol)

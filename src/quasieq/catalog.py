@@ -17,8 +17,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .bifunction import (
-    EXACT,
-    REAL,
     Bifunction,
     ObjectiveFunction,
     QviOperator,
@@ -26,10 +24,10 @@ from .bifunction import (
     make_qvi_bifunction,
 )
 from .errors import InstanceDefinitionError, SpecError
-from .expressions import parse_expression
+from .expressions import Expression, parse_expression
 from .geometry import CompactBox, Grid, Root2, grid_coords
 from .setmap import SetValuedMap, fixed_point_set, image_grid, validate_setmap
-from .solver import EP, QEP, QOPT, QVI, SolverConfig
+from .solver import EP, QEP, QOPT, QVI, SolverConfig, solve_qep, solve_qopt
 
 Payload = Union[Bifunction, ObjectiveFunction, QviOperator]
 
@@ -38,6 +36,7 @@ _MAP_KIND_NAMES = {
     "PiecewiseMovingInterval": "piecewise_moving_interval",
     "Constant": "constant",
 }
+_PAYLOAD_KIND_NAMES = {ObjectiveFunction: "objective", Bifunction: "bifunction", QviOperator: "qvi_operator"}
 
 
 @dataclass
@@ -46,19 +45,22 @@ class ProblemInstance:
     C: CompactBox
     K: SetValuedMap
     payload: Payload
-    payload_kind: str  # objective | bifunction | qvi_operator
-    scalar_kind: str = REAL
     grid_default: tuple = (201,)
     eps_default: float = 1e-6
     delta_default: float = 0.0
     known_facts: dict = field(default_factory=dict)
     seed: Optional[int] = None
 
+    @property
+    def payload_kind(self) -> str:
+        """objective | bifunction | qvi_operator, from the payload's type."""
+        return _PAYLOAD_KIND_NAMES[type(self.payload)]
+
     def bifunction(self) -> Bifunction:
         if self.payload_kind == "bifunction":
             return self.payload  # type: ignore[return-value]
         if self.payload_kind == "objective":
-            return make_opt_bifunction(self.payload, self.C, scalar_kind=self.scalar_kind)
+            return make_opt_bifunction(self.payload, self.C)
         return make_qvi_bifunction(self.payload, self.C)
 
     def problem_kind(self) -> str:
@@ -84,16 +86,14 @@ class ProblemInstance:
         )
 
     def solve(self, cfg: Optional[SolverConfig] = None):
-        from . import solver
-
         cfg = cfg or self.config()
         if self.payload_kind == "objective":
-            return solver.solve_qopt(self.payload, self.K, cfg)
-        return solver.solve_qep(self.bifunction(), self.K, cfg, kind=self.problem_kind())
+            return solve_qopt(self.payload, self.K, cfg)
+        return solve_qep(self.bifunction(), self.K, cfg, kind=self.problem_kind())
 
     def serialize(self) -> str:
         """Problem-definition text (see the cli module); exact instances are catalog-only."""
-        if self.scalar_kind == EXACT:
+        if self.C.is_exact:
             raise SpecError("exact-kind instances are expressible only via catalog names")
         lines = ["[domain]"]
         lines.append(f"dim = {self.C.dim}")
@@ -103,22 +103,18 @@ class ProblemInstance:
         lines.append("[map]")
         lines.append(f"kind = {_MAP_KIND_NAMES[self.K.variant]}")
         if self.K.variant != "Constant":
-            if self.K.lower_exprs is None:
+            if not all(isinstance(fn, Expression) for fn in self.K.lower_fns + self.K.upper_fns):
                 raise SpecError("only expression-backed maps are serializable")
             for k in range(self.C.dim):
-                lines.append(f"lower_{k + 1} = {self.K.lower_exprs[k].to_text()}")
-                lines.append(f"upper_{k + 1} = {self.K.upper_exprs[k].to_text()}")
+                lines.append(f"lower_{k + 1} = {self.K.lower_fns[k].to_text()}")
+                lines.append(f"upper_{k + 1} = {self.K.upper_fns[k].to_text()}")
         lines.append("")
         lines.append("[payload]")
         lines.append(f"kind = {self.payload_kind}")
-        if self.payload_kind == "objective":
-            if self.payload.expr is None:
-                raise SpecError("only expression-backed objectives are serializable")
-            lines.append(f"expr = {self.payload.expr.to_text()}")
-        elif self.payload_kind == "bifunction":
-            if self.payload.expr is None:
-                raise SpecError("only expression-backed bifunctions are serializable")
-            lines.append(f"expr = {self.payload.expr.to_text()}")
+        if self.payload_kind in ("objective", "bifunction"):
+            if not isinstance(self.payload.fn, Expression):
+                raise SpecError(f"only expression-backed {self.payload_kind}s are serializable")
+            lines.append(f"expr = {self.payload.fn.to_text()}")
         else:
             if self.payload.vertex_exprs is None:
                 raise SpecError("only expression-backed operators are serializable")
@@ -142,7 +138,7 @@ _FIG1_K_UPPER = "piecewise(x_1 <= 1, 2, -1.5*x_1 + 3.5)"
 
 def _fig1_map() -> tuple[CompactBox, SetValuedMap]:
     C = CompactBox((0.0,), (2.0,))
-    K = SetValuedMap.from_expressions(
+    K = SetValuedMap(
         C,
         [parse_expression(_FIG1_K_LOWER)],
         [parse_expression(_FIG1_K_UPPER)],
@@ -160,13 +156,12 @@ def figure1_instance() -> ProblemInstance:
     """
     C, K = _fig1_map()
     validate_setmap(K, Grid(C, (2001,)))
-    h = ObjectiveFunction.from_expression(parse_expression(_FIG1_H))
+    h = ObjectiveFunction(parse_expression(_FIG1_H))
     return ProblemInstance(
         name="figure1",
         C=C,
         K=K,
         payload=h,
-        payload_kind="objective",
         grid_default=(2001,),
         eps_default=0.05,
         known_facts={
@@ -193,13 +188,12 @@ def quasiconvex_variant_instance() -> ProblemInstance:
     """
     C, K = _fig1_map()
     validate_setmap(K, Grid(C, (2001,)))
-    h = ObjectiveFunction.from_expression(parse_expression("power(x_1 - 1, 2)"))
+    h = ObjectiveFunction(parse_expression("power(x_1 - 1, 2)"))
     return ProblemInstance(
         name="quasiconvex-variant",
         C=C,
         K=K,
         payload=h,
-        payload_kind="objective",
         grid_default=(2001,),
         eps_default=1e-6,
         known_facts={
@@ -235,14 +229,12 @@ def remark_bifunction_instance() -> ProblemInstance:
     def fn(x, y):
         return r_one if y[0].is_rational else r_zero
 
-    f = Bifunction(fn, EXACT, C)
+    f = Bifunction(fn, C)
     return ProblemInstance(
         name="remark",
         C=C,
         K=K,
         payload=f,
-        payload_kind="bifunction",
-        scalar_kind=EXACT,
         grid_default=(101,),
         eps_default=0.0,
         known_facts={
@@ -325,7 +317,7 @@ def random_instance(seed: int, dim: int = 1) -> ProblemInstance:
             upper_texts.append(f"({centre}) + {_fmt(width)}")
         if not ok:
             continue
-        K = SetValuedMap.from_expressions(
+        K = SetValuedMap(
             C,
             [parse_expression(t) for t in lower_texts],
             [parse_expression(t) for t in upper_texts],
@@ -338,14 +330,13 @@ def random_instance(seed: int, dim: int = 1) -> ProblemInstance:
             continue
         if not _anchor_in_all_images(K, grid, anchor):
             continue
-        h = ObjectiveFunction.from_expression(parse_expression(h_text))
+        h = ObjectiveFunction(parse_expression(h_text))
         step = grid.max_step()
         return ProblemInstance(
             name=f"random-{dim}d-{seed}",
             C=C,
             K=K,
             payload=h,
-            payload_kind="objective",
             grid_default=grid_default,
             eps_default=2.0 * lipschitz * step,
             known_facts={
@@ -397,7 +388,6 @@ def qvi_instance(seed: int) -> ProblemInstance:
             C=C,
             K=K,
             payload=T,
-            payload_kind="qvi_operator",
             grid_default=(1001,),
             eps_default=0.0,
             known_facts=known,
@@ -431,7 +421,7 @@ def qvi_instance(seed: int) -> ProblemInstance:
         centre = _affine_text([beta] + [0.0] * (dim - 1), alpha)
         lower_texts.append(f"({centre}) - {_fmt(width)}")
         upper_texts.append(f"({centre}) + {_fmt(width)}")
-    K = SetValuedMap.from_expressions(
+    K = SetValuedMap(
         C,
         [parse_expression(t) for t in lower_texts],
         [parse_expression(t) for t in upper_texts],
@@ -443,7 +433,6 @@ def qvi_instance(seed: int) -> ProblemInstance:
         C=C,
         K=K,
         payload=T,
-        payload_kind="qvi_operator",
         grid_default=grid_default,
         eps_default=1e-9,
         known_facts={"oracle": "qvi-vertex-brute-force"},

@@ -18,9 +18,10 @@ Each Expression compiles to two evaluators that take points, not names:
 Python, used in tight per-point loops) takes tuples of numbers, so an
 Expression is itself a map bound, an objective or a bifunction.  The batch one
 (numpy) takes one array per coordinate, e.g. ``X.T`` for a matrix whose rows
-are points.  The two give equal values (only a zero's sign can differ, where
-``min`` or ``max`` ties 0.0 with -0.0): ``power`` is one repeated-squaring
-routine in both, and the scalar ``min``/``max`` propagate NaN as numpy's do.
+are points.  The two give equal values, down to the sign of a zero: ``power``
+is one repeated-squaring routine in both, and ``min``/``max`` follow one rule
+in both (NaN propagates, and a tie such as 0.0 with -0.0 keeps the first
+argument).
 """
 
 from __future__ import annotations
@@ -290,13 +291,23 @@ def _power(base, n: int):
 
 
 def _minimum(a, b):
-    """min(a, b), but NaN when either is NaN, as in numpy.minimum (min(1.0, nan) is 1.0)."""
+    """min(a, b), but NaN when either is NaN (min(1.0, nan) is 1.0), and a on a tie."""
     return b if b < a or b != b else a
 
 
 def _maximum(a, b):
-    """max(a, b), but NaN when either is NaN, as in numpy.maximum."""
+    """max(a, b), but NaN when either is NaN, and a on a tie."""
     return b if b > a or b != b else a
+
+
+def _batch_minimum(a, b):
+    """``_minimum`` elementwise; numpy.minimum's choice on a 0.0/-0.0 tie varies by platform."""
+    return np.where((b < a) | (b != b), b, a)
+
+
+def _batch_maximum(a, b):
+    """``_maximum`` elementwise."""
+    return np.where((b > a) | (b != b), b, a)
 
 
 def _code(node: Node, batch: bool) -> str:
@@ -331,7 +342,7 @@ def _code(node: Node, batch: bool) -> str:
 
 
 _SCALAR_NAMES = {"_power": _power, "_minimum": _minimum, "_maximum": _maximum}
-_BATCH_NAMES = {"np": np, "_power": _power, "_minimum": np.minimum, "_maximum": np.maximum}
+_BATCH_NAMES = {"np": np, "_power": _power, "_minimum": _batch_minimum, "_maximum": _batch_maximum}
 
 
 def _compile(node: Node, batch: bool) -> Callable:

@@ -69,6 +69,8 @@ class TopologyProbeReport:
 class SetValuedMap:
     """Box-valued map defined by per-axis lower/upper bound functions of x.
 
+    A bound may be any function of the point x; when every bound is an
+    ``Expression``, ``bounds_batch`` evaluates them in one batch.
     ``member_predicate(x, z)``, when given, refines membership for the
     topology and convexity probes (it can exclude points of the box, e.g. to
     encode a half-open interval); image evaluation remains box-based.
@@ -80,8 +82,6 @@ class SetValuedMap:
         lower_fns: Sequence[Callable],
         upper_fns: Sequence[Callable],
         variant: str = "MovingBox",
-        lower_exprs: Optional[Sequence[Expression]] = None,
-        upper_exprs: Optional[Sequence[Expression]] = None,
         member_predicate: Optional[Callable] = None,
     ) -> None:
         if variant not in ("MovingBox", "PiecewiseMovingInterval", "Constant"):
@@ -94,8 +94,6 @@ class SetValuedMap:
         self.variant = variant
         self.lower_fns = tuple(lower_fns)
         self.upper_fns = tuple(upper_fns)
-        self.lower_exprs = tuple(lower_exprs) if lower_exprs else None
-        self.upper_exprs = tuple(upper_exprs) if upper_exprs else None
         self.member_predicate = member_predicate
 
     # -- constructors ------------------------------------------------------
@@ -107,23 +105,6 @@ class SetValuedMap:
         lower_fns = tuple((lambda x, v=v: v) for v in lo)
         upper_fns = tuple((lambda x, v=v: v) for v in hi)
         return cls(domain, lower_fns, upper_fns, variant="Constant")
-
-    @classmethod
-    def from_expressions(
-        cls,
-        domain: CompactBox,
-        lower_exprs: Sequence[Expression],
-        upper_exprs: Sequence[Expression],
-        variant: str = "MovingBox",
-    ) -> SetValuedMap:
-        return cls(
-            domain,
-            lower_exprs,
-            upper_exprs,
-            variant=variant,
-            lower_exprs=lower_exprs,
-            upper_exprs=upper_exprs,
-        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -151,19 +132,19 @@ class SetValuedMap:
     def bounds_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Clipped bound matrices for the rows of X, an (N, dim) array of points of a float domain.
 
-        Expression maps are evaluated in one batch; constant and callable
-        maps call each bound function once per row, with the row as a tuple
-        of Python floats.  Raises NonFiniteValueError at the first row with a
-        non-finite clipped bound, then InstanceDefinitionError at the first
-        row whose image is empty, each naming that point.
+        When every bound is an ``Expression`` they are evaluated in one
+        batch; otherwise each bound function is called once per row, with the
+        row as a tuple of Python floats.  Raises NonFiniteValueError at the
+        first row with a non-finite clipped bound, then InstanceDefinitionError
+        at the first row whose image is empty, each naming that point.
         """
         box = self.domain
         lo = np.empty(X.shape)
         hi = np.empty(X.shape)
-        if self.lower_exprs is not None:
+        if all(isinstance(fn, Expression) for fn in self.lower_fns + self.upper_fns):
             for k in range(box.dim):
-                lo[:, k] = self.lower_exprs[k].eval_batch(X.T)
-                hi[:, k] = self.upper_exprs[k].eval_batch(X.T)
+                lo[:, k] = self.lower_fns[k].eval_batch(X.T)
+                hi[:, k] = self.upper_fns[k].eval_batch(X.T)
         else:
             for i, row in enumerate(X):
                 x = tuple(row.tolist())

@@ -178,7 +178,7 @@ def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> SMapRes
     pts = image_grid(K, x, grid)
     if not pts:
         raise DegenerateImageError(f"image grid of {x} is empty")
-    if f.scalar_kind == "exact" or grid.box.is_exact:
+    if grid.box.is_exact:
         members = []
         for x0 in pts:
             vals = [f.fn(x0, y) for y in pts]
@@ -238,9 +238,7 @@ def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP
 
 def solve_ep(f: Bifunction, C_box, cfg: SolverConfig) -> SolveReport:
     """The K == C special case; identical to solve_qep with a constant map."""
-    K = SetValuedMap.constant(C_box)
-    report = solve_qep(f, K, cfg, kind=EP)
-    return report
+    return solve_qep(f, SetValuedMap.constant(C_box), cfg, kind=EP)
 
 
 # -- QOpt -------------------------------------------------------------------
@@ -291,7 +289,7 @@ def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> Solv
 
 def check_lemma_equivalence(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> bool:
     """Grid solution sets of the QEP reformulation and the direct QOpt scan agree."""
-    f = make_opt_bifunction(h, K.domain, scalar_kind="exact" if cfg.grid.box.is_exact else "real")
+    f = make_opt_bifunction(h, K.domain)
     qep = solve_qep(f, K, cfg)
     qopt = solve_qopt(h, K, cfg)
     return [rec.point for rec in qep.solutions] == [rec.point for rec in qopt.solutions]

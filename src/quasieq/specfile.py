@@ -33,9 +33,10 @@ seed are set by verify's ``--trials`` and ``--seed`` flags, so a ``trials``
 or ``seed`` key there is a SpecError that says so, as is any other key.
 Map bounds are validated finite and images nonempty over the file's solver
 grid at load time; the solver checks them again over the grid it scans,
-which ``--grid`` may change.  Every map's bounds are evaluated once over the
-whole grid: expression maps (moving_box, piecewise_moving_interval) in one
-batch, constant maps once per point.
+which ``--grid`` may change.  The parsed expressions become the map's bounds
+and the payload's function themselves, so every map's bounds are evaluated
+once over the whole grid: the expression bounds of moving_box and
+piecewise_moving_interval maps in one batch, constant maps once per point.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import configparser
 from dataclasses import dataclass
 from typing import Optional
 
-from .bifunction import ObjectiveFunction, QviOperator
+from .bifunction import Bifunction, ObjectiveFunction, QviOperator
 from .catalog import ProblemInstance
 from .errors import ParseError, SpecError
 from .expressions import Expression, parse_expression
@@ -251,20 +252,18 @@ def load_spec(text: str) -> ProblemSpec:
 
 def build_instance(spec: ProblemSpec, name: str = "spec") -> ProblemInstance:
     """Construct the runnable instance, validating map images over the grid."""
-    from .bifunction import make_expression_bifunction
-
     C = CompactBox(spec.lower, spec.upper)
     if spec.map_kind == "Constant":
         K = SetValuedMap.constant(C)
     else:
-        K = SetValuedMap.from_expressions(C, spec.map_lower, spec.map_upper, variant=spec.map_kind)
+        K = SetValuedMap(C, spec.map_lower, spec.map_upper, variant=spec.map_kind)
     grid = Grid(C, spec.grid)
     validate_setmap(K, grid)
 
     if spec.payload_kind == "objective":
-        payload = ObjectiveFunction.from_expression(spec.payload_expr)
+        payload = ObjectiveFunction(spec.payload_expr)
     elif spec.payload_kind == "bifunction":
-        payload = make_expression_bifunction(spec.payload_expr, C)
+        payload = Bifunction(spec.payload_expr, C)
     else:
         payload = QviOperator.from_expressions(spec.vertices)
 
@@ -273,7 +272,6 @@ def build_instance(spec: ProblemSpec, name: str = "spec") -> ProblemInstance:
         C=C,
         K=K,
         payload=payload,
-        payload_kind=spec.payload_kind,
         grid_default=spec.grid,
         eps_default=spec.eps,
         delta_default=spec.delta,

@@ -182,7 +182,7 @@ def test_criterion_7_structural_invariants():
     # ... and exactly, over the exact scalar field
     box = CompactBox((Root2(0),), (Root2(1),))
     h_exact = ObjectiveFunction(lambda p: p[0] * p[0] - p[0])
-    f_exact = make_opt_bifunction(h_exact, box, scalar_kind="exact")
+    f_exact = make_opt_bifunction(h_exact, box)
     for _ in range(1000):
         x = (Root2(Fraction(rng.randrange(0, 65), 64), Fraction(rng.randrange(0, 16), 64)),)
         y = (Root2(Fraction(rng.randrange(0, 65), 64)),)

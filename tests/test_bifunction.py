@@ -64,7 +64,7 @@ class TestEval:
 
 class TestOptAdapter:
     def test_parabola_value(self):
-        h = ObjectiveFunction.from_expression(parse_expression("power(x_1 - 1, 2)"))
+        h = ObjectiveFunction(parse_expression("power(x_1 - 1, 2)"))
         f = make_opt_bifunction(h, C02)
         assert f.eval((0.0,), (1.0,)) == -1.0
 
@@ -175,7 +175,7 @@ class TestConditionIII:
         assert check_condition_iii(inst.payload, inst.C).verdict == NO_VIOLATION_FOUND
 
     def test_concave_objective_fails(self):
-        h = ObjectiveFunction.from_expression(parse_expression("-power(x_1 - 1, 2)"))
+        h = ObjectiveFunction(parse_expression("-power(x_1 - 1, 2)"))
         f = make_opt_bifunction(h, C02)
         # subset {0, 2} with midpoint 1: both values are -1
         assert f.fn((1.0,), (0.0,)) == -1.0 and f.fn((1.0,), (2.0,)) == -1.0
@@ -197,7 +197,7 @@ class TestConditionIV:
 
     def test_jump_fails(self):
         box = CompactBox((0.0,), (1.0,))
-        f = Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, "real", box)
+        f = Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, box)
         # f = -1 on the closed set {y <= 1/2} but f = 1 at y = 1/2 + r for all r
         rep = check_condition_iv(f, Grid(box, (101,)))
         assert rep.verdict == FAIL
@@ -247,7 +247,7 @@ class TestQuasiconcaveFirst:
 
     def test_constant_zero_clean(self):
         box = CompactBox((0.0,), (1.0,))
-        f = Bifunction(lambda x, y: 0.0, "real", box)
+        f = Bifunction(lambda x, y: 0.0, box)
         assert check_quasiconcave_first(f, box).verdict == NO_VIOLATION_FOUND
 
 

@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from quasieq.bifunction import make_qvi_bifunction
+from quasieq.bifunction import Bifunction, ObjectiveFunction, QviOperator, make_qvi_bifunction
 from quasieq.catalog import (
     catalog_names,
     figure1_instance,
@@ -14,8 +15,9 @@ from quasieq.catalog import (
     remark_bifunction_instance,
 )
 from quasieq.errors import SpecError
+from quasieq.expressions import parse_expression
 from quasieq.geometry import Root2, grid_points
-from quasieq.setmap import NO_VIOLATION_FOUND, check_convex_values, fixed_point_set
+from quasieq.setmap import NO_VIOLATION_FOUND, SetValuedMap, check_convex_values, fixed_point_set
 from quasieq.solver import solve_qep
 
 
@@ -173,3 +175,37 @@ class TestRegistry:
             text = inst.serialize()
             again = build_instance(load_spec(text), name=inst.name)
             assert again.serialize() == text
+
+    @pytest.mark.parametrize(
+        "part, what",
+        [
+            ("map", "maps"),
+            ("objective", "objectives"),
+            ("bifunction", "bifunctions"),
+            ("qvi_operator", "operators"),
+        ],
+    )
+    def test_callable_parts_refuse_to_serialize(self, part, what):
+        inst = random_instance(3, 1)
+        C = inst.C
+        if part == "map":
+            inst = dataclasses.replace(inst, K=SetValuedMap(C, [lambda x: 0.0], [lambda x: x[0]]))
+        else:
+            payload = {
+                "objective": ObjectiveFunction(lambda x: x[0]),
+                "bifunction": Bifunction(lambda x, y: y[0] - x[0], C),
+                "qvi_operator": QviOperator.constant([(1.0,)]),
+            }[part]
+            inst = dataclasses.replace(inst, payload=payload)
+            assert inst.payload_kind == part
+        with pytest.raises(SpecError, match=f"only expression-backed {what} are serializable"):
+            inst.serialize()
+
+    def test_expression_bifunction_serializes(self):
+        from quasieq.specfile import build_instance, load_spec
+
+        inst = random_instance(3, 1)
+        inst = dataclasses.replace(inst, payload=Bifunction(parse_expression("y_1 - x_1"), inst.C))
+        text = inst.serialize()
+        assert "[payload]\nkind = bifunction\nexpr = y_1 - x_1\n" in text
+        assert build_instance(load_spec(text)).serialize() == text

@@ -134,7 +134,7 @@ def _exact_qopt():
 
 def _exact_qep_adapter():
     h, K, cfg = _exact_problem()
-    return solve_qep(make_opt_bifunction(h, K.domain, scalar_kind="exact"), K, cfg)
+    return solve_qep(make_opt_bifunction(h, K.domain), K, cfg)
 
 
 def _qopt(inst, m):
@@ -271,13 +271,13 @@ def _union_map():
 
 def _concave_objective():
     C = CompactBox((0.0,), (2.0,))
-    h = ObjectiveFunction.from_expression(parse_expression("-power(x_1 - 1, 2)"))
+    h = ObjectiveFunction(parse_expression("-power(x_1 - 1, 2)"))
     return make_opt_bifunction(h, C), C
 
 
 def _jump():
     box = CompactBox((0.0,), (1.0,))
-    return Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, "real", box)
+    return Bifunction(lambda x, y: 1.0 if y[0] > 0.5 else -1.0, box)
 
 
 def _smap_probe(inst, m):

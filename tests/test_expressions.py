@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -120,12 +122,14 @@ class TestBatchEvaluation:
 
 
 class TestScalarBatchDifferential:
-    """Scalar and batch evaluation of random expressions agree exactly at every point where the value is finite."""
+    """Scalar and batch evaluation of random expressions agree exactly, down to the sign of a zero, at every point where the value is finite."""
 
     POINTS = np.random.default_rng(20260).uniform(-2.0, 2.0, size=(256, 6))
 
     @given(_asts)
     @example(parse_expression("max(0, min(1, power(x_1, 2000) - power(x_1, 2000)))").ast)  # NaN through min/max
+    @example(parse_expression("min(x_1 - x_1, -(x_1 - x_1))").ast)  # a 0.0/-0.0 tie
+    @example(parse_expression("max(-(x_1 - x_1), x_1 - x_1)").ast)
     @settings(max_examples=400, deadline=None)
     def test_scalar_equals_batch(self, ast):
         e = parse_expression(Expression(ast, "", frozenset()).to_text())
@@ -138,6 +142,7 @@ class TestScalarBatchDifferential:
             except NonFiniteValueError:
                 continue
             assert v == batch[i], (e.to_text(), x, y, v, batch[i])
+            assert math.copysign(1, v) == math.copysign(1, batch[i]), (e.to_text(), x, y, v, batch[i])
 
 
 class TestRoundTrip:

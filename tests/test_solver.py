@@ -8,7 +8,6 @@ from quasieq.bifunction import (
     Bifunction,
     ObjectiveFunction,
     QviOperator,
-    make_expression_bifunction,
     make_opt_bifunction,
     make_qvi_bifunction,
 )
@@ -45,7 +44,7 @@ def cfg_for(box_or_inst, m, eps=1e-6, delta=0.0):
 
 class TestSmap:
     def test_vacuous_condition_keeps_all(self):
-        f = Bifunction(lambda x, y: 0.0, "real", C01)
+        f = Bifunction(lambda x, y: 0.0, C01)
         K = SetValuedMap.constant(C01)
         cfg = cfg_for(C01, 11)
         res = smap(f, K, (0.0,), cfg)
@@ -73,7 +72,7 @@ class TestSmap:
     def test_empty_image_raises(self):
         C = CompactBox((0.0,), (1.0,))
         K = SetValuedMap(C, [lambda x: 0.26], [lambda x: 0.37])
-        f = Bifunction(lambda x, y: 0.0, "real", C)
+        f = Bifunction(lambda x, y: 0.0, C)
         with pytest.raises(DegenerateImageError):
             smap(f, K, (0.0,), cfg_for(C, 3))
 
@@ -118,14 +117,14 @@ class TestSolveQep:
 
 class TestSolveEp:
     def test_parabola_global_minimum(self):
-        h = ObjectiveFunction.from_expression(parse_expression("power(x_1 - 1, 2)"))
+        h = ObjectiveFunction(parse_expression("power(x_1 - 1, 2)"))
         C = CompactBox((0.0,), (2.0,))
         f = make_opt_bifunction(h, C)
         rep = solve_ep(f, C, SolverConfig(Grid(C, (2001,)), 1e-6, 0.0))
         assert [r.point for r in rep.solutions] == [(1.0,)]
 
     def test_zero_bifunction_everything(self):
-        f = Bifunction(lambda x, y: 0.0, "real", C01)
+        f = Bifunction(lambda x, y: 0.0, C01)
         cfg = cfg_for(C01, 21)
         rep = solve_ep(f, C01, cfg)
         assert [r.point for r in rep.solutions] == grid_points(cfg.grid)
@@ -206,7 +205,7 @@ class TestSolveQopt:
 class TestNonFinite:
     @staticmethod
     def _overflowing():
-        h = ObjectiveFunction.from_expression(parse_expression("power(x_1, 2000) - power(x_1, 2000)"))
+        h = ObjectiveFunction(parse_expression("power(x_1, 2000) - power(x_1, 2000)"))
         C = CompactBox((0.0,), (2.0,))
         return h, SetValuedMap.constant(C), cfg_for(C, 21)
 
@@ -222,17 +221,17 @@ class TestNonFinite:
 
     def test_row_minimum_names_its_point(self):
         f = Bifunction(
-            lambda x, y: 0.0, "real", C01,
+            lambda x, y: 0.0, C01,
             row_fn=lambda x, Y: np.full(len(Y), np.nan if x[0] > 0.6 else 0.0),
         )
         with pytest.raises(NonFiniteValueError, match=r"is nan at grid point \(0\.75,\)"):
             solve_qep(f, SetValuedMap.constant(C01), cfg_for(C01, 5))
 
     def test_nan_map_bound_is_named(self):
-        K = SetValuedMap.from_expressions(
+        K = SetValuedMap(
             C01, [parse_expression("x_1 - 0.1")], [parse_expression("power(10*x_1, 400) - power(10*x_1, 400)")]
         )
-        h = ObjectiveFunction.from_expression(parse_expression("x_1"))
+        h = ObjectiveFunction(parse_expression("x_1"))
         with pytest.raises(NonFiniteValueError, match="map bound"):
             solve_qopt(h, K, cfg_for(C01, 11))
 
@@ -263,43 +262,77 @@ class TestOneBoundsPath:
             ["(0.45 + 0.1*x_2) - 0.3", "(0.55 - 0.15*x_1) - 0.25"],
             ["(0.45 + 0.1*x_2) + 0.3", "(0.55 - 0.15*x_1) + 0.25"],
         ),
+        3: (
+            ["(0.45 + 0.1*x_2) - 0.3", "(0.55 - 0.15*x_3) - 0.25", "(0.5 + 0.1*x_1) - 0.3"],
+            ["(0.45 + 0.1*x_2) + 0.3", "(0.55 - 0.15*x_3) + 0.25", "(0.5 + 0.1*x_1) + 0.3"],
+        ),
     }
-    OBJECTIVE = {1: "abs(x_1 - 0.6)", 2: "abs(x_1 - 0.4) + abs(x_2 - 0.6)"}
+    OBJECTIVE = {
+        1: "abs(x_1 - 0.6)",
+        2: "abs(x_1 - 0.4) + abs(x_2 - 0.6)",
+        3: "abs(x_1 - 0.4) + abs(x_2 - 0.6) + abs(x_3 - 0.5)",
+    }
     FIELD = {
         1: "(0.6*x_1 - 0.1)*(y_1 - x_1)",
         2: "(0.6*x_1 - 0.4*x_2 + 0.1)*(y_1 - x_1) + (-0.3*x_1 + 0.8*x_2 - 0.2)*(y_2 - x_2)",
+        3: "(0.6*x_1 - 0.4*x_2 + 0.1)*(y_1 - x_1) + (-0.3*x_1 + 0.8*x_2 - 0.2)*(y_2 - x_2)"
+        " + (0.2*x_2 + 0.7*x_3 - 0.35)*(y_3 - x_3)",
     }
+    GRIDS = [(1, 201), (2, 31), (3, 9)]
+
+    @classmethod
+    def _problem(cls, dim, m):
+        C = CompactBox((0.0,) * dim, (1.0,) * dim)
+        lower, upper = cls.BOUNDS[dim]
+        K = SetValuedMap(C, [parse_expression(t) for t in lower], [parse_expression(t) for t in upper])
+        return K, SolverConfig(Grid(C, (m,) * dim), 0.05, 0.01)
 
     @classmethod
     def _solve(cls, payload, dim, K, cfg):
-        h = ObjectiveFunction.from_expression(parse_expression(cls.OBJECTIVE[dim]))
+        h = ObjectiveFunction(parse_expression(cls.OBJECTIVE[dim]))
         if payload == "qopt":
             return solve_qopt(h, K, cfg)
         if payload == "opt-adapter":
             return solve_qep(make_opt_bifunction(h, K.domain), K, cfg)
         field = parse_expression(cls.FIELD[dim])
-        return solve_qep(make_expression_bifunction(field, K.domain), K, cfg)
+        return solve_qep(Bifunction(field, K.domain), K, cfg)
 
     @pytest.mark.parametrize("payload", ["qopt", "opt-adapter", "affine-field"])
-    @pytest.mark.parametrize("dim, m", [(1, 201), (2, 31)])
+    @pytest.mark.parametrize("dim, m", GRIDS)
     def test_callable_twin_matches_expression_map(self, payload, dim, m):
-        C = CompactBox((0.0,) * dim, (1.0,) * dim)
-        lower, upper = self.BOUNDS[dim]
-        K_expr = SetValuedMap.from_expressions(
-            C, [parse_expression(t) for t in lower], [parse_expression(t) for t in upper]
+        K_expr, cfg = self._problem(dim, m)
+        calls = []
+        # the scalar evaluations wrapped in plain callables, so bounds_batch takes its per-row branch
+        K_call = SetValuedMap(
+            K_expr.domain,
+            [lambda x, e=e: calls.append(x) or e(x) for e in K_expr.lower_fns],
+            [lambda x, e=e: calls.append(x) or e(x) for e in K_expr.upper_fns],
         )
-        K_call = SetValuedMap(C, K_expr.lower_fns, K_expr.upper_fns)  # the scalar evaluations, no expressions
-        assert K_call.lower_exprs is None
-        cfg = SolverConfig(Grid(C, (m,) * dim), 0.05, 0.01)
         expr_report = self._solve(payload, dim, K_expr, cfg)
         assert expr_report.solutions
-        assert report_to_json(self._solve(payload, dim, K_call, cfg)) == report_to_json(expr_report)
+        assert not calls
+        call_report = self._solve(payload, dim, K_call, cfg)
+        assert len(calls) == 2 * dim * m**dim  # every bound once per grid point
+        assert report_to_json(call_report) == report_to_json(expr_report)
+
+    @pytest.mark.parametrize("dim, m", GRIDS)
+    def test_callable_field_matches_expression_field(self, dim, m):
+        K, cfg = self._problem(dim, m)
+        field = parse_expression(self.FIELD[dim])
+        calls = []
+        f_call = Bifunction(lambda x, y: calls.append(y) or field(x, y), K.domain)  # Bifunction.row's per-point loop
+        expr_report = solve_qep(Bifunction(field, K.domain), K, cfg)
+        assert expr_report.solutions
+        assert not calls
+        call_report = solve_qep(f_call, K, cfg)
+        assert calls
+        assert report_to_json(call_report) == report_to_json(expr_report)
 
     def test_empty_expression_image_raises(self):
-        K = SetValuedMap.from_expressions(
+        K = SetValuedMap(
             C01, [parse_expression("0")], [parse_expression("1000*abs(x_1 - 0.5005) - 0.1")]
         )
-        h = ObjectiveFunction.from_expression(parse_expression("abs(x_1 - 0.25)"))
+        h = ObjectiveFunction(parse_expression("abs(x_1 - 0.25)"))
         assert solve_qopt(h, K, cfg_for(C01, 201)).solutions
         with pytest.raises(InstanceDefinitionError, match=r"image of grid point \(0\.5005"):
             solve_qopt(h, K, cfg_for(C01, 2001))
@@ -408,7 +441,7 @@ class TestSolverInvariants:
         inst = random_instance(seed, dim)
         cfg = cfg_for(inst, m, eps=inst.eps_default)
         f = inst.bifunction()
-        pure = Bifunction(f.fn, f.scalar_kind, f.domain)
+        pure = Bifunction(f.fn, f.domain)
         a = solve_qep(f, inst.K, cfg)
         b = solve_qep(pure, inst.K, cfg)
         q = solve_qopt(inst.payload, inst.K, cfg)
