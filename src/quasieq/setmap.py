@@ -190,39 +190,55 @@ def image_grid(K: SetValuedMap, x: Point, grid: Grid) -> list:
     return [p for p in itertools.product(*axes)]
 
 
-def fixed_images(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None):
-    """Every grid x with dist(x, K(x)) <= delta, in lexicographic order, with its image ranges.
+def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None) -> tuple:
+    """Every x of a float grid with dist(x, K(x)) <= delta, as arrays ``(fixed, residuals, spans)``.
 
-    Yields ``(i, x, r, ranges)``: the flat index i, the point x, its
-    membership residual r and the per-axis (start, stop) index ranges of the
-    grid points in K(x), where start >= stop marks an image holding none.
-    The domain's membership snap widens both the residual limit and the
-    ranges.  Float grids read everything from one ``bounds_batch`` table (a
-    caller already holding ``grid_coords(grid)`` passes it as ``X``); exact
-    grids evaluate K once per point.
+    ``fixed`` holds the flat indices in increasing order, ``residuals`` the
+    membership residuals and ``spans[j, k]`` the (start, stop) index range
+    on axis k of the grid points in K(x), start >= stop if none.  The
+    domain's membership snap widens the residual limit and the ranges.  All
+    come from one ``bounds_batch`` table of ``X = grid_coords(grid)``.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     snap = K.domain.snap()
-    limit = delta + snap
-    if grid.box.is_exact:
-        for i, x in enumerate(grid_points(grid)):
-            region = K.evaluate(x)  # one evaluation gives the residual and the ranges
-            r = region.distance_to(x)
-            if r <= limit:
-                yield i, x, r, region_index_ranges(region, grid, snap)
-        return
     X = grid_coords(grid) if X is None else X
     lo, hi = K.bounds_batch(X)
-    residuals = np.maximum(np.maximum(lo - X, X - hi).max(axis=1), 0.0)
-    fixed = np.nonzero(residuals <= limit)[0]
+    residuals = np.zeros(len(X))  # a running maximum over N-vectors: no (N, dim) temporaries
+    for k in range(grid.dim):
+        np.maximum(residuals, lo[:, k] - X[:, k], out=residuals)
+        np.maximum(residuals, X[:, k] - hi[:, k], out=residuals)
+    np.maximum(residuals, 0.0, out=residuals)  # every zero residual becomes +0.0
+    fixed = np.flatnonzero(residuals <= delta + snap)
     spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
-    for k, ax in enumerate(grid.axes):
+    for k in range(grid.dim):
+        ax = np.asarray(grid.axes[k])  # once: searchsorted would convert the tuple on each call
         spans[:, k, 0] = np.searchsorted(ax, lo[fixed, k] - snap, side="left")
         spans[:, k, 1] = np.searchsorted(ax, hi[fixed, k] + snap, side="right")
-    # rows are read one fixed point at a time: whole-array tolist() raises peak memory
-    for j, i in enumerate(fixed):
-        yield i, tuple(X[i].tolist()), residuals[i], spans[j].tolist()
+    return fixed, residuals[fixed], spans
+
+
+def fixed_images(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None):
+    """Every grid x with dist(x, K(x)) <= delta, in lexicographic order, with its image ranges.
+
+    Yields ``(i, x, r, ranges)`` as in ``fixed_table``, which float grids
+    loop over; exact grids evaluate K once per point.
+    """
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    if not grid.box.is_exact:
+        X = grid_coords(grid) if X is None else X
+        fixed, residuals, spans = fixed_table(K, grid, delta, X)
+        # rows are read one fixed point at a time: whole-array tolist() raises peak memory
+        for j, i in enumerate(fixed):
+            yield i, tuple(X[i].tolist()), residuals[j], spans[j].tolist()
+        return
+    snap = K.domain.snap()
+    for i, x in enumerate(grid_points(grid)):
+        region = K.evaluate(x)  # one evaluation gives the residual and the ranges
+        r = region.distance_to(x)
+        if r <= delta + snap:
+            yield i, x, r, region_index_ranges(region, grid, snap)
 
 
 def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:

@@ -6,21 +6,20 @@ truth.  The inner minimization over K(x) always uses the restriction of the
 single global grid, which makes solution-set comparisons across problem
 reformulations literal sequence equalities.
 
-QEP, EP, QVI and QOpt share one scan kernel, ``_scan``: it reads the fixed
-points x in K(x), in lexicographic order and with the index ranges of their
-image grids, from ``setmap.fixed_images``, counts those whose image holds no
-grid point, and hands every other one to the solver's inner minimum.  How
-they are found (one bounds table on float grids, one evaluation of K per
-point on exact grids) is decided in ``setmap`` alone.
-
-The inner minimum is the exact scalar loop on exact grids, the minimum over
-one table of h for separable payloads (the opt adapter's h(y) - h(x) and
-QOpt gaps), and the payload's row evaluation otherwise.  Reports are
+QEP, EP, QVI and QOpt read the fixed points x in K(x), in lexicographic
+order and with the index ranges of their image grids, from ``setmap``, which
+alone decides how they are found.  Separable payloads on float grids (QOpt
+gaps and the opt adapter's h(y) - h(x)) take every inner minimum at once
+from a sparse table of range minima over one table of h, built one level
+tuple at a time, so it holds about d grid-sized arrays, never all its
+levels.  The rest go through one scan kernel, ``_scan``: the exact scalar
+loop on exact grids, the payload's row evaluation otherwise.  Reports are
 deterministic for a given instance and config.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -49,6 +48,7 @@ from .setmap import (
     check_convex_values,
     check_lsc,
     fixed_images,
+    fixed_table,
     image_grid,
 )
 
@@ -124,7 +124,7 @@ def _flat_indices(grid: Grid, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
 
 
 def _scan(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray], inner: Callable) -> tuple[list, int]:
-    """The outer scan behind every solver.
+    """The outer scan of exact grids and of payloads that are not separable, one fixed point at a time.
 
     At every fixed point of ``setmap.fixed_images`` (``X`` is
     ``grid_coords(cfg.grid)``) whose image holds a grid point, calls
@@ -151,21 +151,67 @@ def _finite(what: str, value, x: Point):
     return value
 
 
-def _image_min(h: ObjectiveFunction, grid: Grid, X: Optional[np.ndarray]) -> tuple:
-    """The table of h over the grid and the minimum of h over an image grid.
+def _all_finite(what: str, values: np.ndarray, point: Callable) -> np.ndarray:
+    """The values, unless one is inf or NaN; the first such is named at ``point(j)``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        _finite(what, values[bad[0]], point(bad[0]))
+    return values
 
-    Returns ``(table, image_min)`` where ``image_min(ranges)`` is the
-    minimum of the table over the sub-rectangle the ranges give.  This is
-    the one separable inner minimum: the opt adapter's min over y of
-    h(y) - h(x) and the QOpt gap both read it.
+
+def _range_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The minimum of the d-dimensional table over each box of ``spans``, a (Q, d, 2) array of nonempty ranges.
+
+    A sparse table (Bender & Farach-Colton 2000; Yuan & Atallah 2010): a box
+    with levels a_k = floor(log2(stop_k - start_k)) is the union of the 2^d
+    boxes of sides 2^a_k at start_k or at stop_k - 2^a_k.  A minimum equals
+    the slice minimum but for the sign of a zero, so on a table holding both
+    zeros the zero minima are taken from the slice.
     """
-    if X is None:
-        table = [h.fn(p) for p in grid_points(grid)]
-        return table, lambda ranges: min(table[j] for j in _flat_indices(grid, ranges))
+    starts = spans[:, :, 0]
+    levels = np.frexp(spans[:, :, 1] - starts)[1] - 1
+    mins = np.empty(len(spans))
+    _answer_levels(table, 0, np.arange(len(spans)), starts, spans[:, :, 1] - (1 << levels), levels, mins)
+    signs = np.signbit(table[table == 0])
+    if signs.any() and not signs.all():
+        for q in np.flatnonzero(mins == 0):
+            mins[q] = table[tuple(slice(s, e) for s, e in spans[q])].min()
+    return mins
+
+
+def _answer_levels(window, axis, queries, starts, ends, levels, mins) -> None:
+    """Answer the queries whose levels on the axes before ``axis`` made ``window``, the table's windowed minima.
+
+    Each level's window is dropped once its queries are answered; module-level,
+    so no closure cycle keeps the windows alive.
+    """
+    if axis == window.ndim:
+        corners = itertools.product(*((starts[queries, k], ends[queries, k]) for k in range(axis)))
+        mins[queries] = functools.reduce(np.minimum, (window[c] for c in corners))
+        return
+    here = levels[queries, axis]
+    for a in range(here.max(initial=-1) + 1):
+        if a:
+            lead, half = (slice(None),) * axis, 1 << (a - 1)
+            window = np.minimum(window[lead + (slice(None, -half),)], window[lead + (slice(half, None),)])
+        chosen = queries[here == a]
+        if chosen.size:
+            _answer_levels(window, axis + 1, chosen, starts, ends, levels, mins)
+
+
+def _separable_scan(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig, X: np.ndarray) -> tuple:
+    """``(point, residuals, h_x, mins, degenerate)`` for the fixed points of a float grid whose image holds a grid point.
+
+    ``point(j)`` is the j-th of them (lexicographic), ``h_x`` the table of h
+    there and ``mins`` its minimum over K(x).
+    """
     table = h.eval_batch(X)
     require_finite("the objective", X, table)
-    shaped = table.reshape(grid.points_per_axis)
-    return table, lambda ranges: shaped[tuple(slice(s, e) for s, e in ranges)].min()
+    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership, X)
+    held = (spans[:, :, 0] < spans[:, :, 1]).all(axis=1)
+    fixed, residuals, spans = fixed[held], residuals[held], spans[held]
+    mins = _range_minima(table.reshape(cfg.grid.points_per_axis), spans)
+    return lambda j: tuple(X[fixed[j]].tolist()), residuals, table[fixed], mins, len(held) - len(fixed)
 
 
 # -- the selection map ------------------------------------------------------
@@ -202,31 +248,29 @@ def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP
     grid = cfg.grid
     eps = cfg.eps_value
     X = grid_coords(grid)
-    if X is None:
-
-        def inner_min(x, ranges):
-            image = itertools.product(*(ax[s:e] for ax, (s, e) in zip(grid.axes, ranges)))
-            return min(f.fn(x, y) for y in image)
-
-    elif f.objective is not None:
-        h = f.objective
-        _table, h_min = _image_min(h, grid, X)
-
-        def inner_min(x, ranges):
-            # float-identical to the row minimum: subtracting a constant is
-            # monotone under correct rounding, so min and subtract commute
-            return float(h_min(ranges) - h.fn(x))
-
+    if X is not None and f.objective is not None:
+        point, residuals, h_x, mins, degenerate = _separable_scan(f.objective, K, cfg, X)
+        # float-identical to the row minimum: subtracting a constant is
+        # monotone under correct rounding, so min and subtract commute
+        min_f = _all_finite("the minimum of f(x, .) over K(x)", mins - h_x, point)
+        records = [SolutionRecord(point(j), float(residuals[j]), float(min_f[j])) for j in np.flatnonzero(min_f >= -eps)]
     else:
+        if X is None:
 
-        def inner_min(x, ranges):
-            return float(f.row(x, X[_flat_indices(grid, ranges)]).min())
+            def inner_min(x, ranges):
+                image = itertools.product(*(ax[s:e] for ax, (s, e) in zip(grid.axes, ranges)))
+                return min(f.fn(x, y) for y in image)
 
-    def record(i, x, r, ranges):
-        m = _finite("the minimum of f(x, .) over K(x)", inner_min(x, ranges), x)
-        return SolutionRecord(x, float(r), float(m)) if m >= -eps else None
+        else:
 
-    records, degenerate = _scan(K, cfg, X, record)
+            def inner_min(x, ranges):
+                return float(f.row(x, X[_flat_indices(grid, ranges)]).min())
+
+        def record(i, x, r, ranges):
+            m = _finite("the minimum of f(x, .) over K(x)", inner_min(x, ranges), x)
+            return SolutionRecord(x, float(r), float(m)) if m >= -eps else None
+
+        records, degenerate = _scan(K, cfg, X, record)
     return SolveReport(
         problem_kind=kind,
         solutions=tuple(records),
@@ -261,24 +305,30 @@ def qopt_gap(h: ObjectiveFunction, K: SetValuedMap, x: Point, cfg: SolverConfig)
 def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
-    eps = cfg.eps_value
     X = grid_coords(grid)
-    table, h_min = _image_min(h, grid, X)
-    min_gap = None
+    if X is None:
+        table = [h.fn(p) for p in grid_points(grid)]
 
-    def record(i, x, r, ranges):
-        nonlocal min_gap
-        gap = _finite("the gap", float(table[i] - h_min(ranges)), x)
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-        return SolutionRecord(x, float(r), -gap, gap=gap) if gap <= eps else None
+        def gap(i, x, r, ranges):
+            return x, r, float(table[i] - min(table[j] for j in _flat_indices(grid, ranges)))
 
-    records, degenerate = _scan(K, cfg, X, record)
+        found, degenerate = _scan(K, cfg, None, gap)
+        points, residuals, gaps = zip(*found) if found else ((), (), ())
+        point, gaps = points.__getitem__, np.array(gaps, dtype=float)
+    else:
+        point, residuals, h_x, mins, degenerate = _separable_scan(h, K, cfg, X)
+        gaps = h_x - mins
+    _all_finite("the gap", gaps, point)
+    records = [
+        SolutionRecord(point(j), float(residuals[j]), float(-gaps[j]), gap=float(gaps[j]))
+        for j in np.flatnonzero(gaps <= cfg.eps_value)
+    ]
     return SolveReport(
         problem_kind=QOPT,
         solutions=tuple(records),
         config=cfg.echo(),
-        min_gap_over_fixed_points=min_gap,
+        # the first minimum by index: a 0.0/-0.0 tie keeps the sign of the first
+        min_gap_over_fixed_points=float(gaps[np.argmin(gaps)]) if len(gaps) else None,
         degenerate_points=degenerate,
         wall_time=time.perf_counter() - start,
     )

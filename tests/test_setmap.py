@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from quasieq.bifunction import check_condition_iv
-from quasieq.catalog import figure1_instance
+from quasieq.catalog import figure1_instance, random_instance
 from quasieq.errors import InstanceDefinitionError
-from quasieq.geometry import CompactBox, Grid, contains, grid_points
+from quasieq.geometry import CompactBox, Grid, contains, grid_coords, grid_points
 from quasieq.setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
@@ -14,7 +14,9 @@ from quasieq.setmap import (
     check_convex_values,
     check_lsc,
     evaluate,
+    fixed_images,
     fixed_point_set,
+    fixed_table,
     image_grid,
     validate_setmap,
 )
@@ -129,6 +131,19 @@ class TestFixedPointSet:
         assert (0.5,) not in fixed_point_set(K, g, 0.0)
         assert (0.5,) in fixed_point_set(K, g, 0.25)
 
+
+    @pytest.mark.parametrize("seed, dim, m, delta", [(13, 1, 401, 0.0), (1004, 2, 61, 0.0), (1009, 2, 41, 0.05)])
+    def test_fixed_table_residuals_match_the_row_maximum(self, seed, dim, m, delta):
+        inst = random_instance(seed, dim)
+        g = Grid(inst.C, (m,) * dim)
+        X = grid_coords(g)
+        lo, hi = inst.K.bounds_batch(X)
+        reference = np.maximum(np.maximum(lo - X, X - hi).max(axis=1), 0.0)  # with (N, dim) temporaries
+        fixed, residuals, spans = fixed_table(inst.K, g, delta, X)
+        assert np.array_equal(fixed, np.flatnonzero(reference <= delta + inst.C.snap()))
+        assert residuals.tobytes() == reference[fixed].tobytes()  # bits, signs of zero included
+        yielded = [(i, x, r, ranges) for i, x, r, ranges in fixed_images(inst.K, g, delta)]
+        assert yielded == [(i, tuple(X[i].tolist()), r, s.tolist()) for i, r, s in zip(fixed, residuals, spans)]
 
 class TestClosedGraphProbe:
     def test_figure1_clean(self, fig1):

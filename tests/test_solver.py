@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -19,11 +20,23 @@ from quasieq.catalog import (
 )
 from quasieq.errors import DegenerateImageError, InstanceDefinitionError, NonFiniteValueError
 from quasieq.expressions import parse_expression
-from quasieq.geometry import CompactBox, Grid, grid_points
-from quasieq.setmap import NO_VIOLATION_FOUND, SetValuedMap, evaluate, fixed_point_set, image_grid
+from quasieq.geometry import CompactBox, Grid, grid_coords, grid_points
+from quasieq.setmap import (
+    NO_VIOLATION_FOUND,
+    SetValuedMap,
+    evaluate,
+    fixed_images,
+    fixed_point_set,
+    fixed_table,
+    image_grid,
+)
 from quasieq.reporting import report_to_json
 from quasieq.solver import (
+    QOPT,
+    SolutionRecord,
     SolverConfig,
+    SolveReport,
+    _range_minima,
     check_lemma_equivalence,
     qopt_gap,
     smap,
@@ -336,6 +349,127 @@ class TestOneBoundsPath:
         assert solve_qopt(h, K, cfg_for(C01, 201)).solutions
         with pytest.raises(InstanceDefinitionError, match=r"image of grid point \(0\.5005"):
             solve_qopt(h, K, cfg_for(C01, 2001))
+
+
+def _bits(values):
+    """Values and signs, so that 0.0 and -0.0 differ."""
+    return [(float(v), math.copysign(1.0, v)) for v in values]
+
+
+def _slice_reports(h, K, cfg):
+    """The QOpt and opt-adapter reports with one slice minimum of the table of h per fixed point: the reference."""
+    X = grid_coords(cfg.grid)
+    table = h.eval_batch(X)
+    shaped = table.reshape(cfg.grid.points_per_axis)
+    eps = cfg.eps_value
+    qopt, qep, min_gap, degenerate = [], [], None, 0
+    for i, x, r, ranges in fixed_images(K, cfg.grid, cfg.delta_membership):
+        if any(s >= e for s, e in ranges):
+            degenerate += 1
+            continue
+        m = shaped[tuple(slice(s, e) for s, e in ranges)].min()
+        gap, min_f = float(table[i] - m), float(m - table[i])
+        if min_gap is None or gap < min_gap:
+            min_gap = gap
+        if gap <= eps:
+            qopt.append(SolutionRecord(x, float(r), -gap, gap=gap))
+        if min_f >= -eps:
+            qep.append(SolutionRecord(x, float(r), min_f))
+    return (
+        SolveReport(QOPT, tuple(qopt), cfg.echo(), min_gap, degenerate),
+        SolveReport("QEP", tuple(qep), cfg.echo(), degenerate_points=degenerate),
+    )
+
+
+class TestRangeMinima:
+    """The sparse-table inner minimum of separable scans against the slice minimum it replaced."""
+
+    @staticmethod
+    def _slice_minima(table, spans):
+        return [table[tuple(slice(s, e) for s, e in span)].min() for span in spans]
+
+    @pytest.mark.parametrize("shape", [(300,), (1, 40), (40, 1), (25, 25), (9, 1, 9), (12, 12, 12)])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["normal", "mixed-zeros"])
+    def test_random_boxes_match_slice_minimum(self, shape, zeros):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        table = rng.choice([0.0, -0.0, 1.5, 2.0], size=shape) if zeros else rng.normal(size=shape)
+        starts = np.stack([rng.integers(0, n, 1500) for n in shape], axis=1)
+        stops = np.stack([rng.integers(starts[:, k] + 1, n + 1) for k, n in enumerate(shape)], axis=1)
+        spans = np.stack([starts, stops], axis=2)
+        assert _bits(_range_minima(table, spans)) == _bits(self._slice_minima(table, spans))
+
+    @staticmethod
+    def _case(name):
+        """(h, K, points per axis, delta) of one seeded instance."""
+        if name.startswith("random"):
+            inst = random_instance(13, 1) if name == "random-1d" else random_instance(1004, 2)
+            return inst.payload, inst.K, 401 if name == "random-1d" else 61, 0.0
+        dim = int(name[-2])
+        h = ObjectiveFunction(parse_expression(TestOneBoundsPath.OBJECTIVE[dim]))
+        if name == "box-3d":
+            return h, TestOneBoundsPath._problem(3, 13)[0], 13, 0.01
+        # images 0.6 grid steps wide: many hold no grid point, the others one on each axis
+        m = {1: 201, 2: 21, 3: 11}[dim]
+        C = CompactBox((0.0,) * dim, (1.0,) * dim)
+        lower = [parse_expression(f"0.3 + 0.37*x_{k % dim + 1}") for k in range(1, dim + 1)]
+        upper = [parse_expression(f"0.3 + 0.37*x_{k % dim + 1} + {0.6 / (m - 1)!r}") for k in range(1, dim + 1)]
+        return h, SetValuedMap(C, lower, upper), m, 0.6
+
+    @pytest.mark.parametrize("case", ["random-1d", "random-2d", "box-3d", "narrow-1d", "narrow-2d", "narrow-3d"])
+    def test_every_fixed_point_matches_slice_minimum(self, case):
+        h, K, m, delta = self._case(case)
+        cfg = SolverConfig(Grid(K.domain, (m,) * K.domain.dim), 0.05, delta)
+        X = grid_coords(cfg.grid)
+        table = h.eval_batch(X).reshape(cfg.grid.points_per_axis)
+        _fixed, _residuals, spans = fixed_table(K, cfg.grid, delta, X)
+        held = spans[(spans[:, :, 0] < spans[:, :, 1]).all(axis=1)]
+        assert len(held) > 100
+        if case.startswith("narrow"):
+            assert len(held) < len(spans)  # degenerate images
+            assert (held[:, :, 1] - held[:, :, 0] == 1).any()  # images one grid point wide on an axis
+        assert _bits(_range_minima(table, held)) == _bits(self._slice_minima(table, held))
+        qopt = solve_qopt(h, K, cfg)
+        qep = solve_qep(make_opt_bifunction(h, K.domain), K, cfg)
+        assert qopt.solutions
+        assert [r.point for r in qep.solutions] == [r.point for r in qopt.solutions]
+
+    @pytest.mark.parametrize("dim, m", TestOneBoundsPath.GRIDS)
+    def test_mixed_zero_objective_reports_match_slice_path(self, dim, m):
+        # both zero signs in the table, so zero minima are ties between 0.0 and -0.0
+        def h_fn(x):
+            s = sum(x)
+            return math.copysign(0.0, math.sin(37.0 * s + 11.0 * x[0])) if s < 0.7 * dim else s
+
+        h = ObjectiveFunction(h_fn)
+        K, cfg = TestOneBoundsPath._problem(dim, m)
+        qopt_ref, qep_ref = _slice_reports(h, K, cfg)
+        signs = [math.copysign(1.0, v) for v in [r.gap for r in qopt_ref.solutions] + [r.min_f for r in qep_ref.solutions]]
+        assert -1.0 in signs and qopt_ref.solutions and qep_ref.solutions
+        assert report_to_json(solve_qopt(h, K, cfg)) == report_to_json(qopt_ref)
+        assert report_to_json(solve_qep(make_opt_bifunction(h, K.domain), K, cfg)) == report_to_json(qep_ref)
+
+    def test_overflowing_gap_names_first_point(self):
+        C = CompactBox((0.0, 0.0), (1.0, 1.0))
+        special = {(0.25, 0.75): 1e308, (0.5, 0.25): 1e308, (0.75, 0.0): -1e308}
+        h = ObjectiveFunction(lambda x: special.get(tuple(x), 0.0))
+        K, cfg = SetValuedMap.constant(C), cfg_for(C, 5)
+        with pytest.raises(NonFiniteValueError, match=r"the gap is inf at grid point \(0\.25, 0\.75\)"):
+            solve_qopt(h, K, cfg)
+        with pytest.raises(NonFiniteValueError, match=r"over K\(x\) is -inf at grid point \(0\.25, 0\.75\)"):
+            solve_qep(make_opt_bifunction(h, C), K, cfg)
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_min_gap_tie_keeps_the_first_zero(self, first):
+        # K(x) is the next grid point (the last maps to itself); the gaps are
+        # h(x_i) - h(x_i+1): `first`, then -first's zero, then positive
+        heights = [first, -first, 0.0] + [-float(k) for k in range(1, 8)] + [-8.0]
+        h = ObjectiveFunction(lambda x: heights[round(10 * x[0])])
+        step = [lambda x: min(x[0] + 0.1, 1.0)]
+        K = SetValuedMap(C01, step, step)
+        rep = solve_qopt(h, K, cfg_for(C01, 11, eps=0.0, delta=0.15))
+        expected = first - (-first)
+        assert _bits([rep.min_gap_over_fixed_points]) == _bits([expected])
+        assert _bits([r.gap for r in rep.solutions][:2]) == _bits([expected, -first - 0.0])
 
 
 class TestLemmaEquivalence:
