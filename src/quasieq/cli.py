@@ -16,16 +16,17 @@ the six theorem checks, plus the extra checks a file's ``[checks] run``
 names (all three by default; a theorem check named there is refused); their
 sampling trials and seed come from --trials and --seed alone, and a file
 that sets them is refused.  Exit codes: 0 = ran, 2 = bad input (unknown
-flags, malformed or negative numbers, bad files, a map image that is empty
-or a value that is not finite at some grid point; always with an ``error:``
-line, never a traceback), 3 = verify flagged an anomaly (all hypothesis
-checks clean yet the solution set came back empty).
+flags, malformed or negative numbers, --trials below 1, bad files, a map
+image that is empty or a value that is not finite at some grid point;
+always with an ``error:`` line, never a traceback), 3 = verify flagged an
+anomaly (all hypothesis checks clean yet the solution set came back empty).
 
 solve, catalog run and the solve step of verify all run the solver's one
-scan kernel, single-threaded.  It checks the map's images over the grid it
-scans, so a --grid at which some image is empty exits 2 naming the point.
-Reports go to --out (or stdout); a one-line JSON run summary always goes to
-stderr.  Identical inputs and flags produce byte-identical report files.
+pass over the fixed-point table, single-threaded.  It checks the map's
+images over the grid it scans, so a --grid at which some image is empty
+exits 2 naming the point.  Reports go to --out (or stdout); a one-line JSON
+run summary always goes to stderr.  Identical inputs and flags produce
+byte-identical report files.
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ def _tolerance_arg(text: str) -> float:
     return value
 
 
+def _trials_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quasieq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser("verify", help="run hypothesis checkers and flag anomalies")
     verify_cmd.add_argument("target", type=str)
     add_solver_flags(verify_cmd)
-    verify_cmd.add_argument("--trials", type=int, default=400)
+    verify_cmd.add_argument("--trials", type=_trials_arg, default=400)
     verify_cmd.add_argument("--seed", type=int, default=1729, help="seed for sampled checkers")
 
     cat = sub.add_parser("catalog", help="list or run built-in instances")

@@ -324,6 +324,19 @@ class Grid:
     def point_at(self, index: tuple) -> Point:
         return tuple(ax[i] for ax, i in zip(self.axes, index))
 
+    def points_at(self, flat: np.ndarray):
+        """The grid points at the flat (lexicographic) indices, one at a time.
+
+        No index arrays: at the end of a solve they would be as long as its
+        list of solutions and raise its peak memory.
+        """
+        for i in map(int, flat):
+            point = []
+            for ax in reversed(self.axes):
+                i, k = divmod(i, len(ax))
+                point.append(ax[k])
+            yield tuple(reversed(point))
+
     def axis_index_range(self, k: int, lo, hi, slack: float = 0.0) -> tuple[int, int]:
         """Smallest/largest axis index whose coordinate lies in [lo - slack, hi + slack].
 

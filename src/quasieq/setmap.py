@@ -191,17 +191,30 @@ def image_grid(K: SetValuedMap, x: Point, grid: Grid) -> list:
 
 
 def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None) -> tuple:
-    """Every x of a float grid with dist(x, K(x)) <= delta, as arrays ``(fixed, residuals, spans)``.
+    """Every grid x with dist(x, K(x)) <= delta, as arrays ``(fixed, residuals, spans)``.
 
-    ``fixed`` holds the flat indices in increasing order, ``residuals`` the
-    membership residuals and ``spans[j, k]`` the (start, stop) index range
-    on axis k of the grid points in K(x), start >= stop if none.  The
-    domain's membership snap widens the residual limit and the ranges.  All
-    come from one ``bounds_batch`` table of ``X = grid_coords(grid)``.
+    ``fixed`` holds the flat indices in increasing (lexicographic) order,
+    ``residuals`` the membership residuals as floats and ``spans[j, k]`` the
+    (start, stop) index range on axis k of the grid points in K(x), start >=
+    stop if none.  The domain's membership snap widens the residual limit and
+    the ranges.  Float grids take all of them from one ``bounds_batch``
+    table of ``X = grid_coords(grid)``; exact grids evaluate K once per point
+    and test the residual in exact arithmetic.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     snap = K.domain.snap()
+    if grid.box.is_exact:
+        fixed, residuals, spans = [], [], []
+        for i, x in enumerate(grid_points(grid)):
+            region = K.evaluate(x)  # one evaluation gives the residual and the ranges
+            r = region.distance_to(x)
+            if r <= delta + snap:
+                fixed.append(i)
+                residuals.append(float(r))
+                spans.append(region_index_ranges(region, grid, snap))
+        spans = np.array(spans, dtype=np.intp).reshape(len(fixed), grid.dim, 2)
+        return np.array(fixed, dtype=np.intp), np.array(residuals, dtype=float), spans
     X = grid_coords(grid) if X is None else X
     lo, hi = K.bounds_batch(X)
     residuals = np.zeros(len(X))  # a running maximum over N-vectors: no (N, dim) temporaries
@@ -218,32 +231,10 @@ def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.
     return fixed, residuals[fixed], spans
 
 
-def fixed_images(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None):
-    """Every grid x with dist(x, K(x)) <= delta, in lexicographic order, with its image ranges.
-
-    Yields ``(i, x, r, ranges)`` as in ``fixed_table``, which float grids
-    loop over; exact grids evaluate K once per point.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if not grid.box.is_exact:
-        X = grid_coords(grid) if X is None else X
-        fixed, residuals, spans = fixed_table(K, grid, delta, X)
-        # rows are read one fixed point at a time: whole-array tolist() raises peak memory
-        for j, i in enumerate(fixed):
-            yield i, tuple(X[i].tolist()), residuals[j], spans[j].tolist()
-        return
-    snap = K.domain.snap()
-    for i, x in enumerate(grid_points(grid)):
-        region = K.evaluate(x)  # one evaluation gives the residual and the ranges
-        r = region.distance_to(x)
-        if r <= delta + snap:
-            yield i, x, r, region_index_ranges(region, grid, snap)
-
-
 def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:
     """All grid x with dist(x, K(x)) <= delta, lexicographic order."""
-    return [x for _i, x, _r, _ranges in fixed_images(K, grid, delta)]
+    fixed, _residuals, _spans = fixed_table(K, grid, delta)
+    return list(grid.points_at(fixed))
 
 
 # -- topology probes -------------------------------------------------------

@@ -6,25 +6,27 @@ truth.  The inner minimization over K(x) always uses the restriction of the
 single global grid, which makes solution-set comparisons across problem
 reformulations literal sequence equalities.
 
-QEP, EP, QVI and QOpt read the fixed points x in K(x), in lexicographic
-order and with the index ranges of their image grids, from ``setmap``, which
-alone decides how they are found.  Separable payloads on float grids (QOpt
-gaps and the opt adapter's h(y) - h(x)) take every inner minimum at once
-from a sparse table of range minima over one table of h, built one level
-tuple at a time, so it holds about d grid-sized arrays, never all its
-levels.  The rest go through one scan kernel, ``_scan``: the exact scalar
-loop on exact grids, the payload's row evaluation otherwise.  Reports are
-deterministic for a given instance and config.
+QEP, EP, QVI and QOpt run one straight line over the arrays of
+``setmap.fixed_table``, which alone finds the fixed points x in K(x), in
+lexicographic order and with the index ranges of their image grids.  The
+inner minimum depends only on the payload.  Separable payloads (QOpt gaps
+and the opt adapter's h(y) - h(x)) read one table of h over the grid: on
+float grids a sparse table of range minima answers every image at once,
+built one level tuple at a time, so it holds about d grid-sized arrays,
+never all its levels; on exact grids each image's minimum is the first
+minimum of its slice.  Other payloads take the minimum of f(x, .) one fixed
+point at a time: ``Bifunction.row`` on the image's block of the grid on
+float grids, the scalar ``fn`` in exact arithmetic on exact grids.  Reports
+are deterministic for a given instance and config.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from .setmap import (
     check_closed_graph,
     check_convex_values,
     check_lsc,
-    fixed_images,
     fixed_table,
     image_grid,
 )
@@ -65,7 +66,7 @@ class SolverConfig:
     delta_membership: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.eps_value < 0 or self.delta_membership < 0:
+        if not (self.eps_value >= 0 and self.delta_membership >= 0):
             raise ValueError("tolerances must be nonnegative")
 
     def echo(self) -> dict:
@@ -110,53 +111,61 @@ class TheoremReport:
         return {name: rep.verdict for name, rep in self.checks.items()}
 
 
-# -- the scan kernel --------------------------------------------------------
+# -- the scan ---------------------------------------------------------------
 
 
-def _flat_indices(grid: Grid, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Flat lexicographic indices of the sub-rectangle given by per-axis ranges."""
-    sizes = grid.points_per_axis
-    idx = np.arange(ranges[0][0], ranges[0][1])
-    for k in range(1, len(sizes)):
-        nxt = np.arange(ranges[k][0], ranges[k][1])
-        idx = (idx[:, None] * sizes[k] + nxt[None, :]).ravel()
-    return idx
+def _box(span) -> tuple:
+    """The slices of one (d, 2) span of index ranges."""
+    return tuple(slice(s, e) for s, e in span)
 
 
-def _scan(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray], inner: Callable) -> tuple[list, int]:
-    """The outer scan of exact grids and of payloads that are not separable, one fixed point at a time.
-
-    At every fixed point of ``setmap.fixed_images`` (``X`` is
-    ``grid_coords(cfg.grid)``) whose image holds a grid point, calls
-    ``inner(i, x, r, ranges)`` and keeps what it returns unless None.
-    Returns those results and the number of fixed points whose image held no
-    grid point.
-    """
-    found = []
-    degenerate = 0
-    for i, x, r, ranges in fixed_images(K, cfg.grid, cfg.delta_membership, X):
-        if any(s >= e for s, e in ranges):
-            degenerate += 1
-            continue
-        result = inner(i, x, r, ranges)
-        if result is not None:
-            found.append(result)
-    return found, degenerate
+def _fixed_points(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray]) -> tuple:
+    """``setmap.fixed_table``'s arrays less the fixed points whose image holds no grid point, and their count."""
+    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership, X)
+    held = (spans[:, :, 0] < spans[:, :, 1]).all(axis=1)
+    return fixed[held], residuals[held], spans[held], len(held) - int(held.sum())
 
 
-def _finite(what: str, value, x: Point):
-    """The value, unless it is inf or NaN."""
-    if not math.isfinite(value):
-        raise NonFiniteValueError(f"{what} is {float(value)} at grid point {x}")
-    return value
-
-
-def _all_finite(what: str, values: np.ndarray, point: Callable) -> np.ndarray:
-    """The values, unless one is inf or NaN; the first such is named at ``point(j)``."""
+def _all_finite(what: str, values, grid: Grid, fixed: np.ndarray) -> np.ndarray:
+    """The values as floats, unless one is inf or NaN; the first such is named at its grid point."""
+    values = np.asarray(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        _finite(what, values[bad[0]], point(bad[0]))
+        x = next(grid.points_at(fixed[bad[:1]]))
+        raise NonFiniteValueError(f"{what} is {float(values[bad[0]])} at grid point {x}")
     return values
+
+
+def _objective_table(h: ObjectiveFunction, grid: Grid, X: Optional[np.ndarray]) -> np.ndarray:
+    """h over the grid, shaped ``grid.points_per_axis``: floats, or exact values as objects on exact grids."""
+    if X is None:
+        table = np.array([h.fn(p) for p in grid_points(grid)], dtype=object)
+    else:
+        table = h.eval_batch(X)
+        require_finite("the objective", X, table)
+    return table.reshape(grid.points_per_axis)
+
+
+def _table_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The table's minimum over each box of ``spans``: the sparse table on floats, the first minimum on objects."""
+    if table.dtype == object:
+        return np.array([min(table[_box(span)].flat) for span in spans], dtype=object)
+    return _range_minima(table, spans)
+
+
+def _row_minima(f: Bifunction, grid: Grid, X: Optional[np.ndarray], fixed: np.ndarray, spans: np.ndarray):
+    """The minimum of f(x, .) over the image of each fixed point x, one fixed point at a time.
+
+    Float grids evaluate ``f.row`` on the image's block of X, its rows in
+    lexicographic order; exact grids call ``f.fn`` at every image point and
+    keep the exact minimum.
+    """
+    points = grid.points_at(fixed)
+    if X is None:
+        images = (itertools.product(*(ax[s:e] for ax, (s, e) in zip(grid.axes, span))) for span in spans)
+        return np.array([min(f.fn(x, y) for y in image) for x, image in zip(points, images)], dtype=object)
+    cube = X.reshape(grid.points_per_axis + (grid.dim,))
+    return np.array([f.row(x, cube[_box(span)].reshape(-1, grid.dim)).min() for x, span in zip(points, spans)])
 
 
 def _range_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -175,7 +184,7 @@ def _range_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
     signs = np.signbit(table[table == 0])
     if signs.any() and not signs.all():
         for q in np.flatnonzero(mins == 0):
-            mins[q] = table[tuple(slice(s, e) for s, e in spans[q])].min()
+            mins[q] = table[_box(spans[q])].min()
     return mins
 
 
@@ -197,21 +206,6 @@ def _answer_levels(window, axis, queries, starts, ends, levels, mins) -> None:
         chosen = queries[here == a]
         if chosen.size:
             _answer_levels(window, axis + 1, chosen, starts, ends, levels, mins)
-
-
-def _separable_scan(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig, X: np.ndarray) -> tuple:
-    """``(point, residuals, h_x, mins, degenerate)`` for the fixed points of a float grid whose image holds a grid point.
-
-    ``point(j)`` is the j-th of them (lexicographic), ``h_x`` the table of h
-    there and ``mins`` its minimum over K(x).
-    """
-    table = h.eval_batch(X)
-    require_finite("the objective", X, table)
-    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership, X)
-    held = (spans[:, :, 0] < spans[:, :, 1]).all(axis=1)
-    fixed, residuals, spans = fixed[held], residuals[held], spans[held]
-    mins = _range_minima(table.reshape(cfg.grid.points_per_axis), spans)
-    return lambda j: tuple(X[fixed[j]].tolist()), residuals, table[fixed], mins, len(held) - len(fixed)
 
 
 # -- the selection map ------------------------------------------------------
@@ -246,31 +240,21 @@ def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> SMapRes
 def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
-    eps = cfg.eps_value
     X = grid_coords(grid)
-    if X is not None and f.objective is not None:
-        point, residuals, h_x, mins, degenerate = _separable_scan(f.objective, K, cfg, X)
+    table = None if f.objective is None else _objective_table(f.objective, grid, X)
+    fixed, residuals, spans, degenerate = _fixed_points(K, cfg, X)
+    if table is None:
+        min_f = _row_minima(f, grid, X, fixed, spans)
+    else:
         # float-identical to the row minimum: subtracting a constant is
         # monotone under correct rounding, so min and subtract commute
-        min_f = _all_finite("the minimum of f(x, .) over K(x)", mins - h_x, point)
-        records = [SolutionRecord(point(j), float(residuals[j]), float(min_f[j])) for j in np.flatnonzero(min_f >= -eps)]
-    else:
-        if X is None:
-
-            def inner_min(x, ranges):
-                image = itertools.product(*(ax[s:e] for ax, (s, e) in zip(grid.axes, ranges)))
-                return min(f.fn(x, y) for y in image)
-
-        else:
-
-            def inner_min(x, ranges):
-                return float(f.row(x, X[_flat_indices(grid, ranges)]).min())
-
-        def record(i, x, r, ranges):
-            m = _finite("the minimum of f(x, .) over K(x)", inner_min(x, ranges), x)
-            return SolutionRecord(x, float(r), float(m)) if m >= -eps else None
-
-        records, degenerate = _scan(K, cfg, X, record)
+        min_f = _table_minima(table, spans) - table.ravel()[fixed]
+    floats = _all_finite("the minimum of f(x, .) over K(x)", min_f, grid, fixed)
+    chosen = np.flatnonzero(min_f >= -cfg.eps_value)  # exact on exact grids
+    records = [
+        SolutionRecord(x, float(residuals[j]), float(floats[j]))
+        for j, x in zip(chosen, grid.points_at(fixed[chosen]))
+    ]
     return SolveReport(
         problem_kind=kind,
         solutions=tuple(records),
@@ -306,22 +290,13 @@ def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> Solv
     start = time.perf_counter()
     grid = cfg.grid
     X = grid_coords(grid)
-    if X is None:
-        table = [h.fn(p) for p in grid_points(grid)]
-
-        def gap(i, x, r, ranges):
-            return x, r, float(table[i] - min(table[j] for j in _flat_indices(grid, ranges)))
-
-        found, degenerate = _scan(K, cfg, None, gap)
-        points, residuals, gaps = zip(*found) if found else ((), (), ())
-        point, gaps = points.__getitem__, np.array(gaps, dtype=float)
-    else:
-        point, residuals, h_x, mins, degenerate = _separable_scan(h, K, cfg, X)
-        gaps = h_x - mins
-    _all_finite("the gap", gaps, point)
+    table = _objective_table(h, grid, X)
+    fixed, residuals, spans, degenerate = _fixed_points(K, cfg, X)
+    gaps = _all_finite("the gap", table.ravel()[fixed] - _table_minima(table, spans), grid, fixed)
+    chosen = np.flatnonzero(gaps <= cfg.eps_value)
     records = [
-        SolutionRecord(point(j), float(residuals[j]), float(-gaps[j]), gap=float(gaps[j]))
-        for j in np.flatnonzero(gaps <= cfg.eps_value)
+        SolutionRecord(x, float(residuals[j]), float(-gaps[j]), gap=float(gaps[j]))
+        for j, x in zip(chosen, grid.points_at(fixed[chosen]))
     ]
     return SolveReport(
         problem_kind=QOPT,

@@ -163,9 +163,13 @@ class TestExitCodes:
         bad.write_text("[domain]\ndim = banana\n")
         assert main(["solve", str(bad)]) == 2
 
-    @pytest.mark.parametrize("flag, value", [("--grid", "abc"), ("--eps", "-1"), ("--delta", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid", "abc"), ("--eps", "-1"), ("--delta", "-1"), ("--trials", "0"), ("--trials", "-3"), ("--trials", "x")],
+    )
     def test_bad_numeric_flag(self, capsys, flag, value):
-        assert main(["solve", "figure1", flag, value]) == 2
+        command = ["verify", "qvi-unit"] if flag == "--trials" else ["solve", "figure1"]
+        assert main(command + [flag, value]) == 2
         err = capsys.readouterr().err
         assert f"error: argument {flag}" in err and "Traceback" not in err
 

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from quasieq.bifunction import check_condition_iv
-from quasieq.catalog import figure1_instance, random_instance
+from quasieq.catalog import figure1_instance, get_instance, random_instance
 from quasieq.errors import InstanceDefinitionError
-from quasieq.geometry import CompactBox, Grid, contains, grid_coords, grid_points
+from quasieq.geometry import CompactBox, Grid, Root2, contains, grid_coords, grid_points
 from quasieq.setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
@@ -14,10 +16,10 @@ from quasieq.setmap import (
     check_convex_values,
     check_lsc,
     evaluate,
-    fixed_images,
     fixed_point_set,
     fixed_table,
     image_grid,
+    region_index_ranges,
     validate_setmap,
 )
 from quasieq.solver import SolverConfig, smap_closed_graph_probe
@@ -139,11 +141,44 @@ class TestFixedPointSet:
         X = grid_coords(g)
         lo, hi = inst.K.bounds_batch(X)
         reference = np.maximum(np.maximum(lo - X, X - hi).max(axis=1), 0.0)  # with (N, dim) temporaries
-        fixed, residuals, spans = fixed_table(inst.K, g, delta, X)
+        fixed, residuals, _spans = fixed_table(inst.K, g, delta, X)
         assert np.array_equal(fixed, np.flatnonzero(reference <= delta + inst.C.snap()))
         assert residuals.tobytes() == reference[fixed].tobytes()  # bits, signs of zero included
-        yielded = [(i, x, r, ranges) for i, x, r, ranges in fixed_images(inst.K, g, delta)]
-        assert yielded == [(i, tuple(X[i].tolist()), r, s.tolist()) for i, r, s in zip(fixed, residuals, spans)]
+    @pytest.mark.parametrize("delta", [float("nan"), -0.1])
+    def test_fixed_table_refuses_a_delta_that_is_not_nonnegative(self, fig1, delta):
+        C, K = fig1
+        with pytest.raises(ValueError, match="nonnegative"):
+            fixed_table(K, Grid(C, (11,)), delta)
+
+    @staticmethod
+    def _exact_map(name):
+        box = CompactBox((Root2(0),), (Root2(1),))
+        if name == "remark":
+            return get_instance("remark").K
+        if name == "moving-box":
+            return SetValuedMap(box, [lambda x: x[0] * Fraction(1, 2)], [lambda x: (x[0] + 1) * Fraction(1, 2)])
+        # fixed points only on [1/2, sqrt(2)/2], so the residuals elsewhere are exact and positive
+        return SetValuedMap(
+            box, [lambda x: x[0] * Fraction(1, 2) + Fraction(1, 4)], [lambda x: x[0] * Fraction(1, 2) + Root2(0, "1/4")]
+        )
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("name", ["remark", "moving-box", "narrow-box"])
+    def test_exact_fixed_table_matches_per_point_evaluation(self, name, delta):
+        K = self._exact_map(name)
+        g = Grid(K.domain, (17,))
+        expected = []
+        for i, x in enumerate(grid_points(g)):
+            region = K.evaluate(x)
+            r = region.distance_to(x)
+            if r <= delta:
+                expected.append((i, float(r), [list(span) for span in region_index_ranges(region, g, 0.0)]))
+        assert len(expected) > 1
+        fixed, residuals, spans = fixed_table(K, g, delta)
+        assert fixed.dtype == spans.dtype == np.intp and residuals.dtype == float
+        assert list(zip(fixed.tolist(), residuals.tolist(), spans.tolist())) == expected
+        assert fixed_point_set(K, g, delta) == [grid_points(g)[i] for i, _r, _s in expected]
+
 
 class TestClosedGraphProbe:
     def test_figure1_clean(self, fig1):

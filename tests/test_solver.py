@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +21,11 @@ from quasieq.catalog import (
 )
 from quasieq.errors import DegenerateImageError, InstanceDefinitionError, NonFiniteValueError
 from quasieq.expressions import parse_expression
-from quasieq.geometry import CompactBox, Grid, grid_coords, grid_points
+from quasieq.geometry import CompactBox, Grid, Root2, grid_coords, grid_points
 from quasieq.setmap import (
     NO_VIOLATION_FOUND,
     SetValuedMap,
     evaluate,
-    fixed_images,
     fixed_point_set,
     fixed_table,
     image_grid,
@@ -53,6 +53,13 @@ C01 = CompactBox((0.0,), (1.0,))
 def cfg_for(box_or_inst, m, eps=1e-6, delta=0.0):
     box = box_or_inst if isinstance(box_or_inst, CompactBox) else box_or_inst.C
     return SolverConfig(Grid(box, (m,) * box.dim), eps, delta)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("eps, delta", [(float("nan"), 0.0), (1e-6, float("nan")), (-1e-6, 0.0), (0.0, -0.1)])
+    def test_refuses_a_tolerance_that_is_not_nonnegative(self, eps, delta):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SolverConfig(Grid(C01, (11,)), eps, delta)
 
 
 class TestSmap:
@@ -363,11 +370,13 @@ def _slice_reports(h, K, cfg):
     shaped = table.reshape(cfg.grid.points_per_axis)
     eps = cfg.eps_value
     qopt, qep, min_gap, degenerate = [], [], None, 0
-    for i, x, r, ranges in fixed_images(K, cfg.grid, cfg.delta_membership):
-        if any(s >= e for s, e in ranges):
+    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership, X)
+    for i, r, span in zip(fixed, residuals, spans):
+        if any(s >= e for s, e in span):
             degenerate += 1
             continue
-        m = shaped[tuple(slice(s, e) for s, e in ranges)].min()
+        x = tuple(X[i].tolist())
+        m = shaped[tuple(slice(s, e) for s, e in span)].min()
         gap, min_f = float(table[i] - m), float(m - table[i])
         if min_gap is None or gap < min_gap:
             min_gap = gap
@@ -570,15 +579,34 @@ class TestSolverInvariants:
                 rep = solve_qep(scaled, inst.K, cfg)
                 assert [r.point for r in rep.solutions] == [r.point for r in base.solutions]
 
-    @pytest.mark.parametrize("seed, dim, m", [(13, 1, 101), (1004, 2, 41)], ids=["1d", "2d"])
-    def test_row_min_path_matches_pure_eval(self, seed, dim, m):
-        inst = random_instance(seed, dim)
-        cfg = cfg_for(inst, m, eps=inst.eps_default)
-        f = inst.bifunction()
+    @staticmethod
+    def _separable_case(case):
+        """(h, K, cfg) of a seeded float instance or of an exact moving-box problem."""
+        if case in ("1d", "2d"):
+            inst = random_instance(13, 1) if case == "1d" else random_instance(1004, 2)
+            return inst.payload, inst.K, cfg_for(inst, 101 if case == "1d" else 41, eps=inst.eps_default)
+        box = CompactBox((Root2(0),), (Root2(1),))
+        K = SetValuedMap(box, [lambda x: x[0] * Fraction(1, 2)], [lambda x: (x[0] + 1) * Fraction(1, 2)])
+        if case == "exact":
+            h = ObjectiveFunction(lambda p: p[0] * p[0] - p[0] * Root2(0, 1))
+        else:  # h increases by a tiny step, so min f(x, .) is a negative that rounds to -0.0
+            h = ObjectiveFunction(lambda p: p[0] * Fraction(1, 10**400))
+        return h, K, SolverConfig(Grid(box, (17,)), 0.0, 0.0)
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "exact", "exact-tiny"])
+    def test_row_min_path_matches_pure_eval(self, case):
+        h, K, cfg = self._separable_case(case)
+        f = make_opt_bifunction(h, K.domain)
         pure = Bifunction(f.fn, f.domain)
-        a = solve_qep(f, inst.K, cfg)
-        b = solve_qep(pure, inst.K, cfg)
-        q = solve_qopt(inst.payload, inst.K, cfg)
+        a = solve_qep(f, K, cfg)
+        b = solve_qep(pure, K, cfg)
+        q = solve_qopt(h, K, cfg)
         assert a.solutions
         assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, r.min_f) for r in b.solutions]
-        assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, -r.gap) for r in q.solutions]
+        if case == "exact-tiny":
+            # QEP compares the exact minimum with -eps, QOpt the gap rounded to a float;
+            # only 0 and 1/16 hold no grid point below themselves in their images
+            assert [r.point for r in a.solutions] == grid_points(cfg.grid)[:2]
+            assert [r.point for r in q.solutions] == grid_points(cfg.grid)
+        else:
+            assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, -r.gap) for r in q.solutions]
