@@ -51,9 +51,9 @@ class ConditionReport:
         assert (self.verdict == FAIL) == (self.witness is not None)
 
 
-def _column(values, n: int) -> np.ndarray:
-    """A batch evaluation's result as a writable float array of length n (a constant expression gives one number)."""
-    return np.broadcast_to(np.asarray(values, dtype=float), (n,)).copy()
+def _column(values, rows: np.ndarray) -> np.ndarray:
+    """A batch evaluation's result as a writable array of the rows' length and dtype (a constant expression gives one number)."""
+    return np.broadcast_to(np.asarray(values, dtype=rows.dtype), (len(rows),)).copy()
 
 
 class ObjectiveFunction:
@@ -66,10 +66,10 @@ class ObjectiveFunction:
         return self.fn(x)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """h at every row of X."""
+        """h at every row of X, in X's dtype; a callable sees each row as a tuple of Python scalars."""
         if isinstance(self.fn, Expression):
-            return _column(self.fn.eval_batch(X.T), len(X))
-        return np.array([self.fn(tuple(row)) for row in X], dtype=float)
+            return _column(self.fn.eval_batch(X.T), X)
+        return np.array([self.fn(tuple(row)) for row in X.tolist()], dtype=X.dtype)
 
 
 class QviOperator:
@@ -114,10 +114,11 @@ class QviOperator:
 class Bifunction:
     """An evaluable pairing f(x, y) -> scalar over C x C.
 
-    ``row`` evaluates f(x, .) over a batch of second arguments and must be
-    float-identical to mapping ``eval``: adapters pass a vectorized
-    ``row_fn`` for the solvers' inner scans, and an ``Expression`` as ``fn``
-    is evaluated in one batch (row == eval is tested on random expressions,
+    ``row`` evaluates f(x, .) over a batch of second arguments, floats or
+    ``Root2`` objects, and must equal mapping ``eval`` to the bit on floats
+    and exactly on ``Root2``: adapters pass a vectorized ``row_fn`` for the
+    solvers' inner scans, and an ``Expression`` as ``fn`` is evaluated in one
+    batch (row == eval is tested on random expressions,
     tests/test_expressions.py).  Whether f works over exact scalars is read
     from ``domain.is_exact``.  ``objective``, when set, declares f
     separable: f(x, y) = h(y) - h(x) for that objective h, so the solvers
@@ -145,12 +146,12 @@ class Bifunction:
         return self.fn(x, y)
 
     def row(self, x: Point, Y: np.ndarray) -> np.ndarray:
-        """f(x, y) for every row y of Y (floats only)."""
+        """f(x, y) for every row y of Y, in Y's dtype; a callable sees each row as a tuple of Python scalars."""
         if self.row_fn is not None:
             return self.row_fn(x, Y)
         if isinstance(self.fn, Expression):
-            return _column(self.fn.eval_batch(x, Y.T), len(Y))
-        return np.array([self.fn(x, tuple(y)) for y in Y], dtype=float)
+            return _column(self.fn.eval_batch(x, Y.T), Y)
+        return np.array([self.fn(x, tuple(y)) for y in Y.tolist()], dtype=Y.dtype)
 
 
 def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox) -> Bifunction:
@@ -175,9 +176,9 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
                 best = s
         return best
 
-    def row_fn(x: Point, Y: np.ndarray):
-        V = np.asarray(T.vertices(x), dtype=float)
-        D = Y - np.asarray(x, dtype=float)
+    def row_fn(x: Point, Y: np.ndarray):  # in Y's dtype, so exact rows stay exact
+        V = np.asarray(T.vertices(x), dtype=Y.dtype)
+        D = Y - np.asarray(x, dtype=Y.dtype)
         return (V @ D.T).max(axis=0)
 
     return Bifunction(fn, domain, row_fn=row_fn)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -353,19 +353,20 @@ def grid_points(grid: Grid) -> list:
     return [p for p in itertools.product(*grid.axes)]
 
 
-def grid_coords(grid: Grid) -> Optional[np.ndarray]:
-    """All grid points as an (N, dim) float array, row i being grid_points(grid)[i].
+def grid_coords(grid: Grid) -> np.ndarray:
+    """All grid points as an (N, dim) array in the grid's own scalars, row i being grid_points(grid)[i].
 
-    None on exact grids, whose coordinates have no float rendering here.
+    float64 on float boxes, an object array of ``Root2`` on exact boxes.
     """
-    if grid.box.is_exact:
-        return None
-    mesh = np.meshgrid(*[np.asarray(ax) for ax in grid.axes], indexing="ij")
+    dtype = object if grid.box.is_exact else float
+    mesh = np.meshgrid(*[np.asarray(ax, dtype=dtype) for ax in grid.axes], indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 
 def require_finite(what: str, X: np.ndarray, *values: np.ndarray) -> None:
     """Raise NonFiniteValueError naming the first point (row of X) where one of the values is not finite."""
+    if X.dtype == object:
+        return  # a Root2 is always finite
     finite = np.ones(len(X), dtype=bool)
     for v in values:
         finite &= np.isfinite(v.reshape(len(X), -1)).all(axis=1)

@@ -26,7 +26,6 @@ from .geometry import (
     box_distance,
     contains,
     grid_coords,
-    grid_points,
     point_distance,
     require_finite,
 )
@@ -130,29 +129,31 @@ class SetValuedMap:
         return ConvexRegion(tuple(lo), tuple(hi))
 
     def bounds_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Clipped bound matrices for the rows of X, an (N, dim) array of points of a float domain.
+        """Clipped bound matrices for the rows of X, an (N, dim) array of points in the domain's scalars.
 
-        When every bound is an ``Expression`` they are evaluated in one
-        batch; otherwise each bound function is called once per row, with the
-        row as a tuple of Python floats.  Raises NonFiniteValueError at the
-        first row with a non-finite clipped bound, then InstanceDefinitionError
-        at the first row whose image is empty, each naming that point.
+        The matrices keep X's dtype: floats, or ``Root2`` objects on exact
+        domains.  When every bound is an ``Expression`` they are evaluated in
+        one batch; otherwise each bound function is called once per row, with
+        the row as a tuple of Python scalars.  Raises NonFiniteValueError at
+        the first row with a non-finite clipped bound, then
+        InstanceDefinitionError at the first row whose image is empty, each
+        naming that point.
         """
         box = self.domain
-        lo = np.empty(X.shape)
-        hi = np.empty(X.shape)
+        lo = np.empty(X.shape, dtype=X.dtype)
+        hi = np.empty(X.shape, dtype=X.dtype)
         if all(isinstance(fn, Expression) for fn in self.lower_fns + self.upper_fns):
             for k in range(box.dim):
                 lo[:, k] = self.lower_fns[k].eval_batch(X.T)
                 hi[:, k] = self.upper_fns[k].eval_batch(X.T)
         else:
-            for i, row in enumerate(X):
-                x = tuple(row.tolist())
+            for i, row in enumerate(X.tolist()):
+                x = tuple(row)
                 for k in range(box.dim):
                     lo[i, k] = self.lower_fns[k](x)
                     hi[i, k] = self.upper_fns[k](x)
-        np.maximum(lo, np.asarray(box.lower, dtype=float), out=lo)
-        np.minimum(hi, np.asarray(box.upper, dtype=float), out=hi)
+        np.maximum(lo, np.asarray(box.lower, dtype=X.dtype), out=lo)
+        np.minimum(hi, np.asarray(box.upper, dtype=X.dtype), out=hi)
         require_finite("a map bound", X, lo, hi)
         empty = np.flatnonzero((lo > hi).any(axis=1))
         if empty.size:
@@ -197,27 +198,16 @@ def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.
     ``residuals`` the membership residuals as floats and ``spans[j, k]`` the
     (start, stop) index range on axis k of the grid points in K(x), start >=
     stop if none.  The domain's membership snap widens the residual limit and
-    the ranges.  Float grids take all of them from one ``bounds_batch``
-    table of ``X = grid_coords(grid)``; exact grids evaluate K once per point
-    and test the residual in exact arithmetic.
+    the ranges.  All of them come from one ``bounds_batch`` table of ``X =
+    grid_coords(grid)``, in the grid's scalars: exact grids test the residual
+    in exact arithmetic and round it to a float only on return.
     """
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     snap = K.domain.snap()
-    if grid.box.is_exact:
-        fixed, residuals, spans = [], [], []
-        for i, x in enumerate(grid_points(grid)):
-            region = K.evaluate(x)  # one evaluation gives the residual and the ranges
-            r = region.distance_to(x)
-            if r <= delta + snap:
-                fixed.append(i)
-                residuals.append(float(r))
-                spans.append(region_index_ranges(region, grid, snap))
-        spans = np.array(spans, dtype=np.intp).reshape(len(fixed), grid.dim, 2)
-        return np.array(fixed, dtype=np.intp), np.array(residuals, dtype=float), spans
     X = grid_coords(grid) if X is None else X
     lo, hi = K.bounds_batch(X)
-    residuals = np.zeros(len(X))  # a running maximum over N-vectors: no (N, dim) temporaries
+    residuals = np.zeros(len(X), dtype=X.dtype)  # a running maximum over N-vectors: no (N, dim) temporaries
     for k in range(grid.dim):
         np.maximum(residuals, lo[:, k] - X[:, k], out=residuals)
         np.maximum(residuals, X[:, k] - hi[:, k], out=residuals)
@@ -225,10 +215,10 @@ def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.
     fixed = np.flatnonzero(residuals <= delta + snap)
     spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
     for k in range(grid.dim):
-        ax = np.asarray(grid.axes[k])  # once: searchsorted would convert the tuple on each call
+        ax = np.asarray(grid.axes[k], dtype=X.dtype)  # once: searchsorted would convert the tuple on each call
         spans[:, k, 0] = np.searchsorted(ax, lo[fixed, k] - snap, side="left")
         spans[:, k, 1] = np.searchsorted(ax, hi[fixed, k] + snap, side="right")
-    return fixed, residuals[fixed], spans
+    return fixed, residuals[fixed].astype(float), spans
 
 
 def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:
@@ -390,9 +380,4 @@ def check_convex_values(
 
 def validate_setmap(K: SetValuedMap, grid: Grid) -> None:
     """Load-time validation: every grid x has a finite, nonempty image inside C."""
-    X = grid_coords(grid)
-    if X is None:
-        for p in grid_points(grid):
-            K.evaluate(p)  # raises InstanceDefinitionError when empty
-    else:
-        K.bounds_batch(X)
+    K.bounds_batch(grid_coords(grid))

@@ -8,16 +8,16 @@ reformulations literal sequence equalities.
 
 QEP, EP, QVI and QOpt run one straight line over the arrays of
 ``setmap.fixed_table``, which alone finds the fixed points x in K(x), in
-lexicographic order and with the index ranges of their image grids.  The
-inner minimum depends only on the payload.  Separable payloads (QOpt gaps
-and the opt adapter's h(y) - h(x)) read one table of h over the grid: on
-float grids a sparse table of range minima answers every image at once,
-built one level tuple at a time, so it holds about d grid-sized arrays,
-never all its levels; on exact grids each image's minimum is the first
-minimum of its slice.  Other payloads take the minimum of f(x, .) one fixed
-point at a time: ``Bifunction.row`` on the image's block of the grid on
-float grids, the scalar ``fn`` in exact arithmetic on exact grids.  Reports
-are deterministic for a given instance and config.
+lexicographic order and with the index ranges of their image grids.  Every
+array holds the grid's own scalars, as ``geometry.grid_coords`` gives them:
+floats, or ``Root2`` objects on exact grids, which stay exact until the
+report rounds them.  The inner minimum depends only on the payload.
+Separable payloads (QOpt gaps and the opt adapter's h(y) - h(x)) read one
+table of h over the grid, and a sparse table of range minima answers every
+image at once, built one level tuple at a time, so it holds about d
+grid-sized arrays, never all its levels.  Other payloads take the minimum of
+``Bifunction.row`` over the image's block of the grid, one fixed point at a
+time.  Reports are deterministic for a given instance and config.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .bifunction import (
     make_opt_bifunction,
 )
 from .errors import DegenerateImageError, NonFiniteValueError
-from .geometry import Grid, Point, grid_coords, grid_points, require_finite
+from .geometry import Grid, Point, grid_coords, require_finite
 from .setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
@@ -119,7 +119,7 @@ def _box(span) -> tuple:
     return tuple(slice(s, e) for s, e in span)
 
 
-def _fixed_points(K: SetValuedMap, cfg: SolverConfig, X: Optional[np.ndarray]) -> tuple:
+def _fixed_points(K: SetValuedMap, cfg: SolverConfig, X: np.ndarray) -> tuple:
     """``setmap.fixed_table``'s arrays less the fixed points whose image holds no grid point, and their count."""
     fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership, X)
     held = (spans[:, :, 0] < spans[:, :, 1]).all(axis=1)
@@ -136,36 +136,18 @@ def _all_finite(what: str, values, grid: Grid, fixed: np.ndarray) -> np.ndarray:
     return values
 
 
-def _objective_table(h: ObjectiveFunction, grid: Grid, X: Optional[np.ndarray]) -> np.ndarray:
-    """h over the grid, shaped ``grid.points_per_axis``: floats, or exact values as objects on exact grids."""
-    if X is None:
-        table = np.array([h.fn(p) for p in grid_points(grid)], dtype=object)
-    else:
-        table = h.eval_batch(X)
-        require_finite("the objective", X, table)
+def _objective_table(h: ObjectiveFunction, grid: Grid, X: np.ndarray) -> np.ndarray:
+    """h over the grid, shaped ``grid.points_per_axis``, in X's scalars."""
+    table = h.eval_batch(X)
+    require_finite("the objective", X, table)
     return table.reshape(grid.points_per_axis)
 
 
-def _table_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The table's minimum over each box of ``spans``: the sparse table on floats, the first minimum on objects."""
-    if table.dtype == object:
-        return np.array([min(table[_box(span)].flat) for span in spans], dtype=object)
-    return _range_minima(table, spans)
-
-
-def _row_minima(f: Bifunction, grid: Grid, X: Optional[np.ndarray], fixed: np.ndarray, spans: np.ndarray):
-    """The minimum of f(x, .) over the image of each fixed point x, one fixed point at a time.
-
-    Float grids evaluate ``f.row`` on the image's block of X, its rows in
-    lexicographic order; exact grids call ``f.fn`` at every image point and
-    keep the exact minimum.
-    """
-    points = grid.points_at(fixed)
-    if X is None:
-        images = (itertools.product(*(ax[s:e] for ax, (s, e) in zip(grid.axes, span))) for span in spans)
-        return np.array([min(f.fn(x, y) for y in image) for x, image in zip(points, images)], dtype=object)
+def _row_minima(f: Bifunction, grid: Grid, X: np.ndarray, fixed: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The minimum of ``f.row(x, .)`` over the image's block of X, its rows in lexicographic order, for each fixed point x."""
     cube = X.reshape(grid.points_per_axis + (grid.dim,))
-    return np.array([f.row(x, cube[_box(span)].reshape(-1, grid.dim)).min() for x, span in zip(points, spans)])
+    rows = (cube[_box(span)].reshape(-1, grid.dim) for span in spans)
+    return np.array([f.row(x, Y).min() for x, Y in zip(grid.points_at(fixed), rows)], dtype=X.dtype)
 
 
 def _range_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -175,13 +157,14 @@ def _range_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
     with levels a_k = floor(log2(stop_k - start_k)) is the union of the 2^d
     boxes of sides 2^a_k at start_k or at stop_k - 2^a_k.  A minimum equals
     the slice minimum but for the sign of a zero, so on a table holding both
-    zeros the zero minima are taken from the slice.
+    zeros the zero minima are taken from the slice.  ``Root2`` objects have
+    one zero, and their minima are exact.
     """
     starts = spans[:, :, 0]
     levels = np.frexp(spans[:, :, 1] - starts)[1] - 1
-    mins = np.empty(len(spans))
+    mins = np.empty(len(spans), dtype=table.dtype)
     _answer_levels(table, 0, np.arange(len(spans)), starts, spans[:, :, 1] - (1 << levels), levels, mins)
-    signs = np.signbit(table[table == 0])
+    signs = np.signbit(table[table == 0].astype(float))
     if signs.any() and not signs.all():
         for q in np.flatnonzero(mins == 0):
             mins[q] = table[_box(spans[q])].min()
@@ -211,21 +194,18 @@ def _answer_levels(window, axis, queries, starts, ends, levels, mins) -> None:
 # -- the selection map ------------------------------------------------------
 
 
-def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> SMapResult:
-    """Members x0 of the image grid with f(x0, y) >= -eps for all image y."""
-    grid = cfg.grid
-    eps = cfg.eps_value
+def _image_rows(K: SetValuedMap, x: Point, grid: Grid) -> tuple:
+    """The image grid of x as a list of points and as the rows of an array of their scalars."""
     pts = image_grid(K, x, grid)
     if not pts:
         raise DegenerateImageError(f"image grid of {x} is empty")
-    if grid.box.is_exact:
-        members = []
-        for x0 in pts:
-            vals = [f.fn(x0, y) for y in pts]
-            if all(v >= -eps for v in vals):
-                members.append(x0)
-        return SMapResult(x, tuple(members))
-    Y = np.asarray(pts, dtype=float)
+    return pts, np.array(pts)  # floats, or Root2 objects on exact grids
+
+
+def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> SMapResult:
+    """Members x0 of the image grid with f(x0, y) >= -eps for all image y."""
+    eps = cfg.eps_value
+    pts, Y = _image_rows(K, x, cfg.grid)
     h = f.objective
     if h is not None:
         h_min = h.eval_batch(Y).min()
@@ -248,7 +228,7 @@ def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP
     else:
         # float-identical to the row minimum: subtracting a constant is
         # monotone under correct rounding, so min and subtract commute
-        min_f = _table_minima(table, spans) - table.ravel()[fixed]
+        min_f = _range_minima(table, spans) - table.ravel()[fixed]
     floats = _all_finite("the minimum of f(x, .) over K(x)", min_f, grid, fixed)
     chosen = np.flatnonzero(min_f >= -cfg.eps_value)  # exact on exact grids
     records = [
@@ -274,14 +254,7 @@ def solve_ep(f: Bifunction, C_box, cfg: SolverConfig) -> SolveReport:
 
 def qopt_gap(h: ObjectiveFunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> float:
     """h(x) minus the minimum of h over the image grid of x."""
-    grid = cfg.grid
-    pts = image_grid(K, x, grid)
-    if not pts:
-        raise DegenerateImageError(f"image grid of {x} is empty")
-    if grid.box.is_exact:
-        m = min(h.fn(p) for p in pts)
-        return float(h.fn(x) - m)
-    Y = np.asarray(pts, dtype=float)
+    _pts, Y = _image_rows(K, x, cfg.grid)
     return float(h.fn(x) - h.eval_batch(Y).min())
 
 
@@ -292,7 +265,7 @@ def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> Solv
     X = grid_coords(grid)
     table = _objective_table(h, grid, X)
     fixed, residuals, spans, degenerate = _fixed_points(K, cfg, X)
-    gaps = _all_finite("the gap", table.ravel()[fixed] - _table_minima(table, spans), grid, fixed)
+    gaps = _all_finite("the gap", table.ravel()[fixed] - _range_minima(table, spans), grid, fixed)
     chosen = np.flatnonzero(gaps <= cfg.eps_value)
     records = [
         SolutionRecord(x, float(residuals[j]), float(-gaps[j]), gap=float(gaps[j]))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quasieq.bifunction import (
@@ -62,6 +63,33 @@ class TestEval:
             f.eval((3.0,), (0.5,))
 
 
+class TestBatchArguments:
+    """A callable sees Python scalars in batches too, so batch and scalar calls behave alike."""
+
+    def test_callables_see_python_floats_on_every_path(self):
+        seen = []
+
+        def record(p):
+            seen.append(type(p[0]).__name__)
+            return p[0]
+
+        Y = np.array([[0.5]])
+        ObjectiveFunction(record)((0.5,))
+        ObjectiveFunction(record).eval_batch(Y)
+        Bifunction(lambda x, y: record(y), C02).row((0.5,), Y)
+        assert seen == ["float", "float", "float"]
+
+    def test_overflow_raises_alike_in_batches(self):
+        h = ObjectiveFunction(lambda p: p[0] ** 400)
+        f = Bifunction(lambda x, y: y[0] ** 400, CompactBox((0.0,), (20.0,)))
+        with pytest.raises(OverflowError) as scalar:
+            h((10.0,))
+        for batch in (lambda: h.eval_batch(np.array([[10.0]])), lambda: f.row((0.0,), np.array([[10.0]]))):
+            with pytest.raises(OverflowError) as batched:
+                batch()
+            assert batched.value.args == scalar.value.args
+
+
 class TestOptAdapter:
     def test_parabola_value(self):
         h = ObjectiveFunction(parse_expression("power(x_1 - 1, 2)"))
@@ -81,8 +109,6 @@ class TestOptAdapter:
             assert abs(f.eval(x, y) + f.eval(y, x)) <= 1e-12
 
     def test_row_matches_scalar_eval(self):
-        import numpy as np
-
         f = fig1_f()
         Y = np.linspace(0.0, 2.0, 101).reshape(-1, 1)
         row = f.row((0.3,), Y)

@@ -60,6 +60,11 @@ class TestEvaluate:
             evaluate(K, (0.5,))
         with pytest.raises(InstanceDefinitionError):
             validate_setmap(K, Grid(C, (5,)))
+        # exact grids take the same bounds table, which names the first empty grid point
+        E = CompactBox((Root2(0),), (Root2(1),))
+        K = SetValuedMap(E, [lambda x: x[0] + Root2(0, "1/4")], [lambda x: x[0] + 1])
+        with pytest.raises(InstanceDefinitionError, match=r"image of grid point \(Root2\(Fraction\(3, 4\)"):
+            validate_setmap(K, Grid(E, (5,)))
 
 
 class TestImageGrid:

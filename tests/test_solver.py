@@ -15,6 +15,7 @@ from quasieq.bifunction import (
 )
 from quasieq.catalog import (
     figure1_instance,
+    get_instance,
     quasiconvex_variant_instance,
     qvi_instance,
     random_instance,
@@ -398,14 +399,24 @@ class TestRangeMinima:
         return [table[tuple(slice(s, e) for s, e in span)].min() for span in spans]
 
     @pytest.mark.parametrize("shape", [(300,), (1, 40), (40, 1), (25, 25), (9, 1, 9), (12, 12, 12)])
-    @pytest.mark.parametrize("zeros", [False, True], ids=["normal", "mixed-zeros"])
-    def test_random_boxes_match_slice_minimum(self, shape, zeros):
+    @pytest.mark.parametrize("kind", ["normal", "mixed-zeros", "root2"])
+    def test_random_boxes_match_slice_minimum(self, shape, kind):
         rng = np.random.default_rng(len(shape) * 100 + shape[0])
-        table = rng.choice([0.0, -0.0, 1.5, 2.0], size=shape) if zeros else rng.normal(size=shape)
-        starts = np.stack([rng.integers(0, n, 1500) for n in shape], axis=1)
+        if kind == "root2":  # exact values with repeats, an exact zero among them
+            values = [Root2(0), Root2(1, -1), Root2(-1, 1), Root2(Fraction(1, 2)), Root2(Fraction(-1, 3), Fraction(1, 4))]
+            table = np.array(values, dtype=object)[rng.integers(0, len(values), size=shape)]
+        else:
+            table = rng.choice([0.0, -0.0, 1.5, 2.0], size=shape) if kind == "mixed-zeros" else rng.normal(size=shape)
+        queries = 200 if kind == "root2" else 1500
+        starts = np.stack([rng.integers(0, n, queries) for n in shape], axis=1)
         stops = np.stack([rng.integers(starts[:, k] + 1, n + 1) for k, n in enumerate(shape)], axis=1)
         spans = np.stack([starts, stops], axis=2)
-        assert _bits(_range_minima(table, spans)) == _bits(self._slice_minima(table, spans))
+        mins = _range_minima(table, spans)
+        if kind == "root2":
+            assert mins.dtype == object
+            assert list(mins) == [min(table[tuple(slice(s, e) for s, e in span)].flat) for span in spans]
+        else:
+            assert _bits(mins) == _bits(self._slice_minima(table, spans))
 
     @staticmethod
     def _case(name):
@@ -589,11 +600,13 @@ class TestSolverInvariants:
         K = SetValuedMap(box, [lambda x: x[0] * Fraction(1, 2)], [lambda x: (x[0] + 1) * Fraction(1, 2)])
         if case == "exact":
             h = ObjectiveFunction(lambda p: p[0] * p[0] - p[0] * Root2(0, 1))
-        else:  # h increases by a tiny step, so min f(x, .) is a negative that rounds to -0.0
+        elif case == "exact-tiny":  # h increases by a tiny step, so min f(x, .) is a negative that rounds to -0.0
             h = ObjectiveFunction(lambda p: p[0] * Fraction(1, 10**400))
+        else:  # the same as an expression, whose float constants multiply exactly in Root2
+            h = ObjectiveFunction(parse_expression("x_1 * 1e-300 * 1e-300"))
         return h, K, SolverConfig(Grid(box, (17,)), 0.0, 0.0)
 
-    @pytest.mark.parametrize("case", ["1d", "2d", "exact", "exact-tiny"])
+    @pytest.mark.parametrize("case", ["1d", "2d", "exact", "exact-tiny", "exact-tiny-expression"])
     def test_row_min_path_matches_pure_eval(self, case):
         h, K, cfg = self._separable_case(case)
         f = make_opt_bifunction(h, K.domain)
@@ -603,10 +616,46 @@ class TestSolverInvariants:
         q = solve_qopt(h, K, cfg)
         assert a.solutions
         assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, r.min_f) for r in b.solutions]
-        if case == "exact-tiny":
+        if case.startswith("exact-tiny"):
             # QEP compares the exact minimum with -eps, QOpt the gap rounded to a float;
             # only 0 and 1/16 hold no grid point below themselves in their images
             assert [r.point for r in a.solutions] == grid_points(cfg.grid)[:2]
             assert [r.point for r in q.solutions] == grid_points(cfg.grid)
         else:
             assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, -r.gap) for r in q.solutions]
+
+    @pytest.mark.parametrize("payload", ["expression", "qvi"])
+    def test_exact_row_payloads_stay_exact(self, payload):
+        # f(x, y) is a tiny multiple of y - x, negative below x but zero once rounded to a float
+        _h, K, cfg = self._separable_case("exact-tiny")
+        box = K.domain
+        if payload == "expression":
+            f = Bifunction(parse_expression("(y_1 - x_1) * 1e-300 * 1e-300"), box)
+        else:
+            f = make_qvi_bifunction(QviOperator(lambda x: ((Root2(Fraction(1, 10**400)),),)), box)
+        pure = Bifunction(lambda x, y: f.fn(x, y), box)  # one scalar call per pair
+        expected = grid_points(cfg.grid)[:2]
+        assert [r.point for r in solve_qep(f, K, cfg).solutions] == expected
+        assert [r.point for r in solve_qep(pure, K, cfg).solutions] == expected
+
+    @pytest.mark.parametrize("case", ["exact", "exact-tiny"])
+    def test_exact_smap_and_gap_match_per_point_reference(self, case):
+        h, K, cfg = self._separable_case(case)
+        eps = cfg.eps_value
+        f = make_opt_bifunction(h, K.domain)
+        for x in grid_points(cfg.grid):
+            pts = image_grid(K, x, cfg.grid)
+            members = tuple(x0 for x0 in pts if all(f.fn(x0, y) >= -eps for y in pts))
+            assert smap(f, K, x, cfg).members == members
+            assert smap(Bifunction(f.fn, f.domain), K, x, cfg).members == members
+            assert qopt_gap(h, K, x, cfg) == float(h.fn(x) - min(h.fn(y) for y in pts))
+        if case == "exact-tiny":
+            assert members == (pts[0],)  # float values would keep every image point
+
+    def test_remark_smap_matches_per_point_reference(self):
+        inst = get_instance("remark")
+        f, cfg = inst.bifunction(), inst.config(points_per_axis=(17,))
+        for x in grid_points(cfg.grid):
+            pts = image_grid(inst.K, x, cfg.grid)
+            members = tuple(x0 for x0 in pts if all(f.fn(x0, y) >= -cfg.eps_value for y in pts))
+            assert smap(f, inst.K, x, cfg).members == members
