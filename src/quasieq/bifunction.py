@@ -11,7 +11,10 @@ f works over exact Q[sqrt(2)] scalars exactly when its domain box does.
 The checkers are falsifiers with verdicts FAIL / NO_VIOLATION_FOUND.  They run
 deterministic structured probes (coarse lattices, segment midpoints, and for
 exact scalars a sqrt(2)-witness family) before seeded random trials, so
-measure-zero witnesses are found reproducibly.
+measure-zero witnesses are found reproducibly.  Their budgets and tolerances
+are ``sampling`` constants: f-values are compared with tolerance 0 over exact
+scalars and ``sampling.FLOAT_TOL`` over floats.  Only ``trials`` and ``seed``
+are parameters.
 """
 
 from __future__ import annotations
@@ -184,41 +187,26 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
     return Bifunction(fn, domain, row_fn=row_fn)
 
 
-def _default_tol(f: Bifunction, tol: Optional[float]) -> float:
-    if tol is not None:
-        return tol
-    return 0.0 if f.domain.is_exact else 1e-9
-
-
 # -- condition checkers -----------------------------------------------------
 
 
-def check_condition_ii(
-    f: Bifunction,
-    C: CompactBox,
-    y_samples: int = 24,
-    pair_samples: int = 400,
-    tol: Optional[float] = None,
-    seed: int = sampling.CHECK_SEED,
-) -> ConditionReport:
+def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_SEED) -> ConditionReport:
     """Convexity of {x in C : f(x, y) >= 0} for sampled y.
 
     Takes sampled x1, x2 in the level set and checks the segment stays in it.
     """
-    if y_samples < 1 or pair_samples < 1:
-        raise ValueError("sample counts must be >= 1")
-    tol = _default_tol(f, tol)
     exact = f.domain.is_exact
+    tol = sampling.tolerance(exact)
     rng = random.Random(seed)
     xs = sampling.box_lattice(C)
-    ys = list(xs[: max(1, y_samples)])
-    ys += sampling.random_points(C, rng, max(0, y_samples - len(ys)))
+    ys = xs[: sampling.LEVEL_SETS]
+    ys += sampling.random_points(C, rng, sampling.LEVEL_SETS - len(ys))
     samples = 0
     for y in ys:
         vals = [f.fn(x, y) for x in xs]
         samples += len(vals)
         eligible = [x for x, v in zip(xs, vals) if v >= 0]
-        for x1, x2 in itertools.islice(itertools.combinations(eligible, 2), pair_samples):
+        for x1, x2 in itertools.islice(itertools.combinations(eligible, 2), sampling.LEVEL_SET_PAIRS):
             for lam in sampling.lambdas(exact, rng):
                 mid = convex_combination((x1, x2), sampling.pair_weights(lam))
                 v = f.fn(mid, y)
@@ -238,18 +226,13 @@ def check_condition_ii(
 
 
 def check_condition_iii(
-    f: Bifunction,
-    C: CompactBox,
-    subset_size_max: int = 4,
-    trials: int = 400,
-    tol: Optional[float] = None,
-    seed: int = sampling.CHECK_SEED,
+    f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """The finite-subset condition: max_i f(x, x_i) >= 0 for x in the convex hull."""
-    if subset_size_max < 1 or trials < 1:
-        raise ValueError("subset_size_max and trials must be >= 1")
-    tol = _default_tol(f, tol)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     exact = f.domain.is_exact
+    tol = sampling.tolerance(exact)
     rng = random.Random(seed + 1)
     lattice = sampling.box_lattice(C)
     samples = 0
@@ -277,25 +260,19 @@ def check_condition_iii(
         if w is not None:
             return ConditionReport("iii", FAIL, w, samples, tol)
     # seeded random subsets and weights
-    pool = lattice + sampling.random_points(C, rng, 16)
+    pool = lattice + sampling.random_points(C, rng, sampling.SUBSET_POOL_EXTRA)
     for _ in range(trials):
-        w = violates(*sampling.random_subset(pool, rng, exact, subset_size_max))
+        w = violates(*sampling.random_subset(pool, rng, exact))
         if w is not None:
             return ConditionReport("iii", FAIL, w, samples, tol)
     return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
-def check_condition_iv(
-    f: Bifunction,
-    grid: Grid,
-    radii: Optional[Sequence[float]] = None,
-    tol: Optional[float] = None,
-    seed: int = sampling.CHECK_SEED,
-) -> ConditionReport:
+def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEED) -> ConditionReport:
     """Falsifier for closedness of {(x, y) : f(x, y) >= 0}.
 
-    Candidates are sampled pairs with f below a margin (default 2% of the
-    sampled value range, so continuous bifunctions are never flagged); the
+    Candidates are sampled pairs with f below a margin (2% of the sampled
+    value range, so continuous bifunctions are never flagged); the
     refinement search may evaluate off-grid since f is total on C x C.
     """
     C = grid.box
@@ -305,13 +282,8 @@ def check_condition_iv(
     pairs = [(x, y) for x in lattice for y in lattice]
     vals = [f.fn(x, y) for x, y in pairs]
     samples = len(vals)
-    fvals = [float(v) for v in vals]
-    value_range = max(fvals) - min(fvals) if fvals else 0.0
-    margin = max(tol if tol is not None else 0.0, 0.02 * value_range)
-    if margin == 0.0:
-        margin = 1e-9
-    radii = tuple(radii) if radii is not None else sampling.pair_probe_radii(C)
-    sampling.check_ladder(radii, margin)
+    margin = sampling.pair_probe_margin([float(v) for v in vals])
+    radii = sampling.pair_probe_radii(C)
 
     def to_domain(p):
         return tuple(Root2.from_float(v) for v in p) if exact else p
@@ -336,7 +308,7 @@ def check_condition_iv(
     return ConditionReport("iv", NO_VIOLATION_FOUND, None, samples, margin)
 
 
-def _segment_check(condition_id, f, C, trials, tol, seed, draw, violates, lead=()) -> ConditionReport:
+def _segment_check(condition_id, f, C, trials, seed, draw, violates, lead=()) -> ConditionReport:
     """The driver of the mirrored quasiconvexity checks.
 
     Tries the ``lead`` probes, then the lattice-pair and random-trial stages
@@ -346,8 +318,8 @@ def _segment_check(condition_id, f, C, trials, tol, seed, draw, violates, lead=(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tol = _default_tol(f, tol)
     exact = f.domain.is_exact
+    tol = sampling.tolerance(exact)
     plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed), exact, trials, draw)
     samples = 0
     for probe in itertools.chain(lead, plan):
@@ -359,11 +331,7 @@ def _segment_check(condition_id, f, C, trials, tol, seed, draw, violates, lead=(
 
 
 def check_quasiconvex_second(
-    f: Bifunction,
-    C: CompactBox,
-    trials: int = 400,
-    tol: Optional[float] = None,
-    seed: int = sampling.CHECK_SEED,
+    f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """Quasiconvexity of f(x, .): f(x, mid) <= max(f(x,y1), f(x,y2)) + tol."""
 
@@ -380,17 +348,13 @@ def check_quasiconvex_second(
 
     lead = []
     if f.domain.is_exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
-        xs = sampling.box_lattice(C)[:4]
+        xs = sampling.box_lattice(C)[: sampling.SQRT2_LEAD_POINTS]
         lead = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
-    return _segment_check("qcvx_second", f, C, trials, tol, seed + 3, draw, violates, lead)
+    return _segment_check("qcvx_second", f, C, trials, seed + 3, draw, violates, lead)
 
 
 def check_quasiconcave_first(
-    f: Bifunction,
-    C: CompactBox,
-    trials: int = 400,
-    tol: Optional[float] = None,
-    seed: int = sampling.CHECK_SEED,
+    f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """Quasiconcavity of f(., y): f(mid, y) >= min(f(x1,y), f(x2,y)) - tol."""
 
@@ -406,21 +370,18 @@ def check_quasiconcave_first(
         x1, x2, y = sampling.random_points(C, rng, 3)
         return y, x1, x2
 
-    return _segment_check("qccv_first", f, C, trials, tol, seed + 4, draw, violates)
+    return _segment_check("qccv_first", f, C, trials, seed + 4, draw, violates)
 
 
-def check_diagonal_zero(
-    f: Bifunction,
-    grid: Grid,
-    tol: Optional[float] = None,
-) -> ConditionReport:
-    """|f(x, x)| <= tol at every grid x; FAIL with the first offender."""
-    tol = _default_tol(f, tol)
+def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
+    """|f(x, x)| <= tol at every grid x (exactly 0 over exact scalars); FAIL with the first offender."""
+    exact = f.domain.is_exact
+    tol = sampling.tolerance(exact)
     samples = 0
     for x in grid_points(grid):
         v = f.fn(x, x)
         samples += 1
-        bad = (v != 0) if f.domain.is_exact and tol == 0 else not (abs(v) <= tol)
+        bad = (v != 0) if exact else not (abs(v) <= tol)
         if bad:
             witness = {"x": x, "f_value": v}
             return ConditionReport("diagonal_zero", FAIL, witness, samples, tol)

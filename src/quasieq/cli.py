@@ -16,10 +16,11 @@ the six theorem checks, plus the extra checks a file's ``[checks] run``
 names (all three by default; a theorem check named there is refused); their
 sampling trials and seed come from --trials and --seed alone, and a file
 that sets them is refused.  Exit codes: 0 = ran, 2 = bad input (unknown
-flags, malformed or negative numbers, --trials below 1, bad files, a map
-image that is empty or a value that is not finite at some grid point;
-always with an ``error:`` line, never a traceback), 3 = verify flagged an
-anomaly (all hypothesis checks clean yet the solution set came back empty).
+flags, malformed or negative numbers, --trials below 1, a grid over
+``geometry.GRID_POINT_BUDGET`` points, bad files, a map image that is empty
+or a value that is not finite at some grid point; always with an ``error:``
+line, never a traceback), 3 = verify flagged an anomaly (all hypothesis
+checks clean yet the solution set came back empty).
 
 solve, catalog run and the solve step of verify all run the solver's one
 pass over the fixed-point table, single-threaded.  It checks the map's
@@ -37,6 +38,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from . import sampling
 from .bifunction import (
     check_diagonal_zero,
     check_quasiconcave_first,
@@ -97,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser("verify", help="run hypothesis checkers and flag anomalies")
     verify_cmd.add_argument("target", type=str)
     add_solver_flags(verify_cmd)
-    verify_cmd.add_argument("--trials", type=_trials_arg, default=400)
-    verify_cmd.add_argument("--seed", type=int, default=1729, help="seed for sampled checkers")
+    verify_cmd.add_argument("--trials", type=_trials_arg, default=sampling.CHECK_TRIALS)
+    verify_cmd.add_argument("--seed", type=int, default=sampling.CHECK_SEED, help="seed for sampled checkers")
 
     cat = sub.add_parser("catalog", help="list or run built-in instances")
     cat_sub = cat.add_subparsers(dest="catalog_command", required=True)

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import InstanceDefinitionError, NonFiniteValueError
 
 MAX_DIM = 3
+#: The most points a grid may have; a larger one is refused before any axis is built.
+GRID_POINT_BUDGET = 2**24
 
 #: Machine-noise guard for box membership comparisons, scaled by box diameter.
 #: Grid coordinates and affine bound evaluations agree with the ideal real
@@ -287,6 +289,8 @@ class Grid:
             raise InstanceDefinitionError("points_per_axis does not match box dimension")
         if any(m < 2 for m in ppa):
             raise InstanceDefinitionError("need at least 2 grid points per axis")
+        if self.size() > GRID_POINT_BUDGET:
+            raise InstanceDefinitionError(f"a grid of {self.size()} points exceeds the budget of {GRID_POINT_BUDGET}")
         object.__setattr__(self, "_axes", tuple(self._axis_coords(k) for k in range(self.box.dim)))
 
     def _axis_coords(self, k: int) -> tuple:

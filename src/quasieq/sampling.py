@@ -2,9 +2,10 @@
 
 Every sampling decision of the checkers in ``setmap``, ``bifunction`` and
 ``solver.smap_closed_graph_probe`` is made here: budgets, lattices, radius
-ladders and margins, seeds and every seeded draw.  The checkers evaluate what
-a plan names.  Plans are lazy (a draw happens when the checker reaches it),
-so each checker's RNG calls come in one fixed order.  The budgets set the
+ladders and margins, tolerances, seeds and every seeded draw.  A checker's
+only sampling parameters are ``trials`` and ``seed``; it evaluates what a
+plan names.  Plans are lazy (a draw happens when the checker reaches it), so
+each checker's RNG calls come in one fixed order.  The budgets set the
 witnesses: changing one changes reports.
 """
 
@@ -14,7 +15,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .geometry import CompactBox, Grid, Point, Root2
 
@@ -25,11 +26,33 @@ SMAP_PROBE_BUDGET = {1: 21, 2: 7, 3: 4}
 #: Lattice points per axis of the box lattice of the bifunction checkers.
 BOX_LATTICE_BUDGET = {1: 21, 2: 7, 3: 5}
 
+#: condition_ii: level sets {x : f(x, y) >= 0} per check, and lattice pairs per level set.
+LEVEL_SETS = 24
+LEVEL_SET_PAIRS = 400
+#: condition_iii: random points added to the lattice pool, and the largest random subset.
+SUBSET_POOL_EXTRA = 16
+SUBSET_SIZE_MAX = 4
+#: qcvx_second on exact domains: lattice points x paired with each sqrt(2) witness pair.
+SQRT2_LEAD_POINTS = 4
+#: convex_values: point pairs per image, and random lambdas after 1/2, 1/4, 3/4.
+SEGMENT_PAIRS = 64
+SEGMENT_EXTRA_LAMBDAS = 3
+
+#: Slack of the bifunction checkers' f-value comparisons on float domains (exact domains use 0).
+FLOAT_TOL = 1e-9
+
 #: Seed of the grid probes: closed_graph uses it, lsc adds 1, convex_values 2.
 PROBE_SEED = 947
 #: Default seed of the bifunction checkers: condition_ii uses it, condition_iii
 #: adds 1, condition_iv 2, qcvx_second 3, qccv_first 4.
 CHECK_SEED = 1729
+#: Default random trials of condition_iii, qcvx_second and qccv_first.
+CHECK_TRIALS = 400
+
+
+def tolerance(exact: bool) -> float:
+    """The checkers' slack on f-value comparisons: 0 over exact scalars, else ``FLOAT_TOL``."""
+    return 0.0 if exact else FLOAT_TOL
 
 
 # -- lattices ---------------------------------------------------------------
@@ -96,12 +119,15 @@ def region_samples(lo: tuple, hi: tuple, per_axis: int) -> list:
 # -- radius ladders ---------------------------------------------------------
 
 
-def default_probe_radii(grid: Grid) -> tuple:
-    """Halving ladder from 0.1 x diameter down to ~3 grid steps.
+def probe_ladder(grid: Grid) -> tuple:
+    """The grid probes' (radii, margin).
 
-    The spec's four base rungs are kept; extra rungs are appended for fine
-    grids so a Lipschitz-continuous map cannot be flagged (the smallest radius
-    must let bound variation fall below the margin).
+    The radii halve from 0.1 x diameter down to ~3 grid steps: the spec's four
+    base rungs, then extra rungs for fine grids (at most 24 in all), so a
+    Lipschitz-continuous map cannot be flagged (the smallest radius must let
+    bound variation fall below the margin).  The margin is 10 grid steps,
+    floored at 4x the smallest radius, which keeps a Lipschitz-continuous map
+    (slope up to ~3) from being diagonal-approached within the last rung.
     """
     diam = grid.box.diameter()
     floor = 3.0 * grid.max_step()
@@ -110,19 +136,7 @@ def default_probe_radii(grid: Grid) -> tuple:
     while r >= floor and len(radii) < 24:
         radii.append(r)
         r /= 2.0
-    return tuple(radii)
-
-
-def default_margin(grid: Grid, radii: Optional[Sequence[float]] = None) -> float:
-    """10 grid steps, floored at 4x the smallest probe radius.
-
-    The floor keeps a Lipschitz-continuous map (slope up to ~3) from being
-    diagonal-approached within the last radius rung and falsely flagged.
-    """
-    base = 10.0 * grid.max_step()
-    if radii:
-        base = max(base, 4.0 * min(radii))
-    return base
+    return tuple(radii), max(10.0 * grid.max_step(), 4.0 * min(radii))
 
 
 def pair_probe_radii(C: CompactBox) -> tuple:
@@ -134,19 +148,10 @@ def pair_probe_radii(C: CompactBox) -> tuple:
     return tuple(ladder)
 
 
-def check_ladder(radii: tuple, margin: float) -> tuple:
-    """(radii, margin), once the radii strictly decrease and the margin is positive."""
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    return radii, margin
-
-
-def probe_ladder(grid: Grid, radii: Optional[Sequence[float]], margin: Optional[float]) -> tuple:
-    """The grid probes' (radii, margin): defaults filled in, then checked."""
-    radii = tuple(radii) if radii is not None else default_probe_radii(grid)
-    return check_ladder(radii, margin if margin is not None else default_margin(grid, radii))
+def pair_probe_margin(values: list) -> float:
+    """condition_iv's margin: 2% of the range of the sampled f values, or 1e-9 where that is 0 or NaN."""
+    value_range = max(values) - min(values) if values else 0.0
+    return max(0.0, 0.02 * value_range) or 1e-9
 
 
 def ladder_search(radii: tuple, rung: Callable) -> Optional[list]:
@@ -240,9 +245,9 @@ def pair_weights(lam):
     return (lam, 1.0 - lam)
 
 
-def random_subset(pool: list, rng: random.Random, exact: bool, size_max: int) -> tuple:
-    """(subset, convex weights): 2 to ``size_max`` points drawn from the pool with replacement."""
-    k = rng.randint(2, max(2, size_max))
+def random_subset(pool: list, rng: random.Random, exact: bool) -> tuple:
+    """(subset, convex weights): 2 to ``SUBSET_SIZE_MAX`` points drawn from the pool with replacement."""
+    k = rng.randint(2, SUBSET_SIZE_MAX)
     subset = tuple(pool[rng.randrange(len(pool))] for _ in range(k))
     raw = [Fraction(rng.randrange(1, 16)) if exact else rng.uniform(0.05, 1.0) for _ in range(k)]
     total = sum(raw)

@@ -3,7 +3,8 @@
 Images are per-axis intervals (clipped to the domain box), so convexity of
 values is structural.  The topological hypothesis checks are sampled
 falsifiers: they return a concrete violation witness or NO_VIOLATION_FOUND,
-never a proof.
+never a proof.  They take no sampling parameters: their lattices, radius
+ladders, margins, budgets and seeds are ``sampling``'s.
 """
 
 from __future__ import annotations
@@ -98,11 +99,10 @@ class SetValuedMap:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, domain: CompactBox, region: Optional[ConvexRegion] = None) -> SetValuedMap:
-        lo = region.lower if region else domain.lower
-        hi = region.upper if region else domain.upper
-        lower_fns = tuple((lambda x, v=v: v) for v in lo)
-        upper_fns = tuple((lambda x, v=v: v) for v in hi)
+    def constant(cls, domain: CompactBox) -> SetValuedMap:
+        """K(x) = C for every x."""
+        lower_fns = tuple((lambda x, v=v: v) for v in domain.lower)
+        upper_fns = tuple((lambda x, v=v: v) for v in domain.upper)
         return cls(domain, lower_fns, upper_fns, variant="Constant")
 
     # -- evaluation --------------------------------------------------------
@@ -270,19 +270,14 @@ def _member_samples(K: SetValuedMap, x_map: Point, lo: tuple, hi: tuple, grid: G
     return pts if keep is None else [p for p in pts if keep(x_map, p)]
 
 
-def check_closed_graph(
-    K: SetValuedMap,
-    grid: Grid,
-    radii: Optional[Sequence[float]] = None,
-    margin: Optional[float] = None,
-) -> TopologyProbeReport:
+def check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     """Falsifier for closedness of the graph of K.
 
     FAIL needs a pair (x, z) with z outside K(x) (by ``margin`` for box maps,
     or excluded by the predicate) that graph points approach at every probe
     radius.
     """
-    radii, margin = sampling.probe_ladder(grid, radii, margin)
+    radii, margin = sampling.probe_ladder(grid)
     rng = random.Random(sampling.PROBE_SEED)
     regions = list(sampling.lattice_regions(K, grid))
     lattice = [x for x, *_ in regions]
@@ -312,18 +307,13 @@ def check_closed_graph(
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
 
 
-def check_lsc(
-    K: SetValuedMap,
-    grid: Grid,
-    radii: Optional[Sequence[float]] = None,
-    margin: Optional[float] = None,
-) -> TopologyProbeReport:
+def check_lsc(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     """Falsifier for lower semicontinuity of K.
 
     FAIL needs (x, y in K(x)) such that at every probe radius some x' that
     close to x keeps K(x') at distance >= margin from y.
     """
-    radii, margin = sampling.probe_ladder(grid, radii, margin)
+    radii, margin = sampling.probe_ladder(grid)
     rng = random.Random(sampling.PROBE_SEED + 1)
     samples = 0
 
@@ -346,25 +336,19 @@ def check_lsc(
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
 
 
-def check_convex_values(
-    K: SetValuedMap,
-    grid: Grid,
-    segment_samples: int = 64,
-) -> TopologyProbeReport:
+def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     """Falsifier for convexity of the values K(x).
 
     Samples y1, y2 in K(x) and lambda in (0,1) and verifies the combination is
     a member.  Box values pass structurally; a member predicate can break it.
     """
-    if segment_samples < 1:
-        raise ValueError("segment_samples must be >= 1")
     rng = random.Random(sampling.PROBE_SEED + 2)
     snap = K.domain.snap()
     samples = 0
     for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
         pts = _member_samples(K, x_map, lo, hi, grid)
-        lams = sampling.lambdas(False, rng, extra=3)
-        pairs = itertools.islice(itertools.combinations(pts, 2), segment_samples)
+        lams = sampling.lambdas(False, rng, extra=sampling.SEGMENT_EXTRA_LAMBDAS)
+        pairs = itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS)
         for y1, y2 in pairs:
             for lam in lams:
                 samples += 1

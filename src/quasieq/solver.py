@@ -26,7 +26,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -294,7 +294,7 @@ def check_lemma_equivalence(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverCo
 
 
 def verify_theorem_instance(
-    instance, cfg: SolverConfig, trials: int = 400, seed: int = 1729
+    instance, cfg: SolverConfig, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> TheoremReport:
     """Run the six hypothesis checkers, then solve, and flag anomalies.
 
@@ -322,20 +322,14 @@ def verify_theorem_instance(
 # -- sampled closedness of the selection map --------------------------------
 
 
-def smap_closed_graph_probe(
-    f: Bifunction,
-    K: SetValuedMap,
-    cfg: SolverConfig,
-    radii: Optional[Sequence[float]] = None,
-    margin: Optional[float] = None,
-) -> TopologyProbeReport:
+def smap_closed_graph_probe(f: Bifunction, K: SetValuedMap, cfg: SolverConfig) -> TopologyProbeReport:
     """The closed-graph falsifier applied to the sampled graph of the selection map.
 
     The graph is sampled at grid base points; member sets are computed lazily
     and cached.  Verdict semantics match check_closed_graph.
     """
     grid = cfg.grid
-    radii, margin = sampling.probe_ladder(grid, radii, margin)
+    radii, margin = sampling.probe_ladder(grid)
 
     cache: dict = {}
 

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from quasieq.bifunction import check_diagonal_zero, check_quasiconcave_first, check_quasiconvex_second
 from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, qvi_instance
 from quasieq.cli import main
-from quasieq.reporting import report_from_json, report_to_json, solution_csv
+from quasieq.geometry import GRID_POINT_BUDGET, Grid
+from quasieq.reporting import report_from_json, report_to_json, solution_csv, verify_to_json
+from quasieq.solver import verify_theorem_instance
 
 
 # images are nonempty at the file's grid of 201 but empty at grid point 0.5005 of grid 2001
@@ -81,6 +84,20 @@ class TestVerifyCommand:
             if name in ("closed_graph", "lsc", "convex_values", "condition_ii", "condition_iii", "condition_iv")
         )
 
+    def test_default_trials_and_seed_are_the_library_defaults(self, tmp_path):
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main(["verify", "quasiconvex-variant", "--out", str(plain)]) == 0
+        assert main(["verify", "quasiconvex-variant", "--trials", "400", "--seed", "1729", "--out", str(flagged)]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
+        inst = quasiconvex_variant_instance()
+        cfg = inst.config()
+        f = inst.bifunction()
+        extra = {
+            "qcvx_second": check_quasiconvex_second(f, inst.C),
+            "qccv_first": check_quasiconcave_first(f, inst.C),
+            "diagonal_zero": check_diagonal_zero(f, cfg.grid),
+        }
+        assert plain.read_bytes() == verify_to_json(verify_theorem_instance(inst, cfg), extra).encode("utf-8")
 
     def test_checks_run_selects_the_extra_checks(self, tmp_path):
         spec = tmp_path / "variant.spec"
@@ -206,6 +223,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: image of grid point (0.5005") and "empty" in err
         assert "Traceback" not in err and not (tmp_path / "fine").exists()
+
+    def test_oversized_grid_refused_before_any_axis(self, tmp_path, capsys, monkeypatch):
+        axis_coords = Grid._axis_coords
+
+        def no_oversized_axes(grid, k):  # the catalog's own grids are still built
+            if grid.size() > GRID_POINT_BUDGET:
+                raise AssertionError("an axis of an oversized grid was built")
+            return axis_coords(grid, k)
+
+        monkeypatch.setattr(Grid, "_axis_coords", no_oversized_axes)
+        too_many = str(GRID_POINT_BUDGET + 1)
+        spec = tmp_path / "huge.spec"
+        spec.write_text(figure1_instance().serialize().replace("grid = 2001", f"grid = {too_many}"))
+        for argv in (["solve", "figure1", "--grid", too_many], ["verify", "figure1", "--grid", too_many], ["solve", str(spec)]):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"exceeds the budget of {GRID_POINT_BUDGET}" in err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quasieq.errors import InstanceDefinitionError
 from quasieq.geometry import (
+    GRID_POINT_BUDGET,
     CompactBox,
     Grid,
     Root2,
@@ -135,6 +136,22 @@ class TestGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(InstanceDefinitionError):
             Grid(CompactBox((0.0,), (1.0,)), (1,))
+
+    def test_oversized_grid_refused_before_any_axis(self, monkeypatch):
+        def no_axes(grid, k):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(Grid, "_axis_coords", no_axes)
+        for box, ppa in [
+            (CompactBox((0.0,), (1.0,)), (GRID_POINT_BUDGET + 1,)),
+            (CompactBox((0.0, 0.0), (1.0, 1.0)), (4097, 4097)),
+            (CompactBox((Root2(0),) * 3, (Root2(1),) * 3), (257, 256, 256)),
+        ]:
+            with pytest.raises(InstanceDefinitionError, match=f"exceeds the budget of {GRID_POINT_BUDGET}"):
+                Grid(box, ppa)
+        # a grid of exactly the budget passes the check and goes on to build its axes
+        with pytest.raises(AssertionError, match="an axis was built"):
+            Grid(CompactBox((0.0, 0.0), (1.0, 1.0)), (4096, 4096))
 
 
 class TestConvexCombination:
