@@ -34,7 +34,6 @@ from .geometry import (
     CompactBox,
     Grid,
     Point,
-    Root2,
     contains,
     convex_combination,
     grid_points,
@@ -276,7 +275,6 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
     refinement search may evaluate off-grid since f is total on C x C.
     """
     C = grid.box
-    exact = f.domain.is_exact
     rng = random.Random(seed + 2)
     lattice = sampling.box_lattice(C)
     pairs = [(x, y) for x in lattice for y in lattice]
@@ -285,14 +283,11 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
     margin = sampling.pair_probe_margin([float(v) for v in vals])
     radii = sampling.pair_probe_radii(C)
 
-    def to_domain(p):
-        return tuple(Root2.from_float(v) for v in p) if exact else p
-
     def nonneg_near(xf, yf, r):
         nonlocal samples
         for qx, qy in sampling.pair_ball_candidates(xf, yf, r, C, rng):
             samples += 1
-            if f.fn(to_domain(qx), to_domain(qy)) >= 0:
+            if f.fn(sampling.float_map_point(f.domain, qx), sampling.float_map_point(f.domain, qy)) >= 0:
                 return {"radius": r, "x_prime": qx, "y_prime": qy}
         return None
 

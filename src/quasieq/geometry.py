@@ -11,7 +11,6 @@ metric used for box membership residuals, probe radii and witness distances.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,25 +226,13 @@ def contains(box: CompactBox, p: Point, slack: float = 0.0) -> bool:
             f"point dimension {len(p)} does not match box dimension {box.dim}"
         )
     for lo, hi, x in zip(box.lower, box.upper, p):
-        if box.is_exact:
-            if x < lo or x > hi:
-                return False
-        else:
-            if lo - x > slack or x - hi > slack:
-                return False
+        if lo - x > slack or x - hi > slack:
+            return False
     return True
 
 
 def box_distance(box_lower: Sequence, box_upper: Sequence, p: Point):
-    """Sup-norm distance from p to the box (0 inside)."""
-    if isinstance(p[0], Root2):
-        zero = Root2(0)
-        d = zero
-        for lo, hi, x in zip(box_lower, box_upper, p):
-            for gap in (lo - x, x - hi):
-                if gap > d:
-                    d = gap
-        return d
+    """Sup-norm distance from p to the box: the largest gap in p's scalars, or 0.0 inside."""
     d = 0.0
     for lo, hi, x in zip(box_lower, box_upper, p):
         gap = lo - x
@@ -258,14 +245,7 @@ def box_distance(box_lower: Sequence, box_upper: Sequence, p: Point):
 
 
 def point_distance(p: Point, q: Point):
-    """Sup-norm distance between two points."""
-    if isinstance(p[0], Root2):
-        d = Root2(0)
-        for a, b in zip(p, q):
-            g = abs(a - b)
-            if g > d:
-                d = g
-        return d
+    """Sup-norm distance between two points, in their own scalars."""
     return max(abs(a - b) for a, b in zip(p, q))
 
 
@@ -275,8 +255,11 @@ class Grid:
 
     Axis coordinates follow linspace semantics: coord(i) = lower + i*step with
     step = (upper-lower)/(m-1), and both endpoints forced bit-exact.  For exact
-    boxes coordinates are computed in rational arithmetic.  Enumeration is
-    lexicographic (first coordinate slowest).
+    boxes coordinates are computed in rational arithmetic.  Each axis is built
+    once, after the budget check, as a read-only array in the box's scalars:
+    float64, or an object array of ``Root2`` on exact boxes.  Points come back
+    as tuples of Python scalars.  Enumeration is lexicographic (first
+    coordinate slowest).
     """
 
     box: CompactBox
@@ -293,17 +276,17 @@ class Grid:
             raise InstanceDefinitionError(f"a grid of {self.size()} points exceeds the budget of {GRID_POINT_BUDGET}")
         object.__setattr__(self, "_axes", tuple(self._axis_coords(k) for k in range(self.box.dim)))
 
-    def _axis_coords(self, k: int) -> tuple:
+    def _axis_coords(self, k: int) -> np.ndarray:
         lo, hi = self.box.lower[k], self.box.upper[k]
         m = self.points_per_axis[k]
         if isinstance(lo, Root2):
             span = hi - lo
-            return tuple(
-                lo if i == 0 else hi if i == m - 1 else lo + span * Fraction(i, m - 1)
-                for i in range(m)
-            )
-        step = (hi - lo) / (m - 1)
-        return tuple(lo if i == 0 else hi if i == m - 1 else lo + i * step for i in range(m))
+            ax = np.array([lo + span * Fraction(i, m - 1) for i in range(m)], dtype=object)
+        else:
+            ax = lo + np.arange(m) * ((hi - lo) / (m - 1))  # the bits of lo + i*step in Python floats
+        ax[0], ax[-1] = lo, hi
+        ax.flags.writeable = False
+        return ax
 
     @property
     def axes(self) -> tuple:
@@ -326,7 +309,7 @@ class Grid:
         )
 
     def point_at(self, index: tuple) -> Point:
-        return tuple(ax[i] for ax, i in zip(self.axes, index))
+        return tuple(ax.item(i) for ax, i in zip(self.axes, index))
 
     def points_at(self, flat: np.ndarray):
         """The grid points at the flat (lexicographic) indices, one at a time.
@@ -338,7 +321,7 @@ class Grid:
             point = []
             for ax in reversed(self.axes):
                 i, k = divmod(i, len(ax))
-                point.append(ax[k])
+                point.append(ax.item(k))
             yield tuple(reversed(point))
 
     def axis_index_range(self, k: int, lo, hi, slack: float = 0.0) -> tuple[int, int]:
@@ -349,21 +332,22 @@ class Grid:
         """
         if slack:
             lo, hi = lo - slack, hi + slack
-        return bisect.bisect_left(self.axes[k], lo), bisect.bisect_right(self.axes[k], hi)
+        ax = self.axes[k]
+        return int(np.searchsorted(ax, lo, side="left")), int(np.searchsorted(ax, hi, side="right"))
 
 
 def grid_points(grid: Grid) -> list:
     """All grid points in lexicographic order (exactly prod(m_i) of them)."""
-    return [p for p in itertools.product(*grid.axes)]
+    return list(itertools.product(*(ax.tolist() for ax in grid.axes)))
 
 
 def grid_coords(grid: Grid) -> np.ndarray:
     """All grid points as an (N, dim) array in the grid's own scalars, row i being grid_points(grid)[i].
 
-    float64 on float boxes, an object array of ``Root2`` on exact boxes.
+    The dtype of the grid's axes: float64 on float boxes, an object array of
+    ``Root2`` on exact boxes.
     """
-    dtype = object if grid.box.is_exact else float
-    mesh = np.meshgrid(*[np.asarray(ax, dtype=dtype) for ax in grid.axes], indexing="ij")
+    mesh = np.meshgrid(*grid.axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 

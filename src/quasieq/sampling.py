@@ -82,9 +82,9 @@ def box_lattice(C: CompactBox) -> list:
     return [p for p in itertools.product(*axes)]
 
 
-def float_map_point(K, x: tuple) -> tuple:
-    """A float point in the scalars of K's domain."""
-    if K.domain.is_exact:
+def float_map_point(domain: CompactBox, x: tuple) -> tuple:
+    """A float point in the scalars of the domain box."""
+    if domain.is_exact:
         return tuple(Root2.from_float(v) for v in x)
     return x
 
@@ -97,14 +97,14 @@ def float_region(K, x: Point) -> tuple[tuple, tuple]:
 
 def region_lookup(K) -> Callable:
     """x -> ``float_region`` of K at the float point x, evaluated once per distinct x."""
-    return functools.cache(lambda x: float_region(K, float_map_point(K, x)))
+    return functools.cache(lambda x: float_region(K, float_map_point(K.domain, x)))
 
 
 def lattice_regions(K, grid: Grid):
     """(x, x in K's scalars, float lower and upper of K(x)) at every grid-probe lattice point x."""
     for index in index_lattice(grid, GRID_PROBE_BUDGET):
         x = tuple(float(grid.axes[k][i]) for k, i in enumerate(index))
-        x_map = float_map_point(K, x)
+        x_map = float_map_point(K.domain, x)
         lo, hi = float_region(K, x_map)
         yield x, x_map, lo, hi
 
@@ -123,17 +123,17 @@ def probe_ladder(grid: Grid) -> tuple:
     """The grid probes' (radii, margin).
 
     The radii halve from 0.1 x diameter down to ~3 grid steps: the spec's four
-    base rungs, then extra rungs for fine grids (at most 24 in all), so a
-    Lipschitz-continuous map cannot be flagged (the smallest radius must let
-    bound variation fall below the margin).  The margin is 10 grid steps,
-    floored at 4x the smallest radius, which keeps a Lipschitz-continuous map
-    (slope up to ~3) from being diagonal-approached within the last rung.
+    base rungs, then extra rungs for fine grids, so a Lipschitz-continuous map
+    cannot be flagged (the smallest radius must let bound variation fall below
+    the margin).  The margin is 10 grid steps, floored at 4x the smallest
+    radius, which keeps a Lipschitz-continuous map (slope up to ~3) from being
+    diagonal-approached within the last rung.
     """
     diam = grid.box.diameter()
     floor = 3.0 * grid.max_step()
     radii = [0.1 * diam, 0.05 * diam, 0.025 * diam, 0.0125 * diam]
     r = radii[-1] / 2.0
-    while r >= floor and len(radii) < 24:
+    while r >= floor:
         radii.append(r)
         r /= 2.0
     return tuple(radii), max(10.0 * grid.max_step(), 4.0 * min(radii))

@@ -170,16 +170,9 @@ def evaluate(K: SetValuedMap, x: Point) -> ConvexRegion:
 
 
 def image_index_ranges(K: SetValuedMap, x: Point, grid: Grid) -> tuple:
-    """Per-axis (start, stop) index ranges of grid points inside K(x)."""
-    return region_index_ranges(K.evaluate(x), grid, K.domain.snap())
-
-
-def region_index_ranges(region: ConvexRegion, grid: Grid, snap: float) -> tuple:
-    """Per-axis (start, stop) index ranges of grid points inside the region, with membership snap."""
-    return tuple(
-        grid.axis_index_range(k, region.lower[k], region.upper[k], slack=snap)
-        for k in range(grid.dim)
-    )
+    """Per-axis (start, stop) index ranges of grid points inside K(x), with the domain's membership snap."""
+    region, snap = K.evaluate(x), K.domain.snap()
+    return tuple(grid.axis_index_range(k, region.lower[k], region.upper[k], slack=snap) for k in range(grid.dim))
 
 
 def image_grid(K: SetValuedMap, x: Point, grid: Grid) -> list:
@@ -187,8 +180,8 @@ def image_grid(K: SetValuedMap, x: Point, grid: Grid) -> list:
     ranges = image_index_ranges(K, x, grid)
     if any(start >= stop for start, stop in ranges):
         return []
-    axes = [grid.axes[k][start:stop] for k, (start, stop) in enumerate(ranges)]
-    return [p for p in itertools.product(*axes)]
+    axes = [grid.axes[k][start:stop].tolist() for k, (start, stop) in enumerate(ranges)]
+    return list(itertools.product(*axes))
 
 
 def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None) -> tuple:
@@ -199,8 +192,8 @@ def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.
     (start, stop) index range on axis k of the grid points in K(x), start >=
     stop if none.  The domain's membership snap widens the residual limit and
     the ranges.  All of them come from one ``bounds_batch`` table of ``X =
-    grid_coords(grid)``, in the grid's scalars: exact grids test the residual
-    in exact arithmetic and round it to a float only on return.
+    grid_coords(grid)``, in the grid's scalars, and the ranges are searched in
+    ``grid.axes``: exact grids test the residual exactly and round it on return.
     """
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
@@ -214,8 +207,7 @@ def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.
     np.maximum(residuals, 0.0, out=residuals)  # every zero residual becomes +0.0
     fixed = np.flatnonzero(residuals <= delta + snap)
     spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
-    for k in range(grid.dim):
-        ax = np.asarray(grid.axes[k], dtype=X.dtype)  # once: searchsorted would convert the tuple on each call
+    for k, ax in enumerate(grid.axes):
         spans[:, k, 0] = np.searchsorted(ax, lo[fixed, k] - snap, side="left")
         spans[:, k, 1] = np.searchsorted(ax, hi[fixed, k] + snap, side="right")
     return fixed, residuals[fixed].astype(float), spans
@@ -245,7 +237,7 @@ def _nearby_members(
             return proj
         return None
     # predicate map: look along each axis' grid coordinates near the projection
-    xp = sampling.float_map_point(K, x_prime)
+    xp = sampling.float_map_point(K.domain, x_prime)
     snap = K.domain.snap()
     best = None
     for k in range(len(z)):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasieq import catalog
 from quasieq.bifunction import Bifunction, ObjectiveFunction, QviOperator, make_qvi_bifunction
 from quasieq.catalog import (
     catalog_names,
@@ -167,6 +168,15 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(SpecError):
             get_instance("nope")
+
+    def test_worked_instances_validate_no_map_at_construction(self, monkeypatch):
+        # every solve checks the grid it scans, so construction scans none
+        def refuse(K, grid):
+            raise AssertionError(f"validate_setmap ran on a grid of {grid.size()} points")
+
+        monkeypatch.setattr(catalog, "validate_setmap", refuse)
+        for build in (figure1_instance, quasiconvex_variant_instance, remark_bifunction_instance):
+            assert build().K.domain.dim == 1
 
     def test_serialization_round_trip(self):
         from quasieq.specfile import build_instance, load_spec

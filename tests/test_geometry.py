@@ -1,7 +1,9 @@
+import bisect
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from quasieq.geometry import (
     contains,
     convex_combination,
     exact_is_rational,
+    grid_coords,
     grid_points,
+    point_distance,
 )
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
@@ -91,6 +95,12 @@ class TestContains:
         box = CompactBox((0.0, 0.0), (1.0, 1.0))
         assert not contains(box, (0.5, 1.5))
 
+    def test_exact_box_at_sqrt2_thousandths(self):
+        box = CompactBox((Root2(0),), (Root2(1),))
+        e = Root2(0, Fraction(1, 1000))
+        assert contains(box, (e,)) and contains(box, (1 - e,))
+        assert not contains(box, (-e,)) and not contains(box, (1 + e,))
+
     def test_dimension_mismatch(self):
         box = CompactBox((0.0,), (2.0,))
         with pytest.raises(InstanceDefinitionError):
@@ -121,6 +131,35 @@ class TestGrid:
         pts = grid_points(g)
         assert pts[0][0] == 0.1 and pts[-1][0] == 0.7
         assert len(pts) == m
+        step = (0.7 - 0.1) / (m - 1)  # the interior coordinates carry the bits of lo + i*step in Python floats
+        assert [p[0] for p in pts[1:-1]] == [0.1 + i * step for i in range(1, m - 1)]
+
+    def test_axes_are_read_only_arrays_and_points_python_scalars(self):
+        for box, dtype, scalar in [
+            (CompactBox((0.0, -1.0), (1.0, 1.0)), np.float64, float),
+            (CompactBox((Root2(0), Root2(0)), (Root2(1), Root2(0, 1))), object, Root2),
+        ]:
+            g = Grid(box, (5, 3))
+            assert grid_coords(g).dtype == dtype
+            for ax in g.axes:
+                assert isinstance(ax, np.ndarray) and ax.dtype == dtype and not ax.flags.writeable
+                with pytest.raises(ValueError):
+                    ax[1] = ax[0]
+            every = grid_points(g)
+            picked = [g.point_at((4, 2))] + list(g.points_at(np.array([0, 14])))
+            assert picked == [every[14], every[0], every[14]]
+            assert all(type(c) is scalar for p in every + picked for c in p)
+
+    def test_axis_index_range_matches_bisect(self):
+        rng = random.Random(3)
+        for box in (CompactBox((0.0,), (2.0,)), CompactBox((Root2(0),), (Root2(0, 1),))):
+            g = Grid(box, (33,))
+            ref = g.axes[0].tolist()
+            probes = ref[::4] + [rng.uniform(-0.5, 2.5) for _ in range(20)]
+            for lo in probes:
+                for hi in probes:
+                    want = (bisect.bisect_left(ref, lo), bisect.bisect_right(ref, hi))
+                    assert g.axis_index_range(0, lo, hi) == want
 
     def test_exact_grid_coordinates(self):
         box = CompactBox((Root2(0),), (Root2(1),))
@@ -187,6 +226,19 @@ class TestConvexCombination:
             )
 
 
+class TestPointDistance:
+    def test_float_sup_norm(self):
+        assert point_distance((0.0, 1.0), (0.5, -1.0)) == 2.0
+        assert point_distance((0.3,), (0.3,)) == 0.0
+
+    def test_exact_sup_norm(self):
+        # |7/5 - 0| < |sqrt(2) - 0|: the maximum is decided in exact arithmetic
+        p, q = (Root2(0), Root2(0)), (Root2(Fraction(7, 5)), Root2(0, 1))
+        d = point_distance(p, q)
+        assert isinstance(d, Root2) and d == Root2(0, 1)
+        assert point_distance(q, q) == Root2(0)
+
+
 class TestBoxDistance:
     def test_inside_is_zero(self):
         assert box_distance((0.0,), (1.0,), (0.5,)) == 0.0
@@ -200,3 +252,4 @@ class TestBoxDistance:
     def test_exact_path(self):
         d = box_distance((Root2(0),), (Root2(1),), (Root2(2),))
         assert d == Root2(1)
+        assert box_distance((Root2(0),), (Root2(1),), (Root2(0, Fraction(1, 2)),)) == 0

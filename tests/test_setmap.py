@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from quasieq.setmap import (
     fixed_point_set,
     fixed_table,
     image_grid,
-    region_index_ranges,
+    image_index_ranges,
     validate_setmap,
 )
 
@@ -177,12 +179,27 @@ class TestFixedPointSet:
             region = K.evaluate(x)
             r = region.distance_to(x)
             if r <= delta:
-                expected.append((i, float(r), [list(span) for span in region_index_ranges(region, g, 0.0)]))
+                expected.append((i, float(r), [list(span) for span in image_index_ranges(K, x, g)]))
         assert len(expected) > 1
         fixed, residuals, spans = fixed_table(K, g, delta)
         assert fixed.dtype == spans.dtype == np.intp and residuals.dtype == float
         assert list(zip(fixed.tolist(), residuals.tolist(), spans.tolist())) == expected
         assert fixed_point_set(K, g, delta) == [grid_points(g)[i] for i, _r, _s in expected]
+
+
+def test_perfbench_problem_properties_match_fixed_table():
+    """perfbench's problem facts read ``image_index_ranges``: a rename of what they call fails here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "facts.py"
+    spec = importlib.util.spec_from_file_location("perfbench_facts", path)
+    facts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(facts)
+    for inst, ppa in ((figure1_instance(), (2001,)), (random_instance(13, 2), (41, 41))):
+        cfg = inst.config(ppa)
+        props = facts.problem_properties({"instance": inst, "config": cfg, "payload": inst.payload_kind})
+        fixed, _residuals, spans = fixed_table(inst.K, cfg.grid, cfg.delta_membership)
+        volumes = np.clip(spans[:, :, 1] - spans[:, :, 0], 0, None).prod(axis=1)
+        assert props["fixed_points"] == len(fixed) > 0
+        assert props["inner_evaluations"] == int(volumes.sum()) > 0
 
 
 class TestClosedGraphProbe:
@@ -211,6 +228,9 @@ class TestClosedGraphProbe:
         for step in rep.witness["approach"]:
             assert step["z_prime"][0] < 1.0
             assert abs(step["z_prime"][0] - 1.0) <= step["radius"]
+        points = [rep.witness["x"], rep.witness["z"]]
+        points += [step[k] for step in rep.witness["approach"] for k in ("x_prime", "z_prime")]
+        assert all(type(c) is float for p in points for c in p)
 
 
 class TestLscProbe:

@@ -213,6 +213,14 @@ class TestSolveQopt:
         assert [r.point for r in rep.solutions] == grid_points(cfg.grid)
         assert all(r.gap == 0.0 for r in rep.solutions)
 
+    def test_points_reach_reports_as_python_floats(self):
+        inst = random_instance(2, 2)
+        cfg = inst.config()
+        reps = (solve_qopt(inst.payload, inst.K, cfg), solve_qep(inst.bifunction(), inst.K, cfg))
+        points = [r.point for rep in reps for r in rep.solutions]
+        points += smap(inst.bifunction(), inst.K, points[0], cfg).members
+        assert all(type(c) is float for p in points for c in p)
+
     def test_map_evaluated_once_per_grid_point(self):
         calls = []
         C = CompactBox((0.0,), (1.0,))
