@@ -57,7 +57,6 @@ from .setmap import (
     image_grid,
 )
 from .solver import (
-    SMapResult,
     SolutionRecord,
     SolveReport,
     SolverConfig,

@@ -31,12 +31,7 @@ from .solver import EP, QEP, QOPT, QVI, SolverConfig, solve_qep, solve_qopt
 
 Payload = Union[Bifunction, ObjectiveFunction, QviOperator]
 
-_MAP_KIND_NAMES = {
-    "MovingBox": "moving_box",
-    "PiecewiseMovingInterval": "piecewise_moving_interval",
-    "Constant": "constant",
-}
-_PAYLOAD_KIND_NAMES = {ObjectiveFunction: "objective", Bifunction: "bifunction", QviOperator: "qvi_operator"}
+PAYLOAD_KINDS = {ObjectiveFunction: "objective", Bifunction: "bifunction", QviOperator: "qvi_operator"}
 
 
 @dataclass
@@ -45,16 +40,15 @@ class ProblemInstance:
     C: CompactBox
     K: SetValuedMap
     payload: Payload
-    grid_default: tuple = (201,)
-    eps_default: float = 1e-6
+    grid_default: tuple
+    eps_default: float
     delta_default: float = 0.0
     known_facts: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
     @property
     def payload_kind(self) -> str:
         """objective | bifunction | qvi_operator, from the payload's type."""
-        return _PAYLOAD_KIND_NAMES[type(self.payload)]
+        return PAYLOAD_KINDS[type(self.payload)]
 
     def bifunction(self) -> Bifunction:
         if self.payload_kind == "bifunction":
@@ -68,7 +62,7 @@ class ProblemInstance:
             return QOPT
         if self.payload_kind == "qvi_operator":
             return QVI
-        return EP if self.K.variant == "Constant" else QEP
+        return EP if self.K.variant == "constant" else QEP
 
     def grid(self, points_per_axis: Optional[tuple] = None) -> Grid:
         return Grid(self.C, tuple(points_per_axis or self.grid_default))
@@ -101,8 +95,8 @@ class ProblemInstance:
         lines.append("upper = " + ", ".join(repr(float(v)) for v in self.C.upper))
         lines.append("")
         lines.append("[map]")
-        lines.append(f"kind = {_MAP_KIND_NAMES[self.K.variant]}")
-        if self.K.variant != "Constant":
+        lines.append(f"kind = {self.K.variant}")
+        if self.K.variant != "constant":
             if not all(isinstance(fn, Expression) for fn in self.K.lower_fns + self.K.upper_fns):
                 raise SpecError("only expression-backed maps are serializable")
             for k in range(self.C.dim):
@@ -142,7 +136,7 @@ def _fig1_map() -> tuple[CompactBox, SetValuedMap]:
         C,
         [parse_expression(_FIG1_K_LOWER)],
         [parse_expression(_FIG1_K_UPPER)],
-        variant="PiecewiseMovingInterval",
+        variant="piecewise_moving_interval",
     )
     return C, K
 
@@ -349,7 +343,6 @@ def random_instance(seed: int, dim: int = 1) -> ProblemInstance:
                     "condition_iv": "NO_VIOLATION_FOUND",
                 },
             },
-            seed=seed,
         )
     raise InstanceDefinitionError(f"generator exhausted retries for seed {seed}, dim {dim}")
 
@@ -382,7 +375,6 @@ def qvi_instance(seed: int) -> ProblemInstance:
             grid_default=(1001,),
             eps_default=0.0,
             known_facts=known,
-            seed=seed,
         )
 
     rng = random.Random(seed * 7919 + 11)
@@ -427,7 +419,6 @@ def qvi_instance(seed: int) -> ProblemInstance:
         grid_default=grid_default,
         eps_default=1e-9,
         known_facts={"oracle": "qvi-vertex-brute-force"},
-        seed=seed,
     )
 
 

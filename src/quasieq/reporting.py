@@ -40,14 +40,6 @@ def solution_csv(report: SolveReport, dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scalar_out(v: Any) -> Any:
-    if isinstance(v, Root2):
-        return str(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return float(v)
-
-
 def _scalar_in(v: Any) -> Any:
     if isinstance(v, str):
         return Root2.parse(v)
@@ -60,7 +52,7 @@ def report_to_dict(report: SolveReport) -> dict:
         "config": report.config,
         "solutions": [
             {
-                "point": [_scalar_out(c) for c in rec.point],
+                "point": _sanitize(rec.point),
                 "membership_residual": rec.membership_residual,
                 "min_f": rec.min_f,
                 "gap": rec.gap,
@@ -131,9 +123,7 @@ def verify_to_dict(theorem: TheoremReport, extra_checks: dict | None = None) -> 
         "solve": {
             "problem_kind": solve.problem_kind,
             "solution_count": len(solve.solutions),
-            "first_solutions": [
-                [_scalar_out(c) for c in rec.point] for rec in solve.solutions[:10]
-            ],
+            "first_solutions": [_sanitize(rec.point) for rec in solve.solutions[:10]],
             "min_gap_over_fixed_points": solve.min_gap_over_fixed_points,
             "degenerate_points": solve.degenerate_points,
             "config": solve.config,

@@ -34,6 +34,8 @@ from .geometry import (
 FAIL = "FAIL"
 NO_VIOLATION_FOUND = "NO_VIOLATION_FOUND"
 
+MAP_KINDS = ("moving_box", "piecewise_moving_interval", "constant")
+
 
 @dataclass(frozen=True)
 class ConvexRegion:
@@ -74,6 +76,7 @@ class SetValuedMap:
     ``member_predicate(x, z)``, when given, refines membership for the
     topology and convexity probes (it can exclude points of the box, e.g. to
     encode a half-open interval); image evaluation remains box-based.
+    ``variant`` is one of ``MAP_KINDS``, the problem file's ``[map] kind``.
     """
 
     def __init__(
@@ -81,13 +84,13 @@ class SetValuedMap:
         domain: CompactBox,
         lower_fns: Sequence[Callable],
         upper_fns: Sequence[Callable],
-        variant: str = "MovingBox",
+        variant: str = "moving_box",
         member_predicate: Optional[Callable] = None,
     ) -> None:
-        if variant not in ("MovingBox", "PiecewiseMovingInterval", "Constant"):
+        if variant not in MAP_KINDS:
             raise InstanceDefinitionError(f"unknown map variant {variant!r}")
-        if variant == "PiecewiseMovingInterval" and domain.dim != 1:
-            raise InstanceDefinitionError("PiecewiseMovingInterval requires a 1-d domain")
+        if variant == "piecewise_moving_interval" and domain.dim != 1:
+            raise InstanceDefinitionError("piecewise_moving_interval requires a 1-d domain")
         if len(lower_fns) != domain.dim or len(upper_fns) != domain.dim:
             raise InstanceDefinitionError("bound count does not match domain dimension")
         self.domain = domain
@@ -103,7 +106,7 @@ class SetValuedMap:
         """K(x) = C for every x."""
         lower_fns = tuple((lambda x, v=v: v) for v in domain.lower)
         upper_fns = tuple((lambda x, v=v: v) for v in domain.upper)
-        return cls(domain, lower_fns, upper_fns, variant="Constant")
+        return cls(domain, lower_fns, upper_fns, variant="constant")
 
     # -- evaluation --------------------------------------------------------
 

@@ -96,12 +96,6 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class SMapResult:
-    base_point: Point
-    members: tuple
-
-
-@dataclass(frozen=True)
 class TheoremReport:
     checks: dict
     solve_report: SolveReport
@@ -202,15 +196,15 @@ def _image_rows(K: SetValuedMap, x: Point, grid: Grid) -> tuple:
     return pts, np.array(pts)  # floats, or Root2 objects on exact grids
 
 
-def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> SMapResult:
+def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> tuple:
     """Members x0 of the image grid with f(x0, y) >= -eps for all image y."""
     eps = cfg.eps_value
     pts, Y = _image_rows(K, x, cfg.grid)
     h = f.objective
     if h is not None:
         h_min = h.eval_batch(Y).min()
-        return SMapResult(x, tuple(x0 for x0 in pts if h_min - h.fn(x0) >= -eps))
-    return SMapResult(x, tuple(x0 for x0 in pts if f.row(x0, Y).min() >= -eps))
+        return tuple(x0 for x0 in pts if h_min - h.fn(x0) >= -eps)
+    return tuple(x0 for x0 in pts if f.row(x0, Y).min() >= -eps)
 
 
 # -- QEP / EP / QVI ---------------------------------------------------------
@@ -337,7 +331,7 @@ def smap_closed_graph_probe(f: Bifunction, K: SetValuedMap, cfg: SolverConfig) -
         if index not in cache:
             x = grid.point_at(index)
             try:
-                cache[index] = smap(f, K, x, cfg).members
+                cache[index] = smap(f, K, x, cfg)
             except DegenerateImageError:
                 cache[index] = ()
         return cache[index]

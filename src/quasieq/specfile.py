@@ -31,33 +31,28 @@ alone, naming extra checks only: verify always runs the six theorem checks,
 so a theorem check named there is a SpecError.  The checkers' trials and
 seed are set by verify's ``--trials`` and ``--seed`` flags, so a ``trials``
 or ``seed`` key there is a SpecError that says so, as is any other key.
-Map bounds are validated finite and images nonempty over the file's solver
-grid at load time; the solver checks them again over the grid it scans,
-which ``--grid`` may change.  The parsed expressions become the map's bounds
-and the payload's function themselves, so every map's bounds are evaluated
-once over the whole grid: the expression bounds of moving_box and
-piecewise_moving_interval maps in one batch, constant maps once per point.
+After every key is checked, ``load_spec`` builds the domain box, the map
+(its ``variant`` is the file's kind) and the payload, so any SpecError comes
+before an InstanceDefinitionError such as an empty box.  The parsed
+expressions become the map's bounds and the payload's function themselves.
+``build_instance`` validates the bounds finite and the images nonempty over
+the file's solver grid; the solver checks them again over the grid it scans,
+which ``--grid`` may change.  Every map's bounds are evaluated once over the
+whole grid: the expression bounds of moving_box and piecewise_moving_interval
+maps in one batch, constant maps once per point.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from typing import Optional
 
 from .bifunction import Bifunction, ObjectiveFunction, QviOperator
-from .catalog import ProblemInstance
+from .catalog import PAYLOAD_KINDS, Payload, ProblemInstance
 from .errors import ParseError, SpecError
 from .expressions import Expression, parse_expression
 from .geometry import CompactBox, Grid
-from .setmap import SetValuedMap, validate_setmap
-
-_MAP_KINDS = {
-    "moving_box": "MovingBox",
-    "piecewise_moving_interval": "PiecewiseMovingInterval",
-    "constant": "Constant",
-}
-_PAYLOAD_KINDS = ("objective", "bifunction", "qvi_operator")
+from .setmap import MAP_KINDS, SetValuedMap, validate_setmap
 
 DEFAULT_GRID = 201
 DEFAULT_EPS = 1e-6
@@ -76,20 +71,13 @@ EXTRA_CHECKS = ("qcvx_second", "qccv_first", "diagonal_zero")
 
 @dataclass
 class ProblemSpec:
-    dim: int
-    lower: tuple
-    upper: tuple
-    map_kind: str
-    map_lower: tuple  # Expressions, empty for constant maps
-    map_upper: tuple
-    payload_kind: str
-    payload_expr: Optional[Expression] = None
-    vertices: tuple = ()
-    grid: tuple = (DEFAULT_GRID,)
-    eps: float = DEFAULT_EPS
-    delta: float = DEFAULT_DELTA
-    checks_run: tuple = EXTRA_CHECKS
-    name: str = "spec"
+    C: CompactBox
+    K: SetValuedMap
+    payload: Payload
+    grid: tuple
+    eps: float
+    delta: float
+    checks_run: tuple
 
 
 def _floats(text: str, n: int, what: str) -> tuple:
@@ -123,7 +111,7 @@ def _parse_checked(text: str, allowed: set[str], what: str) -> Expression:
 
 
 def load_spec(text: str) -> ProblemSpec:
-    """Parse and validate a problem-definition document."""
+    """Parse and check a problem-definition document, then build its box, map and payload."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
@@ -151,8 +139,8 @@ def load_spec(text: str) -> ProblemSpec:
         raise SpecError("missing [map] section")
     msec = cp["map"]
     kind_key = msec.get("kind", "").strip()
-    if kind_key not in _MAP_KINDS:
-        raise SpecError(f"[map] kind must be one of {', '.join(_MAP_KINDS)}")
+    if kind_key not in MAP_KINDS:
+        raise SpecError(f"[map] kind must be one of {', '.join(MAP_KINDS)}")
     map_lower: list[Expression] = []
     map_upper: list[Expression] = []
     if kind_key != "constant":
@@ -167,8 +155,8 @@ def load_spec(text: str) -> ProblemSpec:
         raise SpecError("missing [payload] section")
     psec = cp["payload"]
     payload_kind = psec.get("kind", "").strip()
-    if payload_kind not in _PAYLOAD_KINDS:
-        raise SpecError(f"[payload] kind must be one of {', '.join(_PAYLOAD_KINDS)}")
+    if payload_kind not in PAYLOAD_KINDS.values():
+        raise SpecError(f"[payload] kind must be one of {', '.join(PAYLOAD_KINDS.values())}")
     payload_expr = None
     vertices: list[tuple] = []
     if payload_kind in ("objective", "bifunction"):
@@ -233,45 +221,28 @@ def load_spec(text: str) -> ProblemSpec:
                 raise SpecError(f"[checks] unknown checker(s): {', '.join(bad)}")
             checks_run = names
 
-    return ProblemSpec(
-        dim=dim,
-        lower=lower,
-        upper=upper,
-        map_kind=_MAP_KINDS[kind_key],
-        map_lower=tuple(map_lower),
-        map_upper=tuple(map_upper),
-        payload_kind=payload_kind,
-        payload_expr=payload_expr,
-        vertices=tuple(vertices),
-        grid=grid,
-        eps=eps,
-        delta=delta,
-        checks_run=checks_run,
-    )
+    C = CompactBox(lower, upper)
+    if kind_key == "constant":
+        K = SetValuedMap.constant(C)
+    else:
+        K = SetValuedMap(C, map_lower, map_upper, variant=kind_key)
+    if payload_kind == "objective":
+        payload = ObjectiveFunction(payload_expr)
+    elif payload_kind == "bifunction":
+        payload = Bifunction(payload_expr, C)
+    else:
+        payload = QviOperator.from_expressions(vertices)
+    return ProblemSpec(C, K, payload, grid, eps, delta, checks_run)
 
 
 def build_instance(spec: ProblemSpec, name: str = "spec") -> ProblemInstance:
-    """Construct the runnable instance, validating map images over the grid."""
-    C = CompactBox(spec.lower, spec.upper)
-    if spec.map_kind == "Constant":
-        K = SetValuedMap.constant(C)
-    else:
-        K = SetValuedMap(C, spec.map_lower, spec.map_upper, variant=spec.map_kind)
-    grid = Grid(C, spec.grid)
-    validate_setmap(K, grid)
-
-    if spec.payload_kind == "objective":
-        payload = ObjectiveFunction(spec.payload_expr)
-    elif spec.payload_kind == "bifunction":
-        payload = Bifunction(spec.payload_expr, C)
-    else:
-        payload = QviOperator.from_expressions(spec.vertices)
-
+    """The runnable instance, once the map's images are validated over the file's grid."""
+    validate_setmap(spec.K, Grid(spec.C, spec.grid))
     return ProblemInstance(
         name=name,
-        C=C,
-        K=K,
-        payload=payload,
+        C=spec.C,
+        K=spec.K,
+        payload=spec.payload,
         grid_default=spec.grid,
         eps_default=spec.eps,
         delta_default=spec.delta,

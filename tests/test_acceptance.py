@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from quasieq.bifunction import (
-    Bifunction,
     ObjectiveFunction,
     check_condition_ii,
     check_diagonal_zero,

@@ -18,6 +18,7 @@ from quasieq.catalog import (
 from quasieq.errors import SpecError
 from quasieq.expressions import parse_expression
 from quasieq.geometry import Root2, grid_points
+from quasieq.reporting import report_to_json
 from quasieq.setmap import NO_VIOLATION_FOUND, SetValuedMap, check_convex_values, fixed_point_set
 from quasieq.solver import solve_qep
 
@@ -181,10 +182,11 @@ class TestRegistry:
     def test_serialization_round_trip(self):
         from quasieq.specfile import build_instance, load_spec
 
-        for inst in (figure1_instance(), random_instance(3, 2), qvi_instance(5)):
+        for inst in (figure1_instance(), random_instance(3, 2), qvi_instance(5), get_instance("qvi-unit")):
             text = inst.serialize()
             again = build_instance(load_spec(text), name=inst.name)
             assert again.serialize() == text
+            assert report_to_json(again.solve()) == report_to_json(inst.solve())
 
     @pytest.mark.parametrize(
         "part, what",

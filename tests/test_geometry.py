@@ -1,5 +1,4 @@
 import bisect
-import math
 import random
 from fractions import Fraction
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,6 @@ from quasieq.setmap import (
     NO_VIOLATION_FOUND,
     SetValuedMap,
     evaluate,
-    fixed_point_set,
     fixed_table,
     image_grid,
 )
@@ -69,7 +67,7 @@ class TestSmap:
         K = SetValuedMap.constant(C01)
         cfg = cfg_for(C01, 11)
         res = smap(f, K, (0.0,), cfg)
-        assert list(res.members) == grid_points(cfg.grid)
+        assert list(res) == grid_points(cfg.grid)
 
     def test_w_shape_argmin_on_high_image(self):
         inst = figure1_instance()
@@ -81,14 +79,14 @@ class TestSmap:
         pts = image_grid(inst.K, (0.0,), cfg.grid)
         best = min(h(p) for p in pts)
         expected = [p for p in pts if h(p) <= best + cfg.eps_value]
-        assert list(res.members) == expected == [(1.5,)]
+        assert list(res) == expected == [(1.5,)]
 
     def test_parabola_unique_member(self):
         inst = quasiconvex_variant_instance()
         f = inst.bifunction()
         cfg = cfg_for(inst, 2001)
         res = smap(f, inst.K, (1.0,), cfg)
-        assert list(res.members) == [(1.0,)]
+        assert list(res) == [(1.0,)]
 
     def test_empty_image_raises(self):
         C = CompactBox((0.0,), (1.0,))
@@ -218,7 +216,7 @@ class TestSolveQopt:
         cfg = inst.config()
         reps = (solve_qopt(inst.payload, inst.K, cfg), solve_qep(inst.bifunction(), inst.K, cfg))
         points = [r.point for rep in reps for r in rep.solutions]
-        points += smap(inst.bifunction(), inst.K, points[0], cfg).members
+        points += smap(inst.bifunction(), inst.K, points[0], cfg)
         assert all(type(c) is float for p in points for c in p)
 
     def test_map_evaluated_once_per_grid_point(self):
@@ -553,7 +551,7 @@ class TestSolverInvariants:
         snap = inst.C.snap()
         for x in grid_points(cfg.grid):
             near_fixed = evaluate(inst.K, x).distance_to(x) <= snap
-            in_members = near_fixed and x in smap(f, inst.K, x, cfg).members
+            in_members = near_fixed and x in smap(f, inst.K, x, cfg)
             assert (x in sols) == in_members
 
     def test_solutions_reverify_within_tolerance(self):
@@ -654,8 +652,8 @@ class TestSolverInvariants:
         for x in grid_points(cfg.grid):
             pts = image_grid(K, x, cfg.grid)
             members = tuple(x0 for x0 in pts if all(f.fn(x0, y) >= -eps for y in pts))
-            assert smap(f, K, x, cfg).members == members
-            assert smap(Bifunction(f.fn, f.domain), K, x, cfg).members == members
+            assert smap(f, K, x, cfg) == members
+            assert smap(Bifunction(f.fn, f.domain), K, x, cfg) == members
             assert qopt_gap(h, K, x, cfg) == float(h.fn(x) - min(h.fn(y) for y in pts))
         if case == "exact-tiny":
             assert members == (pts[0],)  # float values would keep every image point
@@ -666,4 +664,4 @@ class TestSolverInvariants:
         for x in grid_points(cfg.grid):
             pts = image_grid(inst.K, x, cfg.grid)
             members = tuple(x0 for x0 in pts if all(f.fn(x0, y) >= -cfg.eps_value for y in pts))
-            assert smap(f, inst.K, x, cfg).members == members
+            assert smap(f, inst.K, x, cfg) == members

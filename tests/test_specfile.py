@@ -72,7 +72,7 @@ class TestLoadSpec:
             "kind = qvi_operator\nvertex_1 = 1.0\nvertex_2 = 2*x_1 + 0.5",
         )
         spec = load_spec(text)
-        assert len(spec.vertices) == 2
+        assert len(spec.payload.vertex_exprs) == 2
         inst = build_instance(spec)
         assert inst.payload.vertices((0.25,)) == ((1.0,), (1.0,))
 
@@ -114,6 +114,12 @@ class TestLoadSpec:
         with pytest.raises(SpecError) as err:
             load_spec(MINIMAL + f"\n[{section}]\n{line}\n")
         assert f"[{section}]" in str(err.value) and key in str(err.value)
+
+    def test_spec_error_comes_before_an_empty_box(self):
+        # every key is checked before the box, map and payload are built
+        text = MINIMAL.replace("upper = 1.0", "upper = -1.0") + "\n[solver]\ngird = 11\n"
+        with pytest.raises(SpecError, match=r"\[solver\] unknown key\(s\): gird"):
+            load_spec(text)
 
 
 class TestBuildValidation:
