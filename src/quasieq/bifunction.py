@@ -36,7 +36,7 @@ from .geometry import (
     Point,
     contains,
     convex_combination,
-    grid_points,
+    grid_coords,
 )
 from .setmap import FAIL, NO_VIOLATION_FOUND
 
@@ -189,6 +189,57 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
 # -- condition checkers -----------------------------------------------------
 
 
+def _pair_values(f: Bifunction) -> Optional[Callable]:
+    """(X, Y) -> f at the row pairs of two float arrays, where f has a batch form that cannot raise; else None.
+
+    Exact domains and plain callables keep the probe-by-probe loop: a batch
+    would evaluate a callable past the first hit, where it could raise
+    although the loop returned FAIL.
+    """
+    if f.domain.is_exact:
+        return None
+    quiet = np.errstate(over="ignore", invalid="ignore")  # non-finite values are replayed by the loop instead
+    h = f.objective
+    if h is not None and isinstance(h.fn, Expression):
+        return quiet(lambda X, Y: h.eval_batch(Y) - h.eval_batch(X))
+    if isinstance(f.fn, Expression):
+        return quiet(lambda X, Y: _column(f.fn.eval_batch(X.T, Y.T), X))
+    return None
+
+
+def _midpoints(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``convex_combination((a, b), pair_weights(lam))`` at every row: its products and sum, a == b kept as is."""
+    lam = lam[:, None]
+    return np.where((A == B).all(axis=1, keepdims=True), A, A * lam + B * (1.0 - lam))
+
+
+def _above_max(v_mid, v1, v2, tol):
+    """v_mid > max(v1, v2) + tol at every row, with Python's max (v1 unless v2 > v1) on NaN too."""
+    return v_mid > np.where(v2 > v1, v2, v1) + tol
+
+
+def _below_min(v_mid, v1, v2, tol):
+    """v_mid < min(v1, v2) - tol at every row, with Python's min (v1 unless v2 < v1) on NaN too."""
+    return v_mid < np.where(v2 < v1, v2, v1) - tol
+
+
+def _unclear(flagged: np.ndarray, *values: np.ndarray) -> np.ndarray:
+    """The rows flagged or with a non-finite value: the probes a batch cannot clear."""
+    return flagged | ~np.isfinite(values).all(axis=0)
+
+
+def _scan(n: int, probe: Callable, unclear: Optional[np.ndarray]) -> tuple:
+    """(r + 1, witness) at the first r < n where probe(r) gives a witness, else (n, None).
+
+    Given a batch's ``unclear`` rows, probes those alone: the probe gives None at every other row.
+    """
+    for r in range(n) if unclear is None else np.flatnonzero(unclear).tolist():
+        w = probe(r)
+        if w is not None:
+            return r + 1, w
+    return n, None
+
+
 def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_SEED) -> ConditionReport:
     """Convexity of {x in C : f(x, y) >= 0} for sampled y.
 
@@ -200,27 +251,31 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
     xs = sampling.box_lattice(C)
     ys = xs[: sampling.LEVEL_SETS]
     ys += sampling.random_points(C, rng, sampling.LEVEL_SETS - len(ys))
+    batch = _pair_values(f)
+    X = None if batch is None else np.array(xs, dtype=float)
+
+    def violates(y, x1, x2, lam):
+        v = f.fn(convex_combination((x1, x2), sampling.pair_weights(lam)), y)
+        if v < -tol:
+            f_x1, f_x2 = f.fn(x1, y), f.fn(x2, y)
+            return {"x1": x1, "x2": x2, "lambda": lam, "y": y, "f_x1": f_x1, "f_x2": f_x2, "f_combination": v}
+        return None
+
     samples = 0
     for y in ys:
-        vals = [f.fn(x, y) for x in xs]
+        vals = None if batch is None else batch(X, np.broadcast_to(y, X.shape))
+        if vals is None or not np.isfinite(vals).all():
+            vals = [f.fn(x, y) for x in xs]  # raises where the values are not finite
         samples += len(vals)
-        eligible = [x for x, v in zip(xs, vals) if v >= 0]
-        for x1, x2 in itertools.islice(itertools.combinations(eligible, 2), sampling.LEVEL_SET_PAIRS):
-            for lam in sampling.lambdas(exact, rng):
-                mid = convex_combination((x1, x2), sampling.pair_weights(lam))
-                v = f.fn(mid, y)
-                samples += 1
-                if v < -tol:
-                    witness = {
-                        "x1": x1,
-                        "x2": x2,
-                        "lambda": lam,
-                        "y": y,
-                        "f_x1": f.fn(x1, y),
-                        "f_x2": f.fn(x2, y),
-                        "f_combination": v,
-                    }
-                    return ConditionReport("ii", FAIL, witness, samples, tol)
+        rows, lams = sampling.level_set_plan(vals, rng, exact)
+        unclear = None
+        if batch is not None:
+            v = batch(_midpoints(X[rows[:, 0]], X[rows[:, 1]], np.array(lams)), np.broadcast_to(y, (len(rows), C.dim)))
+            unclear = _unclear(v < -tol, v)
+        n, w = _scan(len(rows), lambda r: violates(y, xs[rows[r, 0]], xs[rows[r, 1]], lams[r]), unclear)
+        samples += n
+        if w is not None:
+            return ConditionReport("ii", FAIL, w, samples, tol)
     return ConditionReport("ii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
@@ -303,23 +358,31 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
     return ConditionReport("iv", NO_VIOLATION_FOUND, None, samples, margin)
 
 
-def _segment_check(condition_id, f, C, trials, seed, draw, violates, lead=()) -> ConditionReport:
+def _segment_check(condition_id, f, C, trials, seed, draw, violates, suspects, lead=()) -> ConditionReport:
     """The driver of the mirrored quasiconvexity checks.
 
-    Tries the ``lead`` probes, then the lattice-pair and random-trial stages
+    Tries the ``lead`` chunk, then the lattice-pair and random-trial chunks
     of ``sampling.segment_plan``.  ``violates(fixed, a, b, lam, tol)``
     evaluates f three times and returns a witness or None; ``draw(rng)``
-    gives a random-trial triple (fixed, a, b).
+    gives a random-trial triple (fixed, a, b).  Where f has a batch form,
+    ``suspects(values, fixed, A, B, mid, tol)`` evaluates a chunk with it and
+    gives the rows where ``violates`` is run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     exact = f.domain.is_exact
     tol = sampling.tolerance(exact)
     plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed), exact, trials, draw)
+    batch = _pair_values(f)
     samples = 0
-    for probe in itertools.chain(lead, plan):
-        samples += 3
-        w = violates(*probe, tol)
+    for points, rows, lams in itertools.chain(lead, plan):
+        unclear = None
+        if batch is not None:
+            P = np.array(points, dtype=float)
+            fixed, A, B = P[rows[:, 0]], P[rows[:, 1]], P[rows[:, 2]]
+            unclear = suspects(batch, fixed, A, B, _midpoints(A, B, np.array(lams)), tol)
+        n, w = _scan(len(rows), lambda r: violates(*(points[i] for i in rows[r]), lams[r], tol), unclear)
+        samples += 3 * n
         if w is not None:
             return ConditionReport(condition_id, FAIL, w, samples, tol)
     return ConditionReport(condition_id, NO_VIOLATION_FOUND, None, samples, tol)
@@ -338,14 +401,19 @@ def check_quasiconvex_second(
             return {"x": x, "y1": y1, "y2": y2, "lambda": lam, "f_mid": v_mid, "f_y1": v1, "f_y2": v2}
         return None
 
+    def suspects(values, x, y1, y2, mid, tol):
+        v_mid, v1, v2 = values(x, mid), values(x, y1), values(x, y2)
+        return _unclear(_above_max(v_mid, v1, v2, tol), v_mid, v1, v2)
+
     def draw(rng):
         return sampling.random_points(C, rng, 3)  # x, y1, y2
 
     lead = []
     if f.domain.is_exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
         xs = sampling.box_lattice(C)[: sampling.SQRT2_LEAD_POINTS]
-        lead = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
-    return _segment_check("qcvx_second", f, C, trials, seed + 3, draw, violates, lead)
+        probes = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
+        lead = [sampling.probe_chunk(probes)]
+    return _segment_check("qcvx_second", f, C, trials, seed + 3, draw, violates, suspects, lead)
 
 
 def check_quasiconcave_first(
@@ -361,23 +429,31 @@ def check_quasiconcave_first(
             return {"x1": x1, "x2": x2, "y": y, "lambda": lam, "f_mid": v_mid, "f_x1": v1, "f_x2": v2}
         return None
 
+    def suspects(values, y, x1, x2, mid, tol):
+        v_mid, v1, v2 = values(mid, y), values(x1, y), values(x2, y)
+        return _unclear(_below_min(v_mid, v1, v2, tol), v_mid, v1, v2)
+
     def draw(rng):
         x1, x2, y = sampling.random_points(C, rng, 3)
         return y, x1, x2
 
-    return _segment_check("qccv_first", f, C, trials, seed + 4, draw, violates)
+    return _segment_check("qccv_first", f, C, trials, seed + 4, draw, violates, suspects)
 
 
 def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
     """|f(x, x)| <= tol at every grid x (exactly 0 over exact scalars); FAIL with the first offender."""
     exact = f.domain.is_exact
     tol = sampling.tolerance(exact)
-    samples = 0
-    for x in grid_points(grid):
+    X = grid_coords(grid)
+
+    def violates(r):
+        x = tuple(X[r].tolist())
         v = f.fn(x, x)
-        samples += 1
         bad = (v != 0) if exact else not (abs(v) <= tol)
-        if bad:
-            witness = {"x": x, "f_value": v}
-            return ConditionReport("diagonal_zero", FAIL, witness, samples, tol)
+        return {"x": x, "f_value": v} if bad else None
+
+    batch = _pair_values(f)
+    samples, w = _scan(len(X), violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
+    if w is not None:
+        return ConditionReport("diagonal_zero", FAIL, w, samples, tol)
     return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND, None, samples, tol)

@@ -4,9 +4,9 @@ Every sampling decision of the checkers in ``setmap``, ``bifunction`` and
 ``solver.smap_closed_graph_probe`` is made here: budgets, lattices, radius
 ladders and margins, tolerances, seeds and every seeded draw.  A checker's
 only sampling parameters are ``trials`` and ``seed``; it evaluates what a
-plan names.  Plans are lazy (a draw happens when the checker reaches it), so
-each checker's RNG calls come in one fixed order.  The budgets set the
-witnesses: changing one changes reports.
+plan names.  Plans are lazy: a draw happens when the checker reaches it, or
+reaches the chunk of probes that holds it, so each checker's RNG calls come in
+one fixed order.  The budgets set the witnesses: changing one changes reports.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import itertools
 import random
 from fractions import Fraction
 from typing import Callable, Optional
+
+import numpy as np
 
 from .geometry import CompactBox, Grid, Point, Root2
 
@@ -257,20 +259,41 @@ def random_subset(pool: list, rng: random.Random, exact: bool) -> tuple:
     return subset, weights[:-1] + (1.0 - sum(weights[:-1]),)
 
 
-def segment_plan(lattice: list, rng: random.Random, exact: bool, trials: int, draw: Callable):
-    """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check.
+def probe_chunk(probes: list) -> tuple:
+    """The probes (fixed, a, b, lambda), in order, as one chunk of ``segment_plan``."""
+    points = [p for probe in probes for p in probe[:3]]
+    return points, np.arange(len(points)).reshape(-1, 3), [probe[3] for probe in probes]
 
-    First every lattice point with every lattice pair at lambda 1/2, then
-    ``trials`` triples ``draw(rng)``, each at ``lambdas(extra=1)``.
+
+def segment_plan(lattice: list, rng: random.Random, exact: bool, trials: int, draw: Callable):
+    """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check, in chunks (points, rows, lams).
+
+    Row r of a chunk is the probe (points[i], points[j], points[k], lams[r]) for (i, j, k) = rows[r].
+    First a chunk per lattice point: it with every lattice pair (``itertools.combinations`` order) at
+    lambda 1/2.  Then a chunk of ``trials`` triples ``draw(rng)``, each at ``lambdas(extra=1)``.
     """
     half = Fraction(1, 2) if exact else 0.5
-    for fixed in lattice:
-        for a, b in itertools.combinations(lattice, 2):
-            yield fixed, a, b, half
+    j, k = np.triu_indices(len(lattice), 1)
+    for i in range(len(lattice)):
+        yield lattice, np.column_stack([np.full(len(j), i), j, k]), [half] * len(j)
+    probes = []
     for _ in range(trials):
         fixed, a, b = draw(rng)
-        for lam in lambdas(exact, rng, extra=1):
-            yield fixed, a, b, lam
+        probes += [(fixed, a, b, lam) for lam in lambdas(exact, rng, extra=1)]
+    yield probe_chunk(probes)
+
+
+def level_set_plan(values: list, rng: random.Random, exact: bool) -> tuple:
+    """condition_ii's probes at one y, as (rows, lams): row r is the lattice index pair of probe r.
+
+    The pairs are the first ``LEVEL_SET_PAIRS`` (``itertools.combinations`` order) of the lattice points
+    whose f-value at y is >= 0, each at ``lambdas(exact, rng)``.
+    """
+    members = np.array([i for i, v in enumerate(values) if v >= 0], dtype=np.intp)
+    a, b = np.triu_indices(len(members), 1)
+    pairs = np.column_stack([members[a], members[b]])[:LEVEL_SET_PAIRS]
+    per_pair = [lambdas(exact, rng) for _ in pairs]
+    return np.repeat(pairs, [len(g) for g in per_pair], axis=0), [lam for g in per_pair for lam in g]
 
 
 def sqrt2_witness_pairs(C: CompactBox) -> list:

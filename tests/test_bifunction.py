@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quasieq import sampling
 from quasieq.bifunction import (
     Bifunction,
+    ConditionReport,
     ObjectiveFunction,
     QviOperator,
     check_condition_ii,
@@ -16,11 +19,15 @@ from quasieq.bifunction import (
     check_quasiconvex_second,
     make_opt_bifunction,
     make_qvi_bifunction,
+    _above_max,
+    _below_min,
+    _midpoints,
+    _pair_values,
 )
 from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, remark_bifunction_instance
-from quasieq.errors import InstanceDefinitionError
+from quasieq.errors import InstanceDefinitionError, NonFiniteValueError
 from quasieq.expressions import parse_expression
-from quasieq.geometry import CompactBox, Grid, Root2
+from quasieq.geometry import CompactBox, Grid, Root2, convex_combination
 from quasieq.setmap import FAIL, NO_VIOLATION_FOUND
 
 C02 = CompactBox((0.0,), (2.0,))
@@ -331,3 +338,124 @@ class TestCheckerProperties:
         lam = w["lambda"]
         mid = tuple(lam * a + (1 - lam) * b for a, b in zip(w["x1"], w["x2"]))
         assert f.fn(mid, w["y"]) == w["f_combination"]
+
+
+def _random_text(rng: random.Random, dim: int, names: str, depth: int = 4) -> str:
+    """A random expression in the variables <name>_1..<name>_dim for each letter of ``names``."""
+    if depth == 0 or rng.random() < 0.15:
+        if rng.random() < 0.2:
+            return repr(round(rng.uniform(-2, 2), 3))
+        return f"{rng.choice(names)}_{rng.randint(1, dim)}"
+    sub = [_random_text(rng, dim, names, depth - 1) for _ in range(4)]
+    kind = rng.choice(["+", "-", "*", "abs", "min", "max", "power", "piecewise"])
+    if kind in "+-*":
+        return f"({sub[0]} {kind} {sub[1]})"
+    if kind == "abs":
+        return f"abs({sub[0]})"
+    if kind == "power":
+        return f"power({sub[0]}, {rng.randint(0, 3)})"
+    if kind == "piecewise":
+        return f"piecewise({sub[0]} {rng.choice(['<=', '<', '>=', '>'])} {sub[1]}, {sub[2]}, {sub[3]})"
+    return f"{kind}({sub[0]}, {sub[1]})"
+
+
+def _payload_pair(text: str, C: CompactBox) -> tuple:
+    """(batched, scalar): the payload built on the parsed expression, and on the same expression wrapped in a plain
+    callable, which keeps the probe-by-probe loop; an expression in x alone is an objective h(y) - h(x)."""
+    e = parse_expression(text)
+    if e.variables <= {"x_1", "x_2", "x_3"}:
+        return make_opt_bifunction(ObjectiveFunction(e), C), make_opt_bifunction(ObjectiveFunction(lambda p: e(p)), C)
+    return Bifunction(e, C), Bifunction(lambda x, y: e(x, y), C)
+
+
+def _same(a, b) -> bool:
+    """Equal down to the type of every number and the sign of every zero (NaN equals NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (a == b or (a != a and b != b)) and math.copysign(1.0, a) == math.copysign(1.0, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, ConditionReport):
+        return _same(vars(a), vars(b))
+    return a == b
+
+
+def _outcome(check, f):
+    try:
+        return check(f)
+    except NonFiniteValueError as err:
+        return str(err)
+
+
+class TestBatchedCheckers:
+    """condition_ii, qcvx_second, qccv_first and diagonal_zero batch a float ``Expression`` payload; each gives
+    the report of its probe-by-probe loop on the same expression wrapped in a callable."""
+
+    @staticmethod
+    def assert_same_reports(text: str, C: CompactBox):
+        batched, scalar = _payload_pair(text, C)
+        assert _pair_values(batched) is not None and _pair_values(scalar) is None
+        grid = Grid(C, (9,) * C.dim)
+        checks = [
+            lambda f: check_condition_ii(f, C),
+            lambda f: check_quasiconvex_second(f, C, trials=100),
+            lambda f: check_quasiconcave_first(f, C, trials=100),
+            lambda f: check_diagonal_zero(f, grid),
+        ]
+        outcomes = []
+        for check in checks:
+            got, want = _outcome(check, batched), _outcome(check, scalar)
+            assert _same(got, want), (text, got, want)
+            outcomes.append(got)
+        return outcomes
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_expressions(self, seed, monkeypatch):
+        # smaller plans keep the probe-by-probe loops short; both paths read the same plan
+        monkeypatch.setitem(sampling.BOX_LATTICE_BUDGET, 2, 4)
+        monkeypatch.setitem(sampling.BOX_LATTICE_BUDGET, 3, 3)
+        monkeypatch.setattr(sampling, "LEVEL_SET_PAIRS", 100)
+        rng = random.Random(seed)
+        dim = 1 + seed % 3
+        lower = tuple(round(rng.uniform(-1.0, 1.0), 2) for _ in range(dim))
+        C = CompactBox(lower, tuple(lo + round(rng.uniform(0.5, 2.0), 2) for lo in lower))
+        self.assert_same_reports(_random_text(rng, dim, "x" if seed % 2 else "xy"), C)
+
+    @pytest.mark.parametrize("text", [
+        "max(-0.5*x_1 + 0.5, 0.5*x_1 - 0.5, 0.25*x_1)",  # quasiconvex: every check clean
+        "1e-7 * abs(abs(x_1 - 1) - 0.5)",  # a shallow W-shape: its violations are at most about 1e-7
+        "power(y_1 - 1, 2) - power(x_1 - 1, 2) + piecewise(x_1 > 1.5, 1e-3, 0)",  # diagonal_zero fails
+    ])
+    def test_clean_and_failing_payloads(self, text):
+        self.assert_same_reports(text, C02)
+
+    def test_w_shape_fails_alike(self):
+        outcomes = self.assert_same_reports("abs(abs(x_1 - 1) - 0.5)", C02)
+        assert [rep.verdict for rep in outcomes] == [FAIL, FAIL, FAIL, NO_VIOLATION_FOUND]
+
+    @pytest.mark.parametrize("text", ["power(x_1, 400)", "power(y_1, 400) - power(x_1, 400)"])
+    def test_overflow_raises_the_same_error(self, text):
+        # 6.0 is a lattice point of [0, 10] and 6**400 overflows: both paths name the first probe that reaches it
+        outcomes = self.assert_same_reports(text, CompactBox((0.0,), (10.0,)))
+        assert all(isinstance(out, str) and "overflows" in out for out in outcomes)
+
+    def test_midpoints_match_convex_combination(self):
+        rng = random.Random(5)
+        A = np.array([[0.1, 0.2], [rng.uniform(-2, 2), rng.uniform(-2, 2)], [-0.0, 0.0]])
+        B = np.array([[0.1, 0.2], [rng.uniform(-2, 2), rng.uniform(-2, 2)], [0.0, -0.0]])
+        lam = np.array([0.3, rng.uniform(0.05, 0.95), 0.5])
+        # 0.1 * 0.3 + 0.1 * 0.7 is not 0.1: the equal pair is returned unchanged
+        assert 0.1 * 0.3 + 0.1 * (1.0 - 0.3) != 0.1
+        for a, b, w, mid in zip(A.tolist(), B.tolist(), lam.tolist(), _midpoints(A, B, lam).tolist()):
+            assert _same(tuple(mid), convex_combination((tuple(a), tuple(b)), (w, 1.0 - w)))
+
+    def test_max_and_min_rules_follow_python(self):
+        special = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        triples = [(m, a, b) for m in special for a in special for b in special]
+        v_mid, v1, v2 = (np.array(col) for col in zip(*triples))
+        tol = sampling.FLOAT_TOL
+        assert _above_max(v_mid, v1, v2, tol).tolist() == [m > max(a, b) + tol for m, a, b in triples]
+        assert _below_min(v_mid, v1, v2, tol).tolist() == [m < min(a, b) - tol for m, a, b in triples]
