@@ -2,7 +2,8 @@
 
 Two adapters reduce other problem classes to bifunction form: an objective
 function h yields f(x, y) = h(y) - h(x), and a finite-vertex operator T yields
-f(x, y) = max over the vertex list of <v, y - x>.
+f(x, y) = max over the vertex list of <v, y - x>, an ``Expression`` when the
+vertices are.
 
 An objective's or a bifunction's ``fn`` may be an ``Expression``; it is then
 evaluated in batches because it is one.  Nothing declares the scalar field:
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import sampling
 from .errors import InstanceDefinitionError
-from .expressions import Expression
+from .expressions import Expression, parse_expression
 from .geometry import (
     CompactBox,
     Grid,
@@ -75,7 +76,7 @@ class ObjectiveFunction:
 
 
 class QviOperator:
-    """Finite vertex lists v_1(x), ..., v_m(x) of dual vectors."""
+    """Finite vertex lists v_1(x), ..., v_m(x) of dual vectors, from a callable or from expressions in x."""
 
     def __init__(self, vertex_fn: Callable, vertex_exprs: Optional[Sequence[Sequence[Expression]]] = None) -> None:
         self.vertex_fn = vertex_fn
@@ -83,10 +84,7 @@ class QviOperator:
 
     @classmethod
     def constant(cls, vertices: Sequence[Sequence[float]]) -> QviOperator:
-        verts = tuple(tuple(float(c) for c in v) for v in vertices)
-        if not verts:
-            raise InstanceDefinitionError("vertex list must be nonempty")
-        return cls(lambda x: verts)
+        return cls.from_expressions([[parse_expression(repr(float(c))) for c in v] for v in vertices])
 
     @classmethod
     def from_expressions(cls, vertex_exprs: Sequence[Sequence[Expression]]) -> QviOperator:
@@ -105,39 +103,28 @@ class QviOperator:
         return verts
 
     def scaled(self, factor: float) -> QviOperator:
-        """The operator with every vertex multiplied by factor."""
-
-        def vertex_fn(x: Point, _inner=self.vertex_fn, _f=factor):
-            return tuple(tuple(_f * c for c in v) for v in _inner(x))
-
-        return QviOperator(vertex_fn)
+        """The operator of expressions with every vertex multiplied by factor, as ``factor * (v_k)``."""
+        texts = [[f"{float(factor)!r} * ({e.to_text()})" for e in v] for v in self.vertex_exprs]
+        return QviOperator.from_expressions([[parse_expression(t) for t in v] for v in texts])
 
 
 class Bifunction:
     """An evaluable pairing f(x, y) -> scalar over C x C.
 
     ``row`` evaluates f(x, .) over a batch of second arguments, floats or
-    ``Root2`` objects, and must equal mapping ``eval`` to the bit on floats
-    and exactly on ``Root2``: adapters pass a vectorized ``row_fn`` for the
-    solvers' inner scans, and an ``Expression`` as ``fn`` is evaluated in one
+    ``Root2`` objects, and equals mapping ``eval`` to the bit on floats and
+    exactly on ``Root2``: an ``Expression`` as ``fn`` is evaluated in one
     batch (row == eval is tested on random expressions,
-    tests/test_expressions.py).  Whether f works over exact scalars is read
-    from ``domain.is_exact``.  ``objective``, when set, declares f
-    separable: f(x, y) = h(y) - h(x) for that objective h, so the solvers
-    take the minimum of f(x, .) over an image as the minimum of h over it
-    minus h(x).
+    tests/test_expressions.py), and a plain callable once per row.  Whether
+    f works over exact scalars is read from ``domain.is_exact``.
+    ``objective``, when set, declares f separable: f(x, y) = h(y) - h(x) for
+    that objective h, so the solvers take the minimum of f(x, .) over an
+    image as the minimum of h over it minus h(x).
     """
 
-    def __init__(
-        self,
-        fn: Callable,
-        domain: CompactBox,
-        row_fn: Optional[Callable] = None,
-        objective: Optional[ObjectiveFunction] = None,
-    ) -> None:
+    def __init__(self, fn: Callable, domain: CompactBox, objective: Optional[ObjectiveFunction] = None) -> None:
         self.fn = fn
         self.domain = domain
-        self.row_fn = row_fn
         self.objective = objective
 
     def eval(self, x: Point, y: Point):
@@ -149,8 +136,6 @@ class Bifunction:
 
     def row(self, x: Point, Y: np.ndarray) -> np.ndarray:
         """f(x, y) for every row y of Y, in Y's dtype; a callable sees each row as a tuple of Python scalars."""
-        if self.row_fn is not None:
-            return self.row_fn(x, Y)
         if isinstance(self.fn, Expression):
             return _column(self.fn.eval_batch(x, Y.T), Y)
         return np.array([self.fn(x, tuple(y)) for y in Y.tolist()], dtype=Y.dtype)
@@ -166,7 +151,16 @@ def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox) -> Bifunction:
 
 
 def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
-    """f(x, y) = max over the vertex list of <v, y - x> (exact max, finite list)."""
+    """f(x, y) = max over the vertex list of <v, y - x>, summed from 0.0 in coordinate order, the first maximum kept.
+
+    An operator of expressions gives one ``Expression`` of x and y with these operations in this order.
+    """
+    if T.vertex_exprs is not None:
+        if any(len(v) != domain.dim for v in T.vertex_exprs):
+            raise InstanceDefinitionError(f"every vertex must have {domain.dim} coordinate(s)")
+        terms = [[f"({e.to_text()}) * (y_{k} - x_{k})" for k, e in enumerate(v, 1)] for v in T.vertex_exprs]
+        sums = [" + ".join(["0.0"] + t) for t in terms]
+        return Bifunction(parse_expression(sums[0] if len(sums) == 1 else f"max({', '.join(sums)})"), domain)
 
     def fn(x: Point, y: Point):
         best = None
@@ -178,12 +172,7 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
                 best = s
         return best
 
-    def row_fn(x: Point, Y: np.ndarray):  # in Y's dtype, so exact rows stay exact
-        V = np.asarray(T.vertices(x), dtype=Y.dtype)
-        D = Y - np.asarray(x, dtype=Y.dtype)
-        return (V @ D.T).max(axis=0)
-
-    return Bifunction(fn, domain, row_fn=row_fn)
+    return Bifunction(fn, domain)
 
 
 # -- condition checkers -----------------------------------------------------

@@ -26,7 +26,7 @@ from .bifunction import (
 from .errors import InstanceDefinitionError, SpecError
 from .expressions import Expression, parse_expression
 from .geometry import CompactBox, Grid, Root2, grid_coords
-from .setmap import SetValuedMap, fixed_point_set, image_grid, validate_setmap
+from .setmap import SetValuedMap, fixed_point_set, image_index_ranges, validate_setmap
 from .solver import EP, QEP, QOPT, QVI, SolverConfig, solve_qep, solve_qopt
 
 Payload = Union[Bifunction, ObjectiveFunction, QviOperator]
@@ -428,17 +428,17 @@ def qvi_vertex_oracle(T: QviOperator, K: SetValuedMap, cfg: SolverConfig) -> lis
     For each near-fixed grid point, checks whether some vertex v of T(x) has
     <v, y - x> >= -eps for every image grid point y (max over vertices of the
     min over y).  This is a separate code path from the adapter-based solver.
+    Each <v, y - x> is summed over the image's open mesh elementwise, from 0.0
+    in coordinate order as the adapter sums it, so its bits depend on no BLAS.
     """
     grid = cfg.grid
     out = []
     for x in fixed_point_set(K, grid, cfg.delta_membership):
-        pts = image_grid(K, x, grid)
-        if not pts:
+        ranges = image_index_ranges(K, x, grid)
+        if any(start >= stop for start, stop in ranges):
             continue
-        Y = np.asarray(pts, dtype=float)
-        V = np.asarray(T.vertices(x), dtype=float)
-        dots = V @ (Y - np.asarray(x, dtype=float)).T
-        if dots.min(axis=1).max() >= -cfg.eps_value:
+        steps = np.ix_(*(grid.axes[k][start:stop] - x[k] for k, (start, stop) in enumerate(ranges)))
+        if max(sum((vk * dk for vk, dk in zip(v, steps)), 0.0).min() for v in T.vertices(x)) >= -cfg.eps_value:
             out.append(x)
     return out
 

@@ -139,8 +139,8 @@ def _objective_table(h: ObjectiveFunction, grid: Grid, X: np.ndarray) -> np.ndar
 
 def _row_minima(f: Bifunction, grid: Grid, X: np.ndarray, fixed: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """The minimum of ``f.row(x, .)`` over the image's block of X, its rows in lexicographic order, for each fixed point x."""
-    cube = X.reshape(grid.points_per_axis + (grid.dim,))
-    rows = (cube[_box(span)].reshape(-1, grid.dim) for span in spans)
+    cube = X.T.reshape((grid.dim,) + grid.points_per_axis)  # each block's copy holds a coordinate contiguous, as Y.T is read
+    rows = (cube[(slice(None),) + _box(span)].reshape(grid.dim, -1).T for span in spans)
     return np.array([f.row(x, Y).min() for x, Y in zip(grid.points_at(fixed), rows)], dtype=X.dtype)
 
 

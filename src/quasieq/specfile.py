@@ -45,6 +45,7 @@ maps in one batch, constant maps once per point.
 from __future__ import annotations
 
 import configparser
+import itertools
 from dataclasses import dataclass
 
 from .bifunction import Bifunction, ObjectiveFunction, QviOperator
@@ -97,6 +98,13 @@ def _number(section: configparser.SectionProxy, key: str, default, cast):
         return cast(section[key])
     except ValueError:
         raise SpecError(f"[{section.name}] {key} must be a number, got {section[key]!r}")
+
+
+def _coordinates(text: str) -> list:
+    """The parts of text between its commas outside parentheses: ``max(x_1, 0.5), x_1`` has two."""
+    depths = itertools.accumulate((c == "(") - (c == ")") for c in text)
+    cuts = [i for i, (c, depth) in enumerate(zip(text, depths)) if c == "," and depth == 0]
+    return [text[i + 1 : j].strip() for i, j in zip([-1] + cuts, cuts + [len(text)])]
 
 
 def _parse_checked(text: str, allowed: set[str], what: str) -> Expression:
@@ -167,7 +175,7 @@ def load_spec(text: str) -> ProblemSpec:
     else:
         j = 1
         while f"vertex_{j}" in psec:
-            parts = [p.strip() for p in psec[f"vertex_{j}"].split(",")]
+            parts = _coordinates(psec[f"vertex_{j}"])
             if len(parts) != dim:
                 raise SpecError(f"[payload] vertex_{j} must have {dim} coordinate(s)")
             vertices.append(

@@ -164,6 +164,47 @@ class TestQviAdapter:
             assert f10.eval(x, y) == pytest.approx(10.0 * v, rel=1e-15, abs=1e-300)
 
 
+def _qvi_reference(T: QviOperator, x: tuple, y: tuple) -> float:
+    """f_T(x, y) for one pair: each <v, y - x> summed from 0.0 in coordinate order, the first maximum kept."""
+    best = None
+    for v in T.vertices(x):
+        s = 0.0
+        for k in range(len(x)):
+            s += v[k] * (y[k] - x[k])
+        if best is None or s > best:
+            best = s
+    return best
+
+
+class TestQviAdapterKernel:
+    """The adapter of an expression operator is one ``Expression``: its batch row and its scalar value are the
+    per-pair reference to the bit, so no matrix product rounds them."""
+
+    def test_row_and_fn_match_per_pair_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            box = CompactBox((0.0,) * dim, (1.0,) * dim)
+            T = QviOperator.from_expressions(
+                [[parse_expression(_random_text(rng, dim, "x", 2)) for _ in range(dim)] for _ in range(rng.randint(1, 3))]
+            )
+            f = make_qvi_bifunction(T, box)
+            x = tuple(rng.random() for _ in range(dim))
+            Y = np.array([x] + [[rng.random() for _ in range(dim)] for _ in range(40)])
+            row = f.row(x, Y)
+            for y, got in zip(map(tuple, Y.tolist()), row.tolist()):
+                want = _qvi_reference(T, x, y)
+                for value in (got, f.fn(x, y)):
+                    assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want), (T.vertex_exprs, x, y)
+
+    def test_vertex_of_wrong_length_refused(self):
+        square = CompactBox((0.0, 0.0), (1.0, 1.0))
+        for vertex in (["1.0"], ["1.0", "x_1", "x_2"]):
+            T = QviOperator.from_expressions([[parse_expression(c) for c in vertex]])
+            with pytest.raises(InstanceDefinitionError, match="2 coordinate"):
+                make_qvi_bifunction(T, square)
+
+
 class TestConditionII:
     def test_remark_clean(self):
         inst = remark_bifunction_instance()

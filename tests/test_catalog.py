@@ -154,6 +154,15 @@ class TestQviInstances:
         oracle = qvi_vertex_oracle(inst.payload, inst.K, cfg)
         assert [r.point for r in rep.solutions] == oracle
 
+    def test_oracle_agrees_at_the_benchmark_grid(self):
+        # multi-vertex 2-D operators at 121^2, where a matrix product's rounding once moved the oracle's minima
+        for seed in (59, 95, 260):
+            inst = qvi_instance(seed)
+            cfg = inst.config(points_per_axis=(121, 121))
+            rep = solve_qep(make_qvi_bifunction(inst.payload, inst.C), inst.K, cfg, kind="QVI")
+            assert len(inst.payload.vertex_exprs) > 1 and rep.solutions
+            assert [r.point for r in rep.solutions] == qvi_vertex_oracle(inst.payload, inst.K, cfg)
+
     def test_same_seed_reproducible(self):
         assert qvi_instance(8).serialize() == qvi_instance(8).serialize()
 
@@ -182,7 +191,19 @@ class TestRegistry:
     def test_serialization_round_trip(self):
         from quasieq.specfile import build_instance, load_spec
 
-        for inst in (figure1_instance(), random_instance(3, 2), qvi_instance(5), get_instance("qvi-unit")):
+        # operators whose vertex coordinates hold commas inside parentheses, in 1-D and 2-D
+        commas = [
+            dataclasses.replace(
+                random_instance(3, dim),
+                payload=QviOperator.from_expressions([[parse_expression(c) for c in v] for v in vertices]),
+                grid_default=(41,) * dim,
+            )
+            for dim, vertices in (
+                (1, [["max(x_1, 0.5)"], ["min(x_1, 0.25, 0.75) - 1"]]),
+                (2, [["max(x_1, 0.5)", "power(x_2, 2)"], ["piecewise(x_1 <= 0.5, 1, -1)", "min(x_1, max(x_2, 0.25))"]]),
+            )
+        ]
+        for inst in (figure1_instance(), random_instance(3, 2), qvi_instance(5), get_instance("qvi-unit"), *commas):
             text = inst.serialize()
             again = build_instance(load_spec(text), name=inst.name)
             assert again.serialize() == text
@@ -206,7 +227,7 @@ class TestRegistry:
             payload = {
                 "objective": ObjectiveFunction(lambda x: x[0]),
                 "bifunction": Bifunction(lambda x, y: y[0] - x[0], C),
-                "qvi_operator": QviOperator.constant([(1.0,)]),
+                "qvi_operator": QviOperator(lambda x: ((1.0,),)),
             }[part]
             inst = dataclasses.replace(inst, payload=payload)
             assert inst.payload_kind == part

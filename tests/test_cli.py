@@ -201,18 +201,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_non_finite_objective(self, tmp_path, capsys, command):
-        spec = tmp_path / "overflow.spec"
-        spec.write_text(
-            "[domain]\ndim = 1\nlower = 0.0\nupper = 2.0\n\n[map]\nkind = constant\n\n"
-            "[payload]\nkind = objective\nexpr = power(x_1, 2000) - power(x_1, 2000)\n\n"
-            "[solver]\ngrid = 21\n"
-        )
-        assert main([command, str(spec), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        if command == "solve":
-            assert "grid point (1.5,)" in err
-        assert not (tmp_path / "out").exists()
+        payloads = [
+            # (payload, the point the error names, or None where only solve names it)
+            ("kind = objective\nexpr = power(x_1, 2000) - power(x_1, 2000)", "grid point (1.5,)" if command == "solve" else None),
+            ("kind = qvi_operator\nvertex_1 = 1e300 * x_1 * 1e300", "(0.1,)"),
+        ]
+        for payload, named in payloads:
+            spec = tmp_path / "overflow.spec"
+            spec.write_text(
+                "[domain]\ndim = 1\nlower = 0.0\nupper = 2.0\n\n[map]\nkind = constant\n\n"
+                f"[payload]\n{payload}\n\n[solver]\ngrid = 21\n"
+            )
+            assert main([command, str(spec), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert named is None or named in err, err
+            assert not (tmp_path / "out").exists()
 
     def test_empty_image_on_the_scanned_grid(self, tmp_path, capsys):
         spec = tmp_path / "hole.spec"

@@ -247,10 +247,7 @@ class TestNonFinite:
             solve_qep(make_opt_bifunction(h, K.domain), K, cfg)
 
     def test_row_minimum_names_its_point(self):
-        f = Bifunction(
-            lambda x, y: 0.0, C01,
-            row_fn=lambda x, Y: np.full(len(Y), np.nan if x[0] > 0.6 else 0.0),
-        )
+        f = Bifunction(lambda x, y: math.nan if x[0] > 0.6 else 0.0, C01)
         with pytest.raises(NonFiniteValueError, match=r"is nan at grid point \(0\.75,\)"):
             solve_qep(f, SetValuedMap.constant(C01), cfg_for(C01, 5))
 
