@@ -22,11 +22,17 @@ are points.  The two give equal values, down to the sign of a zero: ``power``
 is one repeated-squaring routine in both, and ``min``/``max`` follow one rule
 in both (NaN propagates, and a tie such as 0.0 with -0.0 keeps the first
 argument).
+
+A static pass over the AST (``Expression.y_directions``) tells, at each of a
+batch of points x, whether the batch value is non-decreasing, non-increasing
+or constant in each y_k, or unknown; ``Expression.finite_subterms`` checks
+the one condition its claims need, that no subterm is NaN.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -352,6 +358,106 @@ def _compile(node: Node, batch: bool) -> Callable:
     return namespace["_f"]
 
 
+# -- monotonicity in y ------------------------------------------------------
+
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+}
+
+
+def _y_axes(node: Node) -> set:
+    """The k - 1 of every y_k the node reads."""
+    if isinstance(node, Var):
+        return {int(node.name[2:]) - 1} if node.name[0] == "y" else set()
+    if isinstance(node, Num):
+        return set()
+    if isinstance(node, Neg):
+        parts = (node.operand,)
+    elif isinstance(node, Bin):
+        parts = (node.left, node.right)
+    elif isinstance(node, Call):
+        parts = node.args
+    else:
+        parts = (node.cond.left, node.cond.right, node.then, node.els)
+    return set().union(*map(_y_axes, parts))
+
+
+def _walk(node: Node, x, y) -> tuple:
+    """(value, finite): the node's batch value at the points x and y, by the batch evaluator's operations in its
+    order, and where every subterm on the ``piecewise`` branches taken is finite."""
+    if isinstance(node, Num):
+        return node.value, math.isfinite(node.value)
+    if isinstance(node, Var):
+        value = (x if node.name[0] == "x" else y)[int(node.name[2:]) - 1]
+        return value, np.isfinite(value)
+    if isinstance(node, Piecewise):
+        (left, left_ok), (right, right_ok) = _walk(node.cond.left, x, y), _walk(node.cond.right, x, y)
+        cond = _OPERATORS[node.cond.op](left, right)
+        (then, then_ok), (els, els_ok) = _walk(node.then, x, y), _walk(node.els, x, y)
+        return np.where(cond, then, els), left_ok & right_ok & np.where(cond, then_ok, els_ok)
+    if isinstance(node, Neg):
+        value, ok = _walk(node.operand, x, y)
+        value = -value
+    elif isinstance(node, Bin):
+        (left, left_ok), (right, right_ok) = _walk(node.left, x, y), _walk(node.right, x, y)
+        value, ok = _OPERATORS[node.op](left, right), left_ok & right_ok
+    elif node.fn in ("abs", "power"):
+        value, ok = _walk(node.args[0], x, y)
+        value = abs(value) if node.fn == "abs" else _power(value, int(node.args[1].value))
+    else:
+        value, ok = _walk(node.args[0], x, y)
+        pick = _BATCH_NAMES[f"_{node.fn}imum"]
+        for arg in node.args[1:]:
+            other, other_ok = _walk(arg, x, y)
+            value, ok = pick(value, other), ok & other_ok
+    return value, ok & np.isfinite(value)
+
+
+def _directions(node: Node, x, dim: int) -> tuple:
+    """(rise, fall), boolean arrays broadcast against (points, dim): where the node's batch value at the points x
+    may increase, and where it may decrease, as y_k alone increases; both on one axis mean unknown.
+
+    IEEE-754 round-to-nearest ``+``, ``-``, ``*`` and ``/`` are
+    non-decreasing in each argument (Goldberg 1991), as are ``min`` and
+    ``max``.  So a factor free of y flips the directions where it is
+    negative, and a ``piecewise`` whose condition reads no y has the
+    directions of the branch it takes.  Every other term in y is unknown on
+    the axes it reads.  The claims hold on any box of y where no subterm is
+    NaN; a NaN factor, whose product is NaN at every y, is left to that
+    condition.
+    """
+    axes = _y_axes(node)
+    reads = np.array([k in axes for k in range(dim)])
+    if isinstance(node, Var) or not axes:
+        return reads, np.zeros(dim, dtype=bool)
+    if isinstance(node, Neg):
+        rise, fall = _directions(node.operand, x, dim)
+        return fall, rise
+    if isinstance(node, Bin) and node.op in "+-":
+        (rise, fall), (right_rise, right_fall) = _directions(node.left, x, dim), _directions(node.right, x, dim)
+        if node.op == "-":
+            right_rise, right_fall = right_fall, right_rise
+        return rise | right_rise, fall | right_fall
+    if isinstance(node, Bin) and not (_y_axes(node.left) and _y_axes(node.right)):
+        factor, operand = (node.right, node.left) if _y_axes(node.left) else (node.left, node.right)
+        rise, fall = _directions(operand, x, dim)
+        flip = np.asarray(_walk(factor, x, ())[0] < 0)[..., None]
+        return np.where(flip, fall, rise), np.where(flip, rise, fall)
+    if isinstance(node, Call) and node.fn in ("min", "max"):
+        rise = fall = np.zeros(dim, dtype=bool)
+        for arg in node.args:
+            arg_rise, arg_fall = _directions(arg, x, dim)
+            rise, fall = rise | arg_rise, fall | arg_fall
+        return rise, fall
+    if isinstance(node, Piecewise) and not (_y_axes(node.cond.left) or _y_axes(node.cond.right)):
+        left, right = _walk(node.cond.left, x, ())[0], _walk(node.cond.right, x, ())[0]
+        cond = np.asarray(_OPERATORS[node.cond.op](left, right))[..., None]
+        (rise, fall), (els_rise, els_fall) = _directions(node.then, x, dim), _directions(node.els, x, dim)
+        return np.where(cond, rise, els_rise), np.where(cond, fall, els_fall)
+    return reads, reads  # abs, power, a product of two terms in y, a condition in y
+
+
 class Expression:
     """A parsed expression with scalar and numpy-batch evaluators of points x and y."""
 
@@ -378,6 +484,22 @@ class Expression:
         For points given as the rows of matrices X and Y, pass ``X.T`` and ``Y.T``.
         """
         return self._batch_fn(x, y)
+
+    def y_directions(self, x, dim: int) -> tuple:
+        """(rise, fall), (points, dim) boolean arrays at the points x, one array per coordinate: where the batch
+        value may increase, and where it may decrease, as y_k alone increases; both mean unknown.
+
+        Where neither is set on an axis the value does not read y_k.  The
+        claims hold over any box of y on which ``finite_subterms`` holds at
+        the two corners that the directions make extreme.
+        """
+        shape = (len(x[0]), dim)
+        rise, fall = _directions(self.ast, x, dim)
+        return np.broadcast_to(rise, shape), np.broadcast_to(fall, shape)
+
+    def finite_subterms(self, x, y) -> np.ndarray:
+        """Where every subterm on the ``piecewise`` branches taken is finite, at the points x and y, one array per coordinate."""
+        return np.broadcast_to(_walk(self.ast, x, y)[1], np.broadcast(*x, *y).shape)
 
     def to_text(self) -> str:
         """Canonical rendering; reparsing yields an equal AST."""

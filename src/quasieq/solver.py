@@ -17,7 +17,24 @@ table of h over the grid, and a sparse table of range minima answers every
 image at once, built one level tuple at a time, so it holds about d
 grid-sized arrays, never all its levels.  Other payloads take the minimum of
 ``Bifunction.row`` over the image's block of the grid, one fixed point at a
-time.  Reports are deterministic for a given instance and config.
+time, except where an ``Expression`` row on a float grid is provably
+monotone: there the minimum is its value at one corner of the block.
+
+IEEE-754 round-to-nearest ``+``, ``-``, ``*`` and ``/`` are non-decreasing
+in each argument (Goldberg 1991).  So a row built from them, with factors
+free of y of known sign, ``min``, ``max`` and ``piecewise`` on a condition
+in x alone, is monotone in each y_k in floats as in reals, and its block
+minimum is its value at the corner that the directions pick (the
+monotonicity test of interval optimization, Hansen & Walster 2004, used as
+an exact identity).  ``Expression.y_directions`` finds the directions for
+all fixed points in one batch, and one ``eval_batch`` gives every corner
+value.  A fixed point keeps the block when a direction is unknown, when the
+corner value is zero (a block holding 0.0 and -0.0 may give either), or
+when a subterm is not finite at one of the block's two extreme corners.
+Every subterm is monotone too, the same way as the row or the opposite
+way, so finite values there leave no NaN inside the block; a finite row at
+both corners would not, as inf - inf inside may clip to finite corners.
+Reports are deterministic for a given instance and config.
 """
 
 from __future__ import annotations
@@ -40,6 +57,7 @@ from .bifunction import (
     make_opt_bifunction,
 )
 from .errors import DegenerateImageError, NonFiniteValueError
+from .expressions import Expression
 from .geometry import Grid, Point, grid_coords, require_finite
 from .setmap import (
     FAIL,
@@ -144,6 +162,35 @@ def _row_minima(f: Bifunction, grid: Grid, X: np.ndarray, fixed: np.ndarray, spa
     return np.array([f.row(x, Y).min() for x, Y in zip(grid.points_at(fixed), rows)], dtype=X.dtype)
 
 
+def _inner_minima(f: Bifunction, grid: Grid, X: np.ndarray, fixed: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The minimum of f(x, .) over the image's block of X for each fixed point x: at one corner where the
+    row is monotone, else by ``_row_minima``."""
+    if X.dtype != float or not isinstance(f.fn, Expression):
+        return _row_minima(f, grid, X, fixed, spans)
+    taken, minima = _corner_minima(f.fn, grid, X, fixed, spans)
+    rest = ~taken
+    minima[rest] = _row_minima(f, grid, X, fixed[rest], spans[rest])
+    return minima
+
+
+def _corner_minima(e: Expression, grid: Grid, X: np.ndarray, fixed: np.ndarray, spans: np.ndarray) -> tuple:
+    """(taken, minima): e(x, .) at the corner of each image block that its directions in y make least, and
+    where that value is the block's minimum to the bit.
+
+    That is where e is monotone in every y_k at x, every subterm is finite
+    at both extreme corners, so the block holds no NaN, and the value is not
+    zero, since a block holding 0.0 and -0.0 may give either.
+    """
+    x = [X[fixed, k] for k in range(grid.dim)]
+    rise, fall = e.y_directions(x, grid.dim)
+    first, last = spans[:, :, 0], spans[:, :, 1] - 1
+    low = [ax[c] for ax, c in zip(grid.axes, np.where(fall, last, first).T)]
+    high = [ax[c] for ax, c in zip(grid.axes, np.where(fall, first, last).T)]
+    minima = np.array(np.broadcast_to(e.eval_batch(x, low), len(fixed)), dtype=float)
+    taken = ~(rise & fall).any(axis=1) & (minima != 0) & e.finite_subterms(x, low) & e.finite_subterms(x, high)
+    return taken, minima
+
+
 def _range_minima(table: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """The minimum of the d-dimensional table over each box of ``spans``, a (Q, d, 2) array of nonempty ranges.
 
@@ -218,7 +265,7 @@ def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP
     table = None if f.objective is None else _objective_table(f.objective, grid, X)
     fixed, residuals, spans, degenerate = _fixed_points(K, cfg, X)
     if table is None:
-        min_f = _row_minima(f, grid, X, fixed, spans)
+        min_f = _inner_minima(f, grid, X, fixed, spans)
     else:
         # float-identical to the row minimum: subtracting a constant is
         # monotone under correct rounding, so min and subtract commute

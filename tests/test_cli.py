@@ -218,6 +218,19 @@ class TestExitCodes:
             assert named is None or named in err, err
             assert not (tmp_path / "out").exists()
 
+    def test_nan_inside_a_block_with_finite_corners(self, tmp_path, capsys):
+        # the row clips to -5 and 5 at the block's extreme corners but is inf - inf = NaN inside it
+        spec = tmp_path / "clipped.spec"
+        spec.write_text(
+            "[domain]\ndim = 2\nlower = 0.0, 0.0\nupper = 1.0, 1.0\n\n[map]\nkind = constant\n\n[payload]\n"
+            "kind = bifunction\nexpr = max(min(1e300*(y_1 - x_1)*1e300 - (-1e300)*(y_2 - x_2)*1e300, 5), -5)\n\n"
+            "[solver]\ngrid = 11, 11\n"
+        )
+        assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is nan at grid point (0.0, 0.1)" in err, err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_empty_image_on_the_scanned_grid(self, tmp_path, capsys):
         spec = tmp_path / "hole.spec"
         spec.write_text(HOLE_SPEC)

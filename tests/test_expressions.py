@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasieq.bifunction import Bifunction
 from quasieq.errors import NonFiniteValueError, ParseError
 from quasieq.expressions import Bin, Call, Cmp, Expression, Neg, Num, Piecewise, Var, parse_expression
+from quasieq.geometry import CompactBox, Grid, grid_coords
+from quasieq.solver import _corner_minima
 
 _constants = st.floats(-4.0, 4.0, allow_nan=False).map(Num)
 _divisors = st.sampled_from([-3.0, -0.5, 0.25, 2.0, 7.0]).map(Num)
@@ -161,3 +164,71 @@ class TestRoundTrip:
         again = parse_expression(e.to_text())
         assert again.ast == e.ast
         assert again.to_text() == e.to_text()
+
+
+# 1e300 * (y_1 - x_1) * 1e300 is +inf wherever y_1 > x_1 and the subtrahend is +inf wherever y_2 < x_2,
+# so the difference is NaN inside a block whose two extreme corners clip to the finite -5 and 5
+CLIPPED_NAN = "max(min(1e300*(y_1 - x_1)*1e300 - (-1e300)*(y_2 - x_2)*1e300, 5), -5)"
+
+
+@st.composite
+def _blocks(draw):
+    """A 3-D float grid, a few of its points in lexicographic order and an index block of the grid for each."""
+    lower = [draw(st.floats(-2.0, 1.0)) for _ in range(3)]
+    upper = [lo + draw(st.floats(0.25, 3.0)) for lo in lower]
+    ppa = [draw(st.integers(2, 5)) for _ in range(3)]
+    size = ppa[0] * ppa[1] * ppa[2]
+    fixed = sorted(draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=6)))
+    spans = [[sorted(draw(st.lists(st.integers(0, m), min_size=2, max_size=2, unique=True))) for m in ppa] for _ in fixed]
+    return lower, upper, ppa, fixed, spans
+
+
+class TestCornerMinima:
+    """Wherever the monotonicity pass lets the solver take a row's minimum at one corner of its block, that value is the block's minimum from ``Bifunction.row``, down to the sign of a zero."""
+
+    @given(_asts, _blocks())
+    @example(parse_expression(CLIPPED_NAN).ast, ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [11, 11, 2], [2], [[[0, 11], [0, 11], [0, 2]]]))
+    @example(parse_expression("0.5 * (y_1 - x_1) - 2 * (y_2 - x_2) + max(y_3, y_3 / 4 - 1)").ast,
+             ([-1.0, -1.0, 0.0], [1.0, 1.0, 1.0], [5, 5, 3], [0, 31, 74], [[[0, 5], [0, 5], [0, 3]]] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_claimed_corner_is_the_block_minimum(self, ast, block):
+        e = parse_expression(Expression(ast, "", frozenset()).to_text())
+        lower, upper, ppa, fixed, spans = block
+        C = CompactBox(tuple(lower), tuple(upper))
+        grid = Grid(C, tuple(ppa))
+        X = grid_coords(grid)
+        fixed, spans = np.array(fixed, dtype=np.intp), np.array(spans, dtype=np.intp)
+        with np.errstate(all="ignore"):  # non-finite values never get a corner; the block keeps them
+            taken, minima = _corner_minima(e, grid, X, fixed, spans)
+            cube = X.reshape(tuple(ppa) + (3,))
+            for j in np.flatnonzero(taken):
+                Y = cube[tuple(slice(s, t) for s, t in spans[j])].reshape(-1, 3)
+                want = Bifunction(e, C).row(tuple(X[fixed[j]].tolist()), Y).min()
+                assert minima[j] == want, (e.to_text(), X[fixed[j]], spans[j], minima[j], want)
+                assert math.copysign(1, minima[j]) == math.copysign(1, want)
+
+    @pytest.mark.parametrize("text", [
+        "abs(y_1 - x_1)",
+        "power(y_1 - x_1, 2)",
+        "y_1 * y_2",
+        "piecewise(y_1 <= x_1, x_1 - y_1, y_1 - x_1)",
+        "max(0.0 + (1.0) * (y_1 - x_1), 0.0 + (-1.0) * (y_1 - x_1))",
+        "(y_1 - x_1) - y_1",
+    ])
+    def test_unknown_directions(self, text):
+        x = [np.linspace(0.0, 1.0, 5)] * 2
+        rise, fall = parse_expression(text).y_directions(x, 2)
+        assert (rise & fall)[:, 0].all()
+
+    def test_directions_follow_sign_and_branch(self):
+        x = [np.array([-1.0, 0.0, 2.0]), np.array([0.5, 0.5, 0.5])]
+        e = parse_expression("piecewise(x_1 < 1, (x_1 - 0.5) * (y_1 - x_1), y_2 / -4)")
+        rise, fall = e.y_directions(x, 2)
+        assert rise.tolist() == [[False, False], [False, False], [False, False]]
+        assert fall.tolist() == [[True, False], [True, False], [False, True]]
+
+    def test_nan_factor_is_not_finite(self):
+        """A NaN factor makes its product NaN at every y, so the finiteness rule refuses the corner whatever the directions say."""
+        x, y = [np.array([0.5, 1.0])] * 2, [np.array([0.25, 2.0])] * 2
+        with np.errstate(invalid="ignore"):
+            assert not parse_expression("(x_1 * 1e400 - x_1 * 1e400) * y_1 + y_2").finite_subterms(x, y).any()

@@ -1,10 +1,16 @@
 import dataclasses
+import hashlib
+import importlib.util
+import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quasieq import solver
 from quasieq.bifunction import (
     Bifunction,
     ObjectiveFunction,
@@ -19,6 +25,7 @@ from quasieq.catalog import (
     qvi_instance,
     random_instance,
 )
+from quasieq.cli import main
 from quasieq.errors import DegenerateImageError, InstanceDefinitionError, NonFiniteValueError
 from quasieq.expressions import parse_expression
 from quasieq.geometry import CompactBox, Grid, Root2, grid_coords, grid_points
@@ -662,3 +669,110 @@ class TestSolverInvariants:
             pts = image_grid(inst.K, x, cfg.grid)
             members = tuple(x0 for x0 in pts if all(f.fn(x0, y) >= -cfg.eps_value for y in pts))
             assert smap(f, inst.K, x, cfg) == members
+
+
+def _block_path(monkeypatch):
+    """Make every fixed point take ``_row_minima``, as all did before the corner path."""
+    def no_corners(e, grid, X, fixed, spans):
+        return np.zeros(len(fixed), dtype=bool), np.empty(len(fixed))
+
+    monkeypatch.setattr(solver, "_corner_minima", no_corners)
+
+
+class TestCornerPath:
+    """Monotone expression rows take their minimum at one corner of the image block; every other row, and every input the pass cannot prove monotone, takes the block, and the report bytes never change."""
+
+    C2 = CompactBox((0.0, 0.0), (1.0, 1.0))
+    K2 = SetValuedMap(
+        C2,
+        [parse_expression("(0.45 + 0.1*x_2) - 0.3"), parse_expression("(0.55 - 0.15*x_1) - 0.25")],
+        [parse_expression("(0.45 + 0.1*x_2) + 0.3"), parse_expression("(0.55 - 0.15*x_1) + 0.25")],
+    )
+
+    @staticmethod
+    def _spied(monkeypatch, grid):
+        """The grid points whose minimum ``_row_minima`` takes, recorded as the solver calls it."""
+        seen = []
+        block = solver._row_minima
+
+        def spy(f, g, X, fixed, spans):
+            seen.extend(grid.points_at(fixed))
+            return block(f, g, X, fixed, spans)
+
+        monkeypatch.setattr(solver, "_row_minima", spy)
+        return seen
+
+    def _reports(self, f, monkeypatch):
+        """The report, the points whose minimum took the block, and the report bytes of the all-block solve."""
+        if isinstance(f, QviOperator):
+            f = make_qvi_bifunction(f, self.C2)
+        else:
+            f = Bifunction(parse_expression(f), self.C2)
+        cfg = SolverConfig(Grid(self.C2, (31, 31)), 1e-6, 0.0)
+        seen = self._spied(monkeypatch, cfg.grid)
+        report, seen = solve_qep(f, self.K2, cfg), list(seen)
+        _block_path(monkeypatch)
+        return report, seen, report_to_json(solve_qep(f, self.K2, cfg))
+
+    @pytest.mark.parametrize("f", [
+        "abs(y_1 - x_1)",
+        "power(y_1 - x_1, 2)",
+        "piecewise(y_1 <= x_1, x_1 - y_1, 2*(y_1 - x_1))",
+        QviOperator.constant([(1.0, 0.5), (-1.0, 0.25)]),  # vertex signs differ in coordinate 1
+    ], ids=["abs", "power", "piecewise-in-y", "mixed-sign-vertices"])
+    def test_unknown_rows_take_the_block(self, f, monkeypatch):
+        report, seen, block_bytes = self._reports(f, monkeypatch)
+        fixed, _residuals, _spans = fixed_table(self.K2, Grid(self.C2, (31, 31)))
+        assert report.solutions and len(seen) == len(fixed)
+        assert report_to_json(report) == block_bytes
+
+    @pytest.mark.parametrize("f", [
+        # the first factor is +0.0 at x_2 = 0.5, so those blocks hold 0.0 and -0.0 and either may be the minimum
+        "(x_2 - 0.5)*(y_1 - x_1) + (0.3*x_1 - 0.2)*(y_2 - x_2)",
+        QviOperator.constant([(1.0, -0.5), (0.25, -2.0)]),  # vertex signs agree in each coordinate
+    ], ids=["affine-field", "same-sign-vertices"])
+    def test_monotone_rows_take_the_block_only_at_a_zero_corner(self, f, monkeypatch):
+        report, seen, block_bytes = self._reports(f, monkeypatch)
+        zeros = [rec.point for rec in report.solutions if rec.min_f == 0]
+        assert zeros and seen == zeros
+        assert report_to_json(report) == block_bytes
+
+    def test_row_path_pool_matches_the_benchmark_reference(self, tmp_path, monkeypatch):
+        """Every scan-rowpath problem of perfbench, through ``quasieq solve``, hashes to its reference digest."""
+        root = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        digests = json.loads((root / "reference.json").read_text(encoding="utf-8"))["digests"]
+        keys = []
+        for source, _count in workloads.WORKLOADS["scan-rowpath"].mix:
+            for seed in source.pool.seeds:
+                problem = source.make(seed, tmp_path)
+                assert hashlib.sha256(problem.run()).hexdigest() == digests[problem.key], problem.key
+                keys.append(problem.key)
+        assert len(keys) == 48
+
+    def test_three_dimensional_spec_end_to_end(self, tmp_path, monkeypatch):
+        """<A x + b, y - x> on [0,1]^3 with a moving box, through ``quasieq solve``: the block path's report."""
+        spec = tmp_path / "field3d.spec"
+        spec.write_text(
+            "[domain]\ndim = 3\nlower = 0.0, 0.0, 0.0\nupper = 1.0, 1.0, 1.0\n\n"
+            "[map]\nkind = moving_box\n"
+            "lower_1 = (0.45 + 0.1*x_2) - 0.3\nupper_1 = (0.45 + 0.1*x_2) + 0.3\n"
+            "lower_2 = (0.55 - 0.15*x_3) - 0.25\nupper_2 = (0.55 - 0.15*x_3) + 0.25\n"
+            "lower_3 = (0.5 + 0.1*x_1) - 0.3\nupper_3 = (0.5 + 0.1*x_1) + 0.3\n\n"
+            "[payload]\nkind = bifunction\nexpr = (0.6*x_1 - 0.4*x_2 + 0.1)*(y_1 - x_1)"
+            " + (-0.3*x_1 + 0.8*x_2 - 0.2)*(y_2 - x_2) + (0.2*x_2 + 0.7*x_3 - 0.35)*(y_3 - x_3)\n\n"
+            "[solver]\ngrid = 21, 21, 21\neps = 0.05\ndelta = 0.01\n"
+        )
+        seen = self._spied(monkeypatch, Grid(CompactBox((0.0,) * 3, (1.0,) * 3), (21, 21, 21)))
+        outs, blocks = [], []
+        for name in ("corner.json", "block.json"):
+            assert main(["solve", str(spec), "--format", "json", "--out", str(tmp_path / name)]) == 0
+            outs.append((tmp_path / name).read_bytes())
+            blocks.append(len(seen))
+            _block_path(monkeypatch)
+        assert json.loads(outs[0])["solutions"]
+        assert blocks[0] < (blocks[1] - blocks[0]) / 10  # most minima come from a corner
+        assert outs[0] == outs[1]
