@@ -38,6 +38,7 @@ from .geometry import (
     contains,
     convex_combination,
     grid_coords,
+    point_columns,
 )
 from .setmap import FAIL, NO_VIOLATION_FOUND
 
@@ -54,9 +55,9 @@ class ConditionReport:
         assert (self.verdict == FAIL) == (self.witness is not None)
 
 
-def _column(values, rows: np.ndarray) -> np.ndarray:
-    """A batch evaluation's result as a writable array of the rows' length and dtype (a constant expression gives one number)."""
-    return np.broadcast_to(np.asarray(values, dtype=rows.dtype), (len(rows),)).copy()
+def _column(values, X: np.ndarray) -> np.ndarray:
+    """A batch evaluation's result as a writable array, one value per column of X in X's dtype (a constant expression gives one number)."""
+    return np.broadcast_to(np.asarray(values, dtype=X.dtype), X.shape[1:]).copy()
 
 
 class ObjectiveFunction:
@@ -69,10 +70,10 @@ class ObjectiveFunction:
         return self.fn(x)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """h at every row of X, in X's dtype; a callable sees each row as a tuple of Python scalars."""
+        """h at every point (column) of X, in X's dtype; a callable sees each point as a tuple of Python scalars."""
         if isinstance(self.fn, Expression):
-            return _column(self.fn.eval_batch(X.T), X)
-        return np.array([self.fn(tuple(row)) for row in X.tolist()], dtype=X.dtype)
+            return _column(self.fn.eval_batch(X), X)
+        return np.array([self.fn(x) for x in zip(*X.tolist())], dtype=X.dtype)
 
 
 class QviOperator:
@@ -111,11 +112,11 @@ class QviOperator:
 class Bifunction:
     """An evaluable pairing f(x, y) -> scalar over C x C.
 
-    ``row`` evaluates f(x, .) over a batch of second arguments, floats or
-    ``Root2`` objects, and equals mapping ``eval`` to the bit on floats and
-    exactly on ``Root2``: an ``Expression`` as ``fn`` is evaluated in one
-    batch (row == eval is tested on random expressions,
-    tests/test_expressions.py), and a plain callable once per row.  Whether
+    ``row`` evaluates f(x, .) over a (dim, M) array of second arguments,
+    floats or ``Root2`` objects, and equals mapping ``eval`` to the bit on
+    floats and exactly on ``Root2``: an ``Expression`` as ``fn`` is evaluated
+    in one batch (row == eval is tested on random expressions,
+    tests/test_expressions.py), and a plain callable once per point.  Whether
     f works over exact scalars is read from ``domain.is_exact``.
     ``objective``, when set, declares f separable: f(x, y) = h(y) - h(x) for
     that objective h, so the solvers take the minimum of f(x, .) over an
@@ -135,10 +136,10 @@ class Bifunction:
         return self.fn(x, y)
 
     def row(self, x: Point, Y: np.ndarray) -> np.ndarray:
-        """f(x, y) for every row y of Y, in Y's dtype; a callable sees each row as a tuple of Python scalars."""
+        """f(x, y) for every point y (column) of Y, in Y's dtype; a callable sees each y as a tuple of Python scalars."""
         if isinstance(self.fn, Expression):
-            return _column(self.fn.eval_batch(x, Y.T), Y)
-        return np.array([self.fn(x, tuple(y)) for y in Y.tolist()], dtype=Y.dtype)
+            return _column(self.fn.eval_batch(x, Y), Y)
+        return np.array([self.fn(x, y) for y in zip(*Y.tolist())], dtype=Y.dtype)
 
 
 def make_opt_bifunction(h: ObjectiveFunction, domain: CompactBox) -> Bifunction:
@@ -179,7 +180,7 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
 
 
 def _pair_values(f: Bifunction) -> Optional[Callable]:
-    """(X, Y) -> f at the row pairs of two float arrays, where f has a batch form that cannot raise; else None.
+    """(X, Y) -> f at the column pairs of two float point arrays that broadcast, where f has a batch form that cannot raise; else None.
 
     Exact domains and plain callables keep the probe-by-probe loop: a batch
     would evaluate a callable past the first hit, where it could raise
@@ -192,14 +193,13 @@ def _pair_values(f: Bifunction) -> Optional[Callable]:
     if h is not None and isinstance(h.fn, Expression):
         return quiet(lambda X, Y: h.eval_batch(Y) - h.eval_batch(X))
     if isinstance(f.fn, Expression):
-        return quiet(lambda X, Y: _column(f.fn.eval_batch(X.T, Y.T), X))
+        return quiet(lambda X, Y: _column(f.fn.eval_batch(X, Y), X))
     return None
 
 
 def _midpoints(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``convex_combination((a, b), pair_weights(lam))`` at every row: its products and sum, a == b kept as is."""
-    lam = lam[:, None]
-    return np.where((A == B).all(axis=1, keepdims=True), A, A * lam + B * (1.0 - lam))
+    """``convex_combination((a, b), pair_weights(lam))`` at every column: its products and sum, a == b kept as is."""
+    return np.where((A == B).all(axis=0), A, A * lam + B * (1.0 - lam))
 
 
 def _above_max(v_mid, v1, v2, tol):
@@ -241,7 +241,7 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
     ys = xs[: sampling.LEVEL_SETS]
     ys += sampling.random_points(C, rng, sampling.LEVEL_SETS - len(ys))
     batch = _pair_values(f)
-    X = None if batch is None else np.array(xs, dtype=float)
+    X = None if batch is None else point_columns(xs, float)
 
     def violates(y, x1, x2, lam):
         v = f.fn(convex_combination((x1, x2), sampling.pair_weights(lam)), y)
@@ -252,14 +252,15 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
 
     samples = 0
     for y in ys:
-        vals = None if batch is None else batch(X, np.broadcast_to(y, X.shape))
+        y_col = None if batch is None else point_columns([y], float)  # broadcast against every column
+        vals = None if batch is None else batch(X, y_col)
         if vals is None or not np.isfinite(vals).all():
             vals = [f.fn(x, y) for x in xs]  # raises where the values are not finite
         samples += len(vals)
         rows, lams = sampling.level_set_plan(vals, rng, exact)
         unclear = None
         if batch is not None:
-            v = batch(_midpoints(X[rows[:, 0]], X[rows[:, 1]], np.array(lams)), np.broadcast_to(y, (len(rows), C.dim)))
+            v = batch(_midpoints(X[:, rows[:, 0]], X[:, rows[:, 1]], np.array(lams)), y_col)
             unclear = _unclear(v < -tol, v)
         n, w = _scan(len(rows), lambda r: violates(y, xs[rows[r, 0]], xs[rows[r, 1]], lams[r]), unclear)
         samples += n
@@ -367,8 +368,8 @@ def _segment_check(condition_id, f, C, trials, seed, draw, violates, suspects, l
     for points, rows, lams in itertools.chain(lead, plan):
         unclear = None
         if batch is not None:
-            P = np.array(points, dtype=float)
-            fixed, A, B = P[rows[:, 0]], P[rows[:, 1]], P[rows[:, 2]]
+            P = point_columns(points, float)
+            fixed, A, B = P[:, rows[:, 0]], P[:, rows[:, 1]], P[:, rows[:, 2]]
             unclear = suspects(batch, fixed, A, B, _midpoints(A, B, np.array(lams)), tol)
         n, w = _scan(len(rows), lambda r: violates(*(points[i] for i in rows[r]), lams[r], tol), unclear)
         samples += 3 * n
@@ -436,13 +437,13 @@ def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
     X = grid_coords(grid)
 
     def violates(r):
-        x = tuple(X[r].tolist())
+        x = tuple(X[:, r].tolist())
         v = f.fn(x, x)
         bad = (v != 0) if exact else not (abs(v) <= tol)
         return {"x": x, "f_value": v} if bad else None
 
     batch = _pair_values(f)
-    samples, w = _scan(len(X), violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
+    samples, w = _scan(X.shape[1], violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
     if w is not None:
         return ConditionReport("diagonal_zero", FAIL, w, samples, tol)
     return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND, None, samples, tol)

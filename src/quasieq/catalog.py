@@ -25,8 +25,8 @@ from .bifunction import (
 )
 from .errors import InstanceDefinitionError, SpecError
 from .expressions import Expression, parse_expression
-from .geometry import CompactBox, Grid, Root2, grid_coords
-from .setmap import SetValuedMap, fixed_point_set, image_index_ranges, validate_setmap
+from .geometry import CompactBox, Grid, Root2, grid_coords, point_columns
+from .setmap import SetValuedMap, fixed_point_set, image_index_ranges
 from .solver import EP, QEP, QOPT, QVI, SolverConfig, solve_qep, solve_qopt
 
 Payload = Union[Bifunction, ObjectiveFunction, QviOperator]
@@ -319,7 +319,8 @@ def random_instance(seed: int, dim: int = 1) -> ProblemInstance:
             lo, hi = K.bounds_batch(grid_coords(grid))
         except InstanceDefinitionError:  # an empty image: draw again
             continue
-        if not ((lo <= anchor) & (anchor <= hi)).all():
+        col = point_columns([anchor])
+        if not ((lo <= col) & (col <= hi)).all():
             continue
         h = ObjectiveFunction(parse_expression(h_text))
         step = grid.max_step()
@@ -397,7 +398,7 @@ def qvi_instance(seed: int) -> ProblemInstance:
 
     margin = 1.0 / 16.0
     lower_texts, upper_texts = [], []
-    for _j in range(dim):
+    for _j in range(dim):  # centres in [margin - 0.15, 1 - margin + 0.15] and half-widths >= 0.25: no image is empty
         width = rng.uniform(0.25, 0.4)
         beta = round(rng.uniform(-0.15, 0.15), 6)
         alpha = round(rng.uniform(margin + width * 0.0, 1.0 - margin), 6)
@@ -409,14 +410,12 @@ def qvi_instance(seed: int) -> ProblemInstance:
         [parse_expression(t) for t in lower_texts],
         [parse_expression(t) for t in upper_texts],
     )
-    grid_default = (201,) if dim == 1 else (41, 41)
-    validate_setmap(K, Grid(C, grid_default))
     return ProblemInstance(
         name=f"qvi-random-{seed}",
         C=C,
         K=K,
         payload=T,
-        grid_default=grid_default,
+        grid_default=(201,) if dim == 1 else (41, 41),
         eps_default=1e-9,
         known_facts={"oracle": "qvi-vertex-brute-force"},
     )

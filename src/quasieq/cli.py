@@ -45,7 +45,7 @@ from .bifunction import (
     check_quasiconvex_second,
 )
 from .catalog import CATALOG, ProblemInstance, catalog_names, get_instance
-from .errors import QuasieqError
+from .errors import QuasieqError, SpecError
 from .reporting import report_to_json, solution_csv, verify_to_json
 from .solver import SolverConfig, verify_theorem_instance
 from .specfile import EXTRA_CHECKS, build_instance, load_spec
@@ -117,7 +117,11 @@ def _resolve_target(target: str) -> tuple[ProblemInstance, tuple]:
     """A (instance, checks_to_run) pair from a file path or catalog name."""
     path = Path(target)
     if path.exists():
-        spec = load_spec(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{target} is not UTF-8 text: {exc}")
+        spec = load_spec(text)
         instance = build_instance(spec, name=path.stem)
         # defaults from the file's solver section become instance defaults
         return instance, spec.checks_run
@@ -214,10 +218,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     print(f"{name}\t{instance.payload_kind}\tdim={instance.C.dim}")
                 return 0
             return _run_solve(args, args.name)
-    except QuasieqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QuasieqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

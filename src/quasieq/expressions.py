@@ -17,11 +17,11 @@ Each Expression compiles to two evaluators that take points, not names:
 ``x_k`` reads ``x[k-1]`` and ``y_k`` reads ``y[k-1]``.  The scalar one (pure
 Python, used in tight per-point loops) takes tuples of numbers, so an
 Expression is itself a map bound, an objective or a bifunction.  The batch one
-(numpy) takes one array per coordinate, e.g. ``X.T`` for a matrix whose rows
-are points.  The two give equal values, down to the sign of a zero: ``power``
-is one repeated-squaring routine in both, and ``min``/``max`` follow one rule
-in both (NaN propagates, and a tie such as 0.0 with -0.0 keeps the first
-argument).
+(numpy) takes one array per coordinate, so it reads a (dim, N) array whose
+columns are points, as ``geometry.grid_coords`` gives them, as it is.  The two
+give equal values, down to the sign of a zero: ``power`` is one
+repeated-squaring routine in both, and ``min``/``max`` follow one rule in both
+(NaN propagates, and a tie such as 0.0 with -0.0 keeps the first argument).
 
 A static pass over the AST (``Expression.y_directions``) tells, at each of a
 batch of points x, whether the batch value is non-decreasing, non-increasing
@@ -481,7 +481,7 @@ class Expression:
     def eval_batch(self, x, y=()) -> np.ndarray:
         """The values with one array (or number) per coordinate of x and y, broadcast together.
 
-        For points given as the rows of matrices X and Y, pass ``X.T`` and ``Y.T``.
+        Points given as the columns of (dim, N) arrays X and Y, as the package keeps them, are passed as they are.
         """
         return self._batch_fn(x, y)
 

@@ -12,6 +12,7 @@ metric used for box membership residuals, probe radii and witness distances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -188,7 +189,7 @@ def _check_dim(n: int) -> None:
 
 @dataclass(frozen=True)
 class CompactBox:
-    """A nonempty axis-aligned box [lower_1, upper_1] x ... in R^n, n <= 3."""
+    """A nonempty axis-aligned box [lower_1, upper_1] x ... in R^n, n <= 3, of positive finite diameter."""
 
     lower: Point
     upper: Point
@@ -200,6 +201,8 @@ class CompactBox:
         for lo, hi in zip(self.lower, self.upper):
             if not lo <= hi:
                 raise InstanceDefinitionError(f"empty box: {lo} > {hi}")
+        if not 0.0 < self.diameter() < math.inf:  # probe ladders halve 0.1 x diameter down to 3 grid steps
+            raise InstanceDefinitionError(f"the box's diameter must be positive and finite, got {self.diameter()}")
 
     @property
     def dim(self) -> int:
@@ -297,10 +300,7 @@ class Grid:
         return self.box.dim
 
     def size(self) -> int:
-        n = 1
-        for m in self.points_per_axis:
-            n *= m
-        return n
+        return math.prod(self.points_per_axis)
 
     def max_step(self) -> float:
         return max(
@@ -342,25 +342,29 @@ def grid_points(grid: Grid) -> list:
 
 
 def grid_coords(grid: Grid) -> np.ndarray:
-    """All grid points as an (N, dim) array in the grid's own scalars, row i being grid_points(grid)[i].
+    """All grid points as a (dim, N) array in the grid's own scalars, column i being grid_points(grid)[i].
 
-    The dtype of the grid's axes: float64 on float boxes, an object array of
-    ``Root2`` on exact boxes.
+    Row k, contiguous, holds coordinate k: ``Expression.eval_batch`` reads it as it is.  The dtype of the
+    grid's axes: float64 on float boxes, an object array of ``Root2`` on exact boxes.
     """
-    mesh = np.meshgrid(*grid.axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return np.stack([m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")])
+
+
+def point_columns(points: Sequence[Point], dtype=None) -> np.ndarray:
+    """A list of points as a (dim, n) array, column i being points[i]: the one place tuples change layout."""
+    return np.array(points, dtype=dtype).T
 
 
 def require_finite(what: str, X: np.ndarray, *values: np.ndarray) -> None:
-    """Raise NonFiniteValueError naming the first point (row of X) where one of the values is not finite."""
+    """Raise NonFiniteValueError naming the first point (column of X) where a value, (N,) or (dim, N), is not finite."""
     if X.dtype == object:
         return  # a Root2 is always finite
-    finite = np.ones(len(X), dtype=bool)
+    finite = np.ones(X.shape[1], dtype=bool)
     for v in values:
-        finite &= np.isfinite(v.reshape(len(X), -1)).all(axis=1)
+        finite &= np.isfinite(v).reshape(-1, X.shape[1]).all(axis=0)
     bad = np.flatnonzero(~finite)
     if bad.size:
-        raise NonFiniteValueError(f"{what} is not finite at grid point {tuple(X[bad[0]].tolist())}")
+        raise NonFiniteValueError(f"{what} is not finite at grid point {tuple(X[:, bad[0]].tolist())}")
 
 
 def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:

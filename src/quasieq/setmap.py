@@ -132,35 +132,33 @@ class SetValuedMap:
         return ConvexRegion(tuple(lo), tuple(hi))
 
     def bounds_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Clipped bound matrices for the rows of X, an (N, dim) array of points in the domain's scalars.
+        """Clipped bounds (lo, hi), X's shape and dtype, at the points of X, a (dim, N) array in the domain's scalars.
 
-        The matrices keep X's dtype: floats, or ``Root2`` objects on exact
-        domains.  When every bound is an ``Expression`` they are evaluated in
-        one batch; otherwise each bound function is called once per row, with
-        the row as a tuple of Python scalars.  Raises NonFiniteValueError at
-        the first row with a non-finite clipped bound, then
-        InstanceDefinitionError at the first row whose image is empty, each
-        naming that point.
+        Row k of ``lo`` and ``hi`` is axis k.  When every bound is an
+        ``Expression`` each is evaluated in one batch over X; otherwise each
+        point, a tuple of Python scalars, goes to lower_1, upper_1, lower_2,
+        ... in turn.  Raises NonFiniteValueError at the first point with a
+        non-finite clipped bound, then InstanceDefinitionError at the first
+        point whose image is empty, each naming that point.
         """
         box = self.domain
         lo = np.empty(X.shape, dtype=X.dtype)
         hi = np.empty(X.shape, dtype=X.dtype)
         if all(isinstance(fn, Expression) for fn in self.lower_fns + self.upper_fns):
             for k in range(box.dim):
-                lo[:, k] = self.lower_fns[k].eval_batch(X.T)
-                hi[:, k] = self.upper_fns[k].eval_batch(X.T)
+                lo[k] = self.lower_fns[k].eval_batch(X)
+                hi[k] = self.upper_fns[k].eval_batch(X)
         else:
-            for i, row in enumerate(X.tolist()):
-                x = tuple(row)
+            for i, x in enumerate(zip(*X.tolist())):
                 for k in range(box.dim):
-                    lo[i, k] = self.lower_fns[k](x)
-                    hi[i, k] = self.upper_fns[k](x)
-        np.maximum(lo, np.asarray(box.lower, dtype=X.dtype), out=lo)
-        np.minimum(hi, np.asarray(box.upper, dtype=X.dtype), out=hi)
+                    lo[k, i] = self.lower_fns[k](x)
+                    hi[k, i] = self.upper_fns[k](x)
+        np.maximum(lo, np.asarray(box.lower, dtype=X.dtype)[:, None], out=lo)
+        np.minimum(hi, np.asarray(box.upper, dtype=X.dtype)[:, None], out=hi)
         require_finite("a map bound", X, lo, hi)
-        empty = np.flatnonzero((lo > hi).any(axis=1))
+        empty = np.flatnonzero((lo > hi).any(axis=0))
         if empty.size:
-            x = tuple(X[empty[0]].tolist())
+            x = tuple(X[:, empty[0]].tolist())
             raise InstanceDefinitionError(f"image of grid point {x} is empty after clipping")
         return lo, hi
 
@@ -203,16 +201,16 @@ def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.
     snap = K.domain.snap()
     X = grid_coords(grid) if X is None else X
     lo, hi = K.bounds_batch(X)
-    residuals = np.zeros(len(X), dtype=X.dtype)  # a running maximum over N-vectors: no (N, dim) temporaries
+    residuals = np.zeros(X.shape[1], dtype=X.dtype)  # a running maximum over N-vectors: no (dim, N) temporaries
     for k in range(grid.dim):
-        np.maximum(residuals, lo[:, k] - X[:, k], out=residuals)
-        np.maximum(residuals, X[:, k] - hi[:, k], out=residuals)
+        np.maximum(residuals, lo[k] - X[k], out=residuals)
+        np.maximum(residuals, X[k] - hi[k], out=residuals)
     np.maximum(residuals, 0.0, out=residuals)  # every zero residual becomes +0.0
     fixed = np.flatnonzero(residuals <= delta + snap)
     spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
     for k, ax in enumerate(grid.axes):
-        spans[:, k, 0] = np.searchsorted(ax, lo[fixed, k] - snap, side="left")
-        spans[:, k, 1] = np.searchsorted(ax, hi[fixed, k] + snap, side="right")
+        spans[:, k, 0] = np.searchsorted(ax, lo[k, fixed] - snap, side="left")
+        spans[:, k, 1] = np.searchsorted(ax, hi[k, fixed] + snap, side="right")
     return fixed, residuals[fixed].astype(float), spans
 
 
@@ -356,7 +354,3 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
                     return TopologyProbeReport(FAIL, witness, (), samples)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, (), samples)
 
-
-def validate_setmap(K: SetValuedMap, grid: Grid) -> None:
-    """Load-time validation: every grid x has a finite, nonempty image inside C."""
-    K.bounds_batch(grid_coords(grid))

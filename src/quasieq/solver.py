@@ -58,7 +58,7 @@ from .bifunction import (
 )
 from .errors import DegenerateImageError, NonFiniteValueError
 from .expressions import Expression
-from .geometry import Grid, Point, grid_coords, require_finite
+from .geometry import Grid, Point, grid_coords, point_columns, require_finite
 from .setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
@@ -156,10 +156,10 @@ def _objective_table(h: ObjectiveFunction, grid: Grid, X: np.ndarray) -> np.ndar
 
 
 def _row_minima(f: Bifunction, grid: Grid, X: np.ndarray, fixed: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The minimum of ``f.row(x, .)`` over the image's block of X, its rows in lexicographic order, for each fixed point x."""
-    cube = X.T.reshape((grid.dim,) + grid.points_per_axis)  # each block's copy holds a coordinate contiguous, as Y.T is read
-    rows = (cube[(slice(None),) + _box(span)].reshape(grid.dim, -1).T for span in spans)
-    return np.array([f.row(x, Y).min() for x, Y in zip(grid.points_at(fixed), rows)], dtype=X.dtype)
+    """The minimum of ``f.row(x, .)`` over the image's block of X, its points in lexicographic order, for each fixed point x."""
+    cube = X.reshape((grid.dim,) + grid.points_per_axis)
+    blocks = (cube[(slice(None),) + _box(span)].reshape(grid.dim, -1) for span in spans)
+    return np.array([f.row(x, Y).min() for x, Y in zip(grid.points_at(fixed), blocks)], dtype=X.dtype)
 
 
 def _inner_minima(f: Bifunction, grid: Grid, X: np.ndarray, fixed: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -181,7 +181,7 @@ def _corner_minima(e: Expression, grid: Grid, X: np.ndarray, fixed: np.ndarray, 
     at both extreme corners, so the block holds no NaN, and the value is not
     zero, since a block holding 0.0 and -0.0 may give either.
     """
-    x = [X[fixed, k] for k in range(grid.dim)]
+    x = X[:, fixed]
     rise, fall = e.y_directions(x, grid.dim)
     first, last = spans[:, :, 0], spans[:, :, 1] - 1
     low = [ax[c] for ax, c in zip(grid.axes, np.where(fall, last, first).T)]
@@ -235,18 +235,18 @@ def _answer_levels(window, axis, queries, starts, ends, levels, mins) -> None:
 # -- the selection map ------------------------------------------------------
 
 
-def _image_rows(K: SetValuedMap, x: Point, grid: Grid) -> tuple:
-    """The image grid of x as a list of points and as the rows of an array of their scalars."""
+def _image_points(K: SetValuedMap, x: Point, grid: Grid) -> tuple:
+    """The image grid of x as a list of points and as the columns of an array of their scalars."""
     pts = image_grid(K, x, grid)
     if not pts:
         raise DegenerateImageError(f"image grid of {x} is empty")
-    return pts, np.array(pts)  # floats, or Root2 objects on exact grids
+    return pts, point_columns(pts)  # floats, or Root2 objects on exact grids
 
 
 def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> tuple:
     """Members x0 of the image grid with f(x0, y) >= -eps for all image y."""
     eps = cfg.eps_value
-    pts, Y = _image_rows(K, x, cfg.grid)
+    pts, Y = _image_points(K, x, cfg.grid)
     h = f.objective
     if h is not None:
         h_min = h.eval_batch(Y).min()
@@ -295,7 +295,7 @@ def solve_ep(f: Bifunction, C_box, cfg: SolverConfig) -> SolveReport:
 
 def qopt_gap(h: ObjectiveFunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> float:
     """h(x) minus the minimum of h over the image grid of x."""
-    _pts, Y = _image_rows(K, x, cfg.grid)
+    _pts, Y = _image_points(K, x, cfg.grid)
     return float(h.fn(x) - h.eval_batch(Y).min())
 
 

@@ -35,11 +35,11 @@ After every key is checked, ``load_spec`` builds the domain box, the map
 (its ``variant`` is the file's kind) and the payload, so any SpecError comes
 before an InstanceDefinitionError such as an empty box.  The parsed
 expressions become the map's bounds and the payload's function themselves.
-``build_instance`` validates the bounds finite and the images nonempty over
-the file's solver grid; the solver checks them again over the grid it scans,
-which ``--grid`` may change.  Every map's bounds are evaluated once over the
-whole grid: the expression bounds of moving_box and piecewise_moving_interval
-maps in one batch, constant maps once per point.
+No bound is evaluated at load time: the solver checks the bounds finite and
+the images nonempty over the grid it scans (the file's, or ``--grid``'s),
+evaluating every bound once over the whole grid: the expression bounds of
+moving_box and piecewise_moving_interval maps in one batch, constant maps
+once per point.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .bifunction import Bifunction, ObjectiveFunction, QviOperator
 from .catalog import PAYLOAD_KINDS, Payload, ProblemInstance
 from .errors import ParseError, SpecError
 from .expressions import Expression, parse_expression
-from .geometry import CompactBox, Grid
-from .setmap import MAP_KINDS, SetValuedMap, validate_setmap
+from .geometry import CompactBox
+from .setmap import MAP_KINDS, SetValuedMap
 
 DEFAULT_GRID = 201
 DEFAULT_EPS = 1e-6
@@ -244,8 +244,7 @@ def load_spec(text: str) -> ProblemSpec:
 
 
 def build_instance(spec: ProblemSpec, name: str = "spec") -> ProblemInstance:
-    """The runnable instance, once the map's images are validated over the file's grid."""
-    validate_setmap(spec.K, Grid(spec.C, spec.grid))
+    """The runnable instance; the file's solver section gives its defaults."""
     return ProblemInstance(
         name=name,
         C=spec.C,

@@ -27,7 +27,7 @@ from quasieq.bifunction import (
 from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, remark_bifunction_instance
 from quasieq.errors import InstanceDefinitionError, NonFiniteValueError
 from quasieq.expressions import parse_expression
-from quasieq.geometry import CompactBox, Grid, Root2, convex_combination
+from quasieq.geometry import CompactBox, Grid, Root2, convex_combination, point_columns
 from quasieq.setmap import FAIL, NO_VIOLATION_FOUND
 
 C02 = CompactBox((0.0,), (2.0,))
@@ -117,9 +117,9 @@ class TestOptAdapter:
 
     def test_row_matches_scalar_eval(self):
         f = fig1_f()
-        Y = np.linspace(0.0, 2.0, 101).reshape(-1, 1)
+        Y = np.linspace(0.0, 2.0, 101).reshape(1, -1)
         row = f.row((0.3,), Y)
-        direct = np.array([f.fn((0.3,), (float(v),)) for v in Y[:, 0]])
+        direct = np.array([f.fn((0.3,), (float(v),)) for v in Y[0]])
         assert np.array_equal(row, direct)
         # the declared separable minimum is the row minimum, bit for bit
         h = f.objective
@@ -190,9 +190,9 @@ class TestQviAdapterKernel:
             )
             f = make_qvi_bifunction(T, box)
             x = tuple(rng.random() for _ in range(dim))
-            Y = np.array([x] + [[rng.random() for _ in range(dim)] for _ in range(40)])
+            Y = point_columns([x] + [tuple(rng.random() for _ in range(dim)) for _ in range(40)])
             row = f.row(x, Y)
-            for y, got in zip(map(tuple, Y.tolist()), row.tolist()):
+            for y, got in zip(zip(*Y.tolist()), row.tolist()):
                 want = _qvi_reference(T, x, y)
                 for value in (got, f.fn(x, y)):
                     assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want), (T.vertex_exprs, x, y)
@@ -485,12 +485,13 @@ class TestBatchedCheckers:
 
     def test_midpoints_match_convex_combination(self):
         rng = random.Random(5)
-        A = np.array([[0.1, 0.2], [rng.uniform(-2, 2), rng.uniform(-2, 2)], [-0.0, 0.0]])
-        B = np.array([[0.1, 0.2], [rng.uniform(-2, 2), rng.uniform(-2, 2)], [0.0, -0.0]])
+        A = point_columns([(0.1, 0.2), (rng.uniform(-2, 2), rng.uniform(-2, 2)), (-0.0, 0.0)])
+        B = point_columns([(0.1, 0.2), (rng.uniform(-2, 2), rng.uniform(-2, 2)), (0.0, -0.0)])
         lam = np.array([0.3, rng.uniform(0.05, 0.95), 0.5])
         # 0.1 * 0.3 + 0.1 * 0.7 is not 0.1: the equal pair is returned unchanged
         assert 0.1 * 0.3 + 0.1 * (1.0 - 0.3) != 0.1
-        for a, b, w, mid in zip(A.tolist(), B.tolist(), lam.tolist(), _midpoints(A, B, lam).tolist()):
+        a_pts, b_pts, mids = (zip(*M.tolist()) for M in (A, B, _midpoints(A, B, lam)))
+        for a, b, w, mid in zip(a_pts, b_pts, lam.tolist(), mids):
             assert _same(tuple(mid), convex_combination((tuple(a), tuple(b)), (w, 1.0 - w)))
 
     def test_max_and_min_rules_follow_python(self):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from quasieq import catalog
 from quasieq.bifunction import Bifunction, ObjectiveFunction, QviOperator, make_qvi_bifunction
 from quasieq.catalog import (
     catalog_names,
@@ -181,12 +180,19 @@ class TestRegistry:
 
     def test_worked_instances_validate_no_map_at_construction(self, monkeypatch):
         # every solve checks the grid it scans, so construction scans none
-        def refuse(K, grid):
-            raise AssertionError(f"validate_setmap ran on a grid of {grid.size()} points")
+        from quasieq.specfile import build_instance, load_spec
 
-        monkeypatch.setattr(catalog, "validate_setmap", refuse)
+        texts = [build().serialize() for build in (figure1_instance, quasiconvex_variant_instance)]
+
+        def refuse(K, X):
+            raise AssertionError(f"bounds_batch ran on {X.shape[1]} points")
+
+        monkeypatch.setattr(SetValuedMap, "bounds_batch", refuse)
         for build in (figure1_instance, quasiconvex_variant_instance, remark_bifunction_instance):
             assert build().K.domain.dim == 1
+        for text in texts:
+            assert build_instance(load_spec(text)).K.domain.dim == 1
+        assert qvi_instance(8).K.variant == "moving_box"
 
     def test_serialization_round_trip(self):
         from quasieq.specfile import build_instance, load_spec

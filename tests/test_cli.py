@@ -1,13 +1,34 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quasieq
 from quasieq.bifunction import check_diagonal_zero, check_quasiconcave_first, check_quasiconvex_second
 from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, qvi_instance
 from quasieq.cli import main
 from quasieq.geometry import GRID_POINT_BUDGET, Grid
 from quasieq.reporting import report_from_json, report_to_json, solution_csv, verify_to_json
 from quasieq.solver import verify_theorem_instance
+
+
+def _cli_child(argv: list) -> subprocess.CompletedProcess:
+    """``quasieq.cli.main(argv)`` in a child process with 1 GiB of address space, killed after 60 s."""
+    paths = [str(Path(quasieq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    # BLAS thread buffers would take a share of the address space
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), OPENBLAS_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = "import sys; from quasieq.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit
+    )
 
 
 # images are nonempty at the file's grid of 201 but empty at grid point 0.5005 of grid 2001
@@ -253,6 +274,32 @@ class TestExitCodes:
             assert main(argv + ["--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and f"exceeds the budget of {GRID_POINT_BUDGET}" in err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lower, upper", [("0.0", "0.0"), ("-1e308", "1e308")])
+    def test_domain_of_zero_or_infinite_diameter(self, tmp_path, capsys, lower, upper):
+        spec = tmp_path / "flat.spec"
+        spec.write_text(
+            f"[domain]\ndim = 1\nlower = {lower}\nupper = {upper}\n\n[map]\nkind = constant\n\n"
+            "[payload]\nkind = objective\nexpr = x_1\n\n[solver]\ngrid = 11\n"
+        )
+        assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "diameter" in err, err
+        # verify once looped forever in its probe ladder here: a child with a timeout and an
+        # address-space limit turns a regression into a quick failure
+        verify = _cli_child(["verify", str(spec), "--out", str(tmp_path / "out")])
+        assert verify.returncode == 2, verify.stderr
+        assert verify.stderr.startswith("error: ") and len(verify.stderr.splitlines()) == 1, verify.stderr
+        assert "diameter" in verify.stderr and not (tmp_path / "out").exists()
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        spec = tmp_path / "latin1.spec"
+        spec.write_bytes(figure1_instance().serialize().replace("[map]", "[map] ; caf\u00e9").encode("latin-1"))
+        for command in ("solve", "verify"):
+            assert main([command, str(spec), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {spec} is not UTF-8 text") and len(err.splitlines()) == 1, err
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -200,11 +200,11 @@ class TestCornerMinima:
         fixed, spans = np.array(fixed, dtype=np.intp), np.array(spans, dtype=np.intp)
         with np.errstate(all="ignore"):  # non-finite values never get a corner; the block keeps them
             taken, minima = _corner_minima(e, grid, X, fixed, spans)
-            cube = X.reshape(tuple(ppa) + (3,))
+            cube = X.reshape((3,) + tuple(ppa))
             for j in np.flatnonzero(taken):
-                Y = cube[tuple(slice(s, t) for s, t in spans[j])].reshape(-1, 3)
-                want = Bifunction(e, C).row(tuple(X[fixed[j]].tolist()), Y).min()
-                assert minima[j] == want, (e.to_text(), X[fixed[j]], spans[j], minima[j], want)
+                Y = cube[(slice(None),) + tuple(slice(s, t) for s, t in spans[j])].reshape(3, -1)
+                want = Bifunction(e, C).row(tuple(X[:, fixed[j]].tolist()), Y).min()
+                assert minima[j] == want, (e.to_text(), X[:, fixed[j]], spans[j], minima[j], want)
                 assert math.copysign(1, minima[j]) == math.copysign(1, want)
 
     @pytest.mark.parametrize("text", [

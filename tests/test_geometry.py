@@ -1,4 +1,5 @@
 import bisect
+import math
 import random
 from fractions import Fraction
 
@@ -109,6 +110,21 @@ class TestContains:
         with pytest.raises(InstanceDefinitionError):
             CompactBox((1.0,), (0.0,))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ((0.0,), (0.0,)),
+        ((0.5, 0.5), (0.5, 0.5)),
+        ((Root2(1),), (Root2(1),)),
+        ((-1e308,), (1e308,)),
+        ((0.0, -math.inf), (1.0, 0.0)),
+    ])
+    def test_zero_or_infinite_diameter_rejected(self, lower, upper):
+        # every probe ladder halves radii down to a multiple of the grid step, which would never end
+        with pytest.raises(InstanceDefinitionError, match="diameter must be positive and finite"):
+            CompactBox(lower, upper)
+
+    def test_one_flat_axis_has_positive_diameter(self):
+        assert CompactBox((0.0, 0.5), (1.0, 0.5)).diameter() == 1.0
+
 
 class TestGrid:
     def test_unit_interval_three_points(self):
@@ -148,6 +164,16 @@ class TestGrid:
             picked = [g.point_at((4, 2))] + list(g.points_at(np.array([0, 14])))
             assert picked == [every[14], every[0], every[14]]
             assert all(type(c) is scalar for p in every + picked for c in p)
+        # grid_coords holds the points as columns, each coordinate one contiguous row, in 1-D to 3-D
+        for d in (1, 2, 3):
+            for box in (
+                CompactBox((0.1, -1.0, 2.0)[:d], (0.7, 1.0, 3.0)[:d]),
+                CompactBox((Root2(0),) * d, (Root2(1), Root2(0, 1), Root2(2, 1))[:d]),
+            ):
+                g = Grid(box, (4, 3, 2)[:d])
+                X = grid_coords(g)
+                assert X.shape == (d, g.size()) and X.flags.c_contiguous
+                assert [tuple(X[:, i].tolist()) for i in range(g.size())] == grid_points(g)
 
     def test_axis_index_range_matches_bisect(self):
         rng = random.Random(3)

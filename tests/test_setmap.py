@@ -23,7 +23,6 @@ from quasieq.setmap import (
     fixed_table,
     image_grid,
     image_index_ranges,
-    validate_setmap,
 )
 
 
@@ -61,12 +60,33 @@ class TestEvaluate:
         with pytest.raises(InstanceDefinitionError):
             evaluate(K, (0.5,))
         with pytest.raises(InstanceDefinitionError):
-            validate_setmap(K, Grid(C, (5,)))
+            fixed_table(K, Grid(C, (5,)))
         # exact grids take the same bounds table, which names the first empty grid point
         E = CompactBox((Root2(0),), (Root2(1),))
         K = SetValuedMap(E, [lambda x: x[0] + Root2(0, "1/4")], [lambda x: x[0] + 1])
         with pytest.raises(InstanceDefinitionError, match=r"image of grid point \(Root2\(Fraction\(3, 4\)"):
-            validate_setmap(K, Grid(E, (5,)))
+            fixed_table(K, Grid(E, (5,)))
+
+    def test_callable_bound_raises_at_its_point_in_call_order(self):
+        # per point in lexicographic order: lower_1, upper_1, lower_2, upper_2; upper_2 raises at (0.5, 0.25)
+        C = CompactBox((0.0, 0.0), (1.0, 1.0))
+        calls = []
+
+        def bound(name, value):
+            def fn(x):
+                calls.append((name, x))
+                if name == "upper_2" and x == (0.5, 0.25):
+                    raise ZeroDivisionError(f"{name} at {x}")
+                return value
+
+            return fn
+
+        K = SetValuedMap(C, [bound("lower_1", 0.0), bound("lower_2", 0.0)], [bound("upper_1", 1.0), bound("upper_2", 1.0)])
+        with pytest.raises(ZeroDivisionError, match=r"upper_2 at \(0\.5, 0\.25\)"):
+            K.bounds_batch(grid_coords(Grid(C, (3, 5))))
+        points = grid_points(Grid(C, (3, 5)))[:7]
+        assert calls == [(name, x) for x in points for name in ("lower_1", "upper_1", "lower_2", "upper_2")]
+        assert all(type(c) is float for _name, x in calls for c in x)
 
 
 class TestImageGrid:
@@ -147,7 +167,7 @@ class TestFixedPointSet:
         g = Grid(inst.C, (m,) * dim)
         X = grid_coords(g)
         lo, hi = inst.K.bounds_batch(X)
-        reference = np.maximum(np.maximum(lo - X, X - hi).max(axis=1), 0.0)  # with (N, dim) temporaries
+        reference = np.maximum(np.maximum(lo - X, X - hi).max(axis=0), 0.0)  # with (dim, N) temporaries
         fixed, residuals, _spans = fixed_table(inst.K, g, delta, X)
         assert np.array_equal(fixed, np.flatnonzero(reference <= delta + inst.C.snap()))
         assert residuals.tobytes() == reference[fixed].tobytes()  # bits, signs of zero included
@@ -312,7 +332,7 @@ class TestLoadValidation:
     def test_images_inside_domain_everywhere(self, fig1):
         C, K = fig1
         g = Grid(C, (401,))
-        validate_setmap(K, g)
+        K.bounds_batch(grid_coords(g))
         for x in grid_points(Grid(C, (41,))):
             r = evaluate(K, x)
             assert contains(C, r.lower) and contains(C, r.upper)

@@ -386,7 +386,7 @@ def _slice_reports(h, K, cfg):
         if any(s >= e for s, e in span):
             degenerate += 1
             continue
-        x = tuple(X[i].tolist())
+        x = tuple(X[:, i].tolist())
         m = shaped[tuple(slice(s, e) for s, e in span)].min()
         gap, min_f = float(table[i] - m), float(m - table[i])
         if min_gap is None or gap < min_gap:

@@ -1,7 +1,7 @@
 import pytest
 
 from quasieq.catalog import figure1_instance
-from quasieq.errors import SpecError
+from quasieq.errors import InstanceDefinitionError, SpecError
 from quasieq.specfile import DEFAULT_EPS, DEFAULT_GRID, build_instance, load_spec
 
 MINIMAL = """
@@ -139,10 +139,10 @@ upper_1 = x_1 + 3
 kind = objective
 expr = x_1
 """
-        spec = load_spec(text)
-        with pytest.raises(Exception) as err:
-            build_instance(spec)
-        assert "0.0" in str(err.value)
+        inst = build_instance(load_spec(text))  # evaluates no bound: the solve checks the grid it scans
+        with pytest.raises(InstanceDefinitionError) as err:
+            inst.solve()
+        assert "image of grid point (0.0,) is empty" in str(err.value)
 
     def test_bifunction_payload_solves(self):
         text = """
