@@ -11,7 +11,9 @@ Grammar (function-call style, no implicit multiplication)::
 
 Variables are x_1..x_3 and y_1..y_3.  Division requires a constant nonzero
 divisor (checked at parse time); ``power`` requires a nonnegative integer
-literal exponent.  Every parsed expression is total on its domain.
+literal exponent.  Every parsed expression is total on its domain.  An
+expression may be at most ``MAX_DEPTH`` levels deep, so that both evaluators
+compile.
 
 Each Expression compiles to two evaluators that take points, not names:
 ``x_k`` reads ``x[k-1]`` and ``y_k`` reads ``y[k-1]``.  The scalar one (pure
@@ -48,6 +50,14 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCTIONS = {"abs": 1, "min": None, "max": None, "power": 2, "piecewise": 3}
+
+#: The deepest expression the parser accepts.  On a path from the whole expression down to a number or a
+#: variable, each binary operator is one level, and each bracket (a parenthesised group or a call) and each
+#: unary minus is ``BRACKET_LEVELS`` levels.  So ``x_1 + x_1 + ...`` with 1,001 terms is 1,000 levels deep, and
+#: at most 100 brackets nest: CPython's tokenizer refuses 200 nested brackets, its compiler about 3,000 chained
+#: operators, and the parser takes up to five stack frames per bracket.
+MAX_DEPTH = 1000
+BRACKET_LEVELS = 10
 _VAR_RE = re.compile(r"^[xy]_[123]$")
 
 
@@ -148,90 +158,111 @@ def _fold(node: Node) -> Optional[float]:
 
 
 class _Parser:
+    """Recursive descent; each rule returns (node, the levels of its text, brackets included: see MAX_DEPTH)."""
+
     def __init__(self, text: str) -> None:
         self.toks = _Tokens(text)
         self.variables: set[str] = set()
+        self.open = 0  # the levels of the brackets and unary minuses around the token being parsed
+
+    def _within(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def _enter(self, pos: int) -> None:
+        """One more bracket or unary minus, opened at pos: refused before the parser recurses into it."""
+        self.open = self._within(self.open + BRACKET_LEVELS, pos)
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _depth = self.expr()
         tok = self.toks.peek()
         if tok is not None:
             raise ParseError(f"expected end of input, found {tok[1]!r}", tok[2])
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple:
+        node, depth = self.term()
         while True:
             tok = self.toks.peek()
             if tok is not None and tok[0] == "op" and tok[1] in "+-":
                 self.toks.next()
-                node = Bin(tok[1], node, self.term())
+                right, right_depth = self.term()
+                node, depth = Bin(tok[1], node, right), self._within(1 + max(depth, right_depth), tok[2])
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> tuple:
+        node, depth = self.unary()
         while True:
             tok = self.toks.peek()
             if tok is not None and tok[0] == "op" and tok[1] in "*/":
                 self.toks.next()
-                right = self.unary()
+                right, right_depth = self.unary()
                 if tok[1] == "/":
                     divisor = _fold(right)
                     if divisor is None:
                         raise ParseError("divisor must be a constant expression", tok[2])
                     if divisor == 0:
                         raise ParseError("division by zero", tok[2])
-                node = Bin(tok[1], node, right)
+                node, depth = Bin(tok[1], node, right), self._within(1 + max(depth, right_depth), tok[2])
             else:
-                return node
+                return node, depth
 
-    def unary(self) -> Node:
+    def unary(self) -> tuple:
         tok = self.toks.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "-":
             self.toks.next()
-            return Neg(self.unary())
+            self._enter(tok[2])
+            operand, depth = self.unary()
+            self.open -= BRACKET_LEVELS
+            return Neg(operand), self._within(BRACKET_LEVELS + depth, tok[2])
         return self.primary()
 
-    def primary(self) -> Node:
+    def primary(self) -> tuple:
         tok = self.toks.next()
         if tok is None:
             raise ParseError("expected a value, found end of input", self.toks.end)
         kind, text, pos = tok
         if kind == "num":
-            return Num(float(text))
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.toks.expect_op(")")
-            return node
+            return Num(float(text)), 0
+        if kind == "name" and _VAR_RE.match(text):
+            self.variables.add(text)
+            return Var(text), 0
+        if (kind == "op" and text == "(") or (kind == "name" and text in _FUNCTIONS):
+            self._enter(pos)
+            node, depth = self.call(text, pos) if kind == "name" else self.group()
+            self.open -= BRACKET_LEVELS
+            return node, self._within(BRACKET_LEVELS + depth, pos)
         if kind == "name":
-            if text in _FUNCTIONS:
-                return self.call(text, pos)
-            if _VAR_RE.match(text):
-                self.variables.add(text)
-                return Var(text)
             raise ParseError(f"unknown identifier {text!r}", pos)
         raise ParseError(f"expected a value, found {text!r}", pos)
 
-    def call(self, fn: str, pos: int) -> Node:
+    def group(self) -> tuple:
+        node, depth = self.expr()
+        self.toks.expect_op(")")
+        return node, depth
+
+    def call(self, fn: str, pos: int) -> tuple:
         self.toks.expect_op("(")
         if fn == "piecewise":
-            cond = self.comparison()
+            cond, cond_depth = self.comparison()
             self.toks.expect_op(",")
-            then = self.expr()
+            then, then_depth = self.expr()
             self.toks.expect_op(",")
-            els = self.expr()
+            els, els_depth = self.expr()
             self.toks.expect_op(")")
-            return Piecewise(cond, then, els)
-        args = [self.expr()]
+            return Piecewise(cond, then, els), max(cond_depth, then_depth, els_depth)
+        parsed = [self.expr()]
         while True:
             tok = self.toks.peek()
             if tok is not None and tok[0] == "op" and tok[1] == ",":
                 self.toks.next()
-                args.append(self.expr())
+                parsed.append(self.expr())
             else:
                 break
         self.toks.expect_op(")")
+        args = tuple(node for node, _depth in parsed)
         arity = _FUNCTIONS[fn]
         if arity is not None and len(args) != arity:
             raise ParseError(f"{fn} takes {arity} argument(s), got {len(args)}", pos)
@@ -241,37 +272,63 @@ class _Parser:
             exp = args[1]
             if not isinstance(exp, Num) or exp.value != int(exp.value) or exp.value < 0:
                 raise ParseError("power exponent must be a nonnegative integer literal", pos)
-        return Call(fn, tuple(args))
+        return Call(fn, args), max(depth for _node, depth in parsed)
 
-    def comparison(self) -> Cmp:
-        left = self.expr()
+    def comparison(self) -> tuple:
+        left, left_depth = self.expr()
         tok = self.toks.next()
         if tok is None:
             raise ParseError("expected a comparison operator, found end of input", self.toks.end)
         if tok[0] != "op" or tok[1] not in ("<=", "<", ">=", ">"):
             raise ParseError(f"expected a comparison operator, found {tok[1]!r}", tok[2])
-        right = self.expr()
-        return Cmp(tok[1], left, right)
+        right, right_depth = self.expr()
+        return Cmp(tok[1], left, right), max(left_depth, right_depth)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _to_text(node: Node, parent_prec: int = 0) -> str:
+def _operand(node: Node, text: str, prec: int) -> str:
+    """The text of node as an operand that must bind at least as tightly as ``prec`` (+ and - 1, * and / 2, a
+    unary minus 3): bracketed where node is a binary operator that binds less tightly."""
+    return f"({text})" if isinstance(node, Bin) and _PREC[node.op] < prec else text
+
+
+def _spine(node: Bin, prec: Optional[int] = None) -> tuple:
+    """(base, links): the binary operators down the left operands from node (those of precedence ``prec`` alone,
+    if given), innermost first, and the first left operand that is not one.  The passes over a tree loop over a
+    chain such as a long sum instead of recursing."""
+    links = []
+    while isinstance(node, Bin) and prec in (None, _PREC[node.op]):
+        links.append(node)
+        node = node.left
+    return node, links[::-1]
+
+
+def _chain(node: Bin, render: Callable, *args) -> str:
+    """The text of a chain of operators of one precedence, ``a - b + c`` for ((a - b) + c), with its operands
+    rendered by ``render(operand, *args)`` and bracketed only where precedence needs it: Python parses it to
+    the same tree."""
+    prec = _PREC[node.op]
+    base, links = _spine(node, prec)
+    parts = [_operand(base, render(base, *args), prec)]
+    for link in links:
+        parts += (link.op, _operand(link.right, render(link.right, *args), prec + 1))
+    return " ".join(parts)
+
+
+def _to_text(node: Node) -> str:
     if isinstance(node, Num):
         v = node.value
+        if v == math.inf:
+            return "1e999"  # a number too large for a float, as one that reparses to it
         return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        inner = _to_text(node.operand, 3)
-        return f"-{inner}"
+        return f"-{_operand(node.operand, _to_text(node.operand), 3)}"
     if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        left = _to_text(node.left, prec)
-        right = _to_text(node.right, prec + 1)
-        text = f"{left} {node.op} {right}"
-        return f"({text})" if prec < parent_prec else text
+        return _chain(node, _to_text)
     if isinstance(node, Call):
         return f"{node.fn}({', '.join(_to_text(a) for a in node.args)})"
     if isinstance(node, Piecewise):
@@ -296,59 +353,69 @@ def _power(base, n: int):
     return result
 
 
-def _minimum(a, b):
-    """min(a, b), but NaN when either is NaN (min(1.0, nan) is 1.0), and a on a tie."""
-    return b if b < a or b != b else a
+def _minimum(a, b, *rest):
+    """min(a, b, ...) taken left to right, but NaN when one is NaN (min(1.0, nan) is 1.0), and the first on a tie."""
+    a = b if b < a or b != b else a
+    for b in rest:
+        a = b if b < a or b != b else a
+    return a
 
 
-def _maximum(a, b):
-    """max(a, b), but NaN when either is NaN, and a on a tie."""
-    return b if b > a or b != b else a
+def _maximum(a, b, *rest):
+    """max(a, b, ...) taken left to right, but NaN when one is NaN, and the first on a tie."""
+    a = b if b > a or b != b else a
+    for b in rest:
+        a = b if b > a or b != b else a
+    return a
 
 
-def _batch_minimum(a, b):
+def _batch_minimum(a, *rest):
     """``_minimum`` elementwise; numpy.minimum's choice on a 0.0/-0.0 tie varies by platform."""
-    return np.where((b < a) | (b != b), b, a)
+    for b in rest:
+        a = np.where((b < a) | (b != b), b, a)
+    return a
 
 
-def _batch_maximum(a, b):
+def _batch_maximum(a, *rest):
     """``_maximum`` elementwise."""
-    return np.where((b > a) | (b != b), b, a)
+    for b in rest:
+        a = np.where((b > a) | (b != b), b, a)
+    return a
 
 
 def _code(node: Node, batch: bool) -> str:
     """Python source for the node's value at the points x and y (x_k reads x[k-1]).
 
     The two evaluators differ only in ``piecewise`` (lazy in the scalar one,
-    ``np.where`` in the batch one) and in what their namespaces bind.
+    ``np.where`` in the batch one) and in what their namespaces bind.  Brackets
+    stand only where precedence needs them, so Python evaluates the same tree:
+    a sum of n terms nests no bracket.
     """
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return f"{node.name[0]}[{int(node.name[2:]) - 1}]"
     if isinstance(node, Neg):
-        return f"(-{_code(node.operand, batch)})"
+        return f"-{_operand(node.operand, _code(node.operand, batch), 3)}"
     if isinstance(node, Bin):
-        return f"({_code(node.left, batch)} {node.op} {_code(node.right, batch)})"
+        return _chain(node, _code, batch)
     if isinstance(node, Call):
         args = [_code(a, batch) for a in node.args]
         if node.fn == "power":
             return f"_power({args[0]}, {int(node.args[1].value)})"
         if node.fn == "abs":
             return f"abs({args[0]})"
-        out = args[0]
-        for a in args[1:]:
-            out = f"_{node.fn}imum({out}, {a})"
-        return out
+        return f"_{node.fn}imum({', '.join(args)})"
     if isinstance(node, Piecewise):
-        cond = f"({_code(node.cond.left, batch)} {node.cond.op} {_code(node.cond.right, batch)})"
+        cond = f"{_code(node.cond.left, batch)} {node.cond.op} {_code(node.cond.right, batch)}"
         then, els = _code(node.then, batch), _code(node.els, batch)
         return f"np.where({cond}, {then}, {els})" if batch else f"({then} if {cond} else {els})"
     raise TypeError(node)
 
 
-_SCALAR_NAMES = {"_power": _power, "_minimum": _minimum, "_maximum": _maximum}
-_BATCH_NAMES = {"np": np, "_power": _power, "_minimum": _batch_minimum, "_maximum": _batch_maximum}
+# ``inf`` is the code of a number too large for a float, such as 1e400
+_SCALAR_NAMES = {"inf": math.inf, "_power": _power, "_minimum": _minimum, "_maximum": _maximum}
+_BATCH_NAMES = {"inf": math.inf, "np": np, "_power": _power, "_minimum": _batch_minimum, "_maximum": _batch_maximum}
 
 
 def _compile(node: Node, batch: bool) -> Callable:
@@ -368,19 +435,20 @@ _OPERATORS = {
 
 def _y_axes(node: Node) -> set:
     """The k - 1 of every y_k the node reads."""
-    if isinstance(node, Var):
-        return {int(node.name[2:]) - 1} if node.name[0] == "y" else set()
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Neg):
-        parts = (node.operand,)
-    elif isinstance(node, Bin):
-        parts = (node.left, node.right)
-    elif isinstance(node, Call):
-        parts = node.args
-    else:
-        parts = (node.cond.left, node.cond.right, node.then, node.els)
-    return set().union(*map(_y_axes, parts))
+    axes, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            axes |= {int(node.name[2:]) - 1} if node.name[0] == "y" else set()
+        elif isinstance(node, Neg):
+            todo.append(node.operand)
+        elif isinstance(node, Bin):
+            todo += (node.left, node.right)
+        elif isinstance(node, Call):
+            todo += node.args
+        elif isinstance(node, Piecewise):
+            todo += (node.cond.left, node.cond.right, node.then, node.els)
+    return axes
 
 
 def _walk(node: Node, x, y) -> tuple:
@@ -396,12 +464,17 @@ def _walk(node: Node, x, y) -> tuple:
         cond = _OPERATORS[node.cond.op](left, right)
         (then, then_ok), (els, els_ok) = _walk(node.then, x, y), _walk(node.els, x, y)
         return np.where(cond, then, els), left_ok & right_ok & np.where(cond, then_ok, els_ok)
+    if isinstance(node, Bin):
+        base, links = _spine(node)
+        value, ok = _walk(base, x, y)
+        for link in links:
+            right, right_ok = _walk(link.right, x, y)
+            value = _OPERATORS[link.op](value, right)
+            ok = ok & right_ok & np.isfinite(value)
+        return value, ok
     if isinstance(node, Neg):
         value, ok = _walk(node.operand, x, y)
         value = -value
-    elif isinstance(node, Bin):
-        (left, left_ok), (right, right_ok) = _walk(node.left, x, y), _walk(node.right, x, y)
-        value, ok = _OPERATORS[node.op](left, right), left_ok & right_ok
     elif node.fn in ("abs", "power"):
         value, ok = _walk(node.args[0], x, y)
         value = abs(value) if node.fn == "abs" else _power(value, int(node.args[1].value))
@@ -427,6 +500,13 @@ def _directions(node: Node, x, dim: int) -> tuple:
     NaN; a NaN factor, whose product is NaN at every y, is left to that
     condition.
     """
+    if isinstance(node, Bin):
+        base, links = _spine(node)
+        rise, fall = _directions(base, x, dim)
+        axes = _y_axes(base)
+        for link in links:
+            rise, fall, axes = _link_directions(link, rise, fall, axes, x, dim)
+        return rise, fall
     axes = _y_axes(node)
     reads = np.array([k in axes for k in range(dim)])
     if isinstance(node, Var) or not axes:
@@ -434,16 +514,6 @@ def _directions(node: Node, x, dim: int) -> tuple:
     if isinstance(node, Neg):
         rise, fall = _directions(node.operand, x, dim)
         return fall, rise
-    if isinstance(node, Bin) and node.op in "+-":
-        (rise, fall), (right_rise, right_fall) = _directions(node.left, x, dim), _directions(node.right, x, dim)
-        if node.op == "-":
-            right_rise, right_fall = right_fall, right_rise
-        return rise | right_rise, fall | right_fall
-    if isinstance(node, Bin) and not (_y_axes(node.left) and _y_axes(node.right)):
-        factor, operand = (node.right, node.left) if _y_axes(node.left) else (node.left, node.right)
-        rise, fall = _directions(operand, x, dim)
-        flip = np.asarray(_walk(factor, x, ())[0] < 0)[..., None]
-        return np.where(flip, fall, rise), np.where(flip, rise, fall)
     if isinstance(node, Call) and node.fn in ("min", "max"):
         rise = fall = np.zeros(dim, dtype=bool)
         for arg in node.args:
@@ -455,7 +525,30 @@ def _directions(node: Node, x, dim: int) -> tuple:
         cond = np.asarray(_OPERATORS[node.cond.op](left, right))[..., None]
         (rise, fall), (els_rise, els_fall) = _directions(node.then, x, dim), _directions(node.els, x, dim)
         return np.where(cond, rise, els_rise), np.where(cond, fall, els_fall)
-    return reads, reads  # abs, power, a product of two terms in y, a condition in y
+    return reads, reads  # abs, power, a condition in y
+
+
+def _link_directions(link: Bin, rise, fall, left_axes: set, x, dim: int) -> tuple:
+    """(rise, fall, axes) of ``link`` from (rise, fall) and the y axes of its left operand: ``_directions`` of a
+    binary operator."""
+    right_axes = _y_axes(link.right)
+    axes = left_axes | right_axes
+    if not axes:
+        return np.zeros(dim, dtype=bool), np.zeros(dim, dtype=bool), axes
+    if link.op in "+-":
+        right_rise, right_fall = _directions(link.right, x, dim)
+        if link.op == "-":
+            right_rise, right_fall = right_fall, right_rise
+        return rise | right_rise, fall | right_fall, axes
+    if left_axes and right_axes:  # a product of two terms in y
+        reads = np.array([k in axes for k in range(dim)])
+        return reads, reads, axes
+    if left_axes:
+        flip = np.asarray(_walk(link.right, x, ())[0] < 0)[..., None]
+    else:
+        flip = np.asarray(_walk(link.left, x, ())[0] < 0)[..., None]
+        rise, fall = _directions(link.right, x, dim)
+    return np.where(flip, fall, rise), np.where(flip, rise, fall), axes
 
 
 class Expression:

@@ -25,6 +25,10 @@ from .errors import InstanceDefinitionError, NonFiniteValueError
 MAX_DIM = 3
 #: The most points a grid may have; a larger one is refused before any axis is built.
 GRID_POINT_BUDGET = 2**24
+#: The most points an exact (``Root2``) grid may have, refused the same way.  An exact scan holds about 950 bytes
+#: per point (``fixed_table`` at 51**2 and 101**2), so this is about 4 GB; a float scan about 80 (2-D, at 1001**2
+#: and 2001**2), so ``GRID_POINT_BUDGET`` is about 1.3 GB.
+EXACT_GRID_POINT_BUDGET = 2**22
 
 #: Machine-noise guard for box membership comparisons, scaled by box diameter.
 #: Grid coordinates and affine bound evaluations agree with the ideal real
@@ -277,6 +281,10 @@ class Grid:
             raise InstanceDefinitionError("need at least 2 grid points per axis")
         if self.size() > GRID_POINT_BUDGET:
             raise InstanceDefinitionError(f"a grid of {self.size()} points exceeds the budget of {GRID_POINT_BUDGET}")
+        if self.box.is_exact and self.size() > EXACT_GRID_POINT_BUDGET:
+            raise InstanceDefinitionError(
+                f"an exact grid of {self.size()} points exceeds the exact budget of {EXACT_GRID_POINT_BUDGET}"
+            )
         object.__setattr__(self, "_axes", tuple(self._axis_coords(k) for k in range(self.box.dim)))
 
     def _axis_coords(self, k: int) -> np.ndarray:

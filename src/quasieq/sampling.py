@@ -196,10 +196,31 @@ def _jittered(p: tuple, r: float, box: CompactBox, rng: random.Random) -> tuple:
     return tuple(_clip(v + rng.uniform(-r, r), k, box) for k, v in enumerate(p))
 
 
+def axis_moves(x: tuple, r: float, box: CompactBox) -> list:
+    """x with each axis moved by +r, then -r, in axis order, clipped to the box: no draw."""
+    return [_shifted(x, k, s, box) for k in range(len(x)) for s in (r, -r)]
+
+
 def ball_candidates(x: tuple, r: float, box: CompactBox, rng: random.Random) -> list:
-    """x, x with each axis moved by +-r, then 2 random points: all within sup-distance r, in the box."""
-    axis_moves = [_shifted(x, k, s, box) for k in range(len(x)) for s in (r, -r)]
-    return [x] + axis_moves + [_jittered(x, r, box, rng) for _ in range(2)]
+    """x, its ``axis_moves``, then 2 random points: all within sup-distance r, in the box."""
+    return [x] + axis_moves(x, r, box) + [_jittered(x, r, box, rng) for _ in range(2)]
+
+
+def ladder_jitters(x: tuple, radii: tuple, rungs, box: CompactBox, rng: random.Random) -> np.ndarray:
+    """The random ball candidates of x for ladders that run ``rungs[0]``, ``rungs[1]``, ... rungs, in turn.
+
+    Column 2i and 2i + 1 of the (dim, n) array are the 2 points of the i-th rung
+    in that order.  Each ladder draws what ``ball_candidates`` draws at each of
+    its rungs, so the RNG ends where those calls leave it, and each point takes
+    ``_jittered``'s float operations: ``uniform(-r, r)`` is -r + (r - -r) * u,
+    and the clip is Python's max, then min.
+    """
+    r = np.array([radius for n in rungs for radius in radii[:n] for _ in range(2)])
+    u = np.array([rng.random() for _ in range(r.size * len(x))]).reshape(r.size, len(x)).T
+    p = np.array(x)[:, None] + (-r + (r - -r) * u)
+    lower, upper = np.array(box.lower, dtype=float)[:, None], np.array(box.upper, dtype=float)[:, None]
+    p = np.where(lower > p, lower, p)
+    return np.where(upper < p, upper, p)
 
 
 def pair_ball_candidates(xf: tuple, yf: tuple, r: float, box: CompactBox, rng: random.Random) -> list:

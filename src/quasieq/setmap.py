@@ -27,6 +27,7 @@ from .geometry import (
     box_distance,
     contains,
     grid_coords,
+    point_columns,
     point_distance,
     require_finite,
 )
@@ -263,6 +264,83 @@ def _member_samples(K: SetValuedMap, x_map: Point, lo: tuple, hi: tuple, grid: G
     return pts if keep is None else [p for p in pts if keep(x_map, p)]
 
 
+def _ladder_batch(K: SetValuedMap, radii: tuple, rng: random.Random, goes_on: Callable) -> Callable:
+    """(x, targets) -> the (n, target) pairs of ``targets`` whose ladders at the lattice point x must run, in
+    order; before each one, rng stands where the loop over every target would leave it.
+
+    A ladder goes on at a rung while ``goes_on(lo, hi, t, r)``, arrays broadcast behind a leading axis per
+    coordinate, holds at one of the rung's ball candidates, whose image is [lo, hi].  The images of x and its
+    axis moves at every rung, in one batch, settle where each target's ladder would stop if no random candidate
+    made it go on.  That guess is checked at the random candidates of the stopping rung, drawn as the loop draws
+    them and evaluated in one batch.  Yielded are the targets whose guess fails and those whose ladders go on at
+    every rung: the loop gives their verdicts.  A bound that is not finite before clipping or an empty image,
+    where ``K.evaluate`` would raise, yields the remaining targets from where that batch began, so the loop
+    raises as it would.  Without a batch form (exact domains, member predicates, bounds that are not all
+    ``Expression``s) every target is yielded.
+    """
+    box, bounds = K.domain, K.lower_fns + K.upper_fns
+    if box.is_exact or K.member_predicate is not None or not all(isinstance(fn, Expression) for fn in bounds):
+        return lambda x, targets: targets
+    dim = box.dim
+    lower, upper = np.array(box.lower)[:, None], np.array(box.upper)[:, None]
+    # the columns of rung i's fixed candidates: x (column 0), then its axis moves at radii[i]
+    columns = np.zeros((len(radii), 1 + 2 * dim), dtype=np.intp)
+    columns[:, 1:] = 1 + np.arange(len(radii) * 2 * dim).reshape(len(radii), 2 * dim)
+    radii_col = np.array(radii)[:, None]
+
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is replayed by the loop instead
+    def images(X):
+        raw = np.empty((2 * dim, X.shape[1]))
+        for k, fn in enumerate(bounds):
+            raw[k] = fn.eval_batch(X)
+        if not np.isfinite(raw).all():
+            return None
+        lo, hi = np.maximum(raw[:dim], lower), np.minimum(raw[dim:], upper)
+        return None if (lo > hi).any() else (lo, hi)
+
+    def open_ladders(x, targets):
+        fixed = images(point_columns([x] + [p for r in radii for p in sampling.axis_moves(x, r, box)]))
+        if fixed is None:
+            yield from targets
+            return
+        targets = list(targets)
+        if not targets:
+            return
+        T = point_columns([t for _, t in targets])
+        on = goes_on(fixed[0][:, None, columns], fixed[1][:, None, columns], T[:, :, None, None], radii_col).any(axis=2)
+        stops = np.where(on.all(axis=1), len(radii), (~on).argmax(axis=1))  # each ladder's last rung, if any
+        full = np.flatnonzero(stops == len(radii)).tolist() + [len(targets)]  # ladders on at every rung, the end
+        i = 0
+        while i < len(targets):
+            state = rng.getstate()
+            n = b = next(j for j in full if j >= i) - i
+            if n:
+                ladders = stops[i:i + n] + 1
+                jittered = images(sampling.ladder_jitters(x, radii, ladders.tolist(), box, rng))
+                if jittered is None:
+                    rng.setstate(state)
+                    yield from targets[i:]
+                    return
+                ends = 2 * np.cumsum(ladders) - 1  # each ladder's columns end with its last rung's two points
+                lo, hi = jittered[0][:, [ends - 1, ends]], jittered[1][:, [ends - 1, ends]]
+                on = goes_on(lo, hi, T[:, None, i:i + n], radii_col[ladders - 1, 0])
+                if on.any():  # a random candidate lets ladder i + b go on: back to the RNG state before it
+                    b = int(on.any(axis=0).argmax())
+                    rng.setstate(state)
+                    sampling.ladder_jitters(x, radii, ladders[:b].tolist(), box, rng)
+            if i + b == len(targets):
+                return
+            yield targets[i + b]
+            i += b + 1
+
+    return open_ladders
+
+
+def _approaches(lo, hi, z, r):
+    """The projection of z onto [lo, hi] lies within sup-distance r of z."""
+    return np.abs(np.minimum(np.maximum(z, lo), hi) - z).max(axis=0) <= r
+
+
 def check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     """Falsifier for closedness of the graph of K.
 
@@ -283,20 +361,22 @@ def check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
                 return {"radius": r, "x_prime": x_prime, "z_prime": z_prime}
         return None
 
+    def far(x_map, z, outside):
+        if K.member_predicate is not None:
+            return not (K.member_predicate(x_map, z) or outside > margin)
+        return outside >= margin
+
+    open_ladders = _ladder_batch(K, radii, rng, _approaches)
     for x, x_map, lo, hi in regions:
         region = sampling.region_lookup(K)  # the ball candidates of x recur for every z
-        for z in lattice:
-            samples += 1
-            outside = box_distance(lo, hi, z)
-            if K.member_predicate is not None:
-                if K.member_predicate(x_map, z) or outside > margin:
-                    continue
-            elif outside < margin:
-                continue
+        outside = [box_distance(lo, hi, z) for z in lattice]
+        targets = ((n, z) for n, z in enumerate(lattice) if far(x_map, z, outside[n]))
+        for n, z in open_ladders(x, targets):
             trail = sampling.ladder_search(radii, lambda r: approach(region, x, z, r))
             if trail is not None:
-                witness = {"x": x, "z": z, "outside_distance": float(outside), "approach": trail}
-                return TopologyProbeReport(FAIL, witness, radii, samples)
+                witness = {"x": x, "z": z, "outside_distance": float(outside[n]), "approach": trail}
+                return TopologyProbeReport(FAIL, witness, radii, samples + n + 1)
+        samples += len(lattice)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
 
 
@@ -318,14 +398,19 @@ def check_lsc(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
         )
         return None if d < margin else {"radius": r, "x_prime": x_prime, "distance": d}
 
+    def recedes(lo, hi, y, r):
+        return np.maximum(lo - y, y - hi).max(axis=0) >= margin
+
+    open_ladders = _ladder_batch(K, radii, rng, recedes)
     for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
         region = sampling.region_lookup(K)  # the ball candidates of x recur for every y
-        for y in _member_samples(K, x_map, lo, hi, grid):
-            samples += 1
+        ys = _member_samples(K, x_map, lo, hi, grid)
+        for n, y in open_ladders(x, enumerate(ys)):
             trail = sampling.ladder_search(radii, lambda r: receding(region, x, y, r))
             if trail is not None:
                 witness = {"x": x, "y": y, "receding": trail}
-                return TopologyProbeReport(FAIL, witness, radii, samples)
+                return TopologyProbeReport(FAIL, witness, radii, samples + n + 1)
+        samples += len(ys)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
 
 

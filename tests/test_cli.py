@@ -49,6 +49,14 @@ expr = abs(x_1 - 0.25)
 """
 
 
+def _objective_spec(expr: str) -> str:
+    """A 1-D objective problem over [0, 1] with the constant map, at grid 11."""
+    return (
+        "[domain]\ndim = 1\nlower = 0.0\nupper = 1.0\n\n[map]\nkind = constant\n\n"
+        f"[payload]\nkind = objective\nexpr = {expr}\n\n[solver]\ngrid = 11\n"
+    )
+
+
 class TestCatalogCommands:
     def test_list_names(self, capsys):
         assert main(["catalog", "list"]) == 0
@@ -292,6 +300,26 @@ class TestExitCodes:
         assert verify.returncode == 2, verify.stderr
         assert verify.stderr.startswith("error: ") and len(verify.stderr.splitlines()) == 1, verify.stderr
         assert "diameter" in verify.stderr and not (tmp_path / "out").exists()
+
+    def test_objective_of_201_terms_solves(self, tmp_path, capsys):
+        # every chained sum was once bracketed, and CPython refuses 200 nested brackets
+        spec = tmp_path / "long.spec"
+        spec.write_text(_objective_spec(" + ".join(f"{k}*x_1" for k in range(1, 202))))
+        assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().err)["solutions"] == 1
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 3000 + "x_1" + ")" * 3000, "-" * 5000 + "x_1", " + ".join(["x_1"] * 5000)],
+        ids=["3000-brackets", "5000-minuses", "5000-terms"],
+    )
+    def test_expression_nested_too_deeply(self, tmp_path, capsys, expr):
+        spec = tmp_path / "deep.spec"
+        spec.write_text(_objective_spec(expr))
+        assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "nests deeper than 1000 levels" in err and not (tmp_path / "out").exists()
 
     def test_file_that_is_not_utf8(self, tmp_path, capsys):
         spec = tmp_path / "latin1.spec"

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,19 @@ from hypothesis import strategies as st
 
 from quasieq.bifunction import Bifunction
 from quasieq.errors import NonFiniteValueError, ParseError
-from quasieq.expressions import Bin, Call, Cmp, Expression, Neg, Num, Piecewise, Var, parse_expression
+from quasieq.expressions import (
+    BRACKET_LEVELS,
+    MAX_DEPTH,
+    Bin,
+    Call,
+    Cmp,
+    Expression,
+    Neg,
+    Num,
+    Piecewise,
+    Var,
+    parse_expression,
+)
 from quasieq.geometry import CompactBox, Grid, grid_coords
 from quasieq.solver import _corner_minima
 
@@ -100,6 +113,62 @@ class TestParseAndEvaluate:
     def test_variables_collected(self):
         e = parse_expression("x_1 + y_2 * 2")
         assert e.variables == {"x_1", "y_2"}
+
+
+def _sum_text(n: int) -> str:
+    """1*x_1 + 2*x_1 + ... + n*x_1: n - 1 chained operators over products, n levels deep."""
+    return " + ".join(f"{k}*x_1" for k in range(1, n + 1))
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("n", [201, 1000])
+    def test_long_sums_evaluate_alike(self, n):
+        e = parse_expression(_sum_text(n))
+        X = np.linspace(-1.0, 1.0, 9)[None, :]
+        values = [e((x,)) for x in X[0].tolist()]
+        summed = [functools.reduce(lambda acc, k: acc + k * x, range(2, n + 1), 1 * x) for x in X[0].tolist()]
+        assert values == e.eval_batch(X).tolist() == summed
+        # the passes over the tree walk a long chain in a loop: no recursion limit is reached
+        assert parse_expression(e.to_text()).to_text() == e.to_text()
+        assert e.finite_subterms([X[0]], [X[0]]).all()
+        rise, fall = parse_expression(_sum_text(n).replace("x_1", "y_1")).y_directions([X[0]], 1)
+        assert rise.all() and not fall.any()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _sum_text(MAX_DEPTH),
+            " + ".join(["x_1"] * (MAX_DEPTH + 1)),
+            "(" * (MAX_DEPTH // BRACKET_LEVELS) + "x_1" + ")" * (MAX_DEPTH // BRACKET_LEVELS),
+            "-" * (MAX_DEPTH // BRACKET_LEVELS) + "x_1",
+            "abs(" * (MAX_DEPTH // BRACKET_LEVELS) + "x_1" + ")" * (MAX_DEPTH // BRACKET_LEVELS),
+            "max(" * (MAX_DEPTH // BRACKET_LEVELS) + "x_1" + ", 0.5)" * (MAX_DEPTH // BRACKET_LEVELS),
+        ],
+        ids=["products", "variables", "brackets", "minuses", "calls", "max"],
+    )
+    def test_at_the_limit_parses_and_one_level_more_does_not(self, text):
+        e = parse_expression(text)
+        X = np.array([[-0.75, 0.5, 2.0]])
+        assert [e((x,)) for x in X[0].tolist()] == np.broadcast_to(e.eval_batch(X), 3).tolist()
+        deeper = {"+": f"{text} + x_1", "(": f"({text})", "-": f"-{text}", "a": f"abs({text})", "m": f"max({text}, 0)"}
+        for more in deeper.values():
+            with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+                parse_expression(more)
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 3000 + "x_1" + ")" * 3000, "-" * 5000 + "x_1", " + ".join(["x_1"] * 5000), "x_1 - (" * 100 + "x_1" + ")" * 100]
+    )
+    def test_deep_input_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            parse_expression(text)
+
+    def test_number_too_large_for_a_float(self):
+        e = parse_expression("min(1e400, x_1) - 1e999")
+        assert e.to_text() == "min(1e999, x_1) - 1e999" and parse_expression(e.to_text()) == e
+        assert math.isinf(e.eval_batch(np.array([[0.5]]))[0])
+        with pytest.raises(NonFiniteValueError, match="overflows"):
+            e((0.5,))
+        assert parse_expression("min(1e400, x_1)")((0.5,)) == 0.5
 
 
 class TestBatchEvaluation:

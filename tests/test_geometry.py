@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quasieq.errors import InstanceDefinitionError
 from quasieq.geometry import (
+    EXACT_GRID_POINT_BUDGET,
     GRID_POINT_BUDGET,
     CompactBox,
     Grid,
@@ -216,6 +217,23 @@ class TestGrid:
         # a grid of exactly the budget passes the check and goes on to build its axes
         with pytest.raises(AssertionError, match="an axis was built"):
             Grid(CompactBox((0.0, 0.0), (1.0, 1.0)), (4096, 4096))
+
+    def test_oversized_exact_grid_refused_before_any_axis(self, monkeypatch):
+        def no_axes(grid, k):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(Grid, "_axis_coords", no_axes)
+        exact2, exact3 = CompactBox((Root2(0),) * 2, (Root2(1),) * 2), CompactBox((Root2(0),) * 3, (Root2(1),) * 3)
+        exact1 = CompactBox((Root2(0),), (Root2(1),))
+        for box, ppa in [(exact1, (EXACT_GRID_POINT_BUDGET + 1,)), (exact2, (2049, 2048)), (exact3, (162, 162, 160))]:
+            with pytest.raises(InstanceDefinitionError, match=f"exceeds the exact budget of {EXACT_GRID_POINT_BUDGET}"):
+                Grid(box, ppa)
+        # an exact grid of exactly its budget, and a float grid past it, go on to build their axes
+        for box in (exact2, CompactBox((0.0, 0.0), (1.0, 1.0))):
+            with pytest.raises(AssertionError, match="an axis was built"):
+                Grid(box, (2048, 2048))
+        with pytest.raises(AssertionError, match="an axis was built"):
+            Grid(CompactBox((0.0, 0.0), (1.0, 1.0)), (2049, 2048))
 
 
 class TestConvexCombination:

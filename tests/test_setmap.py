@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,13 +9,26 @@ import pytest
 from quasieq import sampling
 from quasieq.bifunction import Bifunction, check_condition_iv
 from quasieq.catalog import figure1_instance, get_instance, random_instance
-from quasieq.errors import InstanceDefinitionError
-from quasieq.geometry import GRID_POINT_BUDGET, CompactBox, Grid, Root2, contains, grid_coords, grid_points
+from quasieq.errors import InstanceDefinitionError, NonFiniteValueError, QuasieqError
+from quasieq.expressions import parse_expression
+from quasieq.geometry import (
+    GRID_POINT_BUDGET,
+    CompactBox,
+    Grid,
+    Root2,
+    box_distance,
+    contains,
+    grid_coords,
+    grid_points,
+)
 from quasieq.setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
     ConvexRegion,
     SetValuedMap,
+    TopologyProbeReport,
+    _member_samples,
+    _nearby_members,
     check_closed_graph,
     check_convex_values,
     check_lsc,
@@ -302,6 +316,150 @@ class TestProbeEvaluations:
         # the images of each lattice point's ball candidates are memoized; the 81
         # lattice points are evaluated once more, as their own first candidates
         assert len(set(calls)) > 81 and len(calls) == len(set(calls)) + 81
+
+
+# The probe-by-probe checkers, kept verbatim as the reference of the batch path.
+
+
+def reference_check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
+    radii, margin = sampling.probe_ladder(grid)
+    rng = random.Random(sampling.PROBE_SEED)
+    regions = list(sampling.lattice_regions(K, grid))
+    lattice = [x for x, *_ in regions]
+    samples = 0
+
+    def approach(region, x, z, r):
+        for x_prime in sampling.ball_candidates(x, r, K.domain, rng):
+            z_prime = _nearby_members(K, region, x_prime, z, r, grid)
+            if z_prime is not None:
+                return {"radius": r, "x_prime": x_prime, "z_prime": z_prime}
+        return None
+
+    for x, x_map, lo, hi in regions:
+        region = sampling.region_lookup(K)  # the ball candidates of x recur for every z
+        for z in lattice:
+            samples += 1
+            outside = box_distance(lo, hi, z)
+            if K.member_predicate is not None:
+                if K.member_predicate(x_map, z) or outside > margin:
+                    continue
+            elif outside < margin:
+                continue
+            trail = sampling.ladder_search(radii, lambda r: approach(region, x, z, r))
+            if trail is not None:
+                witness = {"x": x, "z": z, "outside_distance": float(outside), "approach": trail}
+                return TopologyProbeReport(FAIL, witness, radii, samples)
+    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
+
+
+def reference_check_lsc(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
+    radii, margin = sampling.probe_ladder(grid)
+    rng = random.Random(sampling.PROBE_SEED + 1)
+    samples = 0
+
+    def receding(region, x, y, r):
+        # the first candidate whose image is farthest from y
+        x_prime, d = max(
+            ((xp, float(box_distance(*region(xp), y))) for xp in sampling.ball_candidates(x, r, K.domain, rng)),
+            key=lambda cand: cand[1],
+        )
+        return None if d < margin else {"radius": r, "x_prime": x_prime, "distance": d}
+
+    for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
+        region = sampling.region_lookup(K)  # the ball candidates of x recur for every y
+        for y in _member_samples(K, x_map, lo, hi, grid):
+            samples += 1
+            trail = sampling.ladder_search(radii, lambda r: receding(region, x, y, r))
+            if trail is not None:
+                witness = {"x": x, "y": y, "receding": trail}
+                return TopologyProbeReport(FAIL, witness, radii, samples)
+    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
+
+
+def _expression_map(C: CompactBox, lower: list, upper: list) -> SetValuedMap:
+    return SetValuedMap(C, [parse_expression(t) for t in lower], [parse_expression(t) for t in upper])
+
+
+def _box_map_3d(seed: int) -> SetValuedMap:
+    """A seeded 3-D moving box: affine centres, and a step at x_1 = 1/2 in the upper bound of axis 3."""
+    rng = random.Random(seed)
+    lower, upper = [], []
+    for k in range(3):
+        centre = " + ".join(f"{rng.uniform(-0.2, 0.2):.6f}*x_{j + 1}" for j in range(3)) + f" + {rng.uniform(0.4, 0.6):.6f}"
+        width = rng.uniform(0.15, 0.3)
+        lower.append(f"({centre}) - {width:.6f}")
+        upper.append(f"({centre}) + {width:.6f}" if k < 2 else f"piecewise(x_1 <= 0.5, ({centre}) + {width:.6f}, {centre})")
+    return _expression_map(CompactBox((0.0,) * 3, (1.0,) * 3), lower, upper)
+
+
+_STEP_C = CompactBox((0.0,), (2.0,))
+_DIFFERENTIAL_MAPS = {
+    **{f"random-1d-{s}": lambda s=s: (random_instance(s, 1).K, (101,)) for s in (3000, 3003, 3007)},
+    **{f"random-2d-{s}": lambda s=s: (random_instance(s, 2).K, (41, 41)) for s in (3101, 3104, 3108)},
+    **{f"box-3d-{s}": lambda s=s: (_box_map_3d(s), (9, 9, 9)) for s in (1, 2)},
+    # six ladders of closed_graph go on at a random candidate: the failed-guess replay
+    "random-2d-3110@401": lambda: (random_instance(3110, 2).K, (401, 401)),
+    # lsc FAILs at the drop; closed_graph FAILs at x = 1/2, its ladder going on at every rung
+    "step-lsc": lambda: (_expression_map(_STEP_C, ["0"], ["piecewise(x_1 <= 0.5, 1, 0.25)"]), (201,)),
+    "step-closed-graph": lambda: (_expression_map(_STEP_C, ["0"], ["piecewise(x_1 < 0.5, 1, 0.25)"]), (201,)),
+    # the bound overflows in (0.01, 0.02), between lattice points: both checkers raise at a random candidate
+    "overflow": lambda: (
+        _expression_map(CompactBox((0.0,), (1.0,)), ["0"], ["piecewise(abs(x_1 - 0.015) < 0.005, power(x_1 * 1e200, 2), 0.6)"]),
+        (101,),
+    ),
+}
+
+
+def _outcome(check, K: SetValuedMap, grid: Grid) -> tuple:
+    try:
+        rep = check(K, grid)
+    except QuasieqError as exc:
+        return type(exc), str(exc)
+    return rep.verdict, rep.witness, rep.probe_radii, rep.samples_used
+
+
+class TestTopologyBatchDifferential:
+    """The batch path of closed_graph and lsc gives the reports, or the exceptions, of the probe-by-probe loop."""
+
+    @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_MAPS))
+    @pytest.mark.parametrize(
+        "check, reference", [(check_closed_graph, reference_check_closed_graph), (check_lsc, reference_check_lsc)]
+    )
+    def test_reports_equal_the_loop(self, name, check, reference):
+        K, ppa = _DIFFERENTIAL_MAPS[name]()
+        grid = Grid(K.domain, ppa)
+        assert _outcome(check, K, grid) == _outcome(reference, K, grid)
+
+    @pytest.mark.parametrize(
+        "name, check, outcome",
+        [
+            ("step-lsc", check_lsc, FAIL),
+            ("step-closed-graph", check_closed_graph, FAIL),
+            ("overflow", check_closed_graph, NonFiniteValueError),
+            ("overflow", check_lsc, NonFiniteValueError),
+        ],
+    )
+    def test_cases_reach_their_outcome(self, name, check, outcome):
+        K, ppa = _DIFFERENTIAL_MAPS[name]()
+        assert _outcome(check, K, Grid(K.domain, ppa))[0] == outcome
+
+    def test_a_random_candidate_hit_replays_the_loop(self, monkeypatch):
+        K, ppa = _DIFFERENTIAL_MAPS["random-2d-3110@401"]()
+        calls = []
+        ball_candidates = sampling.ball_candidates
+        monkeypatch.setattr(sampling, "ball_candidates", lambda *args: calls.append(args) or ball_candidates(*args))
+        assert check_closed_graph(K, Grid(K.domain, ppa)).verdict == NO_VIOLATION_FOUND
+        assert 0 < len(calls) < 100  # the loop ran at a few ladders, not at every one of them
+
+    def test_ladder_jitters_are_the_ball_candidates_draws(self):
+        C = CompactBox((-1.0, 0.0), (1.0, 0.5))
+        radii = (0.4, 0.2, 0.1)
+        rng, loop = random.Random(5), random.Random(5)
+        x = (0.9, 0.05)
+        columns = sampling.ladder_jitters(x, radii, [1, 3, 2], C, rng)
+        drawn = [p for n in (1, 3, 2) for r in radii[:n] for p in sampling.ball_candidates(x, r, C, loop)[-2:]]
+        assert [tuple(c) for c in columns.T.tolist()] == drawn
+        assert rng.getstate() == loop.getstate()
 
 
 class TestConvexValuesProbe:
