@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -551,6 +551,24 @@ def _link_directions(link: Bin, rise, fall, left_axes: set, x, dim: int) -> tupl
     return np.where(flip, fall, rise), np.where(flip, rise, fall), axes
 
 
+def _same_tree(a: Node, b: Node) -> bool:
+    """``a == b`` on two ASTs, node by node from an explicit stack.
+
+    The dataclasses' own ``==`` recurses one frame per level, so a chain of
+    1,000 terms, which the parser accepts, would raise RecursionError.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):  # ``Call.args``
+            stack.extend(zip(a, b))
+        elif is_dataclass(a) and type(a) is type(b):
+            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        elif not (a is b or a == b):  # a leaf's field, or nodes of different kinds
+            return False
+    return True
+
+
 class Expression:
     """A parsed expression with scalar and numpy-batch evaluators of points x and y."""
 
@@ -599,7 +617,7 @@ class Expression:
         return _to_text(self.ast)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Expression) and self.ast == other.ast
+        return isinstance(other, Expression) and _same_tree(self.ast, other.ast)
 
     def __repr__(self) -> str:
         return f"Expression({self.to_text()!r})"

@@ -25,8 +25,8 @@ from .errors import InstanceDefinitionError, NonFiniteValueError
 MAX_DIM = 3
 #: The most points a grid may have; a larger one is refused before any axis is built.
 GRID_POINT_BUDGET = 2**24
-#: The most points an exact (``Root2``) grid may have, refused the same way.  An exact scan holds about 950 bytes
-#: per point (``fixed_table`` at 51**2 and 101**2), so this is about 4 GB; a float scan about 80 (2-D, at 1001**2
+#: The most points an exact (``Root2``) grid may have, refused the same way.  An exact scan holds about 670 bytes
+#: per point (``fixed_table`` at 51**2 and 101**2), so this is about 2.8 GB; a float scan about 80 (2-D, at 1001**2
 #: and 2001**2), so ``GRID_POINT_BUDGET`` is about 1.3 GB.
 EXACT_GRID_POINT_BUDGET = 2**22
 
@@ -44,16 +44,17 @@ MEMBERSHIP_SNAP = 1e-12
 class Root2:
     """An exact scalar a + b*sqrt(2) with rational a, b.
 
-    Fractions keep themselves reduced with positive denominators, so the
-    reduced-form invariant holds by construction.  Ordering is decided by sign
-    analysis on (a, b) without any floating arithmetic.
+    Stored as integers (p, q, d) with a = p/d, b = q/d, d > 0 and gcd(p, q, d)
+    == 1, a unique normal form, so equality compares the triples.  Arithmetic
+    and ordering run on ints and build no ``Fraction``; ``a`` and ``b`` are
+    built when read.  Ordering is decided by sign analysis, never in floats.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_t",)
 
     def __init__(self, a: Fraction | int | str, b: Fraction | int | str = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        _normal(self, a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Root2 is immutable")
@@ -63,75 +64,55 @@ class Root2:
     @classmethod
     def from_float(cls, x: float) -> Root2:
         """Exact embedding of a float (floats are rationals)."""
-        return cls(Fraction(x), 0)
+        return cls.coerce(x)
 
     @classmethod
     def coerce(cls, x: "Root2 | Fraction | int | float") -> Root2:
-        if isinstance(x, Root2):
-            return x
-        if isinstance(x, float):
-            return cls.from_float(x)
-        return cls(x, 0)
+        return x if isinstance(x, Root2) else _normal(_new(cls), *_parts(x))
 
     # -- predicates --------------------------------------------------------
 
+    a = property(lambda self: Fraction(self._t[0], self._t[2]), doc="The rational part, a Fraction.")
+    b = property(lambda self: Fraction(self._t[1], self._t[2]), doc="The coefficient of sqrt(2), a Fraction.")
+
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._t[1] == 0
 
     def sign(self) -> int:
-        """Sign of a + b*sqrt(2): -1, 0 or +1, decided exactly.
-
-        Mixed-sign case compares a^2 with 2 b^2; equality there would force
-        sqrt(2) rational, so it only happens at a = b = 0.
-        """
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt(2)
-        rational_wins = a * a > 2 * b * b
-        if a > 0:
-            return 1 if rational_wins else -1
-        return -1 if rational_wins else 1
+        """Sign of a + b*sqrt(2): -1, 0 or +1, decided exactly (d > 0, so the sign of p + q*sqrt(2))."""
+        return _sign(self._t[0], self._t[1])
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: object) -> Root2:
-        o = Root2.coerce(other)  # type: ignore[arg-type]
-        return Root2(self.a + o.a, self.b + o.b)
+        (sp, sq, sd), (p, q, d) = self._t, _parts(other)
+        return _normal(_new(Root2), sp * d + p * sd, sq * d + q * sd, sd * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> Root2:
-        o = Root2.coerce(other)  # type: ignore[arg-type]
-        return Root2(self.a - o.a, self.b - o.b)
+        (sp, sq, sd), (p, q, d) = self._t, _parts(other)
+        return _normal(_new(Root2), sp * d - p * sd, sq * d - q * sd, sd * d)
 
     def __rsub__(self, other: object) -> Root2:
         return Root2.coerce(other).__sub__(self)  # type: ignore[arg-type]
 
     def __neg__(self) -> Root2:
-        return Root2(-self.a, -self.b)
+        return _normal(_new(Root2), -self._t[0], -self._t[1], self._t[2])
 
     def __mul__(self, other: object) -> Root2:
-        o = Root2.coerce(other)  # type: ignore[arg-type]
-        return Root2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        (sp, sq, sd), (p, q, d) = self._t, _parts(other)
+        return _normal(_new(Root2), sp * p + 2 * sq * q, sp * q + sq * p, sd * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> Root2:
-        o = Root2.coerce(other)  # type: ignore[arg-type]
-        norm = o.a * o.a - 2 * o.b * o.b
+        (sp, sq, sd), (p, q, d) = self._t, _parts(other)
+        norm = p * p - 2 * q * q  # (p + q*sqrt(2)) (p - q*sqrt(2)), zero only at p = q = 0
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
-        conj = Root2(o.a, -o.b)
-        num = self * conj
-        return Root2(num.a / norm, num.b / norm)
+        return _normal(_new(Root2), (sp * p - 2 * sq * q) * d, (sq * p - sp * q) * d, sd * norm)
 
     def __rtruediv__(self, other: object) -> Root2:
         return Root2.coerce(other).__truediv__(self)  # type: ignore[arg-type]
@@ -142,15 +123,13 @@ class Root2:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Root2, Fraction, int, float)):
-            return NotImplemented
-        o = Root2.coerce(other)
-        return self.a == o.a and self.b == o.b
+        return _parts(other) == self._t if isinstance(other, _OPERANDS) else NotImplemented  # both normal forms
 
     def __lt__(self, other: object) -> bool:
-        if not isinstance(other, (Root2, Fraction, int, float)):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return (self - Root2.coerce(other)).sign() < 0
+        (sp, sq, sd), (p, q, d) = self._t, _parts(other)  # one sign test on the cross-multiplied difference
+        return _sign(sp * d - p * sd, sq * d - q * sd) < 0
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))
@@ -158,7 +137,8 @@ class Root2:
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        p, q, d = self._t
+        return p / d + q / d * 1.4142135623730951  # float(a) + float(b) * sqrt(2)
 
     def __repr__(self) -> str:
         return f"Root2({self.a!r}, {self.b!r})"
@@ -176,6 +156,36 @@ class Root2:
             a_txt, _, b_txt = head.rpartition("+")
             return cls(Fraction(a_txt), Fraction(b_txt))
         return cls(Fraction(text), 0)
+
+
+_new, _set = object.__new__, object.__setattr__
+_OPERANDS = (Root2, Fraction, int, float)
+
+
+def _normal(r: Root2, p: int, q: int, d: int) -> Root2:
+    """Store (p + q*sqrt(2)) / d, d != 0, in r in normal form: d > 0 and gcd(p, q, d) == 1."""
+    g = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
+    _set(r, "_t", (p // g, q // g, d // g))
+    return r
+
+
+def _parts(x: object) -> tuple:
+    """The normal form (p, q, d) of an operand: an int is (n, 0, 1), a float or rational its integer ratio."""
+    if isinstance(x, Root2):
+        return x._t
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, float):
+        n, d = x.as_integer_ratio()
+        return n, 0, d
+    f = x if isinstance(x, Fraction) else Fraction(x)  # or whatever else Fraction takes, such as "1/2"
+    return f.numerator, 0, f.denominator
+
+
+def _sign(p: int, q: int) -> int:
+    """Sign of p + q*sqrt(2) for integers p, q; of opposite signs, p^2 != 2 q^2 as sqrt(2) is irrational."""
+    s = p if p and (q == 0 or (p > 0) == (q > 0) or p * p > 2 * q * q) else q
+    return (s > 0) - (s < 0)
 
 
 Point = tuple  # tuple of scalars, homogeneous per instance
@@ -386,26 +396,28 @@ def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:
         raise ValueError("points and weights must have equal length")
     if not points:
         raise ValueError("need at least one point")
-    exact = isinstance(weights[0], (Root2, Fraction)) or isinstance(points[0][0], Root2)
+    first = points[0]
+    exact = isinstance(weights[0], (Root2, Fraction)) or isinstance(first[0], Root2)
     if exact:
-        wsum = sum((Fraction(w) if not isinstance(w, Root2) else w for w in weights), Fraction(0))
-        if any((w < 0) for w in weights) or wsum != 1:
+        exact_weights = [Root2.coerce(w) for w in weights]
+        if any(w.sign() < 0 for w in exact_weights) or sum(exact_weights[1:], exact_weights[0]) != 1:
             raise ValueError("weights must be nonnegative and sum to 1 exactly")
     else:
         wsum = sum(weights)
         if any(w < 0 for w in weights) or abs(wsum - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
-    first = points[0]
     if all(p == first for p in points[1:]):
         return first
     dim = len(first)
     if any(len(p) != dim for p in points):
         raise ValueError("points have mismatched dimensions")
+    if isinstance(first[0], Root2):  # exact coordinates take exact weights; float ones their own
+        weights = exact_weights
     coords = []
     for k in range(dim):
         acc = None
         for p, w in zip(points, weights):
-            term = p[k] * w if not isinstance(p[k], Root2) else p[k] * Root2.coerce(w)
+            term = p[k] * w
             acc = term if acc is None else acc + term
         coords.append(acc)
     return tuple(coords)

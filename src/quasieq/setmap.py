@@ -120,10 +120,10 @@ class SetValuedMap:
         for k in range(box.dim):
             a = self.lower_fns[k](x)
             b = self.upper_fns[k](x)
+            if not box.is_exact and not (math.isfinite(a) and math.isfinite(b)):  # before clipping, as bounds_batch
+                raise NonFiniteValueError(f"a map bound is not finite at {x} on axis {k + 1}: [{a}, {b}]")
             a = max(a, box.lower[k])
             b = min(b, box.upper[k])
-            if not box.is_exact and not (math.isfinite(a) and math.isfinite(b)):
-                raise NonFiniteValueError(f"a map bound is not finite at {x} on axis {k + 1}: [{a}, {b}]")
             if not a <= b:
                 raise InstanceDefinitionError(
                     f"image of {x} is empty after clipping on axis {k + 1}: [{a}, {b}]"
@@ -139,7 +139,7 @@ class SetValuedMap:
         ``Expression`` each is evaluated in one batch over X; otherwise each
         point, a tuple of Python scalars, goes to lower_1, upper_1, lower_2,
         ... in turn.  Raises NonFiniteValueError at the first point with a
-        non-finite clipped bound, then InstanceDefinitionError at the first
+        non-finite bound (before clipping), then InstanceDefinitionError at the first
         point whose image is empty, each naming that point.
         """
         box = self.domain
@@ -154,9 +154,9 @@ class SetValuedMap:
                 for k in range(box.dim):
                     lo[k, i] = self.lower_fns[k](x)
                     hi[k, i] = self.upper_fns[k](x)
+        require_finite("a map bound", X, lo, hi)  # before clipping, which would turn an infinite bound finite
         np.maximum(lo, np.asarray(box.lower, dtype=X.dtype)[:, None], out=lo)
         np.minimum(hi, np.asarray(box.upper, dtype=X.dtype)[:, None], out=hi)
-        require_finite("a map bound", X, lo, hi)
         empty = np.flatnonzero((lo > hi).any(axis=0))
         if empty.size:
             x = tuple(X[:, empty[0]].tolist())

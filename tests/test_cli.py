@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -93,6 +94,16 @@ class TestVerifyCommand:
         assert doc["checks"]["qcvx_second"]["verdict"] == "FAIL"
         assert doc["checks"]["diagonal_zero"]["verdict"] == "FAIL"
         assert doc["anomaly"] is False
+
+    @pytest.mark.parametrize("seed", [1729, 1736, 1744])
+    def test_remark_matches_the_benchmark_reference(self, tmp_path, seed):
+        """``quasieq verify remark`` hashes, as perfbench's gate hashes it, to the verify-exact reference digest."""
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        digests = json.loads(reference.read_text(encoding="utf-8"))["digests"]
+        out = tmp_path / "remark.json"
+        code = main(["verify", "remark", "--seed", str(seed), "--out", str(out)])
+        data = f"exit={code}\n".encode() + out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digests[f"cli-verify/remark --seed {seed}"]
 
     def test_anomaly_exit_code(self, tmp_path):
         # a 2-point grid has no near-fixed points: all checks clean, no solutions
@@ -246,6 +257,19 @@ class TestExitCodes:
             assert err.startswith("error: ") and "Traceback" not in err
             assert named is None or named in err, err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_infinite_map_bound_refused_before_clipping(self, tmp_path, capsys, command):
+        # clipped to the domain the bound would read 1.0; solve once accepted it and verify refused it
+        spec = tmp_path / "inf-bound.spec"
+        spec.write_text(
+            "[domain]\ndim = 1\nlower = 0.0\nupper = 1.0\n\n[map]\nkind = moving_box\nlower_1 = 0\n"
+            "upper_1 = 1e300 * 1e300 * (x_1 + 1)\n\n[payload]\nkind = objective\nexpr = x_1\n\n[solver]\ngrid = 11\n"
+        )
+        assert main([command, str(spec), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "(0.0,)" in lines[0], lines
+        assert not (tmp_path / "out").exists()
 
     def test_nan_inside_a_block_with_finite_corners(self, tmp_path, capsys):
         # the row clips to -5 and 5 at the block's extreme corners but is inf - inf = NaN inside it

@@ -130,6 +130,7 @@ class TestDepthLimit:
         assert values == e.eval_batch(X).tolist() == summed
         # the passes over the tree walk a long chain in a loop: no recursion limit is reached
         assert parse_expression(e.to_text()).to_text() == e.to_text()
+        assert e == parse_expression(e.to_text()) and e != parse_expression(_sum_text(n).replace("1*x_1", "7*x_1", 1))
         assert e.finite_subterms([X[0]], [X[0]]).all()
         rise, fall = parse_expression(_sum_text(n).replace("x_1", "y_1")).y_directions([X[0]], 1)
         assert rise.all() and not fall.any()

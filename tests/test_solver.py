@@ -278,6 +278,15 @@ class TestNonFinite:
         with pytest.raises(NonFiniteValueError, match=r"map bound is not finite at \(0\.75,\)"):
             qopt_gap(h, K, (0.75,), cfg_for(C01, 5))
 
+    def test_infinite_bound_is_named_before_clipping(self):
+        # clipped to the domain, the upper bound would read 1.0 at every point
+        K = SetValuedMap(C01, [lambda x: 0.0], [lambda x: math.inf if x[0] > 0.6 else 1.0])
+        h = ObjectiveFunction(lambda x: x[0])
+        with pytest.raises(NonFiniteValueError, match=r"map bound is not finite at grid point \(0\.75,\)"):
+            solve_qopt(h, K, cfg_for(C01, 5))
+        with pytest.raises(NonFiniteValueError, match=r"map bound is not finite at \(0\.75,\) on axis 1: \[0\.0, inf\]"):
+            qopt_gap(h, K, (0.75,), cfg_for(C01, 5))
+
     def test_scalar_overflow_is_named(self):
         h, _K, _cfg = self._overflowing()
         with pytest.raises(NonFiniteValueError, match="overflows"):
