@@ -288,13 +288,7 @@ def check_condition_iii(
         samples += len(vals)
         worst = max(vals)
         if worst < -tol:
-            return {
-                "subset": list(subset),
-                "weights": list(weights),
-                "combination": x,
-                "values": vals,
-                "max_value": worst,
-            }
+            return {"subset": list(subset), "weights": list(weights), "combination": x, "values": vals, "max_value": worst}
         return None
 
     # structured: all lattice pairs at the midpoint
@@ -312,18 +306,48 @@ def check_condition_iii(
     return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
+def _pair_ladders(values: Callable, P: np.ndarray, radii: tuple, C: CompactBox, rng: sampling.DrawStream) -> tuple:
+    """(table, the ladders the loop runs) of ``sampling.settle_ladders`` for condition_iv's ladders at the pairs (x, y)
+    of a (n, 2, dim) array, with f's batch form.  A code > 0 counts the candidates the loop evaluates at that rung,
+    through the first with f >= 0.  The table is filled rung by rung, over the ladders still going on."""
+
+    def codes(Q, before=0):  # per row of pairs Q[..., 0, :], Q[..., 1, :], in candidate order
+        v = values(np.moveaxis(Q[..., 0, :], -1, 0), np.moveaxis(Q[..., 1, :], -1, 0))
+        hit = v >= 0
+        return np.where(np.isfinite(v).all(axis=1), np.where(hit.any(axis=1), before + hit.argmax(axis=1) + 1, 0), -1)
+
+    table, live = np.zeros((len(P), len(radii)), dtype=np.intp), np.arange(len(P))
+    for j, r in enumerate(radii):
+        if not live.size:
+            break
+        table[live, j] = codes(sampling.pair_moves(P[live], r, C))
+        live = live[table[live, j] > 0]
+
+    def jittered(a, b, rungs):
+        J = sampling.ladder_jitters(P[a:b], radii, rungs, C, rng, per_rung=8).T
+        last = 8 * np.cumsum(rungs)[:, None] - 8 + np.arange(8)  # the last rung's 4 pairs, x and y in turn
+        return codes(J[last].reshape(-1, 4, 2, C.dim), 4 * C.dim)
+
+    return table, sampling.settle_ladders(table, jittered, rng, 8 * C.dim)
+
+
 def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEED) -> ConditionReport:
     """Falsifier for closedness of {(x, y) : f(x, y) >= 0}.
 
     Candidates are sampled pairs with f below a margin (2% of the sampled
     value range, so continuous bifunctions are never flagged); the
-    refinement search may evaluate off-grid since f is total on C x C.
+    refinement search may evaluate off-grid since f is total on C x C.  With
+    a batch form of f, the loop runs only what ``_pair_ladders`` cannot settle.
     """
     C = grid.box
-    rng = random.Random(seed + 2)
+    rng = sampling.DrawStream(seed + 2)
     lattice = sampling.box_lattice(C)
     pairs = [(x, y) for x in lattice for y in lattice]
-    vals = [f.fn(x, y) for x, y in pairs]
+    batch = _pair_values(f)
+    P = None if batch is None else np.array(lattice, dtype=float)[np.indices((len(lattice),) * 2).reshape(2, -1).T]
+    vals = None if P is None else batch(P[:, 0].T, P[:, 1].T).tolist()
+    if vals is None or not np.isfinite(vals).all():
+        vals = [f.fn(x, y) for x, y in pairs]  # raises where the values are not finite
     samples = len(vals)
     margin = sampling.pair_probe_margin([float(v) for v in vals])
     radii = sampling.pair_probe_radii(C)
@@ -336,11 +360,18 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
                 return {"radius": r, "x_prime": qx, "y_prime": qy}
         return None
 
-    for (x, y), v in zip(pairs, vals):
-        if not (v <= -margin):
-            continue
-        xf = tuple(float(c) for c in x)
-        yf = tuple(float(c) for c in y)
+    flagged = [n for n, v in enumerate(vals) if v <= -margin]
+    ladders, table = range(len(flagged)), np.zeros((len(flagged), 1), dtype=np.intp)
+    if P is not None:
+        table, ladders = _pair_ladders(batch, P[flagged], radii, C, rng)
+    done = 0  # ladders done to i - 1 were settled by the batches: add their samples, through each one's last rung
+    for i in itertools.chain(ladders, [len(flagged)]):
+        samples += int(table[done:i].sum()) + (i - done) * (4 * C.dim + 4)
+        if i == len(flagged):
+            break
+        done = i + 1
+        (x, y), v = pairs[flagged[i]], vals[flagged[i]]
+        xf, yf = (tuple(float(c) for c in p) for p in (x, y))
         trail = sampling.ladder_search(radii, lambda r: nonneg_near(xf, yf, r))
         if trail is not None:
             witness = {"x": x, "y": y, "f_value": v, "approach": trail, "margin": margin}

@@ -569,6 +569,21 @@ def _same_tree(a: Node, b: Node) -> bool:
     return True
 
 
+def _tree_hash(node: Node) -> int:
+    """``hash(node)`` from an explicit stack, as ``_same_tree`` compares; the dataclasses' own hash recurses."""
+    flat, stack = [], [node]
+    while stack:
+        a = stack.pop()
+        kids = a if isinstance(a, tuple) else [getattr(a, f.name) for f in fields(a)] if is_dataclass(a) else None
+        flat.append(a if kids is None else (type(a).__name__, len(kids)))
+        stack.extend(kids or ())
+    return hash(tuple(flat))
+
+
+for _node in (Num, Var, Neg, Bin, Call, Cmp, Piecewise):
+    _node.__hash__ = _tree_hash
+
+
 class Expression:
     """A parsed expression with scalar and numpy-batch evaluators of points x and y."""
 

@@ -73,22 +73,18 @@ def index_lattice(grid: Grid, budget: dict) -> list:
 
 def box_lattice(C: CompactBox) -> list:
     """``BOX_LATTICE_BUDGET[dim]`` evenly spaced points per axis of C, endpoints included."""
-    per_axis = BOX_LATTICE_BUDGET[C.dim]
-    axes = []
-    for lo, hi in zip(C.lower, C.upper):
-        if isinstance(lo, Root2):
-            span = hi - lo
-            axes.append([lo + span * Fraction(i, per_axis - 1) for i in range(per_axis)])
-        else:
-            axes.append([lo + (hi - lo) * i / (per_axis - 1) for i in range(per_axis)])
-    return [p for p in itertools.product(*axes)]
+    n = BOX_LATTICE_BUDGET[C.dim]
+    axes = [
+        [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)] if isinstance(lo, Root2)
+        else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        for lo, hi in zip(C.lower, C.upper)
+    ]
+    return list(itertools.product(*axes))
 
 
 def float_map_point(domain: CompactBox, x: tuple) -> tuple:
     """A float point in the scalars of the domain box."""
-    if domain.is_exact:
-        return tuple(Root2.from_float(v) for v in x)
-    return x
+    return tuple(Root2.from_float(v) for v in x) if domain.is_exact else x
 
 
 def float_region(K, x: Point) -> tuple[tuple, tuple]:
@@ -175,10 +171,7 @@ def near_indices(grid: Grid, index: tuple, r: float) -> list:
         step = (float(grid.box.upper[k]) - float(grid.box.lower[k])) / (sizes[k] - 1)
         width = max(1, int(r / step))
         for off in {-width, -max(1, width // 2), 0, max(1, width // 2), width}:
-            i = min(max(index[k] + off, 0), sizes[k] - 1)
-            cand = list(index)
-            cand[k] = i
-            out.append(tuple(cand))
+            out.append(index[:k] + (min(max(index[k] + off, 0), sizes[k] - 1),) + index[k + 1:])
     return sorted(set(out))
 
 
@@ -206,21 +199,36 @@ def ball_candidates(x: tuple, r: float, box: CompactBox, rng: random.Random) -> 
     return [x] + axis_moves(x, r, box) + [_jittered(x, r, box, rng) for _ in range(2)]
 
 
-def ladder_jitters(x: tuple, radii: tuple, rungs, box: CompactBox, rng: random.Random) -> np.ndarray:
-    """The random ball candidates of x for ladders that run ``rungs[0]``, ``rungs[1]``, ... rungs, in turn.
+def _clip_points(P: np.ndarray, box: CompactBox) -> np.ndarray:
+    """``_clip`` on every coordinate of an array of points along its last axis: Python's max, then min."""
+    lower, upper = np.array(box.lower, dtype=float), np.array(box.upper, dtype=float)
+    P = np.where(lower > P, lower, P)
+    return np.where(upper < P, upper, P)
 
-    Column 2i and 2i + 1 of the (dim, n) array are the 2 points of the i-th rung
-    in that order.  Each ladder draws what ``ball_candidates`` draws at each of
-    its rungs, so the RNG ends where those calls leave it, and each point takes
-    ``_jittered``'s float operations: ``uniform(-r, r)`` is -r + (r - -r) * u,
-    and the clip is Python's max, then min.
+
+def ladder_jitters(centres, radii: tuple, rungs, box: CompactBox, rng: random.Random, per_rung: int = 2) -> np.ndarray:
+    """The random candidates of ladders that run ``rungs[0]``, ``rungs[1]``, ... rungs, in turn, as (dim, n) columns.
+
+    A rung draws ``per_rung`` points, ``_jittered`` in turn around the ladder's
+    centres: ``centres`` is one point x for every ladder (``ball_candidates``),
+    or a (ladders, c, dim) array, such as each ladder's (x, y), 8 a rung
+    (``pair_ball_candidates``).  The draws and float operations are the loop's.
     """
-    r = np.array([radius for n in rungs for radius in radii[:n] for _ in range(2)])
-    u = np.array([rng.random() for _ in range(r.size * len(x))]).reshape(r.size, len(x)).T
-    p = np.array(x)[:, None] + (-r + (r - -r) * u)
-    lower, upper = np.array(box.lower, dtype=float)[:, None], np.array(box.upper, dtype=float)[:, None]
-    p = np.where(lower > p, lower, p)
-    return np.where(upper < p, upper, p)
+    centres, step = np.array(centres, dtype=float), [j for n in rungs for j in range(n)]  # each rung's place
+    if centres.ndim == 1:
+        p = np.broadcast_to(centres, (len(step), per_rung, len(centres)))
+    else:  # (rungs, per_rung, dim): each rung's ladder's centres, cycled
+        p = np.tile(np.repeat(centres, rungs, axis=0), (1, per_rung // centres.shape[1], 1))
+    u = rng.take(p.size) if isinstance(rng, DrawStream) else np.array([rng.random() for _ in range(p.size)])
+    r = np.array(radii)[step][:, None, None]
+    return _clip_points(p + (-r + (r - -r) * u.reshape(p.shape)), box).reshape(-1, box.dim).T
+
+
+def pair_moves(P: np.ndarray, r: float, box: CompactBox) -> np.ndarray:
+    """``pair_ball_candidates``' 4 * dim axis moves of each pair (x, y) of a (n, 2, dim) array, as (n, 4 * dim, 2, dim)."""
+    dim = P.shape[-1]  # sign[axis moved, by +r or -r, point moved (x or y), point, coordinate]
+    sign = np.einsum("kc,s,mp->ksmpc", np.eye(dim), [1.0, -1.0], np.eye(2)).reshape(4 * dim, 2, dim)
+    return np.where(sign != 0, _clip_points(P[:, None] + r * sign, box), P[:, None])
 
 
 def pair_ball_candidates(xf: tuple, yf: tuple, r: float, box: CompactBox, rng: random.Random) -> list:
@@ -233,6 +241,55 @@ def pair_ball_candidates(xf: tuple, yf: tuple, r: float, box: CompactBox, rng: r
 
 
 # -- seeded draws -----------------------------------------------------------
+
+
+class DrawStream(random.Random):
+    """A seeded ``random.Random`` whose ``random()`` values are kept: the loop draws at ``cursor``, a batch reads
+    a stretch from there (``take``) and sets ``cursor`` where the loop resumes.  No value is drawn twice."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.kept, self.cursor = np.empty(0), 0
+
+    def random(self) -> float:
+        return float(self.take(1)[0])
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n values, moving the cursor past them; values are drawn ahead, in blocks."""
+        missing, draw = self.cursor + n - len(self.kept), super().random
+        if missing > 0:
+            self.kept = np.concatenate([self.kept, [draw() for _ in range(missing + 1024)]])
+        self.cursor += n
+        return self.kept[self.cursor - n:self.cursor]
+
+
+def settle_ladders(table: np.ndarray, jittered: Callable, stream: DrawStream, per_rung: int):
+    """Yield, in order, the ladders that the loop must run, each with the stream's cursor at its first draw.
+
+    A ladder goes on while a candidate of its rung lets it, fixed ones first,
+    and draws ``per_rung`` values a rung.  ``table[i, j]`` > 0 if a fixed
+    candidate of rung j lets ladder i go on, 0 if none, < 0 if not finite.
+    ``jittered(a, b, rungs)`` codes alike the random candidates of the last
+    rungs of ladders a to b - 1, run from the cursor.  The loop runs ladders on
+    at every rung, unclear or carried on by a random one; the rest are skipped.
+    """
+    n, n_rungs = table.shape
+    on = table > 0
+    stops = np.where(on.all(axis=1), n_rungs, (~on).argmax(axis=1))
+    loop = (stops == n_rungs) | (table[np.arange(n), np.minimum(stops, n_rungs - 1)] < 0)
+    i = 0
+    while i < n:
+        if loop[i]:
+            yield i  # the loop's draws leave the cursor after this ladder's
+            i += 1
+            continue
+        ahead = loop[i:i + 64]  # a window of 64 ladders at most, up to the next one the loop runs
+        end = i + (int(ahead.argmax()) if ahead.any() else len(ahead))
+        rungs, start = stops[i:end] + 1, stream.cursor
+        b = int(np.append(jittered(i, end, rungs) != 0, True).argmax())
+        stream.cursor = start + per_rung * int(rungs[:b].sum())
+        loop[i + b:min(i + b + 1, end)] = True  # the ladder a random candidate carries on, if one does
+        i += b
 
 
 def random_point(C: CompactBox, rng: random.Random) -> Point:
@@ -255,9 +312,7 @@ def random_points(C: CompactBox, rng: random.Random, n: int) -> list:
 def lambdas(exact: bool, rng: random.Random, extra: int = 2) -> list:
     """1/2, 1/4, 3/4, then ``extra`` random weights in (0, 1)."""
     if exact:
-        base = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
-        base += [Fraction(rng.randrange(1, 64), 64) for _ in range(extra)]
-        return base
+        return [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)] + [Fraction(rng.randrange(1, 64), 64) for _ in range(extra)]
     return [0.5, 0.25, 0.75] + [rng.uniform(0.05, 0.95) for _ in range(extra)]
 
 

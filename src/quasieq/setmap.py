@@ -245,13 +245,10 @@ def _nearby_members(
     for k in range(len(z)):
         start, stop = grid.axis_index_range(k, max(lo[k], z[k] - r), min(hi[k], z[k] + r), slack=snap)
         for i in range(start, stop):
-            cand = list(proj)
-            cand[k] = float(grid.axes[k][i])
-            cand_t = tuple(cand)
-            if point_distance(cand_t, z) <= r and K.member_predicate(xp, cand_t):
-                d = point_distance(cand_t, z)
-                if best is None or d < point_distance(best, z):
-                    best = cand_t
+            cand = proj[:k] + (float(grid.axes[k][i]),) + proj[k + 1:]
+            d = point_distance(cand, z)
+            if d <= r and K.member_predicate(xp, cand) and (best is None or d < point_distance(best, z)):
+                best = cand
     if best is None and K.member_predicate(xp, proj) and point_distance(proj, z) <= r:
         best = proj
     return best
@@ -264,74 +261,50 @@ def _member_samples(K: SetValuedMap, x_map: Point, lo: tuple, hi: tuple, grid: G
     return pts if keep is None else [p for p in pts if keep(x_map, p)]
 
 
-def _ladder_batch(K: SetValuedMap, radii: tuple, rng: random.Random, goes_on: Callable) -> Callable:
+def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_on: Callable) -> Callable:
     """(x, targets) -> the (n, target) pairs of ``targets`` whose ladders at the lattice point x must run, in
-    order; before each one, rng stands where the loop over every target would leave it.
+    order; before each one, rng's cursor stands where the loop over every target would leave it.
 
     A ladder goes on at a rung while ``goes_on(lo, hi, t, r)``, arrays broadcast behind a leading axis per
     coordinate, holds at one of the rung's ball candidates, whose image is [lo, hi].  The images of x and its
-    axis moves at every rung, in one batch, settle where each target's ladder would stop if no random candidate
-    made it go on.  That guess is checked at the random candidates of the stopping rung, drawn as the loop draws
-    them and evaluated in one batch.  Yielded are the targets whose guess fails and those whose ladders go on at
-    every rung: the loop gives their verdicts.  A bound that is not finite before clipping or an empty image,
-    where ``K.evaluate`` would raise, yields the remaining targets from where that batch began, so the loop
-    raises as it would.  Without a batch form (exact domains, member predicates, bounds that are not all
-    ``Expression``s) every target is yielded.
+    axis moves at every rung, in one batch, give ``sampling.settle_ladders`` its table.  A bound that is not
+    finite before clipping or an empty image, where ``K.evaluate`` would raise, yields every target (at the
+    axis moves) or that ladder (at its random candidates), so the loop raises as it would.  Without a batch
+    form (exact domains, member predicates, bounds that are not all ``Expression``s) every target is yielded.
     """
     box, bounds = K.domain, K.lower_fns + K.upper_fns
     if box.is_exact or K.member_predicate is not None or not all(isinstance(fn, Expression) for fn in bounds):
         return lambda x, targets: targets
     dim = box.dim
     lower, upper = np.array(box.lower)[:, None], np.array(box.upper)[:, None]
-    # the columns of rung i's fixed candidates: x (column 0), then its axis moves at radii[i]
-    columns = np.zeros((len(radii), 1 + 2 * dim), dtype=np.intp)
-    columns[:, 1:] = 1 + np.arange(len(radii) * 2 * dim).reshape(len(radii), 2 * dim)
-    radii_col = np.array(radii)[:, None]
+    radii_col, fixed_shape = np.array(radii)[:, None], (dim, 1, len(radii), 1 + 2 * dim)  # a rung: x, its axis moves
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is replayed by the loop instead
     def images(X):
         raw = np.empty((2 * dim, X.shape[1]))
         for k, fn in enumerate(bounds):
             raw[k] = fn.eval_batch(X)
-        if not np.isfinite(raw).all():
-            return None
         lo, hi = np.maximum(raw[:dim], lower), np.minimum(raw[dim:], upper)
-        return None if (lo > hi).any() else (lo, hi)
+        return lo, hi, np.isfinite(raw).all(axis=0) & (lo <= hi).all(axis=0)
 
     def open_ladders(x, targets):
-        fixed = images(point_columns([x] + [p for r in radii for p in sampling.axis_moves(x, r, box)]))
-        if fixed is None:
+        lo, hi, ok = images(point_columns([p for r in radii for p in [x] + sampling.axis_moves(x, r, box)]))
+        targets = list(targets)
+        if not ok.all() or not targets:
             yield from targets
             return
-        targets = list(targets)
-        if not targets:
-            return
         T = point_columns([t for _, t in targets])
-        on = goes_on(fixed[0][:, None, columns], fixed[1][:, None, columns], T[:, :, None, None], radii_col).any(axis=2)
-        stops = np.where(on.all(axis=1), len(radii), (~on).argmax(axis=1))  # each ladder's last rung, if any
-        full = np.flatnonzero(stops == len(radii)).tolist() + [len(targets)]  # ladders on at every rung, the end
-        i = 0
-        while i < len(targets):
-            state = rng.getstate()
-            n = b = next(j for j in full if j >= i) - i
-            if n:
-                ladders = stops[i:i + n] + 1
-                jittered = images(sampling.ladder_jitters(x, radii, ladders.tolist(), box, rng))
-                if jittered is None:
-                    rng.setstate(state)
-                    yield from targets[i:]
-                    return
-                ends = 2 * np.cumsum(ladders) - 1  # each ladder's columns end with its last rung's two points
-                lo, hi = jittered[0][:, [ends - 1, ends]], jittered[1][:, [ends - 1, ends]]
-                on = goes_on(lo, hi, T[:, None, i:i + n], radii_col[ladders - 1, 0])
-                if on.any():  # a random candidate lets ladder i + b go on: back to the RNG state before it
-                    b = int(on.any(axis=0).argmax())
-                    rng.setstate(state)
-                    sampling.ladder_jitters(x, radii, ladders[:b].tolist(), box, rng)
-            if i + b == len(targets):
-                return
-            yield targets[i + b]
-            i += b + 1
+        table = goes_on(lo.reshape(fixed_shape), hi.reshape(fixed_shape), T[:, :, None, None], radii_col).any(axis=2)
+
+        def jittered(a, b, rungs):
+            lo, hi, ok = images(sampling.ladder_jitters(x, radii, rungs, box, rng))
+            ends = 2 * np.cumsum(rungs) - 1  # each ladder's columns end with its last rung's two points
+            on = goes_on(lo[:, [ends - 1, ends]], hi[:, [ends - 1, ends]], T[:, None, a:b], radii_col[rungs - 1, 0])
+            clear = np.logical_and.reduceat(ok, 2 * (np.cumsum(rungs) - rungs))  # the loop may read every rung's
+            return np.where(clear, on.any(axis=0), -1)
+
+        for i in sampling.settle_ladders(table, jittered, rng, 2 * dim):
+            yield targets[i]
 
     return open_ladders
 
@@ -349,7 +322,7 @@ def check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     radius.
     """
     radii, margin = sampling.probe_ladder(grid)
-    rng = random.Random(sampling.PROBE_SEED)
+    rng = sampling.DrawStream(sampling.PROBE_SEED)
     regions = list(sampling.lattice_regions(K, grid))
     lattice = [x for x, *_ in regions]
     samples = 0
@@ -387,7 +360,7 @@ def check_lsc(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     close to x keeps K(x') at distance >= margin from y.
     """
     radii, margin = sampling.probe_ladder(grid)
-    rng = random.Random(sampling.PROBE_SEED + 1)
+    rng = sampling.DrawStream(sampling.PROBE_SEED + 1)
     samples = 0
 
     def receding(region, x, y, r):
@@ -419,6 +392,7 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
 
     Samples y1, y2 in K(x) and lambda in (0,1) and verifies the combination is
     a member.  Box values pass structurally; a member predicate can break it.
+    Without one, each x's probes run in one batch, and the loop gives a FAIL.
     """
     rng = random.Random(sampling.PROBE_SEED + 2)
     snap = K.domain.snap()
@@ -426,7 +400,13 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
         pts = _member_samples(K, x_map, lo, hi, grid)
         lams = sampling.lambdas(False, rng, extra=sampling.SEGMENT_EXTRA_LAMBDAS)
-        pairs = itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS)
+        pairs = list(itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS))
+        if K.member_predicate is None and pairs:
+            lam = np.array(lams)[:, None, None]
+            mid = lam * np.array([y1 for y1, _ in pairs]) + (1.0 - lam) * np.array([y2 for _, y2 in pairs])
+            if (np.maximum(np.array(lo) - mid, mid - np.array(hi)).max(axis=2) <= snap).all():
+                samples += len(pairs) * len(lams)
+                continue
         for y1, y2 in pairs:
             for lam in lams:
                 samples += 1
@@ -438,4 +418,3 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
                     witness = {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
                     return TopologyProbeReport(FAIL, witness, (), samples)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, (), samples)
-

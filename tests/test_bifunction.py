@@ -24,8 +24,8 @@ from quasieq.bifunction import (
     _midpoints,
     _pair_values,
 )
-from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, remark_bifunction_instance
-from quasieq.errors import InstanceDefinitionError, NonFiniteValueError
+from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, random_instance, remark_bifunction_instance
+from quasieq.errors import InstanceDefinitionError, NonFiniteValueError, QuasieqError
 from quasieq.expressions import parse_expression
 from quasieq.geometry import CompactBox, Grid, Root2, convex_combination, point_columns
 from quasieq.setmap import FAIL, NO_VIOLATION_FOUND
@@ -501,3 +501,107 @@ class TestBatchedCheckers:
         tol = sampling.FLOAT_TOL
         assert _above_max(v_mid, v1, v2, tol).tolist() == [m > max(a, b) + tol for m, a, b in triples]
         assert _below_min(v_mid, v1, v2, tol).tolist() == [m < min(a, b) - tol for m, a, b in triples]
+
+
+# The probe-by-probe condition_iv, kept verbatim as the reference of the batch path.
+
+
+def reference_check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEED) -> ConditionReport:
+    C = grid.box
+    rng = random.Random(seed + 2)
+    lattice = sampling.box_lattice(C)
+    pairs = [(x, y) for x in lattice for y in lattice]
+    vals = [f.fn(x, y) for x, y in pairs]
+    samples = len(vals)
+    margin = sampling.pair_probe_margin([float(v) for v in vals])
+    radii = sampling.pair_probe_radii(C)
+
+    def nonneg_near(xf, yf, r):
+        nonlocal samples
+        for qx, qy in sampling.pair_ball_candidates(xf, yf, r, C, rng):
+            samples += 1
+            if f.fn(sampling.float_map_point(f.domain, qx), sampling.float_map_point(f.domain, qy)) >= 0:
+                return {"radius": r, "x_prime": qx, "y_prime": qy}
+        return None
+
+    for (x, y), v in zip(pairs, vals):
+        if not (v <= -margin):
+            continue
+        xf = tuple(float(c) for c in x)
+        yf = tuple(float(c) for c in y)
+        trail = sampling.ladder_search(radii, lambda r: nonneg_near(xf, yf, r))
+        if trail is not None:
+            witness = {"x": x, "y": y, "f_value": v, "approach": trail, "margin": margin}
+            return ConditionReport("iv", FAIL, witness, samples, margin)
+    return ConditionReport("iv", NO_VIOLATION_FOUND, None, samples, margin)
+
+
+def _jump(x, y):
+    return 1.0 if y[0] > 0.5 else -1.0
+
+
+_UNIT, _UNIT2 = CompactBox((0.0,), (1.0,)), CompactBox((0.0, 0.0), (1.0, 1.0))
+_IV_CASES = {
+    **{f"random-1d-{s}": lambda s=s: random_instance(s, 1).bifunction() for s in (3000, 3003)},
+    **{f"random-2d-{s}": lambda s=s: random_instance(s, 2).bifunction() for s in (3101, 3110)},
+    "expression-2d": lambda: Bifunction(parse_expression("abs(y_1 - 0.4) - abs(x_1 - 0.4) + 0.5 * (y_2 - x_2)"), _UNIT2),
+    # f = -1 on the closed set {y_1 <= 1/2}, 1 just above: the ladders at y_1 = 1/2 go on at every rung
+    "jump-1d": lambda: Bifunction(parse_expression("piecewise(y_1 <= 0.5, -1, 1)"), _UNIT),
+    "jump-2d": lambda: Bifunction(parse_expression("piecewise(y_1 <= 0.5, -1, 1)"), _UNIT2),
+    # not finite at almost every lattice pair
+    "overflow": lambda: Bifunction(parse_expression("1e300 * 1e300 * (y_1 - x_1)"), _UNIT),
+    # finite on the lattice, not finite on a band between lattice points that the ladders' candidates reach
+    "overflow-band": lambda: Bifunction(
+        parse_expression("piecewise(abs(y_1 - 0.62) < 0.02, 1e300 * 1e300 * (y_1 + 1), y_1 - x_1)"), _UNIT
+    ),
+    # the loop alone: exact scalars and a plain callable
+    "remark": lambda: remark_bifunction_instance().payload,
+    "callable-jump": lambda: Bifunction(_jump, _UNIT),
+}
+
+
+def _iv_outcome(check, f: Bifunction) -> tuple:
+    try:
+        rep = check(f, Grid(f.domain, (11,) * f.domain.dim))
+    except QuasieqError as exc:
+        return type(exc), str(exc)
+    return rep.verdict, rep.witness, rep.samples_used, rep.tolerance
+
+
+class TestConditionIvBatchDifferential:
+    """The batch path of condition_iv gives the report, or the exception, of the probe-by-probe loop."""
+
+    @pytest.mark.parametrize("name", sorted(_IV_CASES))
+    def test_reports_equal_the_loop(self, name):
+        f = _IV_CASES[name]()
+        assert _iv_outcome(check_condition_iv, f) == _iv_outcome(reference_check_condition_iv, f)
+
+    @pytest.mark.parametrize("name, outcome, batched", [
+        ("jump-1d", FAIL, True),
+        ("jump-2d", FAIL, True),
+        ("overflow", NonFiniteValueError, True),
+        ("overflow-band", NonFiniteValueError, True),
+        ("remark", NO_VIOLATION_FOUND, False),
+        ("callable-jump", FAIL, False),
+    ])
+    def test_cases_reach_their_outcome(self, name, outcome, batched):
+        f = _IV_CASES[name]()
+        assert (_pair_values(f) is not None) == batched
+        assert _iv_outcome(check_condition_iv, f)[0] == outcome
+
+    def test_a_random_candidate_hit_replays_one_ladder(self, monkeypatch):
+        f = _IV_CASES["random-2d-3101"]()
+        calls = []
+        pair_ball_candidates = sampling.pair_ball_candidates
+        monkeypatch.setattr(sampling, "pair_ball_candidates", lambda *a: calls.append(a[:2]) or pair_ball_candidates(*a))
+        assert check_condition_iv(f, Grid(f.domain, (11, 11))).verdict == NO_VIOLATION_FOUND
+        # the loop ran a few ladders that a random candidate carried on, each from its first rung, not the others
+        ladders = {centre for centre in calls}
+        assert 0 < len(ladders) < 100 and len(calls) < 4 * len(ladders)
+
+    def test_no_value_is_drawn_twice(self):
+        stream, plain = sampling.DrawStream(7), random.Random(7)
+        first = stream.take(5).tolist()
+        assert first + [stream.random() for _ in range(3)] == [plain.random() for _ in range(8)]
+        state, stream.cursor = stream.getstate(), 2
+        assert stream.take(3).tolist() == first[2:] and stream.getstate() == state

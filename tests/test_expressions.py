@@ -19,6 +19,7 @@ from quasieq.expressions import (
     Num,
     Piecewise,
     Var,
+    _same_tree,
     parse_expression,
 )
 from quasieq.geometry import CompactBox, Grid, grid_coords
@@ -134,6 +135,15 @@ class TestDepthLimit:
         assert e.finite_subterms([X[0]], [X[0]]).all()
         rise, fall = parse_expression(_sum_text(n).replace("x_1", "y_1")).y_directions([X[0]], 1)
         assert rise.all() and not fall.any()
+
+    def test_long_chains_hash_without_recursion(self):
+        a, b = parse_expression(_sum_text(1000)).ast, parse_expression(_sum_text(1000)).ast
+        assert a is not b and _same_tree(a, b) and hash(a) == hash(b)
+        changed = parse_expression(_sum_text(1000).replace("1*x_1", "7*x_1", 1)).ast
+        assert not _same_tree(a, changed) and hash(changed) != hash(a)
+        # trees that _same_tree finds equal hash equal: Num(-0.0) == Num(0.0), and a call's argument tuples
+        zero, minus_zero = (Call("min", (Var("x_1"), Num(2.0), Bin("*", Num(z), Var("y_1")))) for z in (0.0, -0.0))
+        assert _same_tree(zero, minus_zero) and hash(zero) == hash(minus_zero)
 
     @pytest.mark.parametrize(
         "text",

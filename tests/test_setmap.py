@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -529,3 +530,68 @@ def test_pair_probe_margin_is_positive():
     C = CompactBox((0.0,), (1.0,))
     rep = check_condition_iv(Bifunction(lambda x, y: nan, C), Grid(C, (11,)))
     assert rep.verdict == NO_VIOLATION_FOUND and rep.tolerance == 1e-9
+
+
+def reference_check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
+    rng = random.Random(sampling.PROBE_SEED + 2)
+    snap = K.domain.snap()
+    samples = 0
+    for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
+        pts = _member_samples(K, x_map, lo, hi, grid)
+        lams = sampling.lambdas(False, rng, extra=sampling.SEGMENT_EXTRA_LAMBDAS)
+        pairs = itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS)
+        for y1, y2 in pairs:
+            for lam in lams:
+                samples += 1
+                mid = tuple(lam * a + (1.0 - lam) * b for a, b in zip(y1, y2))
+                inside = box_distance(lo, hi, mid) <= snap
+                if inside and K.member_predicate is not None:
+                    inside = K.member_predicate(x_map, mid)
+                if not inside:
+                    witness = {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
+                    return TopologyProbeReport(FAIL, witness, (), samples)
+    return TopologyProbeReport(NO_VIOLATION_FOUND, None, (), samples)
+
+
+_EXACT_UNIT2 = CompactBox((Root2(0), Root2(0)), (Root2(1), Root2(1)))
+_CONVEX_MAPS = {
+    **{f"random-1d-{s}": lambda s=s: (random_instance(s, 1).K, (101,)) for s in (3000, 3003)},
+    **{f"random-2d-{s}": lambda s=s: (random_instance(s, 2).K, (41, 41)) for s in (3101, 3110)},
+    "box-3d": lambda: (_box_map_3d(1), (9, 9, 9)),
+    # axis 1 has zero width for x_1 <= 1/2 and axis 2 everywhere: the lattice points have 1 or 7 samples
+    "zero-width": lambda: (
+        _expression_map(CompactBox((0.0, 0.0), (1.0, 1.0)), ["0.2", "0.3"], ["piecewise(x_1 <= 0.5, 0.2, 0.8)", "0.3"]),
+        (21, 21),
+    ),
+    "exact": lambda: (get_instance("remark").K, (11,)),
+    # exact scalars have no membership snap: a float combination one ulp below 1/10 FAILs through the batch path
+    "exact-rounding": lambda: (
+        SetValuedMap(_EXACT_UNIT2, [lambda x: Root2(Fraction(1, 10))] * 2, [lambda x: Root2(Fraction(7, 10))] * 2),
+        (5, 5),
+    ),
+    # the loop alone: a member predicate, which breaks convexity
+    "union": lambda: (
+        SetValuedMap(CompactBox((0.0,), (1.0,)), [lambda x: 0.0], [lambda x: 1.0],
+                     member_predicate=lambda x, z: z[0] <= 0.2 or z[0] >= 0.8),
+        (101,),
+    ),
+}
+
+
+class TestConvexValuesBatchDifferential:
+    """The batch path of convex_values gives the report of the probe-by-probe loop."""
+
+    @pytest.mark.parametrize("name", sorted(_CONVEX_MAPS))
+    def test_reports_equal_the_loop(self, name):
+        K, ppa = _CONVEX_MAPS[name]()
+        grid = Grid(K.domain, ppa)
+        assert _outcome(check_convex_values, K, grid) == _outcome(reference_check_convex_values, K, grid)
+
+    def test_ragged_and_failing_cases(self):
+        K, ppa = _CONVEX_MAPS["zero-width"]()
+        grid = Grid(K.domain, ppa)
+        counts = {len(_member_samples(K, x_map, lo, hi, grid)) for _, x_map, lo, hi in sampling.lattice_regions(K, grid)}
+        assert counts == {1, 7}
+        for name in ("exact-rounding", "union"):
+            K, ppa = _CONVEX_MAPS[name]()
+            assert check_convex_values(K, Grid(K.domain, ppa)).verdict == FAIL
