@@ -38,6 +38,7 @@ from .geometry import (
     contains,
     convex_combination,
     grid_coords,
+    pair_combination,
     point_columns,
 )
 from .setmap import FAIL, NO_VIOLATION_FOUND
@@ -198,7 +199,7 @@ def _pair_values(f: Bifunction) -> Optional[Callable]:
 
 
 def _midpoints(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``convex_combination((a, b), pair_weights(lam))`` at every column: its products and sum, a == b kept as is."""
+    """The batch twin of ``pair_combination(a, b, lam)`` at every column: its products and sum, a == b kept as is."""
     return np.where((A == B).all(axis=0), A, A * lam + B * (1.0 - lam))
 
 
@@ -244,7 +245,7 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
     X = None if batch is None else point_columns(xs, float)
 
     def violates(y, x1, x2, lam):
-        v = f.fn(convex_combination((x1, x2), sampling.pair_weights(lam)), y)
+        v = f.fn(pair_combination(x1, x2, lam), y)
         if v < -tol:
             f_x1, f_x2 = f.fn(x1, y), f.fn(x2, y)
             return {"x1": x1, "x2": x2, "lambda": lam, "y": y, "f_x1": f_x1, "f_x2": f_x2, "f_combination": v}
@@ -292,7 +293,7 @@ def check_condition_iii(
         return None
 
     # structured: all lattice pairs at the midpoint
-    halves = sampling.pair_weights(Fraction(1, 2) if exact else 0.5)
+    halves = (Fraction(1, 2), Fraction(1, 2)) if exact else (0.5, 0.5)
     for pair in itertools.combinations(lattice, 2):
         w = violates(pair, halves)
         if w is not None:
@@ -415,7 +416,7 @@ def check_quasiconvex_second(
     """Quasiconvexity of f(x, .): f(x, mid) <= max(f(x,y1), f(x,y2)) + tol."""
 
     def violates(x, y1, y2, lam, tol):
-        mid = convex_combination((y1, y2), sampling.pair_weights(lam))
+        mid = pair_combination(y1, y2, lam)
         v_mid = f.fn(x, mid)
         v1, v2 = f.fn(x, y1), f.fn(x, y2)
         if v_mid > max(v1, v2) + tol:
@@ -443,7 +444,7 @@ def check_quasiconcave_first(
     """Quasiconcavity of f(., y): f(mid, y) >= min(f(x1,y), f(x2,y)) - tol."""
 
     def violates(y, x1, x2, lam, tol):
-        mid = convex_combination((x1, x2), sampling.pair_weights(lam))
+        mid = pair_combination(x1, x2, lam)
         v_mid = f.fn(mid, y)
         v1, v2 = f.fn(x1, y), f.fn(x2, y)
         if v_mid < min(v1, v2) - tol:

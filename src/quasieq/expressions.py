@@ -555,7 +555,8 @@ def _same_tree(a: Node, b: Node) -> bool:
     """``a == b`` on two ASTs, node by node from an explicit stack.
 
     The dataclasses' own ``==`` recurses one frame per level, so a chain of
-    1,000 terms, which the parser accepts, would raise RecursionError.
+    1,000 terms, which the parser accepts, would raise RecursionError; the
+    nodes' ``==`` is this function.
     """
     stack = [(a, b)]
     while stack:
@@ -564,7 +565,7 @@ def _same_tree(a: Node, b: Node) -> bool:
             stack.extend(zip(a, b))
         elif is_dataclass(a) and type(a) is type(b):
             stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-        elif not (a is b or a == b):  # a leaf's field, or nodes of different kinds
+        elif is_dataclass(a) or is_dataclass(b) or not (a is b or a == b):  # nodes of different kinds, or leaves
             return False
     return True
 
@@ -580,7 +581,8 @@ def _tree_hash(node: Node) -> int:
     return hash(tuple(flat))
 
 
-for _node in (Num, Var, Neg, Bin, Call, Cmp, Piecewise):
+for _node in (Num, Var, Neg, Bin, Call, Cmp, Piecewise):  # == is NotImplemented across kinds, as the dataclasses' own
+    _node.__eq__ = lambda a, b: _same_tree(a, b) if type(a) is type(b) else NotImplemented
     _node.__hash__ = _tree_hash
 
 

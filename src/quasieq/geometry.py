@@ -421,3 +421,27 @@ def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:
             acc = term if acc is None else acc + term
         coords.append(acc)
     return tuple(coords)
+
+
+def pair_combination(a: Point, b: Point, lam) -> Point:
+    """``convex_combination((a, b), (lam, 1 - lam))`` for a float or rational lam in [0, 1].
+
+    Float coordinates are ``u * lam + v * (1 - lam)``, the same operations.  ``Root2`` ones, with lam = n/m, are
+    one normal form each of (n * u + (m - n) * v) / m on the integer triples; a float lam's 1.0 - lam must then be
+    exact, as ``convex_combination``'s exact weight check asks.
+    """
+    exact = isinstance(a[0], Root2)
+    n, q, m = _parts(lam) if not isinstance(lam, float) or exact and math.isfinite(lam) else (lam, 0, 1)
+    if q or not 0 <= n <= m or isinstance(lam, float) and m > 2**53:  # 2**-53 divides lam iff 1.0 - lam is exact
+        raise ValueError("lam must be a float or a rational in [0, 1]")
+    if a == b:
+        return a
+    if len(a) != len(b):
+        raise ValueError("points have mismatched dimensions")
+    if not exact:
+        return tuple(u * lam + v * (1 - lam) for u, v in zip(a, b))
+    out, k = [], m - n
+    for u, v in zip(a, b):  # a loop: a generator here takes longer than the arithmetic on a 1-D point
+        (p1, q1, d1), (p2, q2, d2) = u._t, v._t
+        out.append(_normal(_new(Root2), n * p1 * d2 + k * p2 * d1, n * q1 * d2 + k * q2 * d1, m * d1 * d2))
+    return tuple(out)

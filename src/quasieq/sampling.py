@@ -50,6 +50,8 @@ PROBE_SEED = 947
 CHECK_SEED = 1729
 #: Default random trials of condition_iii, qcvx_second and qccv_first.
 CHECK_TRIALS = 400
+#: The exact lambdas k/64, built once: the exact checkers draw their lambdas from this table.
+_SIXTY_FOURTHS = tuple(Fraction(k, 64) for k in range(65))
 
 
 def tolerance(exact: bool) -> float:
@@ -310,17 +312,10 @@ def random_points(C: CompactBox, rng: random.Random, n: int) -> list:
 
 
 def lambdas(exact: bool, rng: random.Random, extra: int = 2) -> list:
-    """1/2, 1/4, 3/4, then ``extra`` random weights in (0, 1)."""
+    """1/2, 1/4, 3/4, then ``extra`` random weights in (0, 1), on exact domains entries of ``_SIXTY_FOURTHS``."""
     if exact:
-        return [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)] + [Fraction(rng.randrange(1, 64), 64) for _ in range(extra)]
+        return [_SIXTY_FOURTHS[k] for k in [32, 16, 48] + [rng.randrange(1, 64) for _ in range(extra)]]
     return [0.5, 0.25, 0.75] + [rng.uniform(0.05, 0.95) for _ in range(extra)]
-
-
-def pair_weights(lam):
-    """(lam, 1 - lam) in lam's own arithmetic."""
-    if isinstance(lam, Fraction):
-        return (lam, Fraction(1) - lam)
-    return (lam, 1.0 - lam)
 
 
 def random_subset(pool: list, rng: random.Random, exact: bool) -> tuple:

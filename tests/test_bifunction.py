@@ -27,7 +27,7 @@ from quasieq.bifunction import (
 from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, random_instance, remark_bifunction_instance
 from quasieq.errors import InstanceDefinitionError, NonFiniteValueError, QuasieqError
 from quasieq.expressions import parse_expression
-from quasieq.geometry import CompactBox, Grid, Root2, convex_combination, point_columns
+from quasieq.geometry import CompactBox, Grid, Root2, convex_combination, pair_combination, point_columns
 from quasieq.setmap import FAIL, NO_VIOLATION_FOUND
 
 C02 = CompactBox((0.0,), (2.0,))
@@ -493,6 +493,21 @@ class TestBatchedCheckers:
         a_pts, b_pts, mids = (zip(*M.tolist()) for M in (A, B, _midpoints(A, B, lam)))
         for a, b, w, mid in zip(a_pts, b_pts, lam.tolist(), mids):
             assert _same(tuple(mid), convex_combination((tuple(a), tuple(b)), (w, 1.0 - w)))
+            assert _same(tuple(mid), pair_combination(tuple(a), tuple(b), w))
+
+    def test_exact_lambdas_match_fresh_fractions(self):
+        def reference_lambdas(exact, rng, extra=2):  # sampling.lambdas as it built a Fraction per weight, verbatim
+            """1/2, 1/4, 3/4, then ``extra`` random weights in (0, 1)."""
+            if exact:
+                return [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)] + [Fraction(rng.randrange(1, 64), 64) for _ in range(extra)]
+            return [0.5, 0.25, 0.75] + [rng.uniform(0.05, 0.95) for _ in range(extra)]
+
+        rng, reference_rng = random.Random(64), random.Random(64)
+        for n in range(1000):
+            extra = {"extra": n % 3 + 1} if n % 2 else {}  # the default 2, and 1 to 3 as the plans ask
+            lams, expected = sampling.lambdas(True, rng, **extra), reference_lambdas(True, reference_rng, **extra)
+            assert lams == expected and all(type(lam) is Fraction for lam in lams)
+            assert rng.getstate() == reference_rng.getstate()
 
     def test_max_and_min_rules_follow_python(self):
         special = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]

@@ -145,6 +145,16 @@ class TestDepthLimit:
         zero, minus_zero = (Call("min", (Var("x_1"), Num(2.0), Bin("*", Num(z), Var("y_1")))) for z in (0.0, -0.0))
         assert _same_tree(zero, minus_zero) and hash(zero) == hash(minus_zero)
 
+    def test_long_chains_compare_without_recursion(self):
+        # a node's own == goes through _same_tree: the dataclasses' == recursed one frame per level
+        a, b = parse_expression(_sum_text(1000)).ast, parse_expression(_sum_text(1000)).ast
+        changed = parse_expression(_sum_text(1000).replace("1*x_1", "7*x_1", 1)).ast
+        assert a is not b and a == b and len({a, b}) == 1
+        assert a != changed and not a == changed and len({a, changed}) == 2
+        # nodes of different kinds are unequal, at the root and below it, without looping
+        assert Num(1.0) != Var("x_1") and Bin("+", Num(1.0), Var("x_1")) != Bin("+", Var("x_1"), Num(1.0))
+        assert not _same_tree(Num(1.0), Var("x_1")) and Num(1.0) != 1.0
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -1,7 +1,9 @@
 import bisect
 import math
 import random
+import struct
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from quasieq.geometry import (
     exact_is_rational,
     grid_coords,
     grid_points,
+    pair_combination,
     point_distance,
 )
 
@@ -267,6 +270,126 @@ class TestConvexCombination:
             convex_combination(
                 [(Root2(0),), (Root2(1),)], [Fraction(1, 2), Fraction(1, 3)]
             )
+
+
+# -- the reference of pair_combination: the k-point function and the weights the segment probes gave it, verbatim --
+
+
+def reference_convex_combination(points: Sequence[tuple], weights: Sequence) -> tuple:
+    """Componentwise weighted sum; weights nonnegative and summing to 1.
+
+    For float weights the sum must match 1 within 1e-12; exact weights must
+    sum to 1 exactly.  A combination of identical points returns that point
+    unchanged (no float dust).
+    """
+    if len(points) != len(weights):
+        raise ValueError("points and weights must have equal length")
+    if not points:
+        raise ValueError("need at least one point")
+    first = points[0]
+    exact = isinstance(weights[0], (Root2, Fraction)) or isinstance(first[0], Root2)
+    if exact:
+        exact_weights = [Root2.coerce(w) for w in weights]
+        if any(w.sign() < 0 for w in exact_weights) or sum(exact_weights[1:], exact_weights[0]) != 1:
+            raise ValueError("weights must be nonnegative and sum to 1 exactly")
+    else:
+        wsum = sum(weights)
+        if any(w < 0 for w in weights) or abs(wsum - 1.0) > 1e-12:
+            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
+    if all(p == first for p in points[1:]):
+        return first
+    dim = len(first)
+    if any(len(p) != dim for p in points):
+        raise ValueError("points have mismatched dimensions")
+    if isinstance(first[0], Root2):  # exact coordinates take exact weights; float ones their own
+        weights = exact_weights
+    coords = []
+    for k in range(dim):
+        acc = None
+        for p, w in zip(points, weights):
+            term = p[k] * w
+            acc = term if acc is None else acc + term
+        coords.append(acc)
+    return tuple(coords)
+
+
+def pair_weights(lam):
+    """(lam, 1 - lam) in lam's own arithmetic."""
+    if isinstance(lam, Fraction):
+        return (lam, Fraction(1) - lam)
+    return (lam, 1.0 - lam)
+
+
+def _combined(combine) -> tuple:
+    """("ok", each coordinate's type and integer triple or float bits) or ("raises", the exception's type)."""
+    try:
+        out = combine()
+    except ValueError:
+        return ("raises", ValueError)
+    return ("ok", [(type(c), c._t if isinstance(c, Root2) else struct.pack("<d", c)) for c in out])
+
+
+@st.composite
+def point_pairs(draw, coordinate) -> tuple:
+    """(a, b) of one dimension in 1..3; b is a itself, a copy of it or a point of its own."""
+    dim = draw(st.integers(1, 3))
+    a = tuple(draw(coordinate) for _ in range(dim))
+    b = draw(st.sampled_from(["same", "copy", "other"]))
+    return a, a if b == "same" else tuple(a) if b == "copy" else tuple(draw(coordinate) for _ in range(dim))
+
+
+root2_coords = st.builds(Root2, st.fractions(-4, 4, max_denominator=1000), st.fractions(-4, 4, max_denominator=1000))
+float_coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=True, allow_infinity=True))
+unit_fractions = st.one_of(
+    st.integers(0, 64).map(lambda k: Fraction(k, 64)),
+    st.fractions(0, 1),
+    st.sampled_from([Fraction(0), Fraction(1)]),
+)
+unit_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0**-60]), st.floats(0.0, 1.0))
+
+
+class TestPairCombination:
+    """``pair_combination(a, b, lam)`` is ``convex_combination((a, b), pair_weights(lam))``, outcome for outcome."""
+
+    def assert_same(self, a, b, lam):
+        expected = _combined(lambda: reference_convex_combination((a, b), pair_weights(lam)))
+        assert _combined(lambda: pair_combination(a, b, lam)) == expected
+        return expected
+
+    @given(point_pairs(root2_coords), unit_fractions)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_points_rational_lambda(self, pair, lam):
+        assert self.assert_same(*pair, lam)[0] == "ok"
+
+    @given(point_pairs(root2_coords), unit_floats)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_points_float_lambda(self, pair, lam):
+        # a float lam whose 1.0 - lam is rounded fails the exact weight check in both
+        outcome = self.assert_same(*pair, lam)
+        assert outcome[0] == ("ok" if lam.as_integer_ratio()[1] <= 2**53 else "raises")
+
+    @given(point_pairs(float_coords), unit_floats)
+    @settings(max_examples=400, deadline=None)
+    def test_float_points_bit_identical(self, pair, lam):
+        assert self.assert_same(*pair, lam)[0] == "ok"
+
+    def test_equal_points_come_back_as_they_are(self):
+        a = (Root2(1, 1), Root2(Fraction(1, 3)))
+        assert pair_combination(a, tuple(a), Fraction(3, 64)) is a
+        p, q = (0.1, -0.0), (0.1, 0.0)
+        assert pair_combination(p, q, 0.3) is p and 0.1 * 0.3 + 0.1 * (1.0 - 0.3) != 0.1
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, -math.inf, math.inf, math.nan, Fraction(-1, 64), Fraction(65, 64)])
+    @pytest.mark.parametrize("points", [((0.0,), (1.0,)), ((Root2(0),), (Root2(1, 1),))], ids=["float", "exact"])
+    def test_lambda_outside_the_unit_interval_raises(self, points, lam):
+        # convex_combination let a NaN lam through on float points; no plan draws one
+        with pytest.raises(ValueError):
+            pair_combination(*points, lam)
+
+    @pytest.mark.parametrize("points", [((0.0,), (1.0, 2.0)), ((Root2(0), Root2(1)), (Root2(1),))])
+    def test_mismatched_dimensions_raise(self, points):
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            pair_combination(*points, 0.5)
 
 
 class TestPointDistance:
