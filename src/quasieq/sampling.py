@@ -54,9 +54,9 @@ CHECK_TRIALS = 400
 _SIXTY_FOURTHS = tuple(Fraction(k, 64) for k in range(65))
 
 
-def tolerance(exact: bool) -> float:
-    """The checkers' slack on f-value comparisons: 0 over exact scalars, else ``FLOAT_TOL``."""
-    return 0.0 if exact else FLOAT_TOL
+def tolerance(exact: bool):
+    """The checkers' f-value slack: the int 0 over exact scalars (no float to convert), else ``FLOAT_TOL``."""
+    return 0 if exact else FLOAT_TOL
 
 
 # -- lattices ---------------------------------------------------------------
@@ -208,22 +208,18 @@ def _clip_points(P: np.ndarray, box: CompactBox) -> np.ndarray:
     return np.where(upper < P, upper, P)
 
 
-def ladder_jitters(centres, radii: tuple, rungs, box: CompactBox, rng: random.Random, per_rung: int = 2) -> np.ndarray:
+def ladder_jitters(centres: np.ndarray, radii: tuple, rungs, box: CompactBox, rng: DrawStream, per_rung: int = 2) -> np.ndarray:
     """The random candidates of ladders that run ``rungs[0]``, ``rungs[1]``, ... rungs, in turn, as (dim, n) columns.
 
-    A rung draws ``per_rung`` points, ``_jittered`` in turn around the ladder's
-    centres: ``centres`` is one point x for every ladder (``ball_candidates``),
-    or a (ladders, c, dim) array, such as each ladder's (x, y), 8 a rung
-    (``pair_ball_candidates``).  The draws and float operations are the loop's.
+    A rung draws ``per_rung`` points, ``_jittered`` in turn around its ladder's
+    centres, cycled: ``centres`` is a (ladders, c, dim) array, such as each
+    ladder's x (``ball_candidates``) or (x, y), 8 a rung (``pair_ball_candidates``).
+    The draws, read from the stream's cursor, and float operations are the loop's.
     """
-    centres, step = np.array(centres, dtype=float), [j for n in rungs for j in range(n)]  # each rung's place
-    if centres.ndim == 1:
-        p = np.broadcast_to(centres, (len(step), per_rung, len(centres)))
-    else:  # (rungs, per_rung, dim): each rung's ladder's centres, cycled
-        p = np.tile(np.repeat(centres, rungs, axis=0), (1, per_rung // centres.shape[1], 1))
-    u = rng.take(p.size) if isinstance(rng, DrawStream) else np.array([rng.random() for _ in range(p.size)])
+    step = [j for n in rungs for j in range(n)]  # each rung's place
+    p = np.tile(np.repeat(centres, rungs, axis=0), (1, per_rung // centres.shape[1], 1))  # (rungs, per_rung, dim)
     r = np.array(radii)[step][:, None, None]
-    return _clip_points(p + (-r + (r - -r) * u.reshape(p.shape)), box).reshape(-1, box.dim).T
+    return _clip_points(p + (-r + (r - -r) * rng.take(p.size).reshape(p.shape)), box).reshape(-1, box.dim).T
 
 
 def pair_moves(P: np.ndarray, r: float, box: CompactBox) -> np.ndarray:

@@ -4,7 +4,8 @@ Images are per-axis intervals (clipped to the domain box), so convexity of
 values is structural.  The topological hypothesis checks are sampled
 falsifiers: they return a concrete violation witness or NO_VIOLATION_FOUND,
 never a proof.  They take no sampling parameters: their lattices, radius
-ladders, margins, budgets and seeds are ``sampling``'s.
+ladders, margins, budgets and seeds are ``sampling``'s.  closed_graph and lsc
+share one ladder driver, ``_ladder_check``, with one table of ladders a check.
 """
 
 from __future__ import annotations
@@ -261,23 +262,22 @@ def _member_samples(K: SetValuedMap, x_map: Point, lo: tuple, hi: tuple, grid: G
     return pts if keep is None else [p for p in pts if keep(x_map, p)]
 
 
-def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_on: Callable) -> Callable:
-    """(x, targets) -> the (n, target) pairs of ``targets`` whose ladders at the lattice point x must run, in
-    order; before each one, rng's cursor stands where the loop over every target would leave it.
+def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_on: Callable, xs: list, where, T):
+    """The ladders that the loop must run, in order, ladder i at the lattice point xs[where[i]] towards the target
+    T[:, i].  Before each one, rng's cursor stands where the loop over every ladder would leave it.
 
     A ladder goes on at a rung while ``goes_on(lo, hi, t, r)``, arrays broadcast behind a leading axis per
-    coordinate, holds at one of the rung's ball candidates, whose image is [lo, hi].  The images of x and its
-    axis moves at every rung, in one batch, give ``sampling.settle_ladders`` its table.  A bound that is not
-    finite before clipping or an empty image, where ``K.evaluate`` would raise, yields every target (at the
-    axis moves) or that ladder (at its random candidates), so the loop raises as it would.  Without a batch
-    form (exact domains, member predicates, bounds that are not all ``Expression``s) every target is yielded.
+    coordinate, holds at a ball candidate of the rung, whose image is [lo, hi].  The images of every lattice point
+    and its axis moves, in one batch, fill the one table of ``sampling.settle_ladders``, a chunk of ladders at a
+    time.  An image that ``K.evaluate`` would refuse (a bound not finite before clipping, or empty) yields its
+    ladder, or at an axis move its lattice point's ladders, so the loop raises as it would.  Without a batch form
+    (exact domains, member predicates, bounds not all ``Expression``s) every ladder is yielded.
     """
-    box, bounds = K.domain, K.lower_fns + K.upper_fns
+    box, bounds, n = K.domain, K.lower_fns + K.upper_fns, len(where)
     if box.is_exact or K.member_predicate is not None or not all(isinstance(fn, Expression) for fn in bounds):
-        return lambda x, targets: targets
-    dim = box.dim
+        return range(n)
+    dim, radii_col, centres = box.dim, np.array(radii)[:, None], point_columns(xs, float).T[:, None]
     lower, upper = np.array(box.lower)[:, None], np.array(box.upper)[:, None]
-    radii_col, fixed_shape = np.array(radii)[:, None], (dim, 1, len(radii), 1 + 2 * dim)  # a rung: x, its axis moves
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is replayed by the loop instead
     def images(X):
@@ -287,31 +287,55 @@ def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_
         lo, hi = np.maximum(raw[:dim], lower), np.minimum(raw[dim:], upper)
         return lo, hi, np.isfinite(raw).all(axis=0) & (lo <= hi).all(axis=0)
 
-    def open_ladders(x, targets):
-        lo, hi, ok = images(point_columns([p for r in radii for p in [x] + sampling.axis_moves(x, r, box)]))
-        targets = list(targets)
-        if not ok.all() or not targets:
-            yield from targets
-            return
-        T = point_columns([t for _, t in targets])
-        table = goes_on(lo.reshape(fixed_shape), hi.reshape(fixed_shape), T[:, :, None, None], radii_col).any(axis=2)
+    lo, hi, ok = images(point_columns([p for x in xs for r in radii for p in [x] + sampling.axis_moves(x, r, box)]))
+    shape = (dim, len(xs), len(radii), 1 + 2 * dim)  # a rung: x, then its axis moves
+    lo, hi, clear = lo.reshape(shape), hi.reshape(shape), ok.reshape(len(xs), -1).all(axis=1)
+    table, chunk = np.empty((n, len(radii)), dtype=np.int8), 1 + 2**13 // lo[:, 0].size
+    for a in range(0, n, chunk):  # never a (dim, ladders, rungs, candidates) array of every ladder at once
+        p = where[a:a + chunk]
+        on = goes_on(lo[:, p], hi[:, p], T[:, a:a + chunk, None, None], radii_col).any(axis=2)
+        table[a:a + chunk] = np.where(clear[p, None], on, -1)
 
-        def jittered(a, b, rungs):
-            lo, hi, ok = images(sampling.ladder_jitters(x, radii, rungs, box, rng))
-            ends = 2 * np.cumsum(rungs) - 1  # each ladder's columns end with its last rung's two points
-            on = goes_on(lo[:, [ends - 1, ends]], hi[:, [ends - 1, ends]], T[:, None, a:b], radii_col[rungs - 1, 0])
-            clear = np.logical_and.reduceat(ok, 2 * (np.cumsum(rungs) - rungs))  # the loop may read every rung's
-            return np.where(clear, on.any(axis=0), -1)
+    def jittered(a, b, rungs):
+        lo, hi, ok = images(sampling.ladder_jitters(centres[where[a:b]], radii, rungs, box, rng))
+        ends = 2 * np.cumsum(rungs) - 1  # each ladder's columns end with its last rung's two points
+        on = goes_on(lo[:, [ends - 1, ends]], hi[:, [ends - 1, ends]], T[:, None, a:b], radii_col[rungs - 1, 0])
+        clear = np.logical_and.reduceat(ok, 2 * (np.cumsum(rungs) - rungs))  # the loop may read every rung's
+        return np.where(clear, on.any(axis=0), -1)
 
-        for i in sampling.settle_ladders(table, jittered, rng, 2 * dim):
-            yield targets[i]
-
-    return open_ladders
+    return sampling.settle_ladders(table, jittered, rng, 2 * dim)
 
 
-def _approaches(lo, hi, z, r):
-    """The projection of z onto [lo, hi] lies within sup-distance r of z."""
-    return np.abs(np.minimum(np.maximum(z, lo), hi) - z).max(axis=0) <= r
+def _ladder_check(K: SetValuedMap, radii: tuple, seed: int, regions, targets, goes_on, rung, witness):
+    """The driver of closed_graph and lsc: a radius ladder per lattice point x, sample number n and target t.
+
+    ``regions`` gives each lattice point (x, x in K's scalars, lo, hi), ``targets(x_map, lo, hi)`` its samples,
+    None where no ladder runs.  Rung r is ``rung(region, x's ball_candidates, t, r)``, and a hit at every rung
+    FAILs with ``witness(x, lo, hi, t, trail)``, n + 1 samples into x.  The ladders that ``_ladder_batch`` yields
+    run here, with a ``region_lookup`` per lattice point.  An error in ``regions`` or ``targets`` is raised after
+    the ladders of the lattice points before it, as the loop would.
+    """
+    box, rng, points, T, error = K.domain, sampling.DrawStream(seed), [], [np.empty((K.domain.dim, 0))], None
+    try:
+        for x, x_map, lo, hi in regions:
+            samples = targets(x_map, lo, hi)
+            points.append((x, lo, hi, np.array([t is not None for t in samples], dtype=bool)))
+            T.append(point_columns([t for t in samples if t is not None], float).reshape(box.dim, -1))
+    except Exception as exc:  # whatever the loop would raise there, it raises after the ladders before it
+        error = exc
+    T, where = np.concatenate(T, axis=1), np.repeat(np.arange(len(points)), [np.count_nonzero(mask) for *_, mask in points])
+    order = _ladder_batch(K, radii, rng, goes_on, [x for x, *_ in points], where, T)
+    for p, ladders in itertools.groupby(order, where.__getitem__):
+        (x, lo, hi, keep), region = points[p], sampling.region_lookup(K)  # x's ball candidates recur for every t
+        for i in ladders:
+            t = tuple(T[:, i].tolist())
+            trail = sampling.ladder_search(radii, lambda r: rung(region, sampling.ball_candidates(x, r, box, rng), t, r))
+            if trail is not None:
+                n = sum(len(mask) for *_, mask in points[:p]) + np.flatnonzero(keep)[i - np.searchsorted(where, p)]
+                return TopologyProbeReport(FAIL, witness(x, lo, hi, t, trail), radii, int(n) + 1)
+    if error is not None:
+        raise error
+    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, sum(len(mask) for *_, mask in points))
 
 
 def check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
@@ -319,72 +343,55 @@ def check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
 
     FAIL needs a pair (x, z) with z outside K(x) (by ``margin`` for box maps,
     or excluded by the predicate) that graph points approach at every probe
-    radius.
+    radius.  Every lattice region is evaluated before any ladder runs.
     """
     radii, margin = sampling.probe_ladder(grid)
-    rng = sampling.DrawStream(sampling.PROBE_SEED)
     regions = list(sampling.lattice_regions(K, grid))
     lattice = [x for x, *_ in regions]
-    samples = 0
 
-    def approach(region, x, z, r):
-        for x_prime in sampling.ball_candidates(x, r, K.domain, rng):
+    def targets(x_map, lo, hi):
+        if K.member_predicate is not None:
+            return [None if K.member_predicate(x_map, z) or box_distance(lo, hi, z) > margin else z for z in lattice]
+        return [z if box_distance(lo, hi, z) >= margin else None for z in lattice]
+
+    def approaches(lo, hi, z, r):  # the projection of z onto [lo, hi] lies within sup-distance r of z
+        return np.abs(np.minimum(np.maximum(z, lo), hi) - z).max(axis=0) <= r
+
+    def approach(region, candidates, z, r):
+        for x_prime in candidates:
             z_prime = _nearby_members(K, region, x_prime, z, r, grid)
             if z_prime is not None:
                 return {"radius": r, "x_prime": x_prime, "z_prime": z_prime}
         return None
 
-    def far(x_map, z, outside):
-        if K.member_predicate is not None:
-            return not (K.member_predicate(x_map, z) or outside > margin)
-        return outside >= margin
+    def witness(x, lo, hi, z, trail):
+        return {"x": x, "z": z, "outside_distance": float(box_distance(lo, hi, z)), "approach": trail}
 
-    open_ladders = _ladder_batch(K, radii, rng, _approaches)
-    for x, x_map, lo, hi in regions:
-        region = sampling.region_lookup(K)  # the ball candidates of x recur for every z
-        outside = [box_distance(lo, hi, z) for z in lattice]
-        targets = ((n, z) for n, z in enumerate(lattice) if far(x_map, z, outside[n]))
-        for n, z in open_ladders(x, targets):
-            trail = sampling.ladder_search(radii, lambda r: approach(region, x, z, r))
-            if trail is not None:
-                witness = {"x": x, "z": z, "outside_distance": float(outside[n]), "approach": trail}
-                return TopologyProbeReport(FAIL, witness, radii, samples + n + 1)
-        samples += len(lattice)
-    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
+    return _ladder_check(K, radii, sampling.PROBE_SEED, regions, targets, approaches, approach, witness)
 
 
 def check_lsc(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     """Falsifier for lower semicontinuity of K.
 
     FAIL needs (x, y in K(x)) such that at every probe radius some x' that
-    close to x keeps K(x') at distance >= margin from y.
+    close to x keeps K(x') at distance >= margin from y.  The lattice regions
+    are lazy: a FAIL at a lattice point wins over an error at a later one.
     """
     radii, margin = sampling.probe_ladder(grid)
-    rng = sampling.DrawStream(sampling.PROBE_SEED + 1)
-    samples = 0
 
-    def receding(region, x, y, r):
+    def receding(region, candidates, y, r):
         # the first candidate whose image is farthest from y
-        x_prime, d = max(
-            ((xp, float(box_distance(*region(xp), y))) for xp in sampling.ball_candidates(x, r, K.domain, rng)),
-            key=lambda cand: cand[1],
-        )
+        x_prime, d = max(((xp, float(box_distance(*region(xp), y))) for xp in candidates), key=lambda c: c[1])
         return None if d < margin else {"radius": r, "x_prime": x_prime, "distance": d}
 
     def recedes(lo, hi, y, r):
         return np.maximum(lo - y, y - hi).max(axis=0) >= margin
 
-    open_ladders = _ladder_batch(K, radii, rng, recedes)
-    for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
-        region = sampling.region_lookup(K)  # the ball candidates of x recur for every y
-        ys = _member_samples(K, x_map, lo, hi, grid)
-        for n, y in open_ladders(x, enumerate(ys)):
-            trail = sampling.ladder_search(radii, lambda r: receding(region, x, y, r))
-            if trail is not None:
-                witness = {"x": x, "y": y, "receding": trail}
-                return TopologyProbeReport(FAIL, witness, radii, samples + n + 1)
-        samples += len(ys)
-    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
+    return _ladder_check(
+        K, radii, sampling.PROBE_SEED + 1, sampling.lattice_regions(K, grid),
+        lambda x_map, lo, hi: _member_samples(K, x_map, lo, hi, grid), recedes, receding,
+        lambda x, lo, hi, y, trail: {"x": x, "y": y, "receding": trail},
+    )
 
 
 def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:

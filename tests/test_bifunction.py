@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quasieq import sampling
+from quasieq import geometry, sampling
 from quasieq.bifunction import (
     Bifunction,
     ConditionReport,
@@ -343,6 +343,18 @@ class TestDiagonalZero:
 
 
 class TestCheckerProperties:
+    @pytest.mark.parametrize(
+        "check", [check_condition_ii, check_condition_iii, check_quasiconvex_second, check_quasiconcave_first]
+    )
+    def test_exact_f_values_meet_no_float(self, monkeypatch, check):
+        # the exact tolerance is the int 0: a Root2 compare never turns a float into an integer ratio
+        floats, parts = [], geometry._parts
+        monkeypatch.setattr(geometry, "_parts", lambda x: (isinstance(x, float) and floats.append(x)) or parts(x))
+        inst = remark_bifunction_instance()
+        rep = check(inst.payload, inst.C)
+        assert floats == [] and rep.samples_used > 0
+        assert type(rep.tolerance) is float and rep.tolerance == 0.0
+
     def test_remark_consistency_triple(self):
         # condition ii holds while the two sufficient conditions fail
         inst = remark_bifunction_instance()

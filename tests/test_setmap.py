@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -403,6 +404,12 @@ _DIFFERENTIAL_MAPS = {
     # lsc FAILs at the drop; closed_graph FAILs at x = 1/2, its ladder going on at every rung
     "step-lsc": lambda: (_expression_map(_STEP_C, ["0"], ["piecewise(x_1 <= 0.5, 1, 0.25)"]), (201,)),
     "step-closed-graph": lambda: (_expression_map(_STEP_C, ["0"], ["piecewise(x_1 < 0.5, 1, 0.25)"]), (201,)),
+    # lsc FAILs at x = 1/2 before the bound overflows at the lattice point x = 1.9375, where closed_graph,
+    # which evaluates every lattice region first, raises
+    "step-then-overflow": lambda: (
+        _expression_map(_STEP_C, ["0"], ["piecewise(x_1 <= 0.5, 1, piecewise(x_1 < 1.9, 0.25, power(x_1 * 1e200, 2)))"]),
+        (201,),
+    ),
     # the bound overflows in (0.01, 0.02), between lattice points: both checkers raise at a random candidate
     "overflow": lambda: (
         _expression_map(CompactBox((0.0,), (1.0,)), ["0"], ["piecewise(abs(x_1 - 0.015) < 0.005, power(x_1 * 1e200, 2), 0.6)"]),
@@ -438,6 +445,8 @@ class TestTopologyBatchDifferential:
             ("step-closed-graph", check_closed_graph, FAIL),
             ("overflow", check_closed_graph, NonFiniteValueError),
             ("overflow", check_lsc, NonFiniteValueError),
+            ("step-then-overflow", check_lsc, FAIL),
+            ("step-then-overflow", check_closed_graph, NonFiniteValueError),
         ],
     )
     def test_cases_reach_their_outcome(self, name, check, outcome):
@@ -455,12 +464,41 @@ class TestTopologyBatchDifferential:
     def test_ladder_jitters_are_the_ball_candidates_draws(self):
         C = CompactBox((-1.0, 0.0), (1.0, 0.5))
         radii = (0.4, 0.2, 0.1)
-        rng, loop = random.Random(5), random.Random(5)
-        x = (0.9, 0.05)
-        columns = sampling.ladder_jitters(x, radii, [1, 3, 2], C, rng)
-        drawn = [p for n in (1, 3, 2) for r in radii[:n] for p in sampling.ball_candidates(x, r, C, loop)[-2:]]
+        rng, loop = sampling.DrawStream(5), sampling.DrawStream(5)
+        xs = [(0.9, 0.05), (-0.95, 0.45), (0.0, 0.25)]
+        columns = sampling.ladder_jitters(np.array(xs)[:, None, :], radii, [1, 3, 2], C, rng)
+        drawn = [p for x, n in zip(xs, (1, 3, 2)) for r in radii[:n] for p in sampling.ball_candidates(x, r, C, loop)[-2:]]
         assert [tuple(c) for c in columns.T.tolist()] == drawn
-        assert rng.getstate() == loop.getstate()
+        assert rng.cursor == loop.cursor == 2 * 2 * 6
+
+    @pytest.mark.parametrize("check", [check_closed_graph, check_lsc])
+    @pytest.mark.parametrize("name", ["random-1d-3000", "random-2d-3101", "step-lsc"])
+    def test_one_settle_per_check(self, monkeypatch, check, name):
+        K, ppa = _DIFFERENTIAL_MAPS[name]()
+        calls = []
+        settle_ladders = sampling.settle_ladders
+        monkeypatch.setattr(sampling, "settle_ladders", lambda *args: calls.append(args) or settle_ladders(*args))
+        check(K, Grid(K.domain, ppa))
+        assert len(calls) == 1
+
+    # 1 MB above the peaks of a settle per lattice point, 1.26 and 1.53 MB: one table for every ladder costs that much
+    @pytest.mark.parametrize("check, limit_mb", [(check_closed_graph, 2.25), (check_lsc, 2.5)])
+    def test_peak_memory_on_a_3d_box_at_61(self, check, limit_mb):
+        # the ladders' candidate images are built a chunk of ladders at a time, never for every ladder at once
+        K = _expression_map(
+            CompactBox((0.0,) * 3, (1.0,) * 3),
+            ["0.1 + 0.2*x_2", "0.2 + 0.1*x_1 - 0.1*x_3", "0.3*x_1"],
+            ["0.5 + 0.2*x_2", "0.6 + 0.1*x_1 - 0.1*x_3", "0.4 + 0.3*x_1"],
+        )
+        grid = Grid(K.domain, (61, 61, 61))
+        check(K, grid)  # the expressions compile once, outside the measurement
+        tracemalloc.start()
+        try:
+            assert check(K, grid).verdict == NO_VIOLATION_FOUND
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20
 
 
 class TestConvexValuesProbe:
