@@ -54,6 +54,7 @@ class ConditionReport:
 
     def __post_init__(self) -> None:
         assert (self.verdict == FAIL) == (self.witness is not None)
+        object.__setattr__(self, "tolerance", float(self.tolerance))  # an exact check's int 0 reads 0.0
 
 
 def _column(values, X: np.ndarray) -> np.ndarray:
@@ -266,8 +267,8 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
         n, w = _scan(len(rows), lambda r: violates(y, xs[rows[r, 0]], xs[rows[r, 1]], lams[r]), unclear)
         samples += n
         if w is not None:
-            return ConditionReport("ii", FAIL, w, samples, float(tol))
-    return ConditionReport("ii", NO_VIOLATION_FOUND, None, samples, float(tol))
+            return ConditionReport("ii", FAIL, w, samples, tol)
+    return ConditionReport("ii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
 def check_condition_iii(
@@ -297,14 +298,14 @@ def check_condition_iii(
     for pair in itertools.combinations(lattice, 2):
         w = violates(pair, halves)
         if w is not None:
-            return ConditionReport("iii", FAIL, w, samples, float(tol))
+            return ConditionReport("iii", FAIL, w, samples, tol)
     # seeded random subsets and weights
     pool = lattice + sampling.random_points(C, rng, sampling.SUBSET_POOL_EXTRA)
     for _ in range(trials):
         w = violates(*sampling.random_subset(pool, rng, exact))
         if w is not None:
-            return ConditionReport("iii", FAIL, w, samples, float(tol))
-    return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, float(tol))
+            return ConditionReport("iii", FAIL, w, samples, tol)
+    return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
 def _pair_ladders(values: Callable, P: np.ndarray, radii: tuple, C: CompactBox, rng: sampling.DrawStream) -> tuple:
@@ -406,8 +407,8 @@ def _segment_check(condition_id, f, C, trials, seed, draw, violates, suspects, l
         n, w = _scan(len(rows), lambda r: violates(*(points[i] for i in rows[r]), lams[r], tol), unclear)
         samples += 3 * n
         if w is not None:
-            return ConditionReport(condition_id, FAIL, w, samples, float(tol))
-    return ConditionReport(condition_id, NO_VIOLATION_FOUND, None, samples, float(tol))
+            return ConditionReport(condition_id, FAIL, w, samples, tol)
+    return ConditionReport(condition_id, NO_VIOLATION_FOUND, None, samples, tol)
 
 
 def check_quasiconvex_second(
@@ -474,5 +475,5 @@ def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
     batch = _pair_values(f)
     samples, w = _scan(X.shape[1], violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
     if w is not None:
-        return ConditionReport("diagonal_zero", FAIL, w, samples, float(tol))
-    return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND, None, samples, float(tol))
+        return ConditionReport("diagonal_zero", FAIL, w, samples, tol)
+    return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND, None, samples, tol)

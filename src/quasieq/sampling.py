@@ -54,7 +54,7 @@ CHECK_TRIALS = 400
 _SIXTY_FOURTHS = tuple(Fraction(k, 64) for k in range(65))
 
 
-def tolerance(exact: bool):
+def tolerance(exact: bool) -> float:
     """The checkers' f-value slack: the int 0 over exact scalars (no float to convert), else ``FLOAT_TOL``."""
     return 0 if exact else FLOAT_TOL
 
@@ -105,8 +105,7 @@ def lattice_regions(K, grid: Grid):
     for index in index_lattice(grid, GRID_PROBE_BUDGET):
         x = tuple(float(grid.axes[k][i]) for k, i in enumerate(index))
         x_map = float_map_point(K.domain, x)
-        lo, hi = float_region(K, x_map)
-        yield x, x_map, lo, hi
+        yield x, x_map, *float_region(K, x_map)
 
 
 def region_samples(lo: tuple, hi: tuple, per_axis: int) -> list:
@@ -242,23 +241,25 @@ def pair_ball_candidates(xf: tuple, yf: tuple, r: float, box: CompactBox, rng: r
 
 
 class DrawStream(random.Random):
-    """A seeded ``random.Random`` whose ``random()`` values are kept: the loop draws at ``cursor``, a batch reads
-    a stretch from there (``take``) and sets ``cursor`` where the loop resumes.  No value is drawn twice."""
+    """A seeded ``random.Random`` whose ``random()`` values from position ``base`` on are kept: the loop draws at
+    ``cursor``, a batch reads a stretch from there (``take``) and sets ``cursor`` where the loop resumes, never
+    before where that stretch began.  No value is drawn twice."""
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.kept, self.cursor = np.empty(0), 0
+        self.kept, self.base, self.cursor = np.empty(0), 0, 0
 
     def random(self) -> float:
         return float(self.take(1)[0])
 
     def take(self, n: int) -> np.ndarray:
         """The next n values, moving the cursor past them; values are drawn ahead, in blocks."""
-        missing, draw = self.cursor + n - len(self.kept), super().random
-        if missing > 0:
-            self.kept = np.concatenate([self.kept, [draw() for _ in range(missing + 1024)]])
+        at, draw = self.cursor - self.base, super().random
+        if at + n > len(self.kept):  # the values before the cursor are never read again
+            fresh = [draw() for _ in range(at + n - len(self.kept) + 1024)]
+            self.kept, self.base, at = np.concatenate([self.kept[at:], fresh]), self.cursor, 0
         self.cursor += n
-        return self.kept[self.cursor - n:self.cursor]
+        return self.kept[at:at + n]
 
 
 def settle_ladders(table: np.ndarray, jittered: Callable, stream: DrawStream, per_rung: int):

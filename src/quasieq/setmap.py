@@ -119,16 +119,12 @@ class SetValuedMap:
             raise ValueError(f"point {x} lies outside the domain box")
         lo, hi = [], []
         for k in range(box.dim):
-            a = self.lower_fns[k](x)
-            b = self.upper_fns[k](x)
+            a, b = self.lower_fns[k](x), self.upper_fns[k](x)
             if not box.is_exact and not (math.isfinite(a) and math.isfinite(b)):  # before clipping, as bounds_batch
                 raise NonFiniteValueError(f"a map bound is not finite at {x} on axis {k + 1}: [{a}, {b}]")
-            a = max(a, box.lower[k])
-            b = min(b, box.upper[k])
+            a, b = max(a, box.lower[k]), min(b, box.upper[k])
             if not a <= b:
-                raise InstanceDefinitionError(
-                    f"image of {x} is empty after clipping on axis {k + 1}: [{a}, {b}]"
-                )
+                raise InstanceDefinitionError(f"image of {x} is empty after clipping on axis {k + 1}: [{a}, {b}]")
             lo.append(a)
             hi.append(b)
         return ConvexRegion(tuple(lo), tuple(hi))
@@ -274,7 +270,7 @@ def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_
     (exact domains, member predicates, bounds not all ``Expression``s) every ladder is yielded.
     """
     box, bounds, n = K.domain, K.lower_fns + K.upper_fns, len(where)
-    if box.is_exact or K.member_predicate is not None or not all(isinstance(fn, Expression) for fn in bounds):
+    if n == 0 or box.is_exact or K.member_predicate is not None or not all(isinstance(fn, Expression) for fn in bounds):
         return range(n)
     dim, radii_col, centres = box.dim, np.array(radii)[:, None], point_columns(xs, float).T[:, None]
     lower, upper = np.array(box.lower)[:, None], np.array(box.upper)[:, None]
@@ -310,32 +306,34 @@ def _ladder_check(K: SetValuedMap, radii: tuple, seed: int, regions, targets, go
     """The driver of closed_graph and lsc: a radius ladder per lattice point x, sample number n and target t.
 
     ``regions`` gives each lattice point (x, x in K's scalars, lo, hi), ``targets(x_map, lo, hi)`` its samples,
-    None where no ladder runs.  Rung r is ``rung(region, x's ball_candidates, t, r)``, and a hit at every rung
-    FAILs with ``witness(x, lo, hi, t, trail)``, n + 1 samples into x.  The ladders that ``_ladder_batch`` yields
-    run here, with a ``region_lookup`` per lattice point.  An error in ``regions`` or ``targets`` is raised after
-    the ladders of the lattice points before it, as the loop would.
+    None where no ladder runs; every region and target list is made before any ladder runs.  Rung r is
+    ``rung(region, x's ball_candidates, t, r)``, and a hit at every rung FAILs with ``witness(x, lo, hi, t, trail)``,
+    n + 1 samples in.  An error in ``regions`` or ``targets`` is raised only after the ladders before it have run.
     """
-    box, rng, points, T, error = K.domain, sampling.DrawStream(seed), [], [np.empty((K.domain.dim, 0))], None
+    box, rng, points, count, error = K.domain, sampling.DrawStream(seed), [], 0, None
+    T, numbers = [np.empty((box.dim, 0))], [np.empty(0, dtype=np.intp)]
     try:
         for x, x_map, lo, hi in regions:
             samples = targets(x_map, lo, hi)
-            points.append((x, lo, hi, np.array([t is not None for t in samples], dtype=bool)))
             T.append(point_columns([t for t in samples if t is not None], float).reshape(box.dim, -1))
+            numbers.append(count + np.flatnonzero([t is not None for t in samples]))  # each ladder's sample number
+            points.append((x, lo, hi))
+            count += len(samples)
     except Exception as exc:  # whatever the loop would raise there, it raises after the ladders before it
         error = exc
-    T, where = np.concatenate(T, axis=1), np.repeat(np.arange(len(points)), [np.count_nonzero(mask) for *_, mask in points])
+    where = np.repeat(np.arange(len(points)), [len(n) for n in numbers[1:]])
+    T, numbers = np.concatenate(T, axis=1), np.concatenate(numbers)
     order = _ladder_batch(K, radii, rng, goes_on, [x for x, *_ in points], where, T)
     for p, ladders in itertools.groupby(order, where.__getitem__):
-        (x, lo, hi, keep), region = points[p], sampling.region_lookup(K)  # x's ball candidates recur for every t
+        (x, lo, hi), region = points[p], sampling.region_lookup(K)  # x's ball candidates recur for every t
         for i in ladders:
             t = tuple(T[:, i].tolist())
             trail = sampling.ladder_search(radii, lambda r: rung(region, sampling.ball_candidates(x, r, box, rng), t, r))
             if trail is not None:
-                n = sum(len(mask) for *_, mask in points[:p]) + np.flatnonzero(keep)[i - np.searchsorted(where, p)]
-                return TopologyProbeReport(FAIL, witness(x, lo, hi, t, trail), radii, int(n) + 1)
+                return TopologyProbeReport(FAIL, witness(x, lo, hi, t, trail), radii, int(numbers[i]) + 1)
     if error is not None:
         raise error
-    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, sum(len(mask) for *_, mask in points))
+    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, count)
 
 
 def check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
@@ -374,8 +372,8 @@ def check_lsc(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     """Falsifier for lower semicontinuity of K.
 
     FAIL needs (x, y in K(x)) such that at every probe radius some x' that
-    close to x keeps K(x') at distance >= margin from y.  The lattice regions
-    are lazy: a FAIL at a lattice point wins over an error at a later one.
+    close to x keeps K(x') at distance >= margin from y.  Every lattice region
+    is evaluated first, but a FAIL at a lattice point wins over an error at a later one.
     """
     radii, margin = sampling.probe_ladder(grid)
 

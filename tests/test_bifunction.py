@@ -632,3 +632,8 @@ class TestConditionIvBatchDifferential:
         assert first + [stream.random() for _ in range(3)] == [plain.random() for _ in range(8)]
         state, stream.cursor = stream.getstate(), 2
         assert stream.take(3).tolist() == first[2:] and stream.getstate() == state
+
+    def test_values_before_the_cursor_are_dropped(self):
+        stream, plain = sampling.DrawStream(7), random.Random(7)
+        drawn = [v for _ in range(10) for v in stream.take(500).tolist()]
+        assert drawn == [plain.random() for _ in range(5000)] and len(stream.kept) < 2000

@@ -410,6 +410,11 @@ _DIFFERENTIAL_MAPS = {
         _expression_map(_STEP_C, ["0"], ["piecewise(x_1 <= 0.5, 1, piecewise(x_1 < 1.9, 0.25, power(x_1 * 1e200, 2)))"]),
         (201,),
     ),
+    # the bound overflows at x = 0, the first lattice point: both checkers raise before any ladder exists
+    "overflow-at-0": lambda: (
+        _expression_map(CompactBox((0.0,), (1.0,)), ["0"], ["piecewise(x_1 < 0.001, power(1e200, 2), 1)"]),
+        (101,),
+    ),
     # the bound overflows in (0.01, 0.02), between lattice points: both checkers raise at a random candidate
     "overflow": lambda: (
         _expression_map(CompactBox((0.0,), (1.0,)), ["0"], ["piecewise(abs(x_1 - 0.015) < 0.005, power(x_1 * 1e200, 2), 0.6)"]),
@@ -447,6 +452,8 @@ class TestTopologyBatchDifferential:
             ("overflow", check_lsc, NonFiniteValueError),
             ("step-then-overflow", check_lsc, FAIL),
             ("step-then-overflow", check_closed_graph, NonFiniteValueError),
+            ("overflow-at-0", check_lsc, NonFiniteValueError),
+            ("overflow-at-0", check_closed_graph, NonFiniteValueError),
         ],
     )
     def test_cases_reach_their_outcome(self, name, check, outcome):
