@@ -236,8 +236,6 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
 
     Takes sampled x1, x2 in the level set and checks the segment stays in it.
     """
-    exact = f.domain.is_exact
-    tol = sampling.tolerance(exact)
     rng = random.Random(seed)
     xs = sampling.box_lattice(C)
     ys = xs[: sampling.LEVEL_SETS]
@@ -245,64 +243,59 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
     batch = _pair_values(f)
     X = None if batch is None else point_columns(xs, float)
 
-    def violates(y, x1, x2, lam):
+    def plan():  # lazy: the level set at y is evaluated after the probes of the y before it
+        for y in ys:
+            vals = None if batch is None else batch(X, point_columns([y], float))  # y broadcasts against every column
+            if vals is None or not np.isfinite(vals).all():
+                vals = [f.fn(x, y) for x in xs]  # raises where the values are not finite
+            yield sampling.level_set_plan(xs, y, vals, rng, f.domain.is_exact)
+
+    def violates(y, x1, x2, lam, tol):
         v = f.fn(pair_combination(x1, x2, lam), y)
         if v < -tol:
             f_x1, f_x2 = f.fn(x1, y), f.fn(x2, y)
             return {"x1": x1, "x2": x2, "lambda": lam, "y": y, "f_x1": f_x1, "f_x2": f_x2, "f_combination": v}
         return None
 
-    samples = 0
-    for y in ys:
-        y_col = None if batch is None else point_columns([y], float)  # broadcast against every column
-        vals = None if batch is None else batch(X, y_col)
-        if vals is None or not np.isfinite(vals).all():
-            vals = [f.fn(x, y) for x in xs]  # raises where the values are not finite
-        samples += len(vals)
-        rows, lams = sampling.level_set_plan(vals, rng, exact)
-        unclear = None
-        if batch is not None:
-            v = batch(_midpoints(X[:, rows[:, 0]], X[:, rows[:, 1]], np.array(lams)), y_col)
-            unclear = _unclear(v < -tol, v)
-        n, w = _scan(len(rows), lambda r: violates(y, xs[rows[r, 0]], xs[rows[r, 1]], lams[r]), unclear)
-        samples += n
-        if w is not None:
-            return ConditionReport("ii", FAIL, w, samples, tol)
-    return ConditionReport("ii", NO_VIOLATION_FOUND, None, samples, tol)
+    def suspects(values, y, x1, x2, mid, tol):
+        v = values(mid, y)
+        return _unclear(v < -tol, v)
+
+    return _segment_check("ii", f, plan(), 1, violates, suspects)
 
 
 def check_condition_iii(
     f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
-    """The finite-subset condition: max_i f(x, x_i) >= 0 for x in the convex hull."""
+    """The finite-subset condition: max_i f(x, x_i) >= 0 for x in the convex hull of lattice pairs, then of random subsets."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     exact = f.domain.is_exact
-    tol = sampling.tolerance(exact)
-    rng = random.Random(seed + 1)
-    lattice = sampling.box_lattice(C)
-    samples = 0
+    tol, lattice = sampling.tolerance(exact), sampling.box_lattice(C)
 
     def violates(subset, weights):
-        nonlocal samples
         x = convex_combination(subset, weights)
         vals = [f.fn(x, xi) for xi in subset]
-        samples += len(vals)
         worst = max(vals)
         if worst < -tol:
             return {"subset": list(subset), "weights": list(weights), "combination": x, "values": vals, "max_value": worst}
         return None
 
-    # structured: all lattice pairs at the midpoint
-    halves = (Fraction(1, 2), Fraction(1, 2)) if exact else (0.5, 0.5)
-    for pair in itertools.combinations(lattice, 2):
-        w = violates(pair, halves)
-        if w is not None:
-            return ConditionReport("iii", FAIL, w, samples, tol)
-    # seeded random subsets and weights
+    def suspects(values, x1, x2, mid, tol):
+        v1, v2 = values(mid, x1), values(mid, x2)
+        return _unclear(np.where(v2 > v1, v2, v1) < -tol, v1, v2)  # Python's max, as in violates
+
+    pairs = np.column_stack(np.triu_indices(len(lattice), 1))
+    chunk = lattice, pairs, [Fraction(1, 2) if exact else 0.5] * len(pairs), 0
+    rep = _segment_check("iii", f, [chunk], 2, lambda a, b, lam, _: violates((a, b), (lam, 1 - lam)), suspects)
+    if rep.verdict == FAIL:
+        return rep
+    samples, rng = rep.samples_used, random.Random(seed + 1)
     pool = lattice + sampling.random_points(C, rng, sampling.SUBSET_POOL_EXTRA)
     for _ in range(trials):
-        w = violates(*sampling.random_subset(pool, rng, exact))
+        subset, weights = sampling.random_subset(pool, rng, exact)
+        w = violates(subset, weights)
+        samples += len(subset)
         if w is not None:
             return ConditionReport("iii", FAIL, w, samples, tol)
     return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
@@ -381,31 +374,28 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
     return ConditionReport("iv", NO_VIOLATION_FOUND, None, samples, margin)
 
 
-def _segment_check(condition_id, f, C, trials, seed, draw, violates, suspects, lead=()) -> ConditionReport:
-    """The driver of the mirrored quasiconvexity checks.
+def _segment_check(condition_id, f, plan, cost, violates, suspects) -> ConditionReport:
+    """The driver of the segment falsifiers: condition_ii, condition_iii's lattice pairs, qcvx_second, qccv_first.
 
-    Tries the ``lead`` chunk, then the lattice-pair and random-trial chunks
-    of ``sampling.segment_plan``.  ``violates(fixed, a, b, lam, tol)``
-    evaluates f three times and returns a witness or None; ``draw(rng)``
-    gives a random-trial triple (fixed, a, b).  Where f has a batch form,
-    ``suspects(values, fixed, A, B, mid, tol)`` evaluates a chunk with it and
-    gives the rows where ``violates`` is run.
+    ``plan`` gives chunks (points, rows, lams, spent) in turn: row r probes the points ``points[i] for i in
+    rows[r]`` at ``lams[r]``, the last two being the segment's ends and any before them held fixed, and ``spent``
+    counts the f-values that planning the chunk took.  ``violates(*points, lam, tol)`` evaluates f ``cost`` times
+    and returns a witness or None; its arguments are read row by row, in ``_scan``'s order.  Where f has a batch
+    form, ``suspects(values, *columns, mid, tol)`` evaluates a chunk with it and gives the rows where ``violates``
+    is run.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    exact = f.domain.is_exact
-    tol = sampling.tolerance(exact)
-    plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed), exact, trials, draw)
+    tol = sampling.tolerance(f.domain.is_exact)
     batch = _pair_values(f)
     samples = 0
-    for points, rows, lams in itertools.chain(lead, plan):
-        unclear = None
+    for points, rows, lams, spent in plan:
+        unclear, probes = None, zip(*(map(points.__getitem__, rows[:, c]) for c in range(rows.shape[1])), lams)
         if batch is not None:
             P = point_columns(points, float)
-            fixed, A, B = P[:, rows[:, 0]], P[:, rows[:, 1]], P[:, rows[:, 2]]
-            unclear = suspects(batch, fixed, A, B, _midpoints(A, B, np.array(lams)), tol)
-        n, w = _scan(len(rows), lambda r: violates(*(points[i] for i in rows[r]), lams[r], tol), unclear)
-        samples += 3 * n
+            columns = [P[:, rows[:, c]] for c in range(rows.shape[1])]
+            unclear = suspects(batch, *columns, _midpoints(*columns[-2:], np.array(lams)), tol)
+            probes = ((*(points[i] for i in rows[r]), lams[r]) for r in np.flatnonzero(unclear).tolist())
+        n, w = _scan(len(rows), lambda r: violates(*next(probes), tol), unclear)
+        samples += spent + cost * n
         if w is not None:
             return ConditionReport(condition_id, FAIL, w, samples, tol)
     return ConditionReport(condition_id, NO_VIOLATION_FOUND, None, samples, tol)
@@ -415,6 +405,8 @@ def check_quasiconvex_second(
     f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """Quasiconvexity of f(x, .): f(x, mid) <= max(f(x,y1), f(x,y2)) + tol."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
     def violates(x, y1, y2, lam, tol):
         mid = pair_combination(y1, y2, lam)
@@ -431,18 +423,21 @@ def check_quasiconvex_second(
     def draw(rng):
         return sampling.random_points(C, rng, 3)  # x, y1, y2
 
-    lead = []
-    if f.domain.is_exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
+    exact, lead = f.domain.is_exact, []
+    if exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
         xs = sampling.box_lattice(C)[: sampling.SQRT2_LEAD_POINTS]
         probes = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
         lead = [sampling.probe_chunk(probes)]
-    return _segment_check("qcvx_second", f, C, trials, seed + 3, draw, violates, suspects, lead)
+    plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed + 3), exact, trials, draw)
+    return _segment_check("qcvx_second", f, itertools.chain(lead, plan), 3, violates, suspects)
 
 
 def check_quasiconcave_first(
     f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """Quasiconcavity of f(., y): f(mid, y) >= min(f(x1,y), f(x2,y)) - tol."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
     def violates(y, x1, x2, lam, tol):
         mid = pair_combination(x1, x2, lam)
@@ -460,7 +455,8 @@ def check_quasiconcave_first(
         x1, x2, y = sampling.random_points(C, rng, 3)
         return y, x1, x2
 
-    return _segment_check("qccv_first", f, C, trials, seed + 4, draw, violates, suspects)
+    plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed + 4), f.domain.is_exact, trials, draw)
+    return _segment_check("qccv_first", f, plan, 3, violates, suspects)
 
 
 def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:

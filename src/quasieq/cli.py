@@ -39,16 +39,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import sampling
-from .bifunction import (
-    check_diagonal_zero,
-    check_quasiconcave_first,
-    check_quasiconvex_second,
-)
 from .catalog import CATALOG, ProblemInstance, catalog_names, get_instance
 from .errors import QuasieqError, SpecError
 from .reporting import report_to_json, solution_csv, verify_to_json
-from .solver import SolverConfig, verify_theorem_instance
-from .specfile import EXTRA_CHECKS, build_instance, load_spec
+from .solver import EXTRA_CHECKS, SolverConfig, verify_theorem_instance
+from .specfile import build_instance, load_spec
 
 
 def _grid_arg(text: str) -> tuple:
@@ -126,7 +121,7 @@ def _resolve_target(target: str) -> tuple[ProblemInstance, tuple]:
         # defaults from the file's solver section become instance defaults
         return instance, spec.checks_run
     if target in CATALOG:
-        return get_instance(target), EXTRA_CHECKS
+        return get_instance(target), tuple(EXTRA_CHECKS)
     raise QuasieqError(f"no such file or catalog instance: {target!r}")
 
 
@@ -178,14 +173,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     cfg = _config(instance, args)
     theorem = verify_theorem_instance(instance, cfg, trials=args.trials, seed=args.seed)
     f = instance.bifunction()
-    extra = {}
-    for name in checks_run:
-        if name == "qcvx_second":
-            extra[name] = check_quasiconvex_second(f, instance.C, trials=args.trials, seed=args.seed)
-        elif name == "qccv_first":
-            extra[name] = check_quasiconcave_first(f, instance.C, trials=args.trials, seed=args.seed)
-        elif name == "diagonal_zero":
-            extra[name] = check_diagonal_zero(f, cfg.grid)
+    extra = {name: EXTRA_CHECKS[name](instance, f, cfg.grid, args.trials, args.seed) for name in checks_run}
     _emit(verify_to_json(theorem, extra), args.out)
     _summary(
         {

@@ -102,20 +102,12 @@ def _sanitize(value: Any) -> Any:
 
 
 def verify_to_dict(theorem: TheoremReport, extra_checks: dict | None = None) -> dict:
-    checks = {}
-    for name, rep in theorem.checks.items():
-        checks[name] = {
-            "verdict": rep.verdict,
-            "witness": _sanitize(rep.witness),
-            "samples_used": rep.samples_used,
-        }
-    for name, rep in (extra_checks or {}).items():
-        checks[name] = {
-            "verdict": rep.verdict,
-            "witness": _sanitize(rep.witness),
-            "samples_used": rep.samples_used,
-            "tolerance": rep.tolerance,
-        }
+    extra = extra_checks or {}
+    checks = {  # an extra check's entry names its tolerance too
+        name: {"verdict": rep.verdict, "witness": _sanitize(rep.witness), "samples_used": rep.samples_used}
+        | ({"tolerance": rep.tolerance} if name in extra else {})
+        for name, rep in {**theorem.checks, **extra}.items()
+    }
     solve = theorem.solve_report
     return {
         "checks": checks,

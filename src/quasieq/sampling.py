@@ -6,7 +6,10 @@ ladders and margins, tolerances, seeds and every seeded draw.  A checker's
 only sampling parameters are ``trials`` and ``seed``; it evaluates what a
 plan names.  Plans are lazy: a draw happens when the checker reaches it, or
 reaches the chunk of probes that holds it, so each checker's RNG calls come in
-one fixed order.  The budgets set the witnesses: changing one changes reports.
+one fixed order.  The segment plans (``segment_plan``, ``probe_chunk`` and
+``level_set_plan``) give chunks (points, rows, lams, spent), the one form that
+``bifunction._segment_check`` reads.  The budgets set the witnesses: changing
+one changes reports.
 """
 
 from __future__ import annotations
@@ -330,20 +333,20 @@ def random_subset(pool: list, rng: random.Random, exact: bool) -> tuple:
 def probe_chunk(probes: list) -> tuple:
     """The probes (fixed, a, b, lambda), in order, as one chunk of ``segment_plan``."""
     points = [p for probe in probes for p in probe[:3]]
-    return points, np.arange(len(points)).reshape(-1, 3), [probe[3] for probe in probes]
+    return points, np.arange(len(points)).reshape(-1, 3), [probe[3] for probe in probes], 0
 
 
 def segment_plan(lattice: list, rng: random.Random, exact: bool, trials: int, draw: Callable):
-    """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check, in chunks (points, rows, lams).
+    """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check, in chunks (points, rows, lams, spent).
 
-    Row r of a chunk is the probe (points[i], points[j], points[k], lams[r]) for (i, j, k) = rows[r].
-    First a chunk per lattice point: it with every lattice pair (``itertools.combinations`` order) at
-    lambda 1/2.  Then a chunk of ``trials`` triples ``draw(rng)``, each at ``lambdas(extra=1)``.
+    Row r of a chunk is the probe (points[i], points[j], points[k], lams[r]) for (i, j, k) = rows[r]; no chunk
+    spends an f-value.  First a chunk per lattice point: it with every lattice pair (``itertools.combinations``
+    order) at lambda 1/2.  Then a chunk of ``trials`` triples ``draw(rng)``, each at ``lambdas(extra=1)``.
     """
     half = Fraction(1, 2) if exact else 0.5
     j, k = np.triu_indices(len(lattice), 1)
     for i in range(len(lattice)):
-        yield lattice, np.column_stack([np.full(len(j), i), j, k]), [half] * len(j)
+        yield lattice, np.column_stack([np.full(len(j), i), j, k]), [half] * len(j), 0
     probes = []
     for _ in range(trials):
         fixed, a, b = draw(rng)
@@ -351,17 +354,17 @@ def segment_plan(lattice: list, rng: random.Random, exact: bool, trials: int, dr
     yield probe_chunk(probes)
 
 
-def level_set_plan(values: list, rng: random.Random, exact: bool) -> tuple:
-    """condition_ii's probes at one y, as (rows, lams): row r is the lattice index pair of probe r.
+def level_set_plan(xs: list, y: Point, values: list, rng: random.Random, exact: bool) -> tuple:
+    """condition_ii's chunk at y, in ``segment_plan``'s form: points xs + [y], rows (y, i, j), spent ``len(values)``.
 
-    The pairs are the first ``LEVEL_SET_PAIRS`` (``itertools.combinations`` order) of the lattice points
-    whose f-value at y is >= 0, each at ``lambdas(exact, rng)``.
+    values are f(x, y) over the lattice xs.  The pairs (i, j) are the first ``LEVEL_SET_PAIRS``
+    (``itertools.combinations`` order) of the lattice points whose f-value is >= 0, each at ``lambdas(exact, rng)``.
     """
     members = np.array([i for i, v in enumerate(values) if v >= 0], dtype=np.intp)
     a, b = np.triu_indices(len(members), 1)
-    pairs = np.column_stack([members[a], members[b]])[:LEVEL_SET_PAIRS]
-    per_pair = [lambdas(exact, rng) for _ in pairs]
-    return np.repeat(pairs, [len(g) for g in per_pair], axis=0), [lam for g in per_pair for lam in g]
+    rows = np.column_stack([np.full(len(a), len(xs)), members[a], members[b]])[:LEVEL_SET_PAIRS]
+    per_row = [lambdas(exact, rng) for _ in rows]
+    return xs + [y], np.repeat(rows, [len(g) for g in per_row], axis=0), [lam for g in per_row for lam in g], len(values)
 
 
 def sqrt2_witness_pairs(C: CompactBox) -> list:

@@ -54,6 +54,9 @@ from .bifunction import (
     check_condition_ii,
     check_condition_iii,
     check_condition_iv,
+    check_diagonal_zero,
+    check_quasiconcave_first,
+    check_quasiconvex_second,
     make_opt_bifunction,
 )
 from .errors import DegenerateImageError, NonFiniteValueError
@@ -75,6 +78,22 @@ QEP = "QEP"
 EP = "EP"
 QOPT = "QOPT"
 QVI = "QVI"
+
+#: The checks verify always runs, then the extra ones a file's [checks] run selects: name -> check(instance, f, grid,
+#: trials, seed), in the order they run.
+THEOREM_CHECKS = {
+    "closed_graph": lambda instance, f, grid, trials, seed: check_closed_graph(instance.K, grid),
+    "lsc": lambda instance, f, grid, trials, seed: check_lsc(instance.K, grid),
+    "convex_values": lambda instance, f, grid, trials, seed: check_convex_values(instance.K, grid),
+    "condition_ii": lambda instance, f, grid, trials, seed: check_condition_ii(f, instance.C, seed=seed),
+    "condition_iii": lambda instance, f, grid, trials, seed: check_condition_iii(f, instance.C, trials, seed),
+    "condition_iv": lambda instance, f, grid, trials, seed: check_condition_iv(f, grid, seed=seed),
+}
+EXTRA_CHECKS = {
+    "qcvx_second": lambda instance, f, grid, trials, seed: check_quasiconvex_second(f, instance.C, trials, seed),
+    "qccv_first": lambda instance, f, grid, trials, seed: check_quasiconcave_first(f, instance.C, trials, seed),
+    "diagonal_zero": lambda instance, f, grid, trials, seed: check_diagonal_zero(f, grid),
+}
 
 
 @dataclass(frozen=True)
@@ -337,24 +356,15 @@ def check_lemma_equivalence(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverCo
 def verify_theorem_instance(
     instance, cfg: SolverConfig, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> TheoremReport:
-    """Run the six hypothesis checkers, then solve, and flag anomalies.
+    """Run the six ``THEOREM_CHECKS``, then solve, and flag anomalies.
 
     The verdicts are falsifier outputs, so an empty solution set with all
     checks clean is reported as an ANOMALY (grid artifact or counterexample
     candidate), never as a refutation.
     """
     f = instance.bifunction()
-    K = instance.K
-    grid = cfg.grid
-    checks = {
-        "closed_graph": check_closed_graph(K, grid),
-        "lsc": check_lsc(K, grid),
-        "convex_values": check_convex_values(K, grid),
-        "condition_ii": check_condition_ii(f, instance.C, seed=seed),
-        "condition_iii": check_condition_iii(f, instance.C, trials=trials, seed=seed),
-        "condition_iv": check_condition_iv(f, grid, seed=seed),
-    }
-    solve_report = solve_qep(f, K, cfg, kind=instance.problem_kind())
+    checks = {name: check(instance, f, cfg.grid, trials, seed) for name, check in THEOREM_CHECKS.items()}
+    solve_report = solve_qep(f, instance.K, cfg, kind=instance.problem_kind())
     all_clean = all(rep.verdict == NO_VIOLATION_FOUND for rep in checks.values())
     anomaly = all_clean and not solve_report.solutions
     return TheoremReport(checks=checks, solve_report=solve_report, anomaly=anomaly)

@@ -54,20 +54,11 @@ from .errors import ParseError, SpecError
 from .expressions import Expression, parse_expression
 from .geometry import CompactBox
 from .setmap import MAP_KINDS, SetValuedMap
+from .solver import EXTRA_CHECKS, THEOREM_CHECKS
 
 DEFAULT_GRID = 201
 DEFAULT_EPS = 1e-6
 DEFAULT_DELTA = 0.0
-
-THEOREM_CHECKS = (
-    "closed_graph",
-    "lsc",
-    "convex_values",
-    "condition_ii",
-    "condition_iii",
-    "condition_iv",
-)
-EXTRA_CHECKS = ("qcvx_second", "qccv_first", "diagonal_zero")
 
 
 @dataclass
@@ -208,7 +199,7 @@ def load_spec(text: str) -> ProblemSpec:
         if not (eps >= 0 and delta >= 0):
             raise SpecError("[solver] eps and delta must be nonnegative")
 
-    checks_run: tuple = EXTRA_CHECKS
+    checks_run = tuple(EXTRA_CHECKS)
     if "checks" in cp:
         csec = cp["checks"]
         for key in csec:

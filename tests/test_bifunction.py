@@ -259,6 +259,17 @@ class TestConditionIII:
         replay = max(f.fn(w["combination"], xi) for xi in w["subset"])
         assert replay == w["max_value"] < -rep.tolerance
 
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_a_random_subset_fails_after_every_lattice_pair(self, wrapped):
+        # f(x, y) = -1 only for 0.001 < x_1 < 0.024: no midpoint of a lattice pair lies there, a random combination does
+        e = parse_expression("piecewise(x_1 > 0.001, piecewise(x_1 < 0.024, -1, 1), 1)")
+        C01 = CompactBox((0.0,), (1.0,))
+        f = Bifunction(lambda x, y: e(x, y), C01) if wrapped else Bifunction(e, C01)
+        rep = check_condition_iii(f, C01)
+        assert rep.verdict == FAIL and rep.samples_used == 490 > 2 * 210  # past the 210 lattice pairs
+        w = rep.witness
+        assert [f.fn(w["combination"], xi) for xi in w["subset"]] == w["values"] == [-1.0] * len(w["subset"])
+
 
 class TestConditionIV:
     def test_continuous_clean(self):
@@ -355,6 +366,15 @@ class TestCheckerProperties:
         assert floats == [] and rep.samples_used > 0
         assert type(rep.tolerance) is float and rep.tolerance == 0.0
 
+    @pytest.mark.parametrize("check", [check_condition_iii, check_quasiconvex_second, check_quasiconcave_first])
+    def test_no_trials_is_refused_before_any_probe(self, check):
+        # the exact remark instance: qcvx_second's sqrt(2) lead chunk comes before its trials
+        inst, calls = remark_bifunction_instance(), []
+        f = Bifunction(lambda x, y: calls.append((x, y)) or inst.payload.fn(x, y), inst.C)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check(f, inst.C, trials=0)
+        assert calls == []
+
     def test_remark_consistency_triple(self):
         # condition ii holds while the two sufficient conditions fail
         inst = remark_bifunction_instance()
@@ -444,8 +464,9 @@ def _outcome(check, f):
 
 
 class TestBatchedCheckers:
-    """condition_ii, qcvx_second, qccv_first and diagonal_zero batch a float ``Expression`` payload; each gives
-    the report of its probe-by-probe loop on the same expression wrapped in a callable."""
+    """condition_ii, condition_iii's lattice pairs, qcvx_second, qccv_first and diagonal_zero batch a float
+    ``Expression`` payload; each gives the report of its probe-by-probe loop on the same expression wrapped in a
+    callable."""
 
     @staticmethod
     def assert_same_reports(text: str, C: CompactBox):
@@ -454,6 +475,7 @@ class TestBatchedCheckers:
         grid = Grid(C, (9,) * C.dim)
         checks = [
             lambda f: check_condition_ii(f, C),
+            lambda f: check_condition_iii(f, C, trials=100),
             lambda f: check_quasiconvex_second(f, C, trials=100),
             lambda f: check_quasiconcave_first(f, C, trials=100),
             lambda f: check_diagonal_zero(f, grid),
@@ -487,7 +509,7 @@ class TestBatchedCheckers:
 
     def test_w_shape_fails_alike(self):
         outcomes = self.assert_same_reports("abs(abs(x_1 - 1) - 0.5)", C02)
-        assert [rep.verdict for rep in outcomes] == [FAIL, FAIL, FAIL, NO_VIOLATION_FOUND]
+        assert [rep.verdict for rep in outcomes] == [FAIL, FAIL, FAIL, FAIL, NO_VIOLATION_FOUND]
 
     @pytest.mark.parametrize("text", ["power(x_1, 400)", "power(y_1, 400) - power(x_1, 400)"])
     def test_overflow_raises_the_same_error(self, text):

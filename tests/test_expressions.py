@@ -115,6 +115,21 @@ class TestParseAndEvaluate:
         e = parse_expression("x_1 + y_2 * 2")
         assert e.variables == {"x_1", "y_2"}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x_1 $ 2", "unexpected character '$'"),
+            ("abs(x_1, 2)", "abs takes 1 argument(s), got 2"),
+            ("min(x_1)", "min takes at least 2 arguments"),
+            ("piecewise(x_1, 1, 2)", "expected a comparison operator, found ','"),
+            ("(x_1 + 1", "expected ')', found end of input"),
+        ],
+    )
+    def test_parse_error_names_the_fault(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert str(err.value).startswith(message)
+
 
 def _sum_text(n: int) -> str:
     """1*x_1 + 2*x_1 + ... + n*x_1: n - 1 chained operators over products, n levels deep."""

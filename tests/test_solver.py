@@ -599,6 +599,12 @@ class TestSolverInvariants:
             rep = smap_closed_graph_probe(inst.bifunction(), inst.K, cfg)
             assert rep.verdict == NO_VIOLATION_FOUND
 
+    def test_selection_map_probe_with_no_image_on_the_grid(self):
+        # K(x) = [0.123, 0.124] holds no point of the 11-point grid: every member set is empty, so nothing approaches
+        K = SetValuedMap(C01, [parse_expression("0.123")], [parse_expression("0.124")])
+        rep = smap_closed_graph_probe(Bifunction(parse_expression("y_1 - x_1"), C01), K, cfg_for(C01, 11))
+        assert (rep.verdict, rep.witness, rep.samples_used) == (NO_VIOLATION_FOUND, None, 121)
+
     def test_qvi_scaling_leaves_zero_tolerance_solutions(self):
         for seed in (0, 3, 4):
             inst = qvi_instance(seed)

@@ -107,6 +107,9 @@ class TestLoadSpec:
             ("solver", "eps = abc", "eps"),
             ("solver", "delta = 1e-3e", "delta"),
             ("solver", "workers = 4", "workers"),
+            ("solver", "grid = 11, 11", "grid"),
+            ("solver", "grid = 1", "grid"),
+            ("solver", "eps = -1", "eps"),
             ("checks", "trials = many", "trials"),
         ],
     )
@@ -114,6 +117,27 @@ class TestLoadSpec:
         with pytest.raises(SpecError) as err:
             load_spec(MINIMAL + f"\n[{section}]\n{line}\n")
         assert f"[{section}]" in str(err.value) and key in str(err.value)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[domain]", "[box]", "missing [domain] section"),
+            ("dim = 1", "dim = 4", "[domain] dim must be 1, 2 or 3"),
+            ("lower = 0.0", "lower = 0.0, 1.0", "[domain] lower must have 1 comma-separated value(s), got 2"),
+            ("lower = 0.0", "lower = zero", "bad number in [domain] lower"),
+            ("kind = constant", "kind = moving_box\nlower_1 = 0", "[map] needs lower_1 and upper_1"),
+            ("[payload]", "[objective]", "missing [payload] section"),
+            ("kind = objective", "kind = operator", "[payload] kind must be one of objective, bifunction, qvi_operator"),
+            ("expr = abs(x_1 - 0.25)", "", "[payload] needs expr"),
+            ("kind = objective", "kind = qvi_operator\nvertex_1 = 1.0, 2.0", "[payload] vertex_1 must have 1 coordinate(s)"),
+            ("kind = objective", "kind = qvi_operator", "[payload] qvi_operator needs at least vertex_1"),
+            ("dim = 1", "dim = 1\ndim = 2", "bad problem definition"),
+        ],
+    )
+    def test_refusal_names_the_fault(self, old, new, message):
+        with pytest.raises(SpecError) as err:
+            load_spec(MINIMAL.replace(old, new, 1))
+        assert str(err.value).startswith(message)
 
     def test_spec_error_comes_before_an_empty_box(self):
         # every key is checked before the box, map and payload are built
