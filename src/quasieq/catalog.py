@@ -27,7 +27,7 @@ from .errors import InstanceDefinitionError, SpecError
 from .expressions import Expression, parse_expression
 from .geometry import CompactBox, Grid, Root2, grid_coords, point_columns
 from .setmap import SetValuedMap, fixed_point_set, image_index_ranges
-from .solver import EP, QEP, QOPT, QVI, SolverConfig, solve_qep, solve_qopt
+from .solver import EP, EXTRA_CHECKS, QEP, QOPT, QVI, SolverConfig, solve_qep, solve_qopt
 
 Payload = Union[Bifunction, ObjectiveFunction, QviOperator]
 
@@ -44,6 +44,7 @@ class ProblemInstance:
     eps_default: float
     delta_default: float = 0.0
     known_facts: dict = field(default_factory=dict)
+    checks_run: tuple = tuple(EXTRA_CHECKS)  # the extra checks verify runs: a file's [checks] run, or all
 
     @property
     def payload_kind(self) -> str:

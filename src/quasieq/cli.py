@@ -108,20 +108,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_target(target: str) -> tuple[ProblemInstance, tuple]:
-    """A (instance, checks_to_run) pair from a file path or catalog name."""
+def _resolve_target(target: str) -> ProblemInstance:
+    """The instance a file path or catalog name gives; a file's sections set its defaults."""
     path = Path(target)
     if path.exists():
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise SpecError(f"{target} is not UTF-8 text: {exc}")
-        spec = load_spec(text)
-        instance = build_instance(spec, name=path.stem)
-        # defaults from the file's solver section become instance defaults
-        return instance, spec.checks_run
+        return build_instance(load_spec(text), name=path.stem)
     if target in CATALOG:
-        return get_instance(target), tuple(EXTRA_CHECKS)
+        return get_instance(target)
     raise QuasieqError(f"no such file or catalog instance: {target!r}")
 
 
@@ -146,7 +143,7 @@ def _summary(payload: dict) -> None:
 
 
 def _run_solve(args: argparse.Namespace, target: str) -> int:
-    instance, _checks = _resolve_target(target)
+    instance = _resolve_target(target)
     cfg = _config(instance, args)
     report = instance.solve(cfg)
     if args.format == "json":
@@ -169,11 +166,11 @@ def _run_solve(args: argparse.Namespace, target: str) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    instance, checks_run = _resolve_target(args.target)
+    instance = _resolve_target(args.target)
     cfg = _config(instance, args)
     theorem = verify_theorem_instance(instance, cfg, trials=args.trials, seed=args.seed)
     f = instance.bifunction()
-    extra = {name: EXTRA_CHECKS[name](instance, f, cfg.grid, args.trials, args.seed) for name in checks_run}
+    extra = {name: EXTRA_CHECKS[name](instance, f, cfg.grid, args.trials, args.seed) for name in instance.checks_run}
     _emit(verify_to_json(theorem, extra), args.out)
     _summary(
         {

@@ -1,4 +1,4 @@
-"""Problem-definition files: an INI-style format with four sections.
+"""Problem-definition files: an INI-style format with five sections.
 
 ::
 
@@ -17,39 +17,45 @@
     expr = abs(x_1 - 0.5)
 
     [solver]                     ; optional; defaults m=201, eps=1e-6, delta=0
-    grid = 2001                  ; no other keys: an unknown one is a SpecError
+    grid = 2001
     eps = 1e-06
     delta = 0.0
 
     [checks]                     ; optional; extra checks verify runs (default: all three)
     run = qcvx_second, diagonal_zero
 
-All expressions parse and type-check (variable indices against the declared
+Each section takes only the keys shown that its kind needs (no bounds for a
+constant map; ``vertex_1``, ``vertex_2``, ... in place of ``expr`` for a
+qvi_operator) and [domain] ``scalar``, whose ``exact`` is refused: a key or
+section that ``load_spec`` does not read is a SpecError naming it.  All
+expressions parse and type-check (variable indices against the declared
 dimension) and every number parses before anything is evaluated; a malformed
-value is a SpecError naming its section and key.  [checks] takes ``run``
-alone, naming extra checks only: verify always runs the six theorem checks,
-so a theorem check named there is a SpecError.  The checkers' trials and
-seed are set by verify's ``--trials`` and ``--seed`` flags, so a ``trials``
-or ``seed`` key there is a SpecError that says so, as is any other key.
+value is a SpecError naming its section and key.  [checks] ``run`` names
+extra checks only, each run once however often it is named: verify always
+runs the six theorem checks, so a theorem check named there is a SpecError.
+The checkers' trials and seed are set by verify's ``--trials`` and ``--seed``
+flags, so a ``trials`` or ``seed`` key there is a SpecError that says so.
 After every key is checked, ``load_spec`` builds the domain box, the map
-(its ``variant`` is the file's kind) and the payload, so any SpecError comes
-before an InstanceDefinitionError such as an empty box.  The parsed
-expressions become the map's bounds and the payload's function themselves.
-No bound is evaluated at load time: the solver checks the bounds finite and
-the images nonempty over the grid it scans (the file's, or ``--grid``'s),
-evaluating every bound once over the whole grid: the expression bounds of
-moving_box and piecewise_moving_interval maps in one batch, constant maps
-once per point.
+(its ``variant`` is the file's kind) and the payload into the one
+``ProblemInstance`` it returns, named ``spec``, whose defaults and
+``checks_run`` are the file's; ``build_instance`` renames it.  So any
+SpecError comes before an InstanceDefinitionError such as an empty box.  The
+parsed expressions become the map's bounds and the payload's function
+themselves.  No bound is evaluated at load time: the solver checks the
+bounds finite and the images nonempty over the grid it scans (the file's, or
+``--grid``'s), evaluating every bound once over the whole grid: the
+expression bounds of moving_box and piecewise_moving_interval maps in one
+batch, constant maps once per point.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import itertools
-from dataclasses import dataclass
 
 from .bifunction import Bifunction, ObjectiveFunction, QviOperator
-from .catalog import PAYLOAD_KINDS, Payload, ProblemInstance
+from .catalog import PAYLOAD_KINDS, ProblemInstance
 from .errors import ParseError, SpecError
 from .expressions import Expression, parse_expression
 from .geometry import CompactBox
@@ -59,17 +65,6 @@ from .solver import EXTRA_CHECKS, THEOREM_CHECKS
 DEFAULT_GRID = 201
 DEFAULT_EPS = 1e-6
 DEFAULT_DELTA = 0.0
-
-
-@dataclass
-class ProblemSpec:
-    C: CompactBox
-    K: SetValuedMap
-    payload: Payload
-    grid: tuple
-    eps: float
-    delta: float
-    checks_run: tuple
 
 
 def _floats(text: str, n: int, what: str) -> tuple:
@@ -109,8 +104,15 @@ def _parse_checked(text: str, allowed: set[str], what: str) -> Expression:
     return expr
 
 
-def load_spec(text: str) -> ProblemSpec:
-    """Parse and check a problem-definition document, then build its box, map and payload."""
+def _refuse_unread(section: configparser.SectionProxy, read: set[str]) -> None:
+    """A key that ``load_spec`` does not read is refused, never silently ignored."""
+    unknown = sorted(set(section) - read)
+    if unknown:
+        raise SpecError(f"[{section.name}] unknown key(s): {', '.join(unknown)}")
+
+
+def load_spec(text: str) -> ProblemInstance:
+    """Parse and check a problem-definition document, then build its instance, named ``spec``."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
@@ -122,6 +124,7 @@ def load_spec(text: str) -> ProblemSpec:
     dom = cp["domain"]
     if dom.get("scalar", "real").strip() == "exact":
         raise SpecError("exact-kind instances are expressible only via catalog names")
+    _refuse_unread(dom, {"scalar", "dim", "lower", "upper"})
     try:
         dim = int(dom.get("dim", ""))
     except ValueError:
@@ -142,6 +145,7 @@ def load_spec(text: str) -> ProblemSpec:
         raise SpecError(f"[map] kind must be one of {', '.join(MAP_KINDS)}")
     map_lower: list[Expression] = []
     map_upper: list[Expression] = []
+    map_keys = {"kind"}
     if kind_key != "constant":
         for k in range(dim):
             lo_key, hi_key = f"lower_{k + 1}", f"upper_{k + 1}"
@@ -149,6 +153,8 @@ def load_spec(text: str) -> ProblemSpec:
                 raise SpecError(f"[map] needs {lo_key} and {hi_key}")
             map_lower.append(_parse_checked(msec[lo_key], x_vars, f"[map] {lo_key}"))
             map_upper.append(_parse_checked(msec[hi_key], x_vars, f"[map] {hi_key}"))
+            map_keys |= {lo_key, hi_key}
+    _refuse_unread(msec, map_keys)
 
     if "payload" not in cp:
         raise SpecError("missing [payload] section")
@@ -163,6 +169,7 @@ def load_spec(text: str) -> ProblemSpec:
             raise SpecError("[payload] needs expr")
         allowed = x_vars if payload_kind == "objective" else xy_vars
         payload_expr = _parse_checked(psec["expr"], allowed, "[payload] expr")
+        payload_keys = {"kind", "expr"}
     else:
         j = 1
         while f"vertex_{j}" in psec:
@@ -175,14 +182,17 @@ def load_spec(text: str) -> ProblemSpec:
             j += 1
         if not vertices:
             raise SpecError("[payload] qvi_operator needs at least vertex_1")
+        payload_keys = {"kind"} | {f"vertex_{i}" for i in range(1, j)}
+    _refuse_unread(psec, payload_keys)
+    unknown = sorted(set(cp.sections()) - {"domain", "map", "payload", "solver", "checks"})
+    if unknown:
+        raise SpecError(f"unknown section(s): {', '.join(unknown)}")
 
     grid = (DEFAULT_GRID,) * dim
     eps, delta = DEFAULT_EPS, DEFAULT_DELTA
     if "solver" in cp:
         ssec = cp["solver"]
-        unknown = sorted(set(ssec) - {"grid", "eps", "delta"})
-        if unknown:
-            raise SpecError(f"[solver] unknown key(s): {', '.join(unknown)}")
+        _refuse_unread(ssec, {"grid", "eps", "delta"})
         if "grid" in ssec:
             try:
                 grid = tuple(int(p) for p in ssec["grid"].split(","))
@@ -202,11 +212,10 @@ def load_spec(text: str) -> ProblemSpec:
     checks_run = tuple(EXTRA_CHECKS)
     if "checks" in cp:
         csec = cp["checks"]
-        for key in csec:
-            if key in ("trials", "seed"):
+        for key in ("trials", "seed"):
+            if key in csec:
                 raise SpecError(f"[checks] {key} is not read from a file; pass --{key} to quasieq verify")
-            if key != "run":
-                raise SpecError(f"[checks] unknown key: {key}")
+        _refuse_unread(csec, {"run"})
         if "run" in csec:
             names = tuple(p.strip() for p in csec["run"].split(",") if p.strip())
             theorem = [n for n in names if n in THEOREM_CHECKS]
@@ -218,7 +227,7 @@ def load_spec(text: str) -> ProblemSpec:
             bad = [n for n in names if n not in EXTRA_CHECKS]
             if bad:
                 raise SpecError(f"[checks] unknown checker(s): {', '.join(bad)}")
-            checks_run = names
+            checks_run = tuple(dict.fromkeys(names))
 
     C = CompactBox(lower, upper)
     if kind_key == "constant":
@@ -231,17 +240,9 @@ def load_spec(text: str) -> ProblemSpec:
         payload = Bifunction(payload_expr, C)
     else:
         payload = QviOperator.from_expressions(vertices)
-    return ProblemSpec(C, K, payload, grid, eps, delta, checks_run)
+    return ProblemInstance("spec", C, K, payload, grid, eps, delta, checks_run=checks_run)
 
 
-def build_instance(spec: ProblemSpec, name: str = "spec") -> ProblemInstance:
-    """The runnable instance; the file's solver section gives its defaults."""
-    return ProblemInstance(
-        name=name,
-        C=spec.C,
-        K=spec.K,
-        payload=spec.payload,
-        grid_default=spec.grid,
-        eps_default=spec.eps,
-        delta_default=spec.delta,
-    )
+def build_instance(spec: ProblemInstance, name: str = "spec") -> ProblemInstance:
+    """The loaded instance under another name."""
+    return dataclasses.replace(spec, name=name)

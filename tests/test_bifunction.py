@@ -149,6 +149,8 @@ class TestQviAdapter:
     def test_empty_vertex_list_rejected(self):
         with pytest.raises(InstanceDefinitionError):
             QviOperator.constant([])
+        with pytest.raises(InstanceDefinitionError, match=r"empty vertex list at \(0\.5,\)"):
+            QviOperator(lambda x: ()).vertices((0.5,))
 
     def test_positive_homogeneity(self):
         T = QviOperator.constant([(1.5,), (-0.5,)])

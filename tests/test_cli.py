@@ -10,11 +10,11 @@ import pytest
 
 import quasieq
 from quasieq.bifunction import check_diagonal_zero, check_quasiconcave_first, check_quasiconvex_second
-from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, qvi_instance
+from quasieq.catalog import figure1_instance, get_instance, quasiconvex_variant_instance, qvi_instance
 from quasieq.cli import main
 from quasieq.geometry import GRID_POINT_BUDGET, Grid
 from quasieq.reporting import report_from_json, report_to_json, solution_csv, verify_to_json
-from quasieq.solver import verify_theorem_instance
+from quasieq.solver import EXTRA_CHECKS, verify_theorem_instance
 
 
 def _cli_child(argv: list) -> subprocess.CompletedProcess:
@@ -149,6 +149,17 @@ class TestVerifyCommand:
             ["closed_graph", "lsc", "convex_values", "condition_ii", "condition_iii", "condition_iv", "diagonal_zero"]
         )
 
+    def test_repeated_check_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        check = EXTRA_CHECKS["qccv_first"]
+        monkeypatch.setitem(EXTRA_CHECKS, "qccv_first", lambda *args: calls.append(args) or check(*args))
+        spec = tmp_path / "repeat.spec"
+        spec.write_text(_objective_spec("abs(x_1 - 0.25)") + "\n[checks]\nrun = qccv_first, qccv_first, qccv_first\n")
+        out = tmp_path / "repeat.json"
+        assert main(["verify", str(spec), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert "qccv_first" in json.loads(out.read_text())["checks"]
+
     def test_checks_run_refuses_a_theorem_check(self, tmp_path, capsys):
         spec = tmp_path / "variant.spec"
         spec.write_text(quasiconvex_variant_instance().serialize() + "\n[checks]\nrun = condition_ii\n")
@@ -176,6 +187,18 @@ class TestSolveCommand:
         rep = inst.solve(inst.config(points_per_axis=(101,)))
         text = report_to_json(rep)
         assert report_from_json(text) == rep
+
+    def test_exact_report_round_trips(self):
+        rep = get_instance("remark").solve()
+        assert report_from_json(report_to_json(rep)) == rep
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_carries_the_out_file_bytes(self, tmp_path, capsys, fmt):
+        out = tmp_path / "figure1.out"
+        assert main(["solve", "figure1", "--format", fmt, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "figure1", "--format", fmt]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_gap_column_empty_for_qvi(self, tmp_path):
         inst = qvi_instance(0)
@@ -229,6 +252,26 @@ class TestExitCodes:
         assert main(command + [flag, value]) == 2
         err = capsys.readouterr().err
         assert f"error: argument {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps", "abc"], "error: argument --eps: expected a number, got 'abc'"),
+            (["--grid", "5,5"], "error: --grid must have 1 or dim entries"),
+        ],
+    )
+    def test_bad_flag_value_names_the_fault(self, capsys, flags, message):
+        assert main(["solve", "figure1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_unread_spec_key_refused(self, tmp_path, capsys):
+        # vertex_3 without a vertex_2 is not read, so it is refused rather than dropped
+        text = _objective_spec("x_1").replace("kind = objective\nexpr = x_1", "kind = qvi_operator\nvertex_1 = 1\nvertex_3 = -1")
+        spec = tmp_path / "gap.spec"
+        spec.write_text(text)
+        assert main(["solve", str(spec)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: [payload] unknown key(s): vertex_3"]
 
     @pytest.mark.parametrize("old, new", [("grid = 2001", "grid = abc"), ("eps = 0.05", "eps = abc")])
     def test_bad_spec_number(self, tmp_path, capsys, old, new):

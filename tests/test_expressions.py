@@ -123,6 +123,8 @@ class TestParseAndEvaluate:
             ("min(x_1)", "min takes at least 2 arguments"),
             ("piecewise(x_1, 1, 2)", "expected a comparison operator, found ','"),
             ("(x_1 + 1", "expected ')', found end of input"),
+            ("abs(x_1 x_1)", "expected ')', found 'x_1'"),
+            ("piecewise(x_1", "expected a comparison operator, found end of input"),
         ],
     )
     def test_parse_error_names_the_fault(self, text, message):

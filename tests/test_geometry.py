@@ -114,6 +114,14 @@ class TestContains:
         with pytest.raises(InstanceDefinitionError):
             CompactBox((1.0,), (0.0,))
 
+    @pytest.mark.parametrize("lower, upper, message", [
+        ((0.0,) * 4, (1.0,) * 4, "dimension must be in 1..3, got 4"),
+        ((0.0,), (1.0, 1.0), "box bounds have mismatched dimensions"),
+    ])
+    def test_malformed_box_rejected(self, lower, upper, message):
+        with pytest.raises(InstanceDefinitionError, match=message):
+            CompactBox(lower, upper)
+
     @pytest.mark.parametrize("lower, upper", [
         ((0.0,), (0.0,)),
         ((0.5, 0.5), (0.5, 0.5)),
@@ -205,6 +213,10 @@ class TestGrid:
         with pytest.raises(InstanceDefinitionError):
             Grid(CompactBox((0.0,), (1.0,)), (1,))
 
+    def test_points_per_axis_of_the_wrong_length_rejected(self):
+        with pytest.raises(InstanceDefinitionError, match="points_per_axis does not match box dimension"):
+            Grid(CompactBox((0.0,), (1.0,)), (5, 5))
+
     def test_oversized_grid_refused_before_any_axis(self, monkeypatch):
         def no_axes(grid, k):
             raise AssertionError("an axis was built")
@@ -270,6 +282,15 @@ class TestConvexCombination:
             convex_combination(
                 [(Root2(0),), (Root2(1),)], [Fraction(1, 2), Fraction(1, 3)]
             )
+
+    @pytest.mark.parametrize("points, weights, message", [
+        ([(0.0,), (1.0,)], [1.0], "points and weights must have equal length"),
+        ([], [], "need at least one point"),
+        ([(0.0,), (1.0, 2.0)], [0.5, 0.5], "points have mismatched dimensions"),
+    ])
+    def test_malformed_points_rejected(self, points, weights, message):
+        with pytest.raises(ValueError, match=message):
+            convex_combination(points, weights)
 
 
 # -- the reference of pair_combination: the k-point function and the weights the segment probes gave it, verbatim --

@@ -545,6 +545,17 @@ class TestLoadValidation:
         with pytest.raises(InstanceDefinitionError):
             ConvexRegion((1.0,), (0.0,))
 
+    @pytest.mark.parametrize("bounds, variant, message", [
+        (2, "fancy", "unknown map variant 'fancy'"),
+        (2, "piecewise_moving_interval", "piecewise_moving_interval requires a 1-d domain"),
+        (1, "moving_box", "bound count does not match domain dimension"),
+    ])
+    def test_malformed_map_rejected(self, bounds, variant, message):
+        square = CompactBox((0.0, 0.0), (1.0, 1.0))
+        zero, one = parse_expression("0"), parse_expression("1")
+        with pytest.raises(InstanceDefinitionError, match=message):
+            SetValuedMap(square, [zero] * bounds, [one] * bounds, variant=variant)
+
 
 def _ladder_holds(radii: tuple, margin: float) -> bool:
     return len(radii) > 0 and all(b < a for a, b in zip(radii, radii[1:])) and margin > 0

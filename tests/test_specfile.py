@@ -1,6 +1,6 @@
 import pytest
 
-from quasieq.catalog import figure1_instance
+from quasieq.catalog import ProblemInstance, figure1_instance
 from quasieq.errors import InstanceDefinitionError, SpecError
 from quasieq.specfile import DEFAULT_EPS, DEFAULT_GRID, build_instance, load_spec
 
@@ -26,13 +26,22 @@ class TestLoadSpec:
         spec = load_spec(text)
         again = build_instance(spec, name="figure1")
         assert again.serialize() == text
-        assert spec.grid == (2001,)
+        assert spec.grid_default == (2001,)
+
+    def test_the_file_loads_into_one_instance(self):
+        spec = load_spec(MINIMAL + "\n[checks]\nrun = diagonal_zero\n")
+        assert isinstance(spec, ProblemInstance) and spec.name == "spec"
+        assert spec.checks_run == ("diagonal_zero",)
+        renamed = build_instance(spec, name="minimal")
+        assert renamed.name == "minimal" and spec.name == "spec"
+        assert (renamed.C, renamed.K, renamed.payload) == (spec.C, spec.K, spec.payload)
+        assert renamed.checks_run == spec.checks_run
 
     def test_defaults_applied(self):
         spec = load_spec(MINIMAL)
-        assert spec.grid == (DEFAULT_GRID,)
-        assert spec.eps == DEFAULT_EPS
-        assert spec.delta == 0.0
+        assert spec.grid_default == (DEFAULT_GRID,)
+        assert spec.eps_default == DEFAULT_EPS
+        assert spec.delta_default == 0.0
 
     def test_missing_section(self):
         with pytest.raises(SpecError):
@@ -89,6 +98,10 @@ class TestLoadSpec:
                 load_spec(text + line + "\n")
             assert "[checks]" in str(err.value) and flag in str(err.value)
 
+    def test_repeated_check_name_runs_once(self):
+        text = MINIMAL + "\n[checks]\nrun = qccv_first, qccv_first, diagonal_zero, qccv_first\n"
+        assert load_spec(text).checks_run == ("qccv_first", "diagonal_zero")
+
     def test_unknown_checks_key_rejected(self):
         with pytest.raises(SpecError) as err:
             load_spec(MINIMAL + "\n[checks]\nrun = condition_ii\nrepeat = 2\n")
@@ -132,6 +145,15 @@ class TestLoadSpec:
             ("kind = objective", "kind = qvi_operator\nvertex_1 = 1.0, 2.0", "[payload] vertex_1 must have 1 coordinate(s)"),
             ("kind = objective", "kind = qvi_operator", "[payload] qvi_operator needs at least vertex_1"),
             ("dim = 1", "dim = 1\ndim = 2", "bad problem definition"),
+            ("dim = 1", "dim = 1\nlower_2 = 0", "[domain] unknown key(s): lower_2"),
+            ("kind = constant", "kind = constant\nlower_1 = 0\nupper_1 = 1", "[map] unknown key(s): lower_1, upper_1"),
+            ("kind = objective", "kind = qvi_operator\nvertex_1 = 1", "[payload] unknown key(s): expr"),
+            (
+                "kind = objective\nexpr = abs(x_1 - 0.25)",
+                "kind = qvi_operator\nvertex_1 = 1\nvertex_3 = -1",
+                "[payload] unknown key(s): vertex_3",
+            ),
+            ("[payload]", "[solvr]\ngrid = 11\neps = 0.5\n\n[payload]", "unknown section(s): solvr"),
         ],
     )
     def test_refusal_names_the_fault(self, old, new, message):
