@@ -219,18 +219,6 @@ def _unclear(flagged: np.ndarray, *values: np.ndarray) -> np.ndarray:
     return flagged | ~np.isfinite(values).all(axis=0)
 
 
-def _scan(n: int, probe: Callable, unclear: Optional[np.ndarray]) -> tuple:
-    """(r + 1, witness) at the first r < n where probe(r) gives a witness, else (n, None).
-
-    Given a batch's ``unclear`` rows, probes those alone: the probe gives None at every other row.
-    """
-    for r in range(n) if unclear is None else np.flatnonzero(unclear).tolist():
-        w = probe(r)
-        if w is not None:
-            return r + 1, w
-    return n, None
-
-
 def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_SEED) -> ConditionReport:
     """Convexity of {x in C : f(x, y) >= 0} for sampled y.
 
@@ -380,9 +368,9 @@ def _segment_check(condition_id, f, plan, cost, violates, suspects) -> Condition
     ``plan`` gives chunks (points, rows, lams, spent) in turn: row r probes the points ``points[i] for i in
     rows[r]`` at ``lams[r]``, the last two being the segment's ends and any before them held fixed, and ``spent``
     counts the f-values that planning the chunk took.  ``violates(*points, lam, tol)`` evaluates f ``cost`` times
-    and returns a witness or None; its arguments are read row by row, in ``_scan``'s order.  Where f has a batch
-    form, ``suspects(values, *columns, mid, tol)`` evaluates a chunk with it and gives the rows where ``violates``
-    is run.
+    and returns a witness or None; its arguments are read row by row, in ``sampling.first_witness``'s order.  Where
+    f has a batch form, ``suspects(values, *columns, mid, tol)`` evaluates a chunk with it and gives the rows where
+    ``violates`` is run.
     """
     tol = sampling.tolerance(f.domain.is_exact)
     batch = _pair_values(f)
@@ -394,7 +382,7 @@ def _segment_check(condition_id, f, plan, cost, violates, suspects) -> Condition
             columns = [P[:, rows[:, c]] for c in range(rows.shape[1])]
             unclear = suspects(batch, *columns, _midpoints(*columns[-2:], np.array(lams)), tol)
             probes = ((*(points[i] for i in rows[r]), lams[r]) for r in np.flatnonzero(unclear).tolist())
-        n, w = _scan(len(rows), lambda r: violates(*next(probes), tol), unclear)
+        n, w = sampling.first_witness(len(rows), lambda r: violates(*next(probes), tol), unclear)
         samples += spent + cost * n
         if w is not None:
             return ConditionReport(condition_id, FAIL, w, samples, tol)
@@ -469,7 +457,7 @@ def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
         return None if abs(v) <= tol else {"x": x, "f_value": v}
 
     batch = _pair_values(f)
-    samples, w = _scan(X.shape[1], violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
+    samples, w = sampling.first_witness(X.shape[1], violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
     if w is not None:
         return ConditionReport("diagonal_zero", FAIL, w, samples, tol)
     return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND, None, samples, tol)

@@ -121,6 +121,8 @@ class ProblemInstance:
         lines.append(f"eps = {self.eps_default!r}")
         lines.append(f"delta = {self.delta_default!r}")
         lines.append("")
+        if self.checks_run != tuple(EXTRA_CHECKS):  # a default instance keeps its bytes: no [checks]
+            lines += ["[checks]", "run = " + ", ".join(self.checks_run), ""]
         return "\n".join(lines)
 
 

@@ -1,15 +1,14 @@
-"""Sampling plans for the hypothesis falsifiers.
+"""Sampling plans for the hypothesis falsifiers, and the replays of what a batch cannot settle.
 
-Every sampling decision of the checkers in ``setmap``, ``bifunction`` and
-``solver.smap_closed_graph_probe`` is made here: budgets, lattices, radius
-ladders and margins, tolerances, seeds and every seeded draw.  A checker's
-only sampling parameters are ``trials`` and ``seed``; it evaluates what a
-plan names.  Plans are lazy: a draw happens when the checker reaches it, or
-reaches the chunk of probes that holds it, so each checker's RNG calls come in
-one fixed order.  The segment plans (``segment_plan``, ``probe_chunk`` and
-``level_set_plan``) give chunks (points, rows, lams, spent), the one form that
-``bifunction._segment_check`` reads.  The budgets set the witnesses: changing
-one changes reports.
+Every sampling decision of the checkers in ``setmap``, ``bifunction`` and ``solver.smap_closed_graph_probe`` is
+made here: budgets, lattices, radius ladders and margins, tolerances, seeds and every seeded draw.  A checker's only
+sampling parameters are ``trials`` and ``seed``; it evaluates what a plan names.  Plans are lazy: a draw happens
+when the checker reaches it, or reaches the chunk of probes that holds it, so each checker's RNG calls come in one
+fixed order.  The segment plans (``segment_plan``, ``probe_chunk`` and ``level_set_plan``) give chunks (points,
+rows, lams, spent), the one form that ``bifunction._segment_check`` reads.  ``settle_ladders`` yields the ladders
+the loop must run, and ``first_witness`` scans the probes a batch could not clear, in the loop's order: the one
+scan of ``_segment_check``, ``check_diagonal_zero`` and ``setmap.check_convex_values``.  The budgets set the
+witnesses: changing one changes reports.
 """
 
 from __future__ import annotations
@@ -292,6 +291,18 @@ def settle_ladders(table: np.ndarray, jittered: Callable, stream: DrawStream, pe
         stream.cursor = start + per_rung * int(rungs[:b].sum())
         loop[i + b:min(i + b + 1, end)] = True  # the ladder a random candidate carries on, if one does
         i += b
+
+
+def first_witness(n: int, probe: Callable, unclear: Optional[np.ndarray]) -> tuple:
+    """(r + 1, witness) at the first r < n where probe(r) gives a witness, else (n, None).
+
+    Given a batch's ``unclear`` rows, probes those alone: the probe gives None at every other row.
+    """
+    for r in range(n) if unclear is None else np.flatnonzero(unclear).tolist():
+        w = probe(r)
+        if w is not None:
+            return r + 1, w
+    return n, None
 
 
 def random_point(C: CompactBox, rng: random.Random) -> Point:

@@ -1,11 +1,11 @@
 """Set-valued constraint maps K: C => C with box-shaped images.
 
-Images are per-axis intervals (clipped to the domain box), so convexity of
-values is structural.  The topological hypothesis checks are sampled
-falsifiers: they return a concrete violation witness or NO_VIOLATION_FOUND,
-never a proof.  They take no sampling parameters: their lattices, radius
-ladders, margins, budgets and seeds are ``sampling``'s.  closed_graph and lsc
-share one ladder driver, ``_ladder_check``, with one table of ladders a check.
+Images are per-axis intervals (clipped to the domain box), so convexity of values is structural; one core,
+``SetValuedMap._bounds``, evaluates a batch of them for the solvers and the ladders alike.  The topological
+hypothesis checks are sampled falsifiers: they return a concrete violation witness or NO_VIOLATION_FOUND, never
+a proof.  They take no sampling parameters: their lattices, radius ladders, margins, budgets and seeds are
+``sampling``'s.  closed_graph and lsc share one ladder driver, ``_ladder_check``, with one table of ladders a
+check; convex_values replays the probes its batch flags through ``sampling.first_witness``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .geometry import (
     grid_coords,
     point_columns,
     point_distance,
-    require_finite,
 )
 
 FAIL = "FAIL"
@@ -129,6 +128,27 @@ class SetValuedMap:
             hi.append(b)
         return ConvexRegion(tuple(lo), tuple(hi))
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite bounds are flagged instead
+    def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``bounds_batch``'s (lo, hi), with no raise, and per point whether every bound was finite before clipping."""
+        box = self.domain
+        lo, hi = np.empty(X.shape, dtype=X.dtype), np.empty(X.shape, dtype=X.dtype)
+        if all(isinstance(fn, Expression) for fn in self.lower_fns + self.upper_fns):
+            for k in range(box.dim):
+                lo[k] = self.lower_fns[k].eval_batch(X)
+                hi[k] = self.upper_fns[k].eval_batch(X)
+        else:
+            for i, x in enumerate(zip(*X.tolist())):
+                for k in range(box.dim):
+                    lo[k, i] = self.lower_fns[k](x)
+                    hi[k, i] = self.upper_fns[k](x)
+        finite = np.ones(X.shape[1], dtype=bool)
+        if X.dtype != object:  # a Root2 is always finite; before clipping, which would turn an infinite bound finite
+            finite = np.isfinite(lo).all(axis=0) & np.isfinite(hi).all(axis=0)
+        np.maximum(lo, np.asarray(box.lower, dtype=X.dtype)[:, None], out=lo)
+        np.minimum(hi, np.asarray(box.upper, dtype=X.dtype)[:, None], out=hi)
+        return lo, hi, finite
+
     def bounds_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Clipped bounds (lo, hi), X's shape and dtype, at the points of X, a (dim, N) array in the domain's scalars.
 
@@ -139,25 +159,12 @@ class SetValuedMap:
         non-finite bound (before clipping), then InstanceDefinitionError at the first
         point whose image is empty, each naming that point.
         """
-        box = self.domain
-        lo = np.empty(X.shape, dtype=X.dtype)
-        hi = np.empty(X.shape, dtype=X.dtype)
-        if all(isinstance(fn, Expression) for fn in self.lower_fns + self.upper_fns):
-            for k in range(box.dim):
-                lo[k] = self.lower_fns[k].eval_batch(X)
-                hi[k] = self.upper_fns[k].eval_batch(X)
-        else:
-            for i, x in enumerate(zip(*X.tolist())):
-                for k in range(box.dim):
-                    lo[k, i] = self.lower_fns[k](x)
-                    hi[k, i] = self.upper_fns[k](x)
-        require_finite("a map bound", X, lo, hi)  # before clipping, which would turn an infinite bound finite
-        np.maximum(lo, np.asarray(box.lower, dtype=X.dtype)[:, None], out=lo)
-        np.minimum(hi, np.asarray(box.upper, dtype=X.dtype)[:, None], out=hi)
-        empty = np.flatnonzero((lo > hi).any(axis=0))
-        if empty.size:
-            x = tuple(X[:, empty[0]].tolist())
-            raise InstanceDefinitionError(f"image of grid point {x} is empty after clipping")
+        lo, hi, finite = self._bounds(X)
+        if not finite.all():
+            raise NonFiniteValueError(f"a map bound is not finite at grid point {tuple(X[:, finite.argmin()].tolist())}")
+        empty = (lo > hi).any(axis=0)
+        if empty.any():
+            raise InstanceDefinitionError(f"image of grid point {tuple(X[:, empty.argmax()].tolist())} is empty after clipping")
         return lo, hi
 
 
@@ -273,15 +280,10 @@ def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_
     if n == 0 or box.is_exact or K.member_predicate is not None or not all(isinstance(fn, Expression) for fn in bounds):
         return range(n)
     dim, radii_col, centres = box.dim, np.array(radii)[:, None], point_columns(xs, float).T[:, None]
-    lower, upper = np.array(box.lower)[:, None], np.array(box.upper)[:, None]
 
-    @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is replayed by the loop instead
-    def images(X):
-        raw = np.empty((2 * dim, X.shape[1]))
-        for k, fn in enumerate(bounds):
-            raw[k] = fn.eval_batch(X)
-        lo, hi = np.maximum(raw[:dim], lower), np.minimum(raw[dim:], upper)
-        return lo, hi, np.isfinite(raw).all(axis=0) & (lo <= hi).all(axis=0)
+    def images(X):  # a non-finite bound or an empty image is replayed by the loop instead
+        lo, hi, finite = K._bounds(X)
+        return lo, hi, finite & (lo <= hi).all(axis=0)
 
     lo, hi, ok = images(point_columns([p for x in xs for r in radii for p in [x] + sampling.axis_moves(x, r, box)]))
     shape = (dim, len(xs), len(radii), 1 + 2 * dim)  # a rung: x, then its axis moves
@@ -397,29 +399,30 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
 
     Samples y1, y2 in K(x) and lambda in (0,1) and verifies the combination is
     a member.  Box values pass structurally; a member predicate can break it.
-    Without one, each x's probes run in one batch, and the loop gives a FAIL.
+    Without one, each x's probes are screened in one batch, and only those it
+    does not show inside are replayed through ``sampling.first_witness``.
     """
-    rng = random.Random(sampling.PROBE_SEED + 2)
-    snap = K.domain.snap()
-    samples = 0
+    rng, snap, samples = random.Random(sampling.PROBE_SEED + 2), K.domain.snap(), 0
     for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
         pts = _member_samples(K, x_map, lo, hi, grid)
         lams = sampling.lambdas(False, rng, extra=sampling.SEGMENT_EXTRA_LAMBDAS)
         pairs = list(itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS))
+        unclear = None
         if K.member_predicate is None and pairs:
             lam = np.array(lams)[:, None, None]
             mid = lam * np.array([y1 for y1, _ in pairs]) + (1.0 - lam) * np.array([y2 for _, y2 in pairs])
-            if (np.maximum(np.array(lo) - mid, mid - np.array(hi)).max(axis=2) <= snap).all():
-                samples += len(pairs) * len(lams)
-                continue
-        for y1, y2 in pairs:
-            for lam in lams:
-                samples += 1
-                mid = tuple(lam * a + (1.0 - lam) * b for a, b in zip(y1, y2))
-                inside = box_distance(lo, hi, mid) <= snap
-                if inside and K.member_predicate is not None:
-                    inside = K.member_predicate(x_map, mid)
-                if not inside:
-                    witness = {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
-                    return TopologyProbeReport(FAIL, witness, (), samples)
+            unclear = (~(np.maximum(np.array(lo) - mid, mid - np.array(hi)).max(axis=2) <= snap)).T.ravel()
+
+        def probe(r):  # row r is pair r // len(lams) at lambda r % len(lams): the loop's order, pair first
+            (y1, y2), lam = pairs[r // len(lams)], lams[r % len(lams)]
+            mid = tuple(lam * a + (1.0 - lam) * b for a, b in zip(y1, y2))
+            inside = box_distance(lo, hi, mid) <= snap
+            if inside and K.member_predicate is not None:
+                inside = K.member_predicate(x_map, mid)
+            return None if inside else {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
+
+        n, witness = sampling.first_witness(len(pairs) * len(lams), probe, unclear)
+        samples += n
+        if witness is not None:
+            return TopologyProbeReport(FAIL, witness, (), samples)
     return TopologyProbeReport(NO_VIOLATION_FOUND, None, (), samples)

@@ -325,10 +325,11 @@ def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> Solv
     X = grid_coords(grid)
     table = _objective_table(h, grid, X)
     fixed, residuals, spans, degenerate = _fixed_points(K, cfg, X)
-    gaps = _all_finite("the gap", table.ravel()[fixed] - _range_minima(table, spans), grid, fixed)
-    chosen = np.flatnonzero(gaps <= cfg.eps_value)
+    gaps = table.ravel()[fixed] - _range_minima(table, spans)
+    floats = _all_finite("the gap", gaps, grid, fixed)
+    chosen = np.flatnonzero(gaps <= cfg.eps_value)  # exact on exact grids
     records = [
-        SolutionRecord(x, float(residuals[j]), float(-gaps[j]), gap=float(gaps[j]))
+        SolutionRecord(x, float(residuals[j]), float(-floats[j]), gap=float(floats[j]))
         for j, x in zip(chosen, grid.points_at(fixed[chosen]))
     ]
     return SolveReport(
@@ -336,7 +337,7 @@ def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> Solv
         solutions=tuple(records),
         config=cfg.echo(),
         # the first minimum by index: a 0.0/-0.0 tie keeps the sign of the first
-        min_gap_over_fixed_points=float(gaps[np.argmin(gaps)]) if len(gaps) else None,
+        min_gap_over_fixed_points=float(floats[np.argmin(gaps)]) if len(gaps) else None,
         degenerate_points=degenerate,
         wall_time=time.perf_counter() - start,
     )

@@ -26,8 +26,9 @@
 
 Each section takes only the keys shown that its kind needs (no bounds for a
 constant map; ``vertex_1``, ``vertex_2``, ... in place of ``expr`` for a
-qvi_operator) and [domain] ``scalar``, whose ``exact`` is refused: a key or
-section that ``load_spec`` does not read is a SpecError naming it.  All
+qvi_operator) and [domain] ``scalar``, which must be ``real`` (``exact`` is
+refused with its own message): a key or section that ``load_spec`` does not
+read is a SpecError naming it, a ``[DEFAULT]`` section too.  All
 expressions parse and type-check (variable indices against the declared
 dimension) and every number parses before anything is evaluated; a malformed
 value is a SpecError naming its section and key.  [checks] ``run`` names
@@ -113,7 +114,8 @@ def _refuse_unread(section: configparser.SectionProxy, read: set[str]) -> None:
 
 def load_spec(text: str) -> ProblemInstance:
     """Parse and check a problem-definition document, then build its instance, named ``spec``."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no header names the default section "": [DEFAULT] is an ordinary section, refused as unknown
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -122,8 +124,11 @@ def load_spec(text: str) -> ProblemInstance:
     if "domain" not in cp:
         raise SpecError("missing [domain] section")
     dom = cp["domain"]
-    if dom.get("scalar", "real").strip() == "exact":
+    scalar = dom.get("scalar", "real").strip()
+    if scalar == "exact":
         raise SpecError("exact-kind instances are expressible only via catalog names")
+    if scalar != "real":
+        raise SpecError(f"[domain] scalar must be real, got {scalar!r}")
     _refuse_unread(dom, {"scalar", "dim", "lower", "upper"})
     try:
         dim = int(dom.get("dim", ""))

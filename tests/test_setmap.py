@@ -420,6 +420,11 @@ _DIFFERENTIAL_MAPS = {
         _expression_map(CompactBox((0.0,), (1.0,)), ["0"], ["piecewise(abs(x_1 - 0.015) < 0.005, power(x_1 * 1e200, 2), 0.6)"]),
         (101,),
     ),
+    # the image is empty in (0.01, 0.02), between lattice points: both checkers raise at a random candidate
+    "empty-image": lambda: (
+        _expression_map(CompactBox((0.0,), (1.0,)), ["0"], ["piecewise(abs(x_1 - 0.015) < 0.005, -1, 0.6)"]),
+        (101,),
+    ),
 }
 
 
@@ -454,11 +459,34 @@ class TestTopologyBatchDifferential:
             ("step-then-overflow", check_closed_graph, NonFiniteValueError),
             ("overflow-at-0", check_lsc, NonFiniteValueError),
             ("overflow-at-0", check_closed_graph, NonFiniteValueError),
+            ("empty-image", check_lsc, InstanceDefinitionError),
+            ("empty-image", check_closed_graph, InstanceDefinitionError),
         ],
     )
     def test_cases_reach_their_outcome(self, name, check, outcome):
         K, ppa = _DIFFERENTIAL_MAPS[name]()
         assert _outcome(check, K, Grid(K.domain, ppa))[0] == outcome
+
+    @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_MAPS))
+    def test_bounds_core_flags_the_points_evaluate_refuses(self, name):
+        # the one batch bounds path of the ladders and of bounds_batch: 1-D at 1001 points reaches every overflow
+        K, _ppa = _DIFFERENTIAL_MAPS[name]()
+        X = grid_coords(Grid(K.domain, {1: (1001,), 2: (41, 41), 3: (9, 9, 9)}[K.domain.dim]))
+        lo, hi, finite = K._bounds(X)
+        ok = finite & (lo <= hi).all(axis=0)
+        for i, x in enumerate(zip(*X.tolist())):
+            try:
+                region = K.evaluate(x)
+            except QuasieqError:
+                assert not ok[i], x
+                continue
+            assert ok[i] and (region.lower, region.upper) == (tuple(lo[:, i]), tuple(hi[:, i])), x
+        assert ok.any()
+        kept_lo, kept_hi = K.bounds_batch(X[:, ok])
+        assert np.array_equal(kept_lo, lo[:, ok]) and np.array_equal(kept_hi, hi[:, ok])
+        if not ok.all():
+            with pytest.raises(QuasieqError):
+                K.bounds_batch(X)
 
     def test_a_random_candidate_hit_replays_the_loop(self, monkeypatch):
         K, ppa = _DIFFERENTIAL_MAPS["random-2d-3110@401"]()
@@ -625,6 +653,14 @@ _CONVEX_MAPS = {
         SetValuedMap(_EXACT_UNIT2, [lambda x: Root2(Fraction(1, 10))] * 2, [lambda x: Root2(Fraction(7, 10))] * 2),
         (5, 5),
     ),
+    # far from the origin the snap, 1e-12 x the diameter, is below an ulp (~1.2e-10): a float FAIL through the batch
+    # screen, at sample 388, as the loop gives it
+    "off-origin": lambda: (
+        _expression_map(
+            CompactBox((1e6, 1e6), (1e6 + 1, 1e6 + 1)), ["1000000.1", "x_1 - 0.25"], ["1000000.7", "x_1 + 0.25"]
+        ),
+        (11, 11),
+    ),
     # the loop alone: a member predicate, which breaks convexity
     "union": lambda: (
         SetValuedMap(CompactBox((0.0,), (1.0,)), [lambda x: 0.0], [lambda x: 1.0],
@@ -648,6 +684,18 @@ class TestConvexValuesBatchDifferential:
         grid = Grid(K.domain, ppa)
         counts = {len(_member_samples(K, x_map, lo, hi, grid)) for _, x_map, lo, hi in sampling.lattice_regions(K, grid)}
         assert counts == {1, 7}
-        for name in ("exact-rounding", "union"):
+        for name in ("exact-rounding", "union", "off-origin"):
             K, ppa = _CONVEX_MAPS[name]()
             assert check_convex_values(K, Grid(K.domain, ppa)).verdict == FAIL
+
+    def test_only_the_flagged_probes_replay(self, monkeypatch):
+        # the batch screens every probe; the loop's scan runs over the rows it does not show inside, not all of them
+        K, ppa = _CONVEX_MAPS["off-origin"]()
+        scanned = []
+        first_witness = sampling.first_witness
+        monkeypatch.setattr(
+            sampling, "first_witness", lambda n, probe, unclear: scanned.append((n, unclear)) or first_witness(n, probe, unclear)
+        )
+        assert check_convex_values(K, Grid(K.domain, ppa)).samples_used == 388
+        assert all(unclear is not None for _n, unclear in scanned)
+        assert sum(int(unclear.sum()) for _n, unclear in scanned) < sum(n for n, _unclear in scanned)

@@ -525,6 +525,18 @@ class TestLemmaEquivalence:
             inst = random_instance(seed, 1 if seed % 3 else 2)
             assert check_lemma_equivalence(inst.payload, inst.K, inst.config())
 
+    def test_exact_gap_decides_where_its_float_has_the_wrong_sign(self):
+        # h(0) = a + b sqrt(2) with a**2 - 2 b**2 = 1: about 4.9e-16 > 0, but its float() cancels to -0.125
+        pell = Root2(1023286908188737, -723573111879672)
+        assert pell > 0 and float(pell) == -0.125
+        box = CompactBox((Root2(0),), (Root2(1),))
+        h = ObjectiveFunction(lambda x: pell if x[0] == 0 else Root2(0))
+        cfg = SolverConfig(Grid(box, (3,)), 0.0, 0.0)
+        rep = solve_qopt(h, SetValuedMap.constant(box), cfg)
+        assert [r.point for r in rep.solutions] == grid_points(cfg.grid)[1:]
+        assert rep.min_gap_over_fixed_points == 0.0
+        assert check_lemma_equivalence(h, SetValuedMap.constant(box), cfg)
+
 
 class TestVerifyTheoremInstance:
     def test_parabola_all_clean_nonempty(self):
@@ -642,10 +654,10 @@ class TestSolverInvariants:
         assert a.solutions
         assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, r.min_f) for r in b.solutions]
         if case.startswith("exact-tiny"):
-            # QEP compares the exact minimum with -eps, QOpt the gap rounded to a float;
+            # QEP compares the exact minimum with -eps, QOpt the exact gap with eps;
             # only 0 and 1/16 hold no grid point below themselves in their images
             assert [r.point for r in a.solutions] == grid_points(cfg.grid)[:2]
-            assert [r.point for r in q.solutions] == grid_points(cfg.grid)
+            assert [r.point for r in q.solutions] == grid_points(cfg.grid)[:2]
         else:
             assert [(r.point, r.min_f) for r in a.solutions] == [(r.point, -r.gap) for r in q.solutions]
 

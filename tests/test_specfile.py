@@ -69,6 +69,26 @@ class TestLoadSpec:
             load_spec(bad)
         assert "catalog" in str(err.value)
 
+    @pytest.mark.parametrize("scalar", ["complex", "float", "Real", ""])
+    def test_scalar_loads_only_as_real(self, scalar):
+        assert load_spec(MINIMAL.replace("dim = 1", "dim = 1\nscalar = real")).C == load_spec(MINIMAL).C
+        with pytest.raises(SpecError) as err:
+            load_spec(MINIMAL.replace("dim = 1", f"dim = 1\nscalar = {scalar}"))
+        assert str(err.value) == f"[domain] scalar must be real, got {scalar!r}"
+
+    @pytest.mark.parametrize("checks_run", [("diagonal_zero",), ("qccv_first", "qcvx_second"), ()])
+    def test_serialize_writes_the_checks_it_loaded(self, checks_run):
+        text = MINIMAL + "\n[checks]\nrun = " + ", ".join(checks_run) + "\n"
+        spec = load_spec(text)
+        assert spec.checks_run == checks_run
+        again = load_spec(spec.serialize())
+        assert again.checks_run == checks_run and again.serialize() == spec.serialize()
+
+    def test_default_checks_serialize_without_a_checks_section(self):
+        spec = load_spec(MINIMAL)
+        assert "[checks]" not in spec.serialize()
+        assert load_spec(spec.serialize()).checks_run == spec.checks_run
+
     def test_parse_error_carries_context(self):
         bad = MINIMAL.replace("abs(x_1 - 0.25)", "abs(x_1 - )")
         with pytest.raises(SpecError) as err:
@@ -154,6 +174,7 @@ class TestLoadSpec:
                 "[payload] unknown key(s): vertex_3",
             ),
             ("[payload]", "[solvr]\ngrid = 11\neps = 0.5\n\n[payload]", "unknown section(s): solvr"),
+            ("[domain]", "[DEFAULT]\ngrid = 11\n\n[domain]", "unknown section(s): DEFAULT"),
         ],
     )
     def test_refusal_names_the_fault(self, old, new, message):
