@@ -278,15 +278,33 @@ def check_condition_iii(
     rep = _segment_check("iii", f, [chunk], 2, lambda a, b, lam, _: violates((a, b), (lam, 1 - lam)), suspects)
     if rep.verdict == FAIL:
         return rep
-    samples, rng = rep.samples_used, random.Random(seed + 1)
+    rng = random.Random(seed + 1)  # this check's own: every subset is drawn before any is probed
     pool = lattice + sampling.random_points(C, rng, sampling.SUBSET_POOL_EXTRA)
-    for _ in range(trials):
-        subset, weights = sampling.random_subset(pool, rng, exact)
-        w = violates(subset, weights)
-        samples += len(subset)
-        if w is not None:
-            return ConditionReport("iii", FAIL, w, samples, tol)
-    return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
+    picks, weights = zip(*(sampling.random_subset(len(pool), rng, exact) for _ in range(trials)))
+    batch = _pair_values(f)
+    unclear = None if batch is None else _subset_suspects(batch, pool, picks, weights, tol)
+    n, w = sampling.first_witness(trials, lambda r: violates(tuple(pool[i] for i in picks[r]), weights[r]), unclear)
+    samples = rep.samples_used + sum(map(len, picks[:n]))
+    return ConditionReport("iii", NO_VIOLATION_FOUND if w is None else FAIL, w, samples, tol)
+
+
+def _subset_suspects(values: Callable, pool: list, picks: tuple, weights: tuple, tol: float) -> np.ndarray:
+    """The random subsets of condition_iii that a batch cannot clear: max_i f(x, x_i) < -tol, a value not finite,
+    or weights that ``convex_combination`` refuses.  x is formed with its float operations, in its order, and is
+    the first point itself where every point equals it.  A subset is padded with its first point, weight 0."""
+    size, k = np.array([len(p) for p in picks]), sampling.SUBSET_SIZE_MAX
+    live = np.arange(k) < size[:, None]
+    I, W = np.array([p + p[:1] * (k - len(p)) for p in picks]), np.array([w + (0.0,) * (k - len(w)) for w in weights])
+    Y = point_columns(pool, float)[:, I]  # (dim, subsets, k)
+    X, total = Y[:, :, 0] * W[:, 0], W[:, 0]
+    for j in range(1, k):
+        X, total = np.where(live[:, j], X + Y[:, :, j] * W[:, j], X), np.where(live[:, j], total + W[:, j], total)
+    X = np.where((Y == Y[:, :, :1]).all(axis=(0, 2)), Y[:, :, 0], X)
+    V = values(np.broadcast_to(X[:, :, None], Y.shape), Y)
+    worst = V[:, 0]
+    for j in range(1, k):  # Python's max: padding repeats the first value, which never replaces it
+        worst = np.where(V[:, j] > worst, V[:, j], worst)
+    return _unclear((worst < -tol) | (W < 0).any(axis=1) | (np.abs(total - 1.0) > 1e-12), *V.T)
 
 
 def _pair_ladders(values: Callable, P: np.ndarray, radii: tuple, C: CompactBox, rng: sampling.DrawStream) -> tuple:
@@ -408,15 +426,12 @@ def check_quasiconvex_second(
         v_mid, v1, v2 = values(x, mid), values(x, y1), values(x, y2)
         return _unclear(_above_max(v_mid, v1, v2, tol), v_mid, v1, v2)
 
-    def draw(rng):
-        return sampling.random_points(C, rng, 3)  # x, y1, y2
-
     exact, lead = f.domain.is_exact, []
     if exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
         xs = sampling.box_lattice(C)[: sampling.SQRT2_LEAD_POINTS]
         probes = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
         lead = [sampling.probe_chunk(probes)]
-    plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed + 3), exact, trials, draw)
+    plan = sampling.segment_plan(C, random.Random(seed + 3), exact, trials, (0, 1, 2))  # x, y1, y2 drawn in turn
     return _segment_check("qcvx_second", f, itertools.chain(lead, plan), 3, violates, suspects)
 
 
@@ -439,11 +454,7 @@ def check_quasiconcave_first(
         v_mid, v1, v2 = values(mid, y), values(x1, y), values(x2, y)
         return _unclear(_below_min(v_mid, v1, v2, tol), v_mid, v1, v2)
 
-    def draw(rng):
-        x1, x2, y = sampling.random_points(C, rng, 3)
-        return y, x1, x2
-
-    plan = sampling.segment_plan(sampling.box_lattice(C), random.Random(seed + 4), f.domain.is_exact, trials, draw)
+    plan = sampling.segment_plan(C, random.Random(seed + 4), f.domain.is_exact, trials, (2, 0, 1))  # x1, x2, y drawn
     return _segment_check("qccv_first", f, plan, 3, violates, suspects)
 
 

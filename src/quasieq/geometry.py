@@ -138,7 +138,11 @@ class Root2:
 
     def __float__(self) -> float:
         p, q, d = self._t
-        return p / d + q / d * 1.4142135623730951  # float(a) + float(b) * sqrt(2)
+        r = p / d + q / d * 1.4142135623730951  # float(a) + float(b) * sqrt(2)
+        if abs(r) > 2**-40 * max(abs(p / d), abs(q / d)) and (r > 0) - (r < 0) == _sign(p, q):
+            return r
+        k = 2 * max(p.bit_length(), q.bit_length()) + 64  # the terms cancel: round p + q*sqrt(2) from integers
+        return float(Fraction((p << k) + (1 if q > 0 else -1) * math.isqrt(2 * q * q << 2 * k), d << k))
 
     def __repr__(self) -> str:
         return f"Root2({self.a!r}, {self.b!r})"

@@ -2,12 +2,12 @@
 
 Every sampling decision of the checkers in ``setmap``, ``bifunction`` and ``solver.smap_closed_graph_probe`` is
 made here: budgets, lattices, radius ladders and margins, tolerances, seeds and every seeded draw.  A checker's only
-sampling parameters are ``trials`` and ``seed``; it evaluates what a plan names.  Plans are lazy: a draw happens
-when the checker reaches it, or reaches the chunk of probes that holds it, so each checker's RNG calls come in one
-fixed order.  The segment plans (``segment_plan``, ``probe_chunk`` and ``level_set_plan``) give chunks (points,
-rows, lams, spent), the one form that ``bifunction._segment_check`` reads.  ``settle_ladders`` yields the ladders
-the loop must run, and ``first_witness`` scans the probes a batch could not clear, in the loop's order: the one
-scan of ``_segment_check``, ``check_diagonal_zero`` and ``setmap.check_convex_values``.  The budgets set the
+sampling parameters are ``trials`` and ``seed``; it evaluates what a plan names.  Plans are lazy: a chunk's draws
+happen together, float ones in one ``floats`` call, when the checker reaches the chunk, so each checker's RNG calls
+come in one fixed order.  The segment plans (``segment_plan``, ``probe_chunk`` and ``level_set_plan``) give chunks
+(points, rows, lams, spent), the one form that ``bifunction._segment_check`` reads.  ``settle_ladders`` yields the
+ladders the loop must run, and ``first_witness`` scans the probes a batch could not clear, in the loop's order: the
+one scan of ``_segment_check``, ``check_diagonal_zero`` and ``setmap.check_convex_values``.  The budgets set the
 witnesses: changing one changes reports.
 """
 
@@ -41,6 +41,9 @@ SQRT2_LEAD_POINTS = 4
 #: convex_values: point pairs per image, and random lambdas after 1/2, 1/4, 3/4.
 SEGMENT_PAIRS = 64
 SEGMENT_EXTRA_LAMBDAS = 3
+
+#: The most rows of one batch chunk: ``segment_plan``'s lattice chunks and ``setmap``'s ladder tables.
+CHUNK_ROWS = 2**13
 
 #: Slack of the bifunction checkers' f-value comparisons on float domains (exact domains use 0).
 FLOAT_TOL = 1e-9
@@ -242,6 +245,16 @@ def pair_ball_candidates(xf: tuple, yf: tuple, r: float, box: CompactBox, rng: r
 # -- seeded draws -----------------------------------------------------------
 
 
+def floats(rng: random.Random, n: int) -> np.ndarray:
+    """The next n values of ``rng.random()`` at once, bit for bit, leaving rng's state where those n calls would.
+
+    ``getrandbits`` packs the Mersenne Twister's 32-bit words first word lowest, and each pair of words is decoded
+    as CPython's ``random()`` (``genrand_res53``) does.  ``DrawStream`` does not override ``getrandbits``.
+    """
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 class DrawStream(random.Random):
     """A seeded ``random.Random`` whose ``random()`` values from position ``base`` on are kept: the loop draws at
     ``cursor``, a batch reads a stretch from there (``take``) and sets ``cursor`` where the loop resumes, never
@@ -256,9 +269,9 @@ class DrawStream(random.Random):
 
     def take(self, n: int) -> np.ndarray:
         """The next n values, moving the cursor past them; values are drawn ahead, in blocks."""
-        at, draw = self.cursor - self.base, super().random
+        at = self.cursor - self.base
         if at + n > len(self.kept):  # the values before the cursor are never read again
-            fresh = [draw() for _ in range(at + n - len(self.kept) + 1024)]
+            fresh = floats(self, at + n - len(self.kept) + 1024)
             self.kept, self.base, at = np.concatenate([self.kept[at:], fresh]), self.cursor, 0
         self.cursor += n
         return self.kept[at:at + n]
@@ -305,40 +318,44 @@ def first_witness(n: int, probe: Callable, unclear: Optional[np.ndarray]) -> tup
     return n, None
 
 
-def random_point(C: CompactBox, rng: random.Random) -> Point:
-    """A uniform point of C; on exact boxes a multiple of 1/256 of each side."""
-    out = []
-    for lo, hi in zip(C.lower, C.upper):
-        if isinstance(lo, Root2):
-            t = Fraction(rng.randrange(0, 257), 256)
-            out.append(lo + (hi - lo) * Root2(t))
-        else:
-            out.append(rng.uniform(lo, hi))
-    return tuple(out)
+def _box_points(C: CompactBox, u: np.ndarray) -> list:
+    """The points of the float box C at the rows of draws u in [0, 1): ``uniform(lo, hi)`` of each coordinate."""
+    lo, hi = np.array(C.lower, dtype=float), np.array(C.upper, dtype=float)
+    return list(map(tuple, (lo + (hi - lo) * u.reshape(-1, C.dim)).tolist()))
 
 
 def random_points(C: CompactBox, rng: random.Random, n: int) -> list:
-    """n points drawn one after another by ``random_point``."""
-    return [random_point(C, rng) for _ in range(n)]
+    """n uniform points of C, drawn one after another; on exact boxes a multiple of 1/256 of each side."""
+    if C.is_exact:
+        return [tuple(lo + (hi - lo) * Root2(Fraction(rng.randrange(0, 257), 256)) for lo, hi in zip(C.lower, C.upper))
+                for _ in range(n)]
+    return _box_points(C, floats(rng, n * C.dim))
 
 
-def lambdas(exact: bool, rng: random.Random, extra: int = 2) -> list:
-    """1/2, 1/4, 3/4, then ``extra`` random weights in (0, 1), on exact domains entries of ``_SIXTY_FOURTHS``."""
+def float_lambdas(u: np.ndarray) -> list:
+    """Per row of draws u: 1/2, 1/4, 3/4, then ``uniform(0.05, 0.95)`` of each draw; one flat list."""
+    fixed = np.broadcast_to([0.5, 0.25, 0.75], (len(u), 3))
+    return np.hstack([fixed, 0.05 + (0.95 - 0.05) * u]).ravel().tolist()
+
+
+def lambdas(exact: bool, rng: random.Random, extra: int = 2, rows: int = 1) -> list:
+    """``rows`` runs of 1/2, 1/4, 3/4 and ``extra`` random weights in (0, 1), one flat list: on exact domains
+    entries of ``_SIXTY_FOURTHS`` drawn run by run, else ``float_lambdas`` of draws made at once."""
     if exact:
-        return [_SIXTY_FOURTHS[k] for k in [32, 16, 48] + [rng.randrange(1, 64) for _ in range(extra)]]
-    return [0.5, 0.25, 0.75] + [rng.uniform(0.05, 0.95) for _ in range(extra)]
+        return [_SIXTY_FOURTHS[k] for _ in range(rows) for k in [32, 16, 48] + [rng.randrange(1, 64) for _ in range(extra)]]
+    return float_lambdas(floats(rng, rows * extra).reshape(rows, extra))
 
 
-def random_subset(pool: list, rng: random.Random, exact: bool) -> tuple:
-    """(subset, convex weights): 2 to ``SUBSET_SIZE_MAX`` points drawn from the pool with replacement."""
+def random_subset(n: int, rng: random.Random, exact: bool) -> tuple:
+    """(pool indices, convex weights): 2 to ``SUBSET_SIZE_MAX`` indices below n drawn with replacement."""
     k = rng.randint(2, SUBSET_SIZE_MAX)
-    subset = tuple(pool[rng.randrange(len(pool))] for _ in range(k))
+    picks = tuple(rng.randrange(n) for _ in range(k))
     raw = [Fraction(rng.randrange(1, 16)) if exact else rng.uniform(0.05, 1.0) for _ in range(k)]
     total = sum(raw)
     weights = tuple(r / total for r in raw)
     if exact:
-        return subset, weights
-    return subset, weights[:-1] + (1.0 - sum(weights[:-1]),)
+        return picks, weights
+    return picks, weights[:-1] + (1.0 - sum(weights[:-1]),)
 
 
 def probe_chunk(probes: list) -> tuple:
@@ -347,22 +364,28 @@ def probe_chunk(probes: list) -> tuple:
     return points, np.arange(len(points)).reshape(-1, 3), [probe[3] for probe in probes], 0
 
 
-def segment_plan(lattice: list, rng: random.Random, exact: bool, trials: int, draw: Callable):
+def segment_plan(C: CompactBox, rng: random.Random, exact: bool, trials: int, order: tuple):
     """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check, in chunks (points, rows, lams, spent).
 
     Row r of a chunk is the probe (points[i], points[j], points[k], lams[r]) for (i, j, k) = rows[r]; no chunk
-    spends an f-value.  First a chunk per lattice point: it with every lattice pair (``itertools.combinations``
-    order) at lambda 1/2.  Then a chunk of ``trials`` triples ``draw(rng)``, each at ``lambdas(extra=1)``.
+    spends an f-value.  First each lattice point of C with every lattice pair (``itertools.combinations`` order) at
+    lambda 1/2, as many whole lattice points a chunk as fit in ``CHUNK_ROWS`` rows.  Then one chunk of ``trials``
+    triples of points drawn in turn, each probed in ``order`` at ``lambdas(extra=1)``, drawn after its points.
     """
-    half = Fraction(1, 2) if exact else 0.5
+    lattice, half = box_lattice(C), Fraction(1, 2) if exact else 0.5
     j, k = np.triu_indices(len(lattice), 1)
-    for i in range(len(lattice)):
-        yield lattice, np.column_stack([np.full(len(j), i), j, k]), [half] * len(j), 0
-    probes = []
-    for _ in range(trials):
-        fixed, a, b = draw(rng)
-        probes += [(fixed, a, b, lam) for lam in lambdas(exact, rng, extra=1)]
-    yield probe_chunk(probes)
+    step = max(1, CHUNK_ROWS // max(1, len(j)))
+    for a in range(0, len(lattice), step):
+        i = np.arange(a, min(a + step, len(lattice)))
+        rows = np.column_stack([np.repeat(i, len(j)), np.tile(j, len(i)), np.tile(k, len(i))])
+        yield lattice, rows, [half] * len(rows), 0
+    if exact or C.is_exact:  # one trial after another
+        drawn = [(random_points(C, rng, 3), lambdas(exact, rng, extra=1)) for _ in range(trials)]
+        points, lams = [p for trio, _ in drawn for p in trio], [lam for _, g in drawn for lam in g]
+    else:  # per trial, 3 points then one lambda
+        u = floats(rng, trials * (3 * C.dim + 1)).reshape(trials, -1)
+        points, lams = _box_points(C, u[:, :-1]), float_lambdas(u[:, -1:])
+    yield points, np.repeat(np.arange(3 * trials).reshape(-1, 3)[:, list(order)], 4, axis=0), lams, 0
 
 
 def level_set_plan(xs: list, y: Point, values: list, rng: random.Random, exact: bool) -> tuple:
@@ -374,8 +397,8 @@ def level_set_plan(xs: list, y: Point, values: list, rng: random.Random, exact: 
     members = np.array([i for i, v in enumerate(values) if v >= 0], dtype=np.intp)
     a, b = np.triu_indices(len(members), 1)
     rows = np.column_stack([np.full(len(a), len(xs)), members[a], members[b]])[:LEVEL_SET_PAIRS]
-    per_row = [lambdas(exact, rng) for _ in rows]
-    return xs + [y], np.repeat(rows, [len(g) for g in per_row], axis=0), [lam for g in per_row for lam in g], len(values)
+    lams = lambdas(exact, rng, rows=len(rows))
+    return xs + [y], np.repeat(rows, len(lams) // max(1, len(rows)), axis=0), lams, len(values)
 
 
 def sqrt2_witness_pairs(C: CompactBox) -> list:

@@ -288,7 +288,7 @@ def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_
     lo, hi, ok = images(point_columns([p for x in xs for r in radii for p in [x] + sampling.axis_moves(x, r, box)]))
     shape = (dim, len(xs), len(radii), 1 + 2 * dim)  # a rung: x, then its axis moves
     lo, hi, clear = lo.reshape(shape), hi.reshape(shape), ok.reshape(len(xs), -1).all(axis=1)
-    table, chunk = np.empty((n, len(radii)), dtype=np.int8), 1 + 2**13 // lo[:, 0].size
+    table, chunk = np.empty((n, len(radii)), dtype=np.int8), 1 + sampling.CHUNK_ROWS // lo[:, 0].size
     for a in range(0, n, chunk):  # never a (dim, ladders, rungs, candidates) array of every ladder at once
         p = where[a:a + chunk]
         on = goes_on(lo[:, p], hi[:, p], T[:, a:a + chunk, None, None], radii_col).any(axis=2)
@@ -402,10 +402,12 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     Without one, each x's probes are screened in one batch, and only those it
     does not show inside are replayed through ``sampling.first_witness``.
     """
-    rng, snap, samples = random.Random(sampling.PROBE_SEED + 2), K.domain.snap(), 0
-    for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
+    snap, samples, per = K.domain.snap(), 0, 3 + sampling.SEGMENT_EXTRA_LAMBDAS
+    n = len(sampling.index_lattice(grid, sampling.GRID_PROBE_BUDGET))  # the rng is this check's own: draw every x's
+    every = sampling.lambdas(False, random.Random(sampling.PROBE_SEED + 2), sampling.SEGMENT_EXTRA_LAMBDAS, n)
+    for p, (x, x_map, lo, hi) in enumerate(sampling.lattice_regions(K, grid)):
         pts = _member_samples(K, x_map, lo, hi, grid)
-        lams = sampling.lambdas(False, rng, extra=sampling.SEGMENT_EXTRA_LAMBDAS)
+        lams = every[p * per:(p + 1) * per]
         pairs = list(itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS))
         unclear = None
         if K.member_predicate is None and pairs:

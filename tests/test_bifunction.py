@@ -23,6 +23,7 @@ from quasieq.bifunction import (
     _below_min,
     _midpoints,
     _pair_values,
+    _subset_suspects,
 )
 from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, random_instance, remark_bifunction_instance
 from quasieq.errors import InstanceDefinitionError, NonFiniteValueError, QuasieqError
@@ -552,6 +553,48 @@ class TestBatchedCheckers:
         tol = sampling.FLOAT_TOL
         assert _above_max(v_mid, v1, v2, tol).tolist() == [m > max(a, b) + tol for m, a, b in triples]
         assert _below_min(v_mid, v1, v2, tol).tolist() == [m < min(a, b) - tol for m, a, b in triples]
+
+
+class TestConditionIIIRandomSubsets:
+    """condition_iii's random subsets are drawn first and screened in one batch; only the flagged ones replay."""
+
+    C01 = CompactBox((0.0,), (1.0,))
+
+    def outcomes(self, text: str, seed: int = sampling.CHECK_SEED) -> tuple:
+        batched, scalar = _payload_pair(text, self.C01)
+        assert _pair_values(batched) is not None and _pair_values(scalar) is None
+        got, want = (_outcome(lambda f: check_condition_iii(f, self.C01, seed=seed), f) for f in (batched, scalar))
+        assert _same(got, want), (text, got, want)
+        return got
+
+    def test_the_notch_fails_at_the_loops_sample(self):
+        # -1 only for 0.001 < x_1 < 0.024: no lattice midpoint is there, a random combination is
+        rep = self.outcomes("piecewise(x_1 > 0.001, piecewise(x_1 < 0.024, -1, 1), 1) + 0 * y_1")
+        assert (rep.verdict, rep.samples_used) == (FAIL, 490)
+
+    def test_an_overflow_raises_at_the_loops_subset(self):
+        # power(y_1 + 10, 400) overflows, but is read only at a combination in the notch
+        err = self.outcomes("piecewise(x_1 > 0.001, piecewise(x_1 < 0.024, power(y_1 + 10, 400), 1), 1)")
+        assert isinstance(err, str) and err.endswith("overflows at x=(0.02340191172278452,), y=(0.004109943000216831,)")
+
+    def test_a_repeated_point_is_its_own_combination(self):
+        # at seed 29 the 48th subset is the random pool point p twice; its float combination is p + 1 ulp, and only p
+        # itself is in the notch, so the subset fails only through convex_combination's identical-points shortcut
+        p = 0.8419027314789557
+        rep = self.outcomes(f"piecewise(x_1 < {p!r}, 1, piecewise(x_1 > {p!r}, 1, -1)) + 0 * y_1", seed=29)
+        assert rep.verdict == FAIL and rep.witness["subset"] == [(p,), (p,)] and rep.witness["combination"] == (p,)
+        w1, w2 = rep.witness["weights"]
+        assert p * w1 + p * w2 != p
+
+    def test_weights_the_combination_refuses_are_replayed(self):
+        f = Bifunction(parse_expression("1 + 0 * x_1 + 0 * y_1"), self.C01)  # never below 0: only the weights flag
+        pool, picks = [(0.0,), (1.0,)], ((0, 1), (0, 1), (1, 1, 0), (0, 1, 1, 0))
+        weights = ((0.5, 0.5), (0.5, 0.5 + 1e-11), (-0.5, 1.0, 0.5), (0.25, 0.25, 0.25, 0.25))
+        flagged = _subset_suspects(_pair_values(f), pool, picks, weights, sampling.FLOAT_TOL)
+        assert flagged.tolist() == [False, True, True, False]
+        for subset, w in zip(picks[1:3], weights[1:3]):  # the loop refuses the flagged ones
+            with pytest.raises(ValueError, match="weights must be nonnegative"):
+                convex_combination([pool[i] for i in subset], w)
 
 
 # The probe-by-probe condition_iv, kept verbatim as the reference of the batch path.

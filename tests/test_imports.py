@@ -1,6 +1,10 @@
-"""Every module reads each name it imports (``__init__.py`` re-exports, so it is skipped)."""
+"""Every module reads each name it imports (``__init__.py`` re-exports, so it is skipped), and a verify pass
+imports no more of numpy than the package needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,3 +39,18 @@ def test_no_module_imports_a_name_it_never_reads():
         if path.name != "__init__.py" and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_a_float_verify_does_not_import_numpy_random():
+    # the float plans draw through random.Random.getrandbits; numpy.random would add its import time and memory
+    code = (
+        "import sys\n"
+        "from quasieq.catalog import random_instance\n"
+        "from quasieq.solver import verify_theorem_instance\n"
+        "inst = random_instance(3, dim=2)\n"
+        "assert not inst.K.domain.is_exact\n"
+        "verify_theorem_instance(inst, inst.config(points_per_axis=(21, 21)))\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=300).returncode == 0

@@ -338,3 +338,28 @@ class TestConvexCombinationExactPath:
                 combine([(cls(0),), (cls(1, 1),)], ws)
             messages.append(str(info.value))
         assert messages[0] == messages[1] == "weights must be nonnegative and sum to 1 exactly"
+
+
+# -- float conversion: the sign survives cancellation ---------------------------------
+
+
+@st.composite
+def near_cancelling(draw) -> geometry.Root2:
+    """(p + q*sqrt(2)) / d with p an integer next to -q*sqrt(2), so the two terms cancel to within a few units."""
+    q = draw(st.integers(-2**80, 2**80))
+    p = (-1 if q > 0 else 1) * math.isqrt(2 * q * q) + draw(st.integers(-3, 3))
+    return geometry.Root2(p, q) / draw(st.integers(1, 2**40))
+
+
+class TestFloatKeepsTheSign:
+    def test_a_pell_pair(self):
+        # 1023286908188737^2 - 2 * 723573111879672^2 = 1: the terms cancel to about 4.9e-16
+        x = geometry.Root2(1023286908188737, -723573111879672)
+        assert x.sign() == 1 and float(x) == 4.886215156265627e-16
+        assert float(-x) == -4.886215156265627e-16
+
+    @given(st.one_of(near_cancelling(), st.builds(geometry.Root2, st.fractions(), st.fractions())))
+    @settings(max_examples=300, deadline=None)
+    def test_float_has_the_sign_of_the_value(self, x):
+        value = float(x)
+        assert (value > 0) - (value < 0) == x.sign()

@@ -526,11 +526,12 @@ class TestLemmaEquivalence:
             assert check_lemma_equivalence(inst.payload, inst.K, inst.config())
 
     def test_exact_gap_decides_where_its_float_has_the_wrong_sign(self):
-        # h(0) = a + b sqrt(2) with a**2 - 2 b**2 = 1: about 4.9e-16 > 0, but its float() cancels to -0.125
-        pell = Root2(1023286908188737, -723573111879672)
-        assert pell > 0 and float(pell) == -0.125
+        # h(0) = (a + b sqrt(2)) / 2**1100 with a**2 - 2 b**2 = 1: exact and positive, but its float underflows to
+        # 0.0, so a decision on the float gaps would keep all three grid points; the exact one keeps [1/2, 1]
+        tiny = Root2(1023286908188737, -723573111879672) / 2**1100
+        assert tiny > 0 and float(tiny) == 0.0
         box = CompactBox((Root2(0),), (Root2(1),))
-        h = ObjectiveFunction(lambda x: pell if x[0] == 0 else Root2(0))
+        h = ObjectiveFunction(lambda x: tiny if x[0] == 0 else Root2(0))
         cfg = SolverConfig(Grid(box, (3,)), 0.0, 0.0)
         rep = solve_qopt(h, SetValuedMap.constant(box), cfg)
         assert [r.point for r in rep.solutions] == grid_points(cfg.grid)[1:]
