@@ -38,7 +38,7 @@ from .geometry import (
     contains,
     convex_combination,
     grid_coords,
-    pair_combination,
+    pair_combinations,
     point_columns,
 )
 from .setmap import FAIL, NO_VIOLATION_FOUND
@@ -238,8 +238,8 @@ def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_
                 vals = [f.fn(x, y) for x in xs]  # raises where the values are not finite
             yield sampling.level_set_plan(xs, y, vals, rng, f.domain.is_exact)
 
-    def violates(y, x1, x2, lam, tol):
-        v = f.fn(pair_combination(x1, x2, lam), y)
+    def violates(y, x1, x2, lam, mid, tol):
+        v = f.fn(mid, y)
         if v < -tol:
             f_x1, f_x2 = f.fn(x1, y), f.fn(x2, y)
             return {"x1": x1, "x2": x2, "lambda": lam, "y": y, "f_x1": f_x1, "f_x2": f_x2, "f_combination": v}
@@ -261,8 +261,8 @@ def check_condition_iii(
     exact = f.domain.is_exact
     tol, lattice = sampling.tolerance(exact), sampling.box_lattice(C)
 
-    def violates(subset, weights):
-        x = convex_combination(subset, weights)
+    def violates(subset, weights, x=None):  # x: the combination, where _segment_check formed it
+        x = convex_combination(subset, weights) if x is None else x
         vals = [f.fn(x, xi) for xi in subset]
         worst = max(vals)
         if worst < -tol:
@@ -275,7 +275,7 @@ def check_condition_iii(
 
     pairs = np.column_stack(np.triu_indices(len(lattice), 1))
     chunk = lattice, pairs, [Fraction(1, 2) if exact else 0.5] * len(pairs), 0
-    rep = _segment_check("iii", f, [chunk], 2, lambda a, b, lam, _: violates((a, b), (lam, 1 - lam)), suspects)
+    rep = _segment_check("iii", f, [chunk], 2, lambda a, b, lam, x, _: violates((a, b), (lam, 1 - lam), x), suspects)
     if rep.verdict == FAIL:
         return rep
     rng = random.Random(seed + 1)  # this check's own: every subset is drawn before any is probed
@@ -385,22 +385,28 @@ def _segment_check(condition_id, f, plan, cost, violates, suspects) -> Condition
 
     ``plan`` gives chunks (points, rows, lams, spent) in turn: row r probes the points ``points[i] for i in
     rows[r]`` at ``lams[r]``, the last two being the segment's ends and any before them held fixed, and ``spent``
-    counts the f-values that planning the chunk took.  ``violates(*points, lam, tol)`` evaluates f ``cost`` times
-    and returns a witness or None; its arguments are read row by row, in ``sampling.first_witness``'s order.  Where
-    f has a batch form, ``suspects(values, *columns, mid, tol)`` evaluates a chunk with it and gives the rows where
-    ``violates`` is run.
+    counts the f-values that planning the chunk took.  ``violates(*points, lam, mid, tol)`` evaluates f ``cost``
+    times, mid being the segment's point at lam, and returns a witness or None; its arguments are read row by row,
+    in ``sampling.first_witness``'s order.  Where f has a batch form, ``suspects(values, *columns, mid, tol)``
+    evaluates a chunk with it, mid from ``_midpoints``, and gives the rows where ``violates`` is run; else every
+    mid comes from ``pair_combinations``.
     """
     tol = sampling.tolerance(f.domain.is_exact)
     batch = _pair_values(f)
     samples = 0
     for points, rows, lams, spent in plan:
-        unclear, probes = None, zip(*(map(points.__getitem__, rows[:, c]) for c in range(rows.shape[1])), lams)
-        if batch is not None:
+        unclear = None
+        if batch is None:
+            probes = zip(*np.fromiter(points, object, len(points))[rows].T, lams)
+            mid = pair_combinations(points, rows[:, -2], rows[:, -1], lams)
+        else:
             P = point_columns(points, float)
             columns = [P[:, rows[:, c]] for c in range(rows.shape[1])]
-            unclear = suspects(batch, *columns, _midpoints(*columns[-2:], np.array(lams)), tol)
+            M = _midpoints(*columns[-2:], np.array(lams))
+            unclear = suspects(batch, *columns, M, tol)
             probes = ((*(points[i] for i in rows[r]), lams[r]) for r in np.flatnonzero(unclear).tolist())
-        n, w = sampling.first_witness(len(rows), lambda r: violates(*next(probes), tol), unclear)
+            mid = lambda r: tuple(M[:, r].tolist())
+        n, w = sampling.first_witness(len(rows), lambda r: violates(*next(probes), mid(r), tol), unclear)
         samples += spent + cost * n
         if w is not None:
             return ConditionReport(condition_id, FAIL, w, samples, tol)
@@ -414,8 +420,7 @@ def check_quasiconvex_second(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def violates(x, y1, y2, lam, tol):
-        mid = pair_combination(y1, y2, lam)
+    def violates(x, y1, y2, lam, mid, tol):
         v_mid = f.fn(x, mid)
         v1, v2 = f.fn(x, y1), f.fn(x, y2)
         if v_mid > max(v1, v2) + tol:
@@ -429,8 +434,8 @@ def check_quasiconvex_second(
     exact, lead = f.domain.is_exact, []
     if exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
         xs = sampling.box_lattice(C)[: sampling.SQRT2_LEAD_POINTS]
-        probes = [(x, y1, y2, Fraction(1, 2)) for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs]
-        lead = [sampling.probe_chunk(probes)]
+        points = [p for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs for p in (x, y1, y2)]
+        lead = [(points, np.arange(len(points)).reshape(-1, 3), [Fraction(1, 2)] * (len(points) // 3), 0)]
     plan = sampling.segment_plan(C, random.Random(seed + 3), exact, trials, (0, 1, 2))  # x, y1, y2 drawn in turn
     return _segment_check("qcvx_second", f, itertools.chain(lead, plan), 3, violates, suspects)
 
@@ -442,8 +447,7 @@ def check_quasiconcave_first(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def violates(y, x1, x2, lam, tol):
-        mid = pair_combination(x1, x2, lam)
+    def violates(y, x1, x2, lam, mid, tol):
         v_mid = f.fn(mid, y)
         v1, v2 = f.fn(x1, y), f.fn(x2, y)
         if v_mid < min(v1, v2) - tol:

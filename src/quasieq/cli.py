@@ -33,6 +33,7 @@ byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -73,6 +74,7 @@ def _trials_arg(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process: each parse_args call returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quasieq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

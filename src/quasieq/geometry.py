@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,16 +38,33 @@ EXACT_GRID_POINT_BUDGET = 2**22
 #: many orders of magnitude larger.  Never applied to f-value or gap
 #: tolerances.
 MEMBERSHIP_SNAP = 1e-12
+#: The bits an exact batch combination's integers may reach: int64 columns wrap silently at 2**63.
+EXACT_BATCH_BITS = 62
 
 
-@total_ordering
+def _comparison(test: Callable) -> Callable:
+    """The ``Root2`` comparison test(s, 0), s the sign of self - other from one sign test on the integers."""
+
+    def compare(self: Root2, other: object):
+        sp, sq, sd = self._t
+        if type(other) is int:
+            return test(_sign(sp - other * sd, sq), 0)
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        p, q, d = other._t if type(other) is Root2 else _parts(other)
+        return test(_sign(sp * d - p * sd, sq * d - q * sd), 0)
+
+    return compare
+
+
 class Root2:
     """An exact scalar a + b*sqrt(2) with rational a, b.
 
     Stored as integers (p, q, d) with a = p/d, b = q/d, d > 0 and gcd(p, q, d)
     == 1, a unique normal form, so equality compares the triples.  Arithmetic
     and ordering run on ints and build no ``Fraction``; ``a`` and ``b`` are
-    built when read.  Ordering is decided by sign analysis, never in floats.
+    built when read.  Ordering is one sign test, never in floats.  Adding an
+    ``int`` keeps gcd(p, q, d) == 1, so that sum takes no gcd.
     """
 
     __slots__ = ("_t",)
@@ -86,12 +103,16 @@ class Root2:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: object) -> Root2:
+        if type(other) is int:
+            return _of((self._t[0] + other * self._t[2], *self._t[1:]))
         (sp, sq, sd), (p, q, d) = self._t, _parts(other)
         return _normal(_new(Root2), sp * d + p * sd, sq * d + q * sd, sd * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> Root2:
+        if type(other) is int:
+            return _of((self._t[0] - other * self._t[2], *self._t[1:]))
         (sp, sq, sd), (p, q, d) = self._t, _parts(other)
         return _normal(_new(Root2), sp * d - p * sd, sq * d - q * sd, sd * d)
 
@@ -125,11 +146,7 @@ class Root2:
     def __eq__(self, other: object) -> bool:
         return _parts(other) == self._t if isinstance(other, _OPERANDS) else NotImplemented  # both normal forms
 
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        (sp, sq, sd), (p, q, d) = self._t, _parts(other)  # one sign test on the cross-multiplied difference
-        return _sign(sp * d - p * sd, sq * d - q * sd) < 0
+    __lt__, __le__, __gt__, __ge__ = map(_comparison, (operator.lt, operator.le, operator.gt, operator.ge))
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))
@@ -164,6 +181,13 @@ class Root2:
 
 _new, _set = object.__new__, object.__setattr__
 _OPERANDS = (Root2, Fraction, int, float)
+
+
+def _of(t: tuple) -> Root2:
+    """A new ``Root2`` holding the triple t, already in normal form."""
+    r = _new(Root2)
+    _set(r, "_t", t)
+    return r
 
 
 def _normal(r: Root2, p: int, q: int, d: int) -> Root2:
@@ -432,7 +456,7 @@ def pair_combination(a: Point, b: Point, lam) -> Point:
 
     Float coordinates are ``u * lam + v * (1 - lam)``, the same operations.  ``Root2`` ones, with lam = n/m, are
     one normal form each of (n * u + (m - n) * v) / m on the integer triples; a float lam's 1.0 - lam must then be
-    exact, as ``convex_combination``'s exact weight check asks.
+    exact, as ``convex_combination``'s exact weight check asks.  ``pair_combinations`` is the batch form.
     """
     exact = isinstance(a[0], Root2)
     n, q, m = _parts(lam) if not isinstance(lam, float) or exact and math.isfinite(lam) else (lam, 0, 1)
@@ -449,3 +473,29 @@ def pair_combination(a: Point, b: Point, lam) -> Point:
         (p1, q1, d1), (p2, q2, d2) = u._t, v._t
         out.append(_normal(_new(Root2), n * p1 * d2 + k * p2 * d1, n * q1 * d2 + k * q2 * d1, m * d1 * d2))
     return tuple(out)
+
+
+def pair_combinations(points: Sequence[Point], a: np.ndarray, b: np.ndarray, lams: Sequence) -> Callable:
+    """r -> ``pair_combination(points[a[r]], points[b[r]], lams[r])`` for the rows r of index columns a and b.
+
+    On ``Root2`` points and ``Fraction`` lams n/m in [0, 1], one int64 batch forms every row's normal form of
+    (n*p1*d2 + (m-n)*p2*d1, n*q1*d2 + (m-n)*q2*d1, m*d1*d2), and a row's point is built from it when asked (a
+    itself where a == b).  A chunk whose bit lengths could pass 2**EXACT_BATCH_BITS, or of other scalars, takes
+    ``pair_combination`` row by row.
+    """
+    try:
+        ratios = itertools.chain.from_iterable(map(Fraction.as_integer_ratio, lams))
+        nm = np.fromiter(ratios, np.int64, 2 * len(lams)).reshape(-1, 2, 1, 1)
+        T = np.array([c._t for p in points for c in p], dtype=np.int64).reshape(len(points), -1, 3)
+    except (AttributeError, OverflowError):  # a lam not a Fraction, a coordinate not a Root2, an integer past int64
+        T = None
+    if T is not None:
+        n, m = nm[:, 0], nm[:, 1]
+        tb, lb = (max(int(A.max(initial=0)), -int(A.min(initial=0))).bit_length() for A in (T, nm))
+    if T is None or 2 * tb + lb + 1 > EXACT_BATCH_BITS or (n < 0).any() or (n > m).any():
+        return lambda r: pair_combination(points[a[r]], points[b[r]], lams[r])
+    X, Y = T[a], T[b]
+    S = n * X * Y[..., 2:] + (m - n) * Y * X[..., 2:]  # each term under 2**(2tb+lb); n*d1*d2 + (m-n)*d2*d1 == m*d1*d2
+    M = S // np.gcd.reduce(S, axis=-1, keepdims=True)
+    same = set(np.flatnonzero((X == Y).all(axis=(1, 2))).tolist())
+    return lambda r: points[a[r]] if r in same else tuple([_of(tuple(t)) for t in M[r].tolist()])

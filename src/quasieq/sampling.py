@@ -4,7 +4,7 @@ Every sampling decision of the checkers in ``setmap``, ``bifunction`` and ``solv
 made here: budgets, lattices, radius ladders and margins, tolerances, seeds and every seeded draw.  A checker's only
 sampling parameters are ``trials`` and ``seed``; it evaluates what a plan names.  Plans are lazy: a chunk's draws
 happen together, float ones in one ``floats`` call, when the checker reaches the chunk, so each checker's RNG calls
-come in one fixed order.  The segment plans (``segment_plan``, ``probe_chunk`` and ``level_set_plan``) give chunks
+come in one fixed order.  The segment plans (``segment_plan`` and ``level_set_plan``) give chunks
 (points, rows, lams, spent), the one form that ``bifunction._segment_check`` reads.  ``settle_ladders`` yields the
 ladders the loop must run, and ``first_witness`` scans the probes a batch could not clear, in the loop's order: the
 one scan of ``_segment_check``, ``check_diagonal_zero`` and ``setmap.check_convex_values``.  The budgets set the
@@ -356,12 +356,6 @@ def random_subset(n: int, rng: random.Random, exact: bool) -> tuple:
     if exact:
         return picks, weights
     return picks, weights[:-1] + (1.0 - sum(weights[:-1]),)
-
-
-def probe_chunk(probes: list) -> tuple:
-    """The probes (fixed, a, b, lambda), in order, as one chunk of ``segment_plan``."""
-    points = [p for probe in probes for p in probe[:3]]
-    return points, np.arange(len(points)).reshape(-1, 3), [probe[3] for probe in probes], 0
 
 
 def segment_plan(C: CompactBox, rng: random.Random, exact: bool, trials: int, order: tuple):

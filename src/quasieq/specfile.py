@@ -28,7 +28,8 @@ Each section takes only the keys shown that its kind needs (no bounds for a
 constant map; ``vertex_1``, ``vertex_2``, ... in place of ``expr`` for a
 qvi_operator) and [domain] ``scalar``, which must be ``real`` (``exact`` is
 refused with its own message): a key or section that ``load_spec`` does not
-read is a SpecError naming it, a ``[DEFAULT]`` section too.  All
+read is a SpecError naming it, a ``[DEFAULT]`` section too, and a line that
+configparser cannot read is one naming its file line.  All
 expressions parse and type-check (variable indices against the declared
 dimension) and every number parses before anything is evaluated; a malformed
 value is a SpecError naming its section and key.  [checks] ``run`` names
@@ -118,8 +119,13 @@ def load_spec(text: str) -> ProblemInstance:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise SpecError(f"bad problem definition: {exc}")
+    except configparser.MissingSectionHeaderError as exc:
+        raise SpecError(f"bad problem definition: line {exc.lineno}: {exc.line.strip()!r} comes before any [section]")
+    except configparser.ParsingError as exc:  # every bad line is listed: name the first
+        lineno, line = exc.errors[0][0], text.split("\n")[exc.errors[0][0] - 1].strip()
+        raise SpecError(f"bad problem definition: line {lineno}: {line!r} is not a key = value line")
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:  # named after the file line
+        raise SpecError(f"bad problem definition: line {exc.lineno}: {str(exc).partition(']: ')[2]}")
 
     if "domain" not in cp:
         raise SpecError("missing [domain] section")

@@ -397,6 +397,30 @@ class TestExitCodes:
             assert err.startswith(f"error: {spec} is not UTF-8 text") and len(err.splitlines()) == 1, err
             assert not (tmp_path / "out").exists()
 
+    def test_a_line_configparser_cannot_read(self, tmp_path, capsys):
+        spec = tmp_path / "no-equals.spec"
+        spec.write_text(_objective_spec("x_1").replace("grid = 11", "grid 2**30 201"))
+        for command in ("solve", "verify"):
+            assert main([command, str(spec)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: bad problem definition: line 14: 'grid 2**30 201' is not a key = value line\n"
+
+    def test_one_parser_for_every_call(self, tmp_path, capsys):
+        # the parser is built once per process: calls in turn, with different flags, give what fresh processes give
+        calls = [
+            ["solve", "figure1", "--grid", "101", "--format", "json"],
+            ["verify", "quasiconvex-variant", "--grid", "41", "--trials", "60", "--seed", "11"],
+            ["verify", "remark", "--trials", "0"],
+            ["solve", "figure1", "--format", "csv"],
+        ]
+        for argv in calls:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            child = _cli_child(argv)
+            assert (code, out) == (child.returncode, child.stdout)
+            if code == 2:  # the usage message too; a run's summary holds its wall time
+                assert err == child.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -37,6 +37,21 @@ class TestLoadSpec:
         assert (renamed.C, renamed.K, renamed.payload) == (spec.C, spec.K, spec.payload)
         assert renamed.checks_run == spec.checks_run
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL + "grid 2**30 201\n", "line 13: 'grid 2**30 201' is not a key = value line"),
+            ("dim = 1" + MINIMAL, "line 1: 'dim = 1' comes before any [section]"),
+            (MINIMAL.replace("dim = 1", "dim = 1\ndim = 2"), "line 4: option 'dim' in section 'domain' already exists"),
+            (MINIMAL + "[map]\nkind = constant\n", "line 13: section 'map' already exists"),
+        ],
+        ids=["no-equals", "no-section-header", "duplicate-option", "duplicate-section"],
+    )
+    def test_parse_error_on_one_line(self, text, message):
+        with pytest.raises(SpecError) as err:
+            load_spec(text)
+        assert str(err.value) == f"bad problem definition: {message}"
+
     def test_defaults_applied(self):
         spec = load_spec(MINIMAL)
         assert spec.grid_default == (DEFAULT_GRID,)
