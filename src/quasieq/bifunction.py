@@ -274,7 +274,7 @@ def check_condition_iii(
         return _unclear(np.where(v2 > v1, v2, v1) < -tol, v1, v2)  # Python's max, as in violates
 
     pairs = np.column_stack(np.triu_indices(len(lattice), 1))
-    chunk = lattice, pairs, [Fraction(1, 2) if exact else 0.5] * len(pairs), 0
+    chunk = point_columns(lattice), pairs, np.full(len(pairs), Fraction(1, 2) if exact else 0.5), 0
     rep = _segment_check("iii", f, [chunk], 2, lambda a, b, lam, x, _: violates((a, b), (lam, 1 - lam), x), suspects)
     if rep.verdict == FAIL:
         return rep
@@ -383,28 +383,28 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
 def _segment_check(condition_id, f, plan, cost, violates, suspects) -> ConditionReport:
     """The driver of the segment falsifiers: condition_ii, condition_iii's lattice pairs, qcvx_second, qccv_first.
 
-    ``plan`` gives chunks (points, rows, lams, spent) in turn: row r probes the points ``points[i] for i in
-    rows[r]`` at ``lams[r]``, the last two being the segment's ends and any before them held fixed, and ``spent``
-    counts the f-values that planning the chunk took.  ``violates(*points, lam, mid, tol)`` evaluates f ``cost``
-    times, mid being the segment's point at lam, and returns a witness or None; its arguments are read row by row,
-    in ``sampling.first_witness``'s order.  Where f has a batch form, ``suspects(values, *columns, mid, tol)``
-    evaluates a chunk with it, mid from ``_midpoints``, and gives the rows where ``violates`` is run; else every
-    mid comes from ``pair_combinations``.
+    ``plan`` gives chunks (P, rows, lams, spent) in turn: row r probes the point columns ``P[:, i] for i in rows[r]``
+    at ``lams[r]``, the last two being the segment's ends and any before them held fixed, and ``spent`` counts the
+    f-values that planning the chunk took.  ``violates(*points, lam, mid, tol)`` evaluates f ``cost`` times, mid
+    being the segment's point at lam, and returns a witness or None; its arguments, tuples and lams of Python scalars,
+    are made row by row, in ``sampling.first_witness``'s order.  On float columns every mid comes from ``_midpoints``,
+    and where f has a batch form ``suspects(values, *columns, mid, tol)`` evaluates the chunk with it and gives the
+    rows where ``violates`` is run; on ``Root2`` columns every row is, with its mid from ``pair_combinations``.
     """
     tol = sampling.tolerance(f.domain.is_exact)
     batch = _pair_values(f)
     samples = 0
-    for points, rows, lams, spent in plan:
-        unclear = None
-        if batch is None:
-            probes = zip(*np.fromiter(points, object, len(points))[rows].T, lams)
-            mid = pair_combinations(points, rows[:, -2], rows[:, -1], lams)
-        else:
-            P = point_columns(points, float)
+    for P, rows, lams, spent in plan:
+        lam, unclear = lams.tolist(), None
+        if P.dtype == object:  # every probe is run, in turn, on one tuple per column
+            points = list(zip(*P.tolist()))
+            probes = zip(*np.fromiter(points, object, len(points))[rows].T, lam)
+            mid = pair_combinations(points, rows[:, -2], rows[:, -1], lam)
+        else:  # a tuple is made only for a row that is probed
             columns = [P[:, rows[:, c]] for c in range(rows.shape[1])]
-            M = _midpoints(*columns[-2:], np.array(lams))
-            unclear = suspects(batch, *columns, M, tol)
-            probes = ((*(points[i] for i in rows[r]), lams[r]) for r in np.flatnonzero(unclear).tolist())
+            M = _midpoints(*columns[-2:], lams)
+            unclear = np.ones(len(rows), dtype=bool) if batch is None else suspects(batch, *columns, M, tol)
+            probes = ((*[tuple(P[:, i].tolist()) for i in rows[r]], lam[r]) for r in np.flatnonzero(unclear).tolist())
             mid = lambda r: tuple(M[:, r].tolist())
         n, w = sampling.first_witness(len(rows), lambda r: violates(*next(probes), mid(r), tol), unclear)
         samples += spent + cost * n
@@ -431,11 +431,8 @@ def check_quasiconvex_second(
         v_mid, v1, v2 = values(x, mid), values(x, y1), values(x, y2)
         return _unclear(_above_max(v_mid, v1, v2, tol), v_mid, v1, v2)
 
-    exact, lead = f.domain.is_exact, []
-    if exact:  # measure-zero witnesses: irrational y1, y2 with a rational midpoint
-        xs = sampling.box_lattice(C)[: sampling.SQRT2_LEAD_POINTS]
-        points = [p for y1, y2 in sampling.sqrt2_witness_pairs(C) for x in xs for p in (x, y1, y2)]
-        lead = [(points, np.arange(len(points)).reshape(-1, 3), [Fraction(1, 2)] * (len(points) // 3), 0)]
+    exact = f.domain.is_exact
+    lead = [sampling.sqrt2_lead(C)] if exact else []  # measure-zero witnesses: irrational y1, y2, a rational midpoint
     plan = sampling.segment_plan(C, random.Random(seed + 3), exact, trials, (0, 1, 2))  # x, y1, y2 drawn in turn
     return _segment_check("qcvx_second", f, itertools.chain(lead, plan), 3, violates, suspects)
 

@@ -4,11 +4,12 @@ Every sampling decision of the checkers in ``setmap``, ``bifunction`` and ``solv
 made here: budgets, lattices, radius ladders and margins, tolerances, seeds and every seeded draw.  A checker's only
 sampling parameters are ``trials`` and ``seed``; it evaluates what a plan names.  Plans are lazy: a chunk's draws
 happen together, float ones in one ``floats`` call, when the checker reaches the chunk, so each checker's RNG calls
-come in one fixed order.  The segment plans (``segment_plan`` and ``level_set_plan``) give chunks
-(points, rows, lams, spent), the one form that ``bifunction._segment_check`` reads.  ``settle_ladders`` yields the
-ladders the loop must run, and ``first_witness`` scans the probes a batch could not clear, in the loop's order: the
-one scan of ``_segment_check``, ``check_diagonal_zero`` and ``setmap.check_convex_values``.  The budgets set the
-witnesses: changing one changes reports.
+come in one fixed order.  The segment plans give chunks (P, rows, lams, spent), the one form that
+``bifunction._segment_check`` reads: (dim, N) point columns P in the domain's scalars (float64, or ``Root2``
+objects) and one lam per row (float64, or ``Fraction`` objects).  ``settle_ladders`` yields the ladders the loop must
+run, and ``first_witness`` scans the probes a batch could not clear, in the loop's order: the one scan of
+``_segment_check``, ``check_diagonal_zero`` and ``setmap.check_convex_values``.  The budgets set the witnesses:
+changing one changes reports.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import CompactBox, Grid, Point, Root2
+from .geometry import CompactBox, Grid, Point, Root2, pair_combination, point_columns
 
 #: Lattice points per axis of the grid probes (closed_graph, lsc, convex_values).
 GRID_PROBE_BUDGET = {1: 33, 2: 9, 3: 5}
@@ -36,7 +37,7 @@ LEVEL_SET_PAIRS = 400
 #: condition_iii: random points added to the lattice pool, and the largest random subset.
 SUBSET_POOL_EXTRA = 16
 SUBSET_SIZE_MAX = 4
-#: qcvx_second on exact domains: lattice points x paired with each sqrt(2) witness pair.
+#: qcvx_second on exact domains: lattice points x paired with each sqrt(2) witness pair (``sqrt2_lead``).
 SQRT2_LEAD_POINTS = 4
 #: convex_values: point pairs per image, and random lambdas after 1/2, 1/4, 3/4.
 SEGMENT_PAIRS = 64
@@ -56,7 +57,7 @@ CHECK_SEED = 1729
 #: Default random trials of condition_iii, qcvx_second and qccv_first.
 CHECK_TRIALS = 400
 #: The exact lambdas k/64, built once: the exact checkers draw their lambdas from this table.
-_SIXTY_FOURTHS = tuple(Fraction(k, 64) for k in range(65))
+_SIXTY_FOURTHS = np.array([Fraction(k, 64) for k in range(65)], dtype=object)
 
 
 def tolerance(exact: bool) -> float:
@@ -318,31 +319,31 @@ def first_witness(n: int, probe: Callable, unclear: Optional[np.ndarray]) -> tup
     return n, None
 
 
-def _box_points(C: CompactBox, u: np.ndarray) -> list:
-    """The points of the float box C at the rows of draws u in [0, 1): ``uniform(lo, hi)`` of each coordinate."""
-    lo, hi = np.array(C.lower, dtype=float), np.array(C.upper, dtype=float)
-    return list(map(tuple, (lo + (hi - lo) * u.reshape(-1, C.dim)).tolist()))
+def _box_columns(C: CompactBox, u: np.ndarray) -> np.ndarray:
+    """The points of the float box C at the rows of draws u in [0, 1), as columns: ``uniform(lo, hi)`` of each coordinate."""
+    lo, hi = (np.array(b, dtype=float)[:, None] for b in (C.lower, C.upper))
+    return lo + (hi - lo) * u.reshape(-1, C.dim).T
 
 
 def random_points(C: CompactBox, rng: random.Random, n: int) -> list:
     """n uniform points of C, drawn one after another; on exact boxes a multiple of 1/256 of each side."""
-    if C.is_exact:
-        return [tuple(lo + (hi - lo) * Root2(Fraction(rng.randrange(0, 257), 256)) for lo, hi in zip(C.lower, C.upper))
+    if C.is_exact:  # lo + (hi - lo) * k/256, formed as one normal form
+        return [tuple(pair_combination((hi,), (lo,), Fraction(rng.randrange(0, 257), 256))[0] for lo, hi in zip(C.lower, C.upper))
                 for _ in range(n)]
-    return _box_points(C, floats(rng, n * C.dim))
+    return list(zip(*_box_columns(C, floats(rng, n * C.dim)).tolist()))
 
 
-def float_lambdas(u: np.ndarray) -> list:
-    """Per row of draws u: 1/2, 1/4, 3/4, then ``uniform(0.05, 0.95)`` of each draw; one flat list."""
+def float_lambdas(u: np.ndarray) -> np.ndarray:
+    """Per row of draws u: 1/2, 1/4, 3/4, then ``uniform(0.05, 0.95)`` of each draw; one flat array."""
     fixed = np.broadcast_to([0.5, 0.25, 0.75], (len(u), 3))
-    return np.hstack([fixed, 0.05 + (0.95 - 0.05) * u]).ravel().tolist()
+    return np.hstack([fixed, 0.05 + (0.95 - 0.05) * u]).ravel()
 
 
-def lambdas(exact: bool, rng: random.Random, extra: int = 2, rows: int = 1) -> list:
-    """``rows`` runs of 1/2, 1/4, 3/4 and ``extra`` random weights in (0, 1), one flat list: on exact domains
-    entries of ``_SIXTY_FOURTHS`` drawn run by run, else ``float_lambdas`` of draws made at once."""
+def lambdas(exact: bool, rng: random.Random, extra: int = 2, rows: int = 1) -> np.ndarray:
+    """``rows`` runs of 1/2, 1/4, 3/4 and ``extra`` random weights in (0, 1), one flat array: on exact domains
+    entries of ``_SIXTY_FOURTHS`` drawn run by run, in an object array, else ``float_lambdas`` of draws made at once."""
     if exact:
-        return [_SIXTY_FOURTHS[k] for _ in range(rows) for k in [32, 16, 48] + [rng.randrange(1, 64) for _ in range(extra)]]
+        return _SIXTY_FOURTHS[[k for _ in range(rows) for k in [32, 16, 48] + [rng.randrange(1, 64) for _ in range(extra)]]]
     return float_lambdas(floats(rng, rows * extra).reshape(rows, extra))
 
 
@@ -359,31 +360,32 @@ def random_subset(n: int, rng: random.Random, exact: bool) -> tuple:
 
 
 def segment_plan(C: CompactBox, rng: random.Random, exact: bool, trials: int, order: tuple):
-    """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check, in chunks (points, rows, lams, spent).
+    """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check, in chunks (P, rows, lams, spent).
 
-    Row r of a chunk is the probe (points[i], points[j], points[k], lams[r]) for (i, j, k) = rows[r]; no chunk
-    spends an f-value.  First each lattice point of C with every lattice pair (``itertools.combinations`` order) at
-    lambda 1/2, as many whole lattice points a chunk as fit in ``CHUNK_ROWS`` rows.  Then one chunk of ``trials``
-    triples of points drawn in turn, each probed in ``order`` at ``lambdas(extra=1)``, drawn after its points.
+    Row r of a chunk is the probe (P[:, i], P[:, j], P[:, k], lams[r]) for (i, j, k) = rows[r]; no chunk spends an
+    f-value.  First each lattice point of C with every lattice pair (``itertools.combinations`` order) at lambda 1/2,
+    as many whole lattice points a chunk as fit in ``CHUNK_ROWS`` rows.  Then ``trials`` triples of points drawn in
+    turn, ``CHUNK_ROWS // 4`` a chunk, each probed in ``order`` at ``lambdas(extra=1)``, drawn after its points.
     """
-    lattice, half = box_lattice(C), Fraction(1, 2) if exact else 0.5
-    j, k = np.triu_indices(len(lattice), 1)
+    lattice, half = point_columns(box_lattice(C)), Fraction(1, 2) if exact else 0.5
+    j, k = np.triu_indices(lattice.shape[1], 1)
     step = max(1, CHUNK_ROWS // max(1, len(j)))
-    for a in range(0, len(lattice), step):
-        i = np.arange(a, min(a + step, len(lattice)))
+    for i in np.split(np.arange(lattice.shape[1]), np.arange(step, lattice.shape[1], step)):  # whole lattice points
         rows = np.column_stack([np.repeat(i, len(j)), np.tile(j, len(i)), np.tile(k, len(i))])
-        yield lattice, rows, [half] * len(rows), 0
-    if exact or C.is_exact:  # one trial after another
-        drawn = [(random_points(C, rng, 3), lambdas(exact, rng, extra=1)) for _ in range(trials)]
-        points, lams = [p for trio, _ in drawn for p in trio], [lam for _, g in drawn for lam in g]
-    else:  # per trial, 3 points then one lambda
-        u = floats(rng, trials * (3 * C.dim + 1)).reshape(trials, -1)
-        points, lams = _box_points(C, u[:, :-1]), float_lambdas(u[:, -1:])
-    yield points, np.repeat(np.arange(3 * trials).reshape(-1, 3)[:, list(order)], 4, axis=0), lams, 0
+        yield lattice, rows, np.full(len(rows), half), 0
+    for t in range(0, trials, CHUNK_ROWS // 4):
+        n = min(CHUNK_ROWS // 4, trials - t)
+        if exact or C.is_exact:  # one trial after another
+            drawn = [(random_points(C, rng, 3), lambdas(exact, rng, extra=1)) for _ in range(n)]
+            P, lams = point_columns([p for trio, _ in drawn for p in trio]), np.concatenate([g for _, g in drawn])
+        else:  # per trial, 3 points then one lambda
+            u = floats(rng, n * (3 * C.dim + 1)).reshape(n, -1)
+            P, lams = _box_columns(C, u[:, :-1]), float_lambdas(u[:, -1:])
+        yield P, np.repeat(np.arange(3 * n).reshape(-1, 3)[:, list(order)], 4, axis=0), lams, 0
 
 
 def level_set_plan(xs: list, y: Point, values: list, rng: random.Random, exact: bool) -> tuple:
-    """condition_ii's chunk at y, in ``segment_plan``'s form: points xs + [y], rows (y, i, j), spent ``len(values)``.
+    """condition_ii's chunk at y, in ``segment_plan``'s form: P of xs + [y], rows (y, i, j), spent ``len(values)``.
 
     values are f(x, y) over the lattice xs.  The pairs (i, j) are the first ``LEVEL_SET_PAIRS``
     (``itertools.combinations`` order) of the lattice points whose f-value is >= 0, each at ``lambdas(exact, rng)``.
@@ -392,11 +394,12 @@ def level_set_plan(xs: list, y: Point, values: list, rng: random.Random, exact: 
     a, b = np.triu_indices(len(members), 1)
     rows = np.column_stack([np.full(len(a), len(xs)), members[a], members[b]])[:LEVEL_SET_PAIRS]
     lams = lambdas(exact, rng, rows=len(rows))
-    return xs + [y], np.repeat(rows, len(lams) // max(1, len(rows)), axis=0), lams, len(values)
+    return point_columns(xs + [y]), np.repeat(rows, len(lams) // max(1, len(rows)), axis=0), lams, len(values)
 
 
-def sqrt2_witness_pairs(C: CompactBox) -> list:
-    """Pairs of irrational points in C whose midpoint is rational."""
+def sqrt2_lead(C: CompactBox) -> tuple:
+    """qcvx_second's lead chunk on exact boxes, in ``segment_plan``'s form: each pair y1, y2 of irrational points of C
+    whose midpoint is rational, with each of the first ``SQRT2_LEAD_POINTS`` lattice points x, at lambda 1/2."""
     lo, hi = C.lower[0], C.upper[0]
     span = hi - lo
     centre = (lo + hi) * Root2(Fraction(1, 2))
@@ -405,8 +408,7 @@ def sqrt2_witness_pairs(C: CompactBox) -> list:
         t = span * Root2(0, Fraction(1, denom))
         pairs.append((centre - t, centre + t))
         pairs.append((lo + t, hi - t))
-    return [
-        (tuple([p1] + list(C.lower[1:])), tuple([p2] + list(C.lower[1:])))
-        for p1, p2 in pairs
-        if not p1.is_rational and not p2.is_rational
-    ]
+    rest, xs = C.lower[1:], box_lattice(C)[:SQRT2_LEAD_POINTS]
+    points = [p for p1, p2 in pairs if not p1.is_rational and not p2.is_rational
+              for x in xs for p in (x, (p1, *rest), (p2, *rest))]
+    return point_columns(points).reshape(C.dim, -1), np.arange(len(points)).reshape(-1, 3), np.full(len(points) // 3, Fraction(1, 2)), 0

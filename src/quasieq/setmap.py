@@ -313,18 +313,18 @@ def _ladder_check(K: SetValuedMap, radii: tuple, seed: int, regions, targets, go
     n + 1 samples in.  An error in ``regions`` or ``targets`` is raised only after the ladders before it have run.
     """
     box, rng, points, count, error = K.domain, sampling.DrawStream(seed), [], 0, None
-    T, numbers = [np.empty((box.dim, 0))], [np.empty(0, dtype=np.intp)]
+    T, numbers = [], [np.empty(0, dtype=np.intp)]  # T: every target's coordinates in turn, not a tuple per target
     try:
         for x, x_map, lo, hi in regions:
             samples = targets(x_map, lo, hi)
-            T.append(point_columns([t for t in samples if t is not None], float).reshape(box.dim, -1))
+            T += [c for t in samples if t is not None for c in t]
             numbers.append(count + np.flatnonzero([t is not None for t in samples]))  # each ladder's sample number
             points.append((x, lo, hi))
             count += len(samples)
     except Exception as exc:  # whatever the loop would raise there, it raises after the ladders before it
         error = exc
     where = np.repeat(np.arange(len(points)), [len(n) for n in numbers[1:]])
-    T, numbers = np.concatenate(T, axis=1), np.concatenate(numbers)
+    T, numbers = np.array(T, dtype=float).reshape(-1, box.dim).T, np.concatenate(numbers)
     order = _ladder_batch(K, radii, rng, goes_on, [x for x, *_ in points], where, T)
     for p, ladders in itertools.groupby(order, where.__getitem__):
         (x, lo, hi), region = points[p], sampling.region_lookup(K)  # x's ball candidates recur for every t
@@ -404,26 +404,26 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     """
     snap, samples, per = K.domain.snap(), 0, 3 + sampling.SEGMENT_EXTRA_LAMBDAS
     n = len(sampling.index_lattice(grid, sampling.GRID_PROBE_BUDGET))  # the rng is this check's own: draw every x's
-    every = sampling.lambdas(False, random.Random(sampling.PROBE_SEED + 2), sampling.SEGMENT_EXTRA_LAMBDAS, n)
+    every = sampling.lambdas(False, random.Random(sampling.PROBE_SEED + 2), sampling.SEGMENT_EXTRA_LAMBDAS, n).reshape(n, per)
     for p, (x, x_map, lo, hi) in enumerate(sampling.lattice_regions(K, grid)):
         pts = _member_samples(K, x_map, lo, hi, grid)
-        lams = every[p * per:(p + 1) * per]
+        lams = every[p].tolist()
         pairs = list(itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS))
         unclear = None
         if K.member_predicate is None and pairs:
-            lam = np.array(lams)[:, None, None]
-            mid = lam * np.array([y1 for y1, _ in pairs]) + (1.0 - lam) * np.array([y2 for _, y2 in pairs])
-            unclear = (~(np.maximum(np.array(lo) - mid, mid - np.array(hi)).max(axis=2) <= snap)).T.ravel()
+            Y, lam = point_columns([y for pair in pairs for y in pair], float), every[p, :, None, None]
+            mid = lam * Y[:, 0::2] + (1.0 - lam) * Y[:, 1::2]  # (lams, dim, pairs): y1 and y2 alternate in Y
+            unclear = (~(np.maximum(np.array(lo)[:, None] - mid, mid - np.array(hi)[:, None]).max(axis=1) <= snap)).T.ravel()
 
-        def probe(r):  # row r is pair r // len(lams) at lambda r % len(lams): the loop's order, pair first
-            (y1, y2), lam = pairs[r // len(lams)], lams[r % len(lams)]
+        def probe(r):  # row r is pair r // per at lambda r % per: the loop's order, pair first
+            (y1, y2), lam = pairs[r // per], lams[r % per]
             mid = tuple(lam * a + (1.0 - lam) * b for a, b in zip(y1, y2))
             inside = box_distance(lo, hi, mid) <= snap
             if inside and K.member_predicate is not None:
                 inside = K.member_predicate(x_map, mid)
             return None if inside else {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
 
-        n, witness = sampling.first_witness(len(pairs) * len(lams), probe, unclear)
+        n, witness = sampling.first_witness(len(pairs) * per, probe, unclear)
         samples += n
         if witness is not None:
             return TopologyProbeReport(FAIL, witness, (), samples)

@@ -1,9 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasieq import geometry, sampling
 from quasieq.bifunction import (
@@ -308,6 +311,13 @@ class TestQuasiconvexSecond:
     def test_parabola_clean(self):
         assert check_quasiconvex_second(parabola_f(), C02).verdict == NO_VIOLATION_FOUND
 
+    def test_no_sqrt2_witness_pair_gives_an_empty_lead(self):
+        # a zero-width first axis with rational bounds has no irrational pair with a rational midpoint
+        C = CompactBox((Root2(0), Root2(0)), (Root2(0), Root2(1)))
+        P, rows, lams, _ = sampling.sqrt2_lead(C)
+        assert P.shape == (2, 0) and rows.shape == (0, 3) and lams.shape == (0,)
+        assert check_quasiconvex_second(Bifunction(lambda x, y: 0, C), C, trials=5).verdict == NO_VIOLATION_FOUND
+
     def test_w_shape_fails(self):
         f = fig1_f()
         # y1 = 0.5, y2 = 1.5 both have h = 0 yet the midpoint has h(1) = 0.5
@@ -337,6 +347,23 @@ class TestQuasiconcaveFirst:
         box = CompactBox((0.0,), (1.0,))
         f = Bifunction(lambda x, y: 0.0, box)
         assert check_quasiconcave_first(f, box).verdict == NO_VIOLATION_FOUND
+
+
+@pytest.mark.parametrize("check", [check_quasiconvex_second, check_quasiconcave_first])
+def test_random_trials_are_drawn_in_capped_chunks(check):
+    # CHUNK_ROWS // 4 trials a chunk: 20,000 trials peak within 1 MB of 2,000 (about 17 MB above it in one chunk)
+    inst = random_instance(3000, 1)
+    f = inst.bifunction()
+    check(f, inst.C, 2000)  # the expressions compile once, outside the measurement
+    peaks = []
+    for trials in (2000, 20000):
+        tracemalloc.start()
+        try:
+            assert check(f, inst.C, trials).verdict == NO_VIOLATION_FOUND
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**20
 
 
 class TestDiagonalZero:
@@ -532,6 +559,21 @@ class TestBatchedCheckers:
             assert _same(tuple(mid), convex_combination((tuple(a), tuple(b)), (w, 1.0 - w)))
             assert _same(tuple(mid), pair_combination(tuple(a), tuple(b), w))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_midpoints_are_pair_combination_bit_for_bit(self, data):
+        # _midpoints is the one source of float segment points: every column as pair_combination's tuple
+        dim, trials = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+        coordinate = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]), st.floats(-1e-300, 1e-300))
+        pool = [tuple(data.draw(coordinate) for _ in range(dim)) for _ in range(data.draw(st.integers(1, 5)))]
+        lams = sampling.float_lambdas(np.array([[data.draw(st.floats(0.0, 1.0, exclude_max=True))] for _ in range(trials)]))
+        a = [data.draw(st.sampled_from(pool)) for _ in lams]
+        b = [data.draw(st.one_of(st.sampled_from(pool), st.just(p), st.just(tuple(-0.0 if c == 0 else c for c in p)))) for p in a]
+        M = _midpoints(point_columns(a), point_columns(b), lams)
+        for r, lam in enumerate(lams.tolist()):
+            want = pair_combination(a[r], b[r], lam)
+            assert [c.hex() for c in M[:, r].tolist()] == [c.hex() for c in want], (a[r], b[r], lam)
+
     def test_exact_lambdas_match_fresh_fractions(self):
         def reference_lambdas(exact, rng, extra=2):  # sampling.lambdas as it built a Fraction per weight, verbatim
             """1/2, 1/4, 3/4, then ``extra`` random weights in (0, 1)."""
@@ -542,7 +584,7 @@ class TestBatchedCheckers:
         rng, reference_rng = random.Random(64), random.Random(64)
         for n in range(1000):
             extra = {"extra": n % 3 + 1} if n % 2 else {}  # the default 2, and 1 to 3 as the plans ask
-            lams, expected = sampling.lambdas(True, rng, **extra), reference_lambdas(True, reference_rng, **extra)
+            lams, expected = sampling.lambdas(True, rng, **extra).tolist(), reference_lambdas(True, reference_rng, **extra)
             assert lams == expected and all(type(lam) is Fraction for lam in lams)
             assert rng.getstate() == reference_rng.getstate()
 

@@ -22,6 +22,8 @@ from quasieq.bifunction import (
     ObjectiveFunction,
     check_condition_iii,
     check_condition_iv,
+    check_quasiconcave_first,
+    check_quasiconvex_second,
     make_opt_bifunction,
 )
 from quasieq.catalog import (
@@ -298,6 +300,12 @@ def _box3d():
     return build_instance(load_spec(BOX3D_SPEC), name="box3d")
 
 
+def _segment_case(check, inst, trials=400, plain=False):
+    """A segment falsifier on an instance's bifunction; ``plain`` wraps its f in a plain callable (no batch form)."""
+    f = inst.bifunction()
+    return _lone(check(Bifunction(f.fn, f.domain) if plain else f, inst.C, trials))
+
+
 CHECKER_CASES = {
     **{f"verify-{name}": (lambda tmp, _n=name: _cli_verify(_n, tmp)) for name in sorted(CATALOG)},
     "theorem-random(3101,2)@41": lambda tmp: _theorem(
@@ -317,6 +325,19 @@ CHECKER_CASES = {
     "smap-variant@401": lambda tmp: _smap_probe(quasiconvex_variant_instance(), 401),
     "smap-random(1004,2)@21": lambda tmp: _smap_probe(random_instance(1004, 2), 21),
     "smap-jump@101": lambda tmp: _smap_jump(),
+    # recorded before the segment plans gave point columns: several trial chunks, float and exact; the 3-D
+    # lattice's 125 chunks; a float f with no batch form
+    "qcvx-second-random(3000,1)@5000": lambda tmp: _segment_case(check_quasiconvex_second, random_instance(3000, 1), 5000),
+    "qccv-first-random(3000,1)@5000": lambda tmp: _segment_case(check_quasiconcave_first, random_instance(3000, 1), 5000),
+    "qcvx-second-box3d": lambda tmp: _segment_case(check_quasiconvex_second, _box3d()),
+    "qccv-first-box3d": lambda tmp: _segment_case(check_quasiconcave_first, _box3d()),
+    "qcvx-second-callable-random(3000,1)@5000": lambda tmp: _segment_case(
+        check_quasiconvex_second, random_instance(3000, 1), 5000, plain=True
+    ),
+    "qccv-first-callable-random(3000,1)@5000": lambda tmp: _segment_case(
+        check_quasiconcave_first, random_instance(3000, 1), 5000, plain=True
+    ),
+    "qccv-first-remark@3000": lambda tmp: _segment_case(check_quasiconcave_first, get_instance("remark"), 3000),
 }
 
 CHECKER_DIGESTS = {
@@ -325,6 +346,13 @@ CHECKER_DIGESTS = {
     "condition-iv-jump@101": "5656dbc900027c62bec9c65d9274eacc3dd678be6ef6483511a84071ec01e9a5",
     "convex-values-union@101": "e81c88b78b5c2741700979556147726d0ae0dc3f3b87fffeea2fec97f64d3063",
     "lsc-step@201": "f7d9a43e55cf7ac5a2db0ed75a8bc201cf672e3d8134d4176f78c370bff224ed",
+    "qccv-first-box3d": "53a42ce17eb6221176956d6403779a7f3960e1a8d6226b7bad43b4c30b90bc12",
+    "qccv-first-callable-random(3000,1)@5000": "b523ac5b3b5a4802fdf19a26c0d122132aa86d3805677093c2db5e7e02b99da3",
+    "qccv-first-random(3000,1)@5000": "b523ac5b3b5a4802fdf19a26c0d122132aa86d3805677093c2db5e7e02b99da3",
+    "qccv-first-remark@3000": "d3257287bb92a4c3ef66586ca172a952d8b0daf9e12ba5edd0dc80786cb875d1",
+    "qcvx-second-box3d": "89459bcea005cb04f006095e1040798686917056ef9a29a5276791d4f8094eb1",
+    "qcvx-second-callable-random(3000,1)@5000": "2c7e39aaf137d76a65c779086f065d2c93d35e576d06656b2d50771c7b07a53a",
+    "qcvx-second-random(3000,1)@5000": "2c7e39aaf137d76a65c779086f065d2c93d35e576d06656b2d50771c7b07a53a",
     "smap-jump@101": "6f922418c7e2dac1dd5739583c716c78634b1a28a2ef11b6ebadf278a4b37f89",
     "smap-figure1@401": "3869c3f6c760806cd338cab6e808b171a7b68e26ca675fe7de2439db78c08245",
     "smap-random(1004,2)@21": "c3b70f95988771232a62e7df8bf1cbe46ed78cc2b5bb8c80e26586973974ae6d",

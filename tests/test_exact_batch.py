@@ -122,7 +122,8 @@ class TestBatchAgainstPairCombination:
 
     def test_sqrt2_witness_pairs(self):
         C = CompactBox((Root2(0), Root2(Fraction(1, 3))), (Root2(1), Root2(1, 1)))
-        pairs = sampling.sqrt2_witness_pairs(C)
+        P, rows, _, _ = sampling.sqrt2_lead(C)
+        pairs = [tuple(tuple(P[:, i].tolist()) for i in row) for row in rows[::sampling.SQRT2_LEAD_POINTS, 1:].tolist()]
         assert pairs
         points = [p for pair in pairs for p in pair] + [pairs[0][0]]
         n = len(points)

@@ -50,10 +50,16 @@ def reference_lambdas(exact: bool, rng: random.Random, extra: int = 2) -> list:
     return [0.5, 0.25, 0.75] + [rng.uniform(0.05, 0.95) for _ in range(extra)]
 
 
+def as_chunk(points: list, rows: np.ndarray, lams: list, spent: int) -> tuple:
+    """A chunk of points and lams in lists as the plans give it: (dim, N) columns and a lams array, holding the
+    lists' own objects."""
+    return np.array(points, dtype=object).T, rows, np.array(lams, dtype=object), spent
+
+
 def reference_probe_chunk(probes: list) -> tuple:
     """The probes (fixed, a, b, lambda), in order, as one chunk of ``segment_plan``."""
     points = [p for probe in probes for p in probe[:3]]
-    return points, np.arange(len(points)).reshape(-1, 3), [probe[3] for probe in probes], 0
+    return as_chunk(points, np.arange(len(points)).reshape(-1, 3), [probe[3] for probe in probes], 0)
 
 
 def reference_segment_plan(lattice: list, rng: random.Random, exact: bool, trials: int, draw: Callable):
@@ -66,7 +72,7 @@ def reference_segment_plan(lattice: list, rng: random.Random, exact: bool, trial
     half = Fraction(1, 2) if exact else 0.5
     j, k = np.triu_indices(len(lattice), 1)
     for i in range(len(lattice)):
-        yield lattice, np.column_stack([np.full(len(j), i), j, k]), [half] * len(j), 0
+        yield as_chunk(lattice, np.column_stack([np.full(len(j), i), j, k]), [half] * len(j), 0)
     probes = []
     for _ in range(trials):
         fixed, a, b = draw(rng)
@@ -84,16 +90,17 @@ def reference_level_set_plan(xs: list, y: Point, values: list, rng: random.Rando
     a, b = np.triu_indices(len(members), 1)
     rows = np.column_stack([np.full(len(a), len(xs)), members[a], members[b]])[:sampling.LEVEL_SET_PAIRS]
     per_row = [reference_lambdas(exact, rng) for _ in rows]
-    return xs + [y], np.repeat(rows, [len(g) for g in per_row], axis=0), [lam for g in per_row for lam in g], len(values)
+    lams = [lam for g in per_row for lam in g]
+    return as_chunk(xs + [y], np.repeat(rows, [len(g) for g in per_row], axis=0), lams, len(values))
 
 
 def probe_sequence(chunks) -> tuple:
-    """Every probe of a plan in order, as the reprs of its points and lambda (type and sign of zero included), and
-    the f-values its chunks spent."""
+    """Every probe of a plan in order, as the reprs of its points (read from the chunk's columns) and lambda (type
+    and sign of zero included), and the f-values its chunks spent."""
     probes, spent = [], 0
-    for points, rows, lams, s in chunks:
-        names = [repr(p) for p in points]
-        probes += [(tuple(names[i] for i in row), repr(lam)) for row, lam in zip(rows.tolist(), lams)]
+    for P, rows, lams, s in chunks:
+        names = [repr(p) for p in zip(*P.tolist())]
+        probes += [(tuple(names[i] for i in row), repr(lam)) for row, lam in zip(rows.tolist(), lams.tolist())]
         spent += s
     return probes, spent
 
@@ -136,9 +143,9 @@ class TestPlansMatchTheReferences:
         rng, reference = random.Random(948), random.Random(948)
         for n in range(300):
             extra = n % 4
-            assert repr(sampling.lambdas(exact, rng, extra)) == repr(reference_lambdas(exact, reference, extra))
+            assert repr(sampling.lambdas(exact, rng, extra).tolist()) == repr(reference_lambdas(exact, reference, extra))
             assert rng.getstate() == reference.getstate()
-        assert repr(sampling.lambdas(exact, rng, 2, rows=7)) == repr([v for _ in range(7) for v in reference_lambdas(exact, reference)])
+        assert repr(sampling.lambdas(exact, rng, 2, rows=7).tolist()) == repr([v for _ in range(7) for v in reference_lambdas(exact, reference)])
         assert rng.getstate() == reference.getstate()
 
     @pytest.mark.parametrize("box", BOXES)
@@ -171,6 +178,44 @@ class TestPlansMatchTheReferences:
                          ((sampling.level_set_plan, rng), (reference_level_set_plan, reference)))
             assert probe_sequence([got]) == probe_sequence([want])
             assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("box", ["float-2d", "exact-1d"])
+    def test_segment_plan_trial_chunks(self, box):
+        # 2 * 2048 + 3 trials: three trial chunks, the draws in the order of one
+        C, trials = BOXES[box], sampling.CHUNK_ROWS // 2 + 3
+        rng, reference = random.Random(1733), random.Random(1733)
+        plan = list(sampling.segment_plan(C, rng, C.is_exact, trials, (0, 1, 2)))
+        want = reference_segment_plan(sampling.box_lattice(C), reference, C.is_exact, trials, lambda r: reference_random_points(C, r, 3))
+        assert probe_sequence(plan) == probe_sequence(want)
+        assert rng.getstate() == reference.getstate()
+        assert [len(rows) for _, rows, _, _ in plan[-3:]] == [sampling.CHUNK_ROWS, sampling.CHUNK_ROWS, 12]
+
+
+class TestChunkForm:
+    """Every chunk carries (dim, N) columns P in the box's dtype and one lam per row: float64 on float boxes, and
+    objects holding ``Root2`` and ``Fraction`` on exact ones."""
+
+    def assert_chunk(self, C, chunk):
+        P, rows, lams, _ = chunk
+        scalar, weight = (Root2, Fraction) if C.is_exact else (float, float)
+        assert P.ndim == 2 and P.shape[0] == C.dim and P.dtype == (object if C.is_exact else np.float64)
+        assert lams.shape == (len(rows),) and lams.dtype == P.dtype
+        assert rows.shape[1] == 3 and (rows < P.shape[1]).all()
+        assert all(type(v) is scalar for v in P.ravel().tolist()) and all(type(v) is weight for v in lams.tolist())
+
+    @pytest.mark.parametrize("box", BOXES)
+    def test_segment_plan(self, box, monkeypatch):
+        monkeypatch.setitem(sampling.BOX_LATTICE_BUDGET, 3, 3)
+        C = BOXES[box]
+        for chunk in sampling.segment_plan(C, random.Random(5), C.is_exact, 40, (2, 0, 1)):
+            self.assert_chunk(C, chunk)
+
+    @pytest.mark.parametrize("box", BOXES)
+    def test_level_set_plan(self, box):
+        C = BOXES[box]
+        xs, rng = sampling.box_lattice(C), random.Random(6)
+        for values in ([rng.uniform(-1.0, 1.0) for _ in xs], [-1.0] * len(xs)):  # a level set, and an empty one
+            self.assert_chunk(C, sampling.level_set_plan(xs, xs[-1], values, rng, C.is_exact))
 
 
 class TestLatticeChunks:

@@ -622,7 +622,7 @@ def reference_check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeR
     samples = 0
     for x, x_map, lo, hi in sampling.lattice_regions(K, grid):
         pts = _member_samples(K, x_map, lo, hi, grid)
-        lams = sampling.lambdas(False, rng, extra=sampling.SEGMENT_EXTRA_LAMBDAS)
+        lams = sampling.lambdas(False, rng, extra=sampling.SEGMENT_EXTRA_LAMBDAS).tolist()
         pairs = itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS)
         for y1, y2 in pairs:
             for lam in lams:
