@@ -219,11 +219,24 @@ def _unclear(flagged: np.ndarray, *values: np.ndarray) -> np.ndarray:
     return flagged | ~np.isfinite(values).all(axis=0)
 
 
+def _refuse(f: Bifunction, C: CompactBox, trials: int = 1) -> None:
+    """ValueError, before any draw, on trials outside 1 to ``sampling.TRIALS_BUDGET`` or a box C whose scalars are not
+    f.domain's: a check's plan draws its points in C's scalars and its lambdas in f's."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > sampling.TRIALS_BUDGET:
+        raise ValueError(f"trials must be at most sampling.TRIALS_BUDGET = {sampling.TRIALS_BUDGET}, got {trials}")
+    if C.is_exact != f.domain.is_exact:
+        kind = ("a float", "an exact")
+        raise ValueError(f"C is {kind[C.is_exact]} box but f's domain is {kind[f.domain.is_exact]} box")
+
+
 def check_condition_ii(f: Bifunction, C: CompactBox, seed: int = sampling.CHECK_SEED) -> ConditionReport:
     """Convexity of {x in C : f(x, y) >= 0} for sampled y.
 
     Takes sampled x1, x2 in the level set and checks the segment stays in it.
     """
+    _refuse(f, C)
     rng = random.Random(seed)
     xs = sampling.box_lattice(C)
     ys = xs[: sampling.LEVEL_SETS]
@@ -256,8 +269,7 @@ def check_condition_iii(
     f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """The finite-subset condition: max_i f(x, x_i) >= 0 for x in the convex hull of lattice pairs, then of random subsets."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _refuse(f, C, trials)
     exact = f.domain.is_exact
     tol, lattice = sampling.tolerance(exact), sampling.box_lattice(C)
 
@@ -417,8 +429,7 @@ def check_quasiconvex_second(
     f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """Quasiconvexity of f(x, .): f(x, mid) <= max(f(x,y1), f(x,y2)) + tol."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _refuse(f, C, trials)
 
     def violates(x, y1, y2, lam, mid, tol):
         v_mid = f.fn(x, mid)
@@ -441,8 +452,7 @@ def check_quasiconcave_first(
     f: Bifunction, C: CompactBox, trials: int = sampling.CHECK_TRIALS, seed: int = sampling.CHECK_SEED
 ) -> ConditionReport:
     """Quasiconcavity of f(., y): f(mid, y) >= min(f(x1,y), f(x2,y)) - tol."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _refuse(f, C, trials)
 
     def violates(y, x1, x2, lam, mid, tol):
         v_mid = f.fn(mid, y)

@@ -16,7 +16,8 @@ the six theorem checks, plus the extra checks a file's ``[checks] run``
 names (all three by default; a theorem check named there is refused); their
 sampling trials and seed come from --trials and --seed alone, and a file
 that sets them is refused.  Exit codes: 0 = ran, 2 = bad input (unknown
-flags, malformed or negative numbers, --trials below 1, a grid over
+flags, malformed or negative numbers, --trials below 1 or above
+``sampling.TRIALS_BUDGET``, a grid over
 ``geometry.GRID_POINT_BUDGET`` points, bad files, a map image that is empty
 or a value that is not finite at some grid point; always with an ``error:``
 line, never a traceback), 3 = verify flagged an anomaly (all hypothesis
@@ -71,6 +72,8 @@ def _trials_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    if value > sampling.TRIALS_BUDGET:
+        raise argparse.ArgumentTypeError(f"must be at most sampling.TRIALS_BUDGET = {sampling.TRIALS_BUDGET}, got {text!r}")
     return value
 
 

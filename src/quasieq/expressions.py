@@ -15,7 +15,7 @@ literal exponent.  Every parsed expression is total on its domain.  An
 expression may be at most ``MAX_DEPTH`` levels deep, so that both evaluators
 compile.
 
-Each Expression compiles to two evaluators that take points, not names:
+Each Expression compiles two evaluators, each on its first call, of points, not names:
 ``x_k`` reads ``x[k-1]`` and ``y_k`` reads ``y[k-1]``.  The scalar one (pure
 Python, used in tight per-point loops) takes tuples of numbers, so an
 Expression is itself a map bound, an objective or a bifunction.  The batch one
@@ -548,6 +548,8 @@ def _link_directions(link: Bin, rise, fall, left_axes: set, x, dim: int) -> tupl
     else:
         flip = np.asarray(_walk(link.left, x, ())[0] < 0)[..., None]
         rise, fall = _directions(link.right, x, dim)
+    if flip.all() or not flip.any():  # a factor of one sign (NaN < 0 is False) needs no select
+        return (fall, rise, axes) if flip.all() else (rise, fall, axes)
     return np.where(flip, fall, rise), np.where(flip, rise, fall), axes
 
 
@@ -587,7 +589,7 @@ for _node in (Num, Var, Neg, Bin, Call, Cmp, Piecewise):  # == is NotImplemented
 
 
 class Expression:
-    """A parsed expression with scalar and numpy-batch evaluators of points x and y."""
+    """A parsed expression with scalar and numpy-batch evaluators of points x and y, each compiled on its first call."""
 
     __slots__ = ("ast", "text", "variables", "_scalar_fn", "_batch_fn")
 
@@ -595,11 +597,12 @@ class Expression:
         self.ast = ast
         self.text = text
         self.variables = variables
-        self._scalar_fn = _compile(ast, batch=False)
-        self._batch_fn = _compile(ast, batch=True)
+        self._scalar_fn = self._batch_fn = None  # each compiled on its first call
 
     def __call__(self, x, y=()) -> float:
         """The value at the points x and y (tuples of numbers); NonFiniteValueError if it is inf or NaN."""
+        if self._scalar_fn is None:
+            self._scalar_fn = _compile(self.ast, batch=False)
         v = self._scalar_fn(x, y)
         if not math.isfinite(v):
             at = f"x={tuple(x)}, y={tuple(y)}" if y else f"x={tuple(x)}"
@@ -611,6 +614,8 @@ class Expression:
 
         Points given as the columns of (dim, N) arrays X and Y, as the package keeps them, are passed as they are.
         """
+        if self._batch_fn is None:
+            self._batch_fn = _compile(self.ast, batch=True)
         return self._batch_fn(x, y)
 
     def y_directions(self, x, dim: int) -> tuple:

@@ -56,6 +56,8 @@ PROBE_SEED = 947
 CHECK_SEED = 1729
 #: Default random trials of condition_iii, qcvx_second and qccv_first.
 CHECK_TRIALS = 400
+#: The most random trials of one check, the grid's point budget: more are refused before any draw.
+TRIALS_BUDGET = 2**24
 #: The exact lambdas k/64, built once: the exact checkers draw their lambdas from this table.
 _SIXTY_FOURTHS = np.array([Fraction(k, 64) for k in range(65)], dtype=object)
 

@@ -129,14 +129,16 @@ class SetValuedMap:
         return ConvexRegion(tuple(lo), tuple(hi))
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite bounds are flagged instead
-    def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _bounds(self, X: np.ndarray, mesh: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``bounds_batch``'s (lo, hi), with no raise, and per point whether every bound was finite before clipping."""
         box = self.domain
         lo, hi = np.empty(X.shape, dtype=X.dtype), np.empty(X.shape, dtype=X.dtype)
         if all(isinstance(fn, Expression) for fn in self.lower_fns + self.upper_fns):
+            at = X if mesh is None else mesh  # each bound reads only its own axes of an open mesh, broadcast into its row
+            shape = (box.dim, *np.broadcast(*at).shape)
             for k in range(box.dim):
-                lo[k] = self.lower_fns[k].eval_batch(X)
-                hi[k] = self.upper_fns[k].eval_batch(X)
+                lo.reshape(shape)[k] = self.lower_fns[k].eval_batch(at)
+                hi.reshape(shape)[k] = self.upper_fns[k].eval_batch(at)
         else:
             for i, x in enumerate(zip(*X.tolist())):
                 for k in range(box.dim):
@@ -149,17 +151,18 @@ class SetValuedMap:
         np.minimum(hi, np.asarray(box.upper, dtype=X.dtype)[:, None], out=hi)
         return lo, hi, finite
 
-    def bounds_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bounds_batch(self, X: np.ndarray, mesh: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray]:
         """Clipped bounds (lo, hi), X's shape and dtype, at the points of X, a (dim, N) array in the domain's scalars.
 
         Row k of ``lo`` and ``hi`` is axis k.  When every bound is an
-        ``Expression`` each is evaluated in one batch over X; otherwise each
+        ``Expression`` each is evaluated in one batch over X, or over ``mesh``,
+        X's open mesh ``np.ix_(*grid.axes)`` where X is ``grid_coords(grid)``; otherwise each
         point, a tuple of Python scalars, goes to lower_1, upper_1, lower_2,
         ... in turn.  Raises NonFiniteValueError at the first point with a
         non-finite bound (before clipping), then InstanceDefinitionError at the first
         point whose image is empty, each naming that point.
         """
-        lo, hi, finite = self._bounds(X)
+        lo, hi, finite = self._bounds(X, mesh)
         if not finite.all():
             raise NonFiniteValueError(f"a map bound is not finite at grid point {tuple(X[:, finite.argmin()].tolist())}")
         empty = (lo > hi).any(axis=0)
@@ -198,14 +201,14 @@ def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.
     (start, stop) index range on axis k of the grid points in K(x), start >=
     stop if none.  The domain's membership snap widens the residual limit and
     the ranges.  All of them come from one ``bounds_batch`` table of ``X =
-    grid_coords(grid)``, in the grid's scalars, and the ranges are searched in
+    grid_coords(grid)`` and its open mesh, in the grid's scalars, and the ranges are searched in
     ``grid.axes``: exact grids test the residual exactly and round it on return.
     """
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     snap = K.domain.snap()
     X = grid_coords(grid) if X is None else X
-    lo, hi = K.bounds_batch(X)
+    lo, hi = K.bounds_batch(X, np.ix_(*grid.axes))
     residuals = np.zeros(X.shape[1], dtype=X.dtype)  # a running maximum over N-vectors: no (dim, N) temporaries
     for k in range(grid.dim):
         np.maximum(residuals, lo[k] - X[k], out=residuals)

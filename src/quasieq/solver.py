@@ -203,10 +203,10 @@ def _corner_minima(e: Expression, grid: Grid, X: np.ndarray, fixed: np.ndarray, 
     x = X[:, fixed]
     rise, fall = e.y_directions(x, grid.dim)
     first, last = spans[:, :, 0], spans[:, :, 1] - 1
-    low = [ax[c] for ax, c in zip(grid.axes, np.where(fall, last, first).T)]
-    high = [ax[c] for ax, c in zip(grid.axes, np.where(fall, first, last).T)]
-    minima = np.array(np.broadcast_to(e.eval_batch(x, low), len(fixed)), dtype=float)
-    taken = ~(rise & fall).any(axis=1) & (minima != 0) & e.finite_subterms(x, low) & e.finite_subterms(x, high)
+    ends = np.where(fall, [last, first], [first, last])  # (2, N, dim) indices: the least corner, then the greatest
+    corners = [ax[c] for ax, c in zip(grid.axes, np.moveaxis(ends, -1, 0))]  # (2, N) per coordinate: one walk
+    minima = np.array(np.broadcast_to(e.eval_batch(x, [c[0] for c in corners]), len(fixed)), dtype=float)
+    taken = ~(rise & fall).any(axis=1) & (minima != 0) & e.finite_subterms(x, corners).all(axis=0)
     return taken, minima
 
 

@@ -405,6 +405,34 @@ class TestCheckerProperties:
             check(f, inst.C, trials=0)
         assert calls == []
 
+    @staticmethod
+    def _no_draw(monkeypatch):
+        def drew(*_args, **_kwargs):
+            raise AssertionError("a plan was drawn")
+
+        for name in ("box_lattice", "random_points", "segment_plan", "floats"):
+            monkeypatch.setattr(sampling, name, drew)
+        monkeypatch.setattr(random, "Random", drew)
+
+    @pytest.mark.parametrize("check", [check_condition_iii, check_quasiconvex_second, check_quasiconcave_first])
+    def test_trials_over_the_budget_are_refused_before_any_draw(self, check, monkeypatch):
+        # one over the budget is refused by its count alone: no huge count is ever run
+        f = random_instance(3000, 1).bifunction()
+        self._no_draw(monkeypatch)
+        with pytest.raises(ValueError, match=f"at most sampling.TRIALS_BUDGET = {2**24}, got {2**24 + 1}"):
+            check(f, f.domain, trials=sampling.TRIALS_BUDGET + 1)
+
+    @pytest.mark.parametrize("check", [check_condition_ii, check_condition_iii, check_quasiconvex_second, check_quasiconcave_first])
+    @pytest.mark.parametrize("f_exact", [False, True])
+    def test_a_box_in_other_scalars_than_f_is_refused_before_any_draw(self, check, f_exact, monkeypatch):
+        exact, floating = remark_bifunction_instance(), random_instance(3000, 1)
+        f, C = (exact.bifunction(), floating.C) if f_exact else (floating.bifunction(), exact.C)
+        assert C.is_exact != f_exact
+        self._no_draw(monkeypatch)
+        kinds = ("an exact", "a float") if f_exact else ("a float", "an exact")
+        with pytest.raises(ValueError, match=f"C is {kinds[1]} box but f's domain is {kinds[0]} box"):
+            check(f, C)
+
     def test_remark_consistency_triple(self):
         # condition ii holds while the two sufficient conditions fail
         inst = remark_bifunction_instance()

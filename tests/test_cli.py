@@ -265,6 +265,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_trials_over_the_budget_exit_2_before_any_draw(self, capsys, monkeypatch):
+        # one over the budget is refused by its count alone; the budget itself parses (never run here)
+        from quasieq import cli, sampling
+
+        def drew(*_args):
+            raise AssertionError("the target was resolved")
+
+        monkeypatch.setattr(cli, "_resolve_target", drew)
+        over = str(sampling.TRIALS_BUDGET + 1)
+        assert main(["verify", "remark", "--trials", over]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --trials: must be at most sampling.TRIALS_BUDGET = {2**24}, got '{over}'" in err
+        assert "Traceback" not in err
+        assert cli._trials_arg(str(sampling.TRIALS_BUDGET)) == sampling.TRIALS_BUDGET
+
     def test_unread_spec_key_refused(self, tmp_path, capsys):
         # vertex_3 without a vertex_2 is not read, so it is refused rather than dropped
         text = _objective_spec("x_1").replace("kind = objective\nexpr = x_1", "kind = qvi_operator\nvertex_1 = 1\nvertex_3 = -1")

@@ -1,5 +1,8 @@
 import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 
 from quasieq.bifunction import Bifunction
 from quasieq.errors import NonFiniteValueError, ParseError
+from quasieq import expressions
+from quasieq.cli import main
 from quasieq.expressions import (
     BRACKET_LEVELS,
     MAX_DEPTH,
@@ -339,3 +344,111 @@ class TestCornerMinima:
         x, y = [np.array([0.5, 1.0])] * 2, [np.array([0.25, 2.0])] * 2
         with np.errstate(invalid="ignore"):
             assert not parse_expression("(x_1 * 1e400 - x_1 * 1e400) * y_1 + y_2").finite_subterms(x, y).any()
+
+
+# -- the monotonicity pass against its select-always form ------------------
+
+# constants that overflow a product to inf, and an inf - inf to NaN, or make a factor zero
+_wide_asts = st.recursive(_constants | st.sampled_from([0.0, -0.0, 1e300, -1e300]).map(Num) | _variables, _extend, max_leaves=16)
+_coords = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -3.0, 1e300, -1e300, math.inf, math.nan])
+
+
+def _select_always_link(link, rise, fall, left_axes, x, dim):
+    """``expressions._link_directions`` as it was before the one-sign shortcut: every flip goes through ``np.where``."""
+    right_axes = expressions._y_axes(link.right)
+    axes = left_axes | right_axes
+    if not axes:
+        return np.zeros(dim, dtype=bool), np.zeros(dim, dtype=bool), axes
+    if link.op in "+-":
+        right_rise, right_fall = expressions._directions(link.right, x, dim)
+        if link.op == "-":
+            right_rise, right_fall = right_fall, right_rise
+        return rise | right_rise, fall | right_fall, axes
+    if left_axes and right_axes:
+        reads = np.array([k in axes for k in range(dim)])
+        return reads, reads, axes
+    if left_axes:
+        flip = np.asarray(expressions._walk(link.right, x, ())[0] < 0)[..., None]
+    else:
+        flip = np.asarray(expressions._walk(link.left, x, ())[0] < 0)[..., None]
+        rise, fall = expressions._directions(link.right, x, dim)
+    return np.where(flip, fall, rise), np.where(flip, rise, fall), axes
+
+
+def _two_walk_corners(e, grid, X, fixed, spans):
+    """``solver._corner_minima`` as it was before the stacked walk: one ``finite_subterms`` walk per extreme corner."""
+    x = X[:, fixed]
+    rise, fall = e.y_directions(x, grid.dim)
+    first, last = spans[:, :, 0], spans[:, :, 1] - 1
+    low = [ax[c] for ax, c in zip(grid.axes, np.where(fall, last, first).T)]
+    high = [ax[c] for ax, c in zip(grid.axes, np.where(fall, first, last).T)]
+    minima = np.array(np.broadcast_to(e.eval_batch(x, low), len(fixed)), dtype=float)
+    taken = ~(rise & fall).any(axis=1) & (minima != 0) & e.finite_subterms(x, low) & e.finite_subterms(x, high)
+    return taken, minima
+
+
+class TestMonotonicityPassDifferential:
+    """The one-sign shortcut of the flip factors and the stacked finiteness walk give the booleans of the forms they replace."""
+
+    @given(_wide_asts, st.lists(st.tuples(_coords, _coords, _coords), min_size=1, max_size=6))
+    @example(parse_expression("(x_1 - 0.5) * (y_1 - x_1) + y_2 * x_2").ast, [(2.0, 3.0, 0.0), (1.0, 1e300, 0.0)])  # one sign
+    @example(parse_expression("(x_1 - 0.5) * (y_1 - x_1) + y_2 * x_2").ast, [(0.0, -3.0, 0.0), (-1.0, -0.5, 0.0)])
+    @example(parse_expression("(x_1 - 0.5) * (y_1 - x_1) - x_2 * y_2").ast, [(2.0, -3.0, 0.0), (0.0, 0.5, 0.0)])  # mixed
+    @example(parse_expression("(x_1 - x_1) * y_1 + y_2 / -4 * x_2").ast, [(math.inf, math.nan, 0.0), (math.nan, -0.0, 0.0)])  # NaN
+    @settings(max_examples=400, deadline=None)
+    def test_y_directions_equal_the_select_always_form(self, ast, points):
+        e = parse_expression(Expression(ast, "", frozenset()).to_text())
+        x = list(np.array(points, dtype=float).T)
+        with np.errstate(all="ignore"):
+            rise, fall = e.y_directions(x, 3)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(expressions, "_link_directions", _select_always_link)
+                want_rise, want_fall = e.y_directions(x, 3)
+        assert rise.tolist() == want_rise.tolist() and fall.tolist() == want_fall.tolist(), e.to_text()
+
+    @given(_wide_asts, _blocks())
+    @example(parse_expression(CLIPPED_NAN).ast, ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [11, 11, 2], [2, 60], [[[0, 11], [0, 11], [0, 2]]] * 2))
+    # finite at the low corner, y_1 = 0, and a subterm inf at the high corner, y_1 = 1
+    @example(parse_expression("min(max(y_1 - 0.5, 0) * 1e300 * 1e300, 5) + 1").ast, ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [5, 5, 2], [12], [[[0, 5], [0, 5], [0, 2]]]))
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_finiteness_walk_equals_one_walk_per_corner(self, ast, block):
+        e = parse_expression(Expression(ast, "", frozenset()).to_text())
+        lower, upper, ppa, fixed, spans = block
+        grid = Grid(CompactBox(tuple(lower), tuple(upper)), tuple(ppa))
+        fixed, spans = np.array(fixed, dtype=np.intp), np.array(spans, dtype=np.intp)
+        with np.errstate(all="ignore"):
+            taken, minima = _corner_minima(e, grid, grid_coords(grid), fixed, spans)
+            want_taken, want_minima = _two_walk_corners(e, grid, grid_coords(grid), fixed, spans)
+        assert taken.tolist() == want_taken.tolist(), e.to_text()
+        assert minima.tobytes() == want_minima.tobytes()
+
+
+class TestLazyCompile:
+    """Each evaluator is compiled on its first call, by the one ``_compile``."""
+
+    def test_scalar_after_batch_compiles_and_equals_eager(self, monkeypatch):
+        text = "piecewise(x_1 < 0.5, power(y_1 - x_1, 3), max(x_1, -y_1)) / 4"
+        e, compiled = parse_expression(text), []
+        real = expressions._compile
+        monkeypatch.setattr(expressions, "_compile", lambda node, batch: compiled.append(batch) or real(node, batch))
+        X, Y = np.array([[0.25, 0.75, -1.0]]), np.array([[2.0, -0.5, 0.0]])
+        batch = e.eval_batch(X, Y)
+        assert compiled == [True]
+        scalar = [e((x,), (y,)) for x, y in zip(X[0].tolist(), Y[0].tolist())]
+        assert compiled == [True, False]  # each once, however often it is called
+        eager = real(e.ast, batch=False)
+        assert scalar == [eager((x,), (y,)) for x, y in zip(X[0].tolist(), Y[0].tolist())] == batch.tolist()
+
+    def test_cli_solve_compiles_only_the_batch_evaluators_it_runs(self, tmp_path, monkeypatch):
+        # exprbif_spec(3) of perfbench: four map bounds and the payload, each evaluated in batches only
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(loader)
+        monkeypatch.setitem(sys.modules, loader.name, workloads)  # its dataclasses look their module up
+        loader.loader.exec_module(workloads)
+        spec = tmp_path / "exprbif-3.spec"
+        spec.write_text(workloads.exprbif_spec(3), encoding="utf-8")
+        compiled, real = [], expressions._compile
+        monkeypatch.setattr(expressions, "_compile", lambda node, batch: compiled.append(batch) or real(node, batch))
+        assert main(["solve", str(spec), "--format", "json", "--grid", "121", "--out", str(tmp_path / "r.json")]) == 0
+        assert compiled == [True] * 5
