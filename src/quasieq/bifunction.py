@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -220,8 +219,8 @@ def _unclear(flagged: np.ndarray, *values: np.ndarray) -> np.ndarray:
 
 
 def _refuse(f: Bifunction, C: CompactBox, trials: int = 1) -> None:
-    """ValueError, before any draw, on trials outside 1 to ``sampling.TRIALS_BUDGET`` or a box C whose scalars are not
-    f.domain's: a check's plan draws its points in C's scalars and its lambdas in f's."""
+    """ValueError, before any draw or evaluation, on trials outside 1 to ``sampling.TRIALS_BUDGET`` or a box C whose
+    scalars are not f.domain's: a check's plan draws its points in C's scalars and its lambdas in f's."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > sampling.TRIALS_BUDGET:
@@ -270,43 +269,37 @@ def check_condition_iii(
 ) -> ConditionReport:
     """The finite-subset condition: max_i f(x, x_i) >= 0 for x in the convex hull of lattice pairs, then of random subsets."""
     _refuse(f, C, trials)
-    exact = f.domain.is_exact
-    tol, lattice = sampling.tolerance(exact), sampling.box_lattice(C)
+    tol, batch = sampling.tolerance(f.domain.is_exact), _pair_values(f)
+    pool, chunks = sampling.subset_plan(C, random.Random(seed + 1), trials)
 
-    def violates(subset, weights, x=None):  # x: the combination, where _segment_check formed it
-        x = convex_combination(subset, weights) if x is None else x
+    def violates(subset, weights):
+        x = convex_combination(subset, weights)
         vals = [f.fn(x, xi) for xi in subset]
         worst = max(vals)
         if worst < -tol:
             return {"subset": list(subset), "weights": list(weights), "combination": x, "values": vals, "max_value": worst}
         return None
 
-    def suspects(values, x1, x2, mid, tol):
-        v1, v2 = values(mid, x1), values(mid, x2)
-        return _unclear(np.where(v2 > v1, v2, v1) < -tol, v1, v2)  # Python's max, as in violates
-
-    pairs = np.column_stack(np.triu_indices(len(lattice), 1))
-    chunk = point_columns(lattice), pairs, np.full(len(pairs), Fraction(1, 2) if exact else 0.5), 0
-    rep = _segment_check("iii", f, [chunk], 2, lambda a, b, lam, x, _: violates((a, b), (lam, 1 - lam), x), suspects)
-    if rep.verdict == FAIL:
-        return rep
-    rng = random.Random(seed + 1)  # this check's own: every subset is drawn before any is probed
-    pool = lattice + sampling.random_points(C, rng, sampling.SUBSET_POOL_EXTRA)
-    picks, weights = zip(*(sampling.random_subset(len(pool), rng, exact) for _ in range(trials)))
-    batch = _pair_values(f)
-    unclear = None if batch is None else _subset_suspects(batch, pool, picks, weights, tol)
-    n, w = sampling.first_witness(trials, lambda r: violates(tuple(pool[i] for i in picks[r]), weights[r]), unclear)
-    samples = rep.samples_used + sum(map(len, picks[:n]))
-    return ConditionReport("iii", NO_VIOLATION_FOUND if w is None else FAIL, w, samples, tol)
+    samples = 0
+    for picks, weights in chunks:
+        unclear = None if batch is None else _subset_suspects(batch, pool, picks, weights, tol)
+        n, w = sampling.first_witness(len(picks), lambda r: violates(tuple(pool[i] for i in picks[r]), weights[r]), unclear)
+        samples += sum(map(len, picks[:n]))
+        if w is not None:
+            return ConditionReport("iii", FAIL, w, samples, tol)
+    return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
 def _subset_suspects(values: Callable, pool: list, picks: tuple, weights: tuple, tol: float) -> np.ndarray:
-    """The random subsets of condition_iii that a batch cannot clear: max_i f(x, x_i) < -tol, a value not finite,
-    or weights that ``convex_combination`` refuses.  x is formed with its float operations, in its order, and is
-    the first point itself where every point equals it.  A subset is padded with its first point, weight 0."""
-    size, k = np.array([len(p) for p in picks]), sampling.SUBSET_SIZE_MAX
-    live = np.arange(k) < size[:, None]
-    I, W = np.array([p + p[:1] * (k - len(p)) for p in picks]), np.array([w + (0.0,) * (k - len(w)) for w in weights])
+    """The subsets of condition_iii that a batch cannot clear: max_i f(x, x_i) < -tol, a value not finite, or weights
+    that ``convex_combination`` refuses.  x is formed with its float operations, in its order, and is the first point
+    itself where every point equals it.  Subsets are padded to the chunk's largest with their first point, weight 0."""
+    size = np.fromiter(map(len, picks), np.intp, len(picks))
+    live = np.arange(size.max()) < size[:, None]
+    I, W, k = np.zeros(live.shape, np.intp), np.zeros(live.shape), live.shape[1]
+    I[live] = np.fromiter(itertools.chain.from_iterable(picks), np.intp, size.sum())
+    W[live] = np.fromiter(itertools.chain.from_iterable(weights), float, size.sum())
+    I = np.where(live, I, I[:, :1])
     Y = point_columns(pool, float)[:, I]  # (dim, subsets, k)
     X, total = Y[:, :, 0] * W[:, 0], W[:, 0]
     for j in range(1, k):
@@ -333,7 +326,7 @@ def _pair_ladders(values: Callable, P: np.ndarray, radii: tuple, C: CompactBox, 
     for j, r in enumerate(radii):
         if not live.size:
             break
-        table[live, j] = codes(sampling.pair_moves(P[live], r, C))
+        table[live, j] = codes(sampling.point_moves(P[live], r, C))
         live = live[table[live, j] > 0]
 
     def jittered(a, b, rungs):
@@ -353,6 +346,7 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
     a batch form of f, the loop runs only what ``_pair_ladders`` cannot settle.
     """
     C = grid.box
+    _refuse(f, C)
     rng = sampling.DrawStream(seed + 2)
     lattice = sampling.box_lattice(C)
     pairs = [(x, y) for x in lattice for y in lattice]
@@ -393,7 +387,7 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
 
 
 def _segment_check(condition_id, f, plan, cost, violates, suspects) -> ConditionReport:
-    """The driver of the segment falsifiers: condition_ii, condition_iii's lattice pairs, qcvx_second, qccv_first.
+    """The driver of the segment falsifiers: condition_ii, qcvx_second and qccv_first.
 
     ``plan`` gives chunks (P, rows, lams, spent) in turn: row r probes the point columns ``P[:, i] for i in rows[r]``
     at ``lams[r]``, the last two being the segment's ends and any before them held fixed, and ``spent`` counts the
@@ -444,7 +438,7 @@ def check_quasiconvex_second(
 
     exact = f.domain.is_exact
     lead = [sampling.sqrt2_lead(C)] if exact else []  # measure-zero witnesses: irrational y1, y2, a rational midpoint
-    plan = sampling.segment_plan(C, random.Random(seed + 3), exact, trials, (0, 1, 2))  # x, y1, y2 drawn in turn
+    plan = sampling.segment_plan(C, random.Random(seed + 3), trials, (0, 1, 2))  # x, y1, y2 drawn in turn
     return _segment_check("qcvx_second", f, itertools.chain(lead, plan), 3, violates, suspects)
 
 
@@ -465,12 +459,13 @@ def check_quasiconcave_first(
         v_mid, v1, v2 = values(mid, y), values(x1, y), values(x2, y)
         return _unclear(_below_min(v_mid, v1, v2, tol), v_mid, v1, v2)
 
-    plan = sampling.segment_plan(C, random.Random(seed + 4), f.domain.is_exact, trials, (2, 0, 1))  # x1, x2, y drawn
+    plan = sampling.segment_plan(C, random.Random(seed + 4), trials, (2, 0, 1))  # x1, x2, y drawn
     return _segment_check("qccv_first", f, plan, 3, violates, suspects)
 
 
 def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
     """|f(x, x)| <= tol at every grid x (exactly 0 over exact scalars); FAIL with the first offender."""
+    _refuse(f, grid.box)
     tol, X = sampling.tolerance(f.domain.is_exact), grid_coords(grid)
 
     def violates(r):
@@ -480,6 +475,4 @@ def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
 
     batch = _pair_values(f)
     samples, w = sampling.first_witness(X.shape[1], violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
-    if w is not None:
-        return ConditionReport("diagonal_zero", FAIL, w, samples, tol)
-    return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND, None, samples, tol)
+    return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND if w is None else FAIL, w, samples, tol)

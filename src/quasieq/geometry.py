@@ -103,8 +103,8 @@ class Root2:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: object) -> Root2:
-        if type(other) is int:
-            return _of((self._t[0] + other * self._t[2], *self._t[1:]))
+        if type(other) is int:  # the int 0, such as an exact tolerance, gives self itself: a Root2 is immutable
+            return _of((self._t[0] + other * self._t[2], *self._t[1:])) if other else self
         (sp, sq, sd), (p, q, d) = self._t, _parts(other)
         return _normal(_new(Root2), sp * d + p * sd, sq * d + q * sd, sd * d)
 
@@ -112,7 +112,7 @@ class Root2:
 
     def __sub__(self, other: object) -> Root2:
         if type(other) is int:
-            return _of((self._t[0] - other * self._t[2], *self._t[1:]))
+            return _of((self._t[0] - other * self._t[2], *self._t[1:])) if other else self
         (sp, sq, sd), (p, q, d) = self._t, _parts(other)
         return _normal(_new(Root2), sp * d - p * sd, sq * d - q * sd, sd * d)
 

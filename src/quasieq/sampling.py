@@ -3,13 +3,13 @@
 Every sampling decision of the checkers in ``setmap``, ``bifunction`` and ``solver.smap_closed_graph_probe`` is
 made here: budgets, lattices, radius ladders and margins, tolerances, seeds and every seeded draw.  A checker's only
 sampling parameters are ``trials`` and ``seed``; it evaluates what a plan names.  Plans are lazy: a chunk's draws
-happen together, float ones in one ``floats`` call, when the checker reaches the chunk, so each checker's RNG calls
-come in one fixed order.  The segment plans give chunks (P, rows, lams, spent), the one form that
-``bifunction._segment_check`` reads: (dim, N) point columns P in the domain's scalars (float64, or ``Root2``
-objects) and one lam per row (float64, or ``Fraction`` objects).  ``settle_ladders`` yields the ladders the loop must
-run, and ``first_witness`` scans the probes a batch could not clear, in the loop's order: the one scan of
-``_segment_check``, ``check_diagonal_zero`` and ``setmap.check_convex_values``.  The budgets set the witnesses:
-changing one changes reports.
+happen together, float ones in one ``floats`` call, when the checker reaches the chunk, so RNG calls come in one fixed
+order and no chunk grows with ``trials``.  The segment plans give chunks (P, rows, lams, spent), the form that
+``bifunction._segment_check`` reads: (dim, N) point columns P in the domain's scalars (float64, or ``Root2``) and one
+lam per row (float64, or ``Fraction``); ``subset_plan`` gives condition_iii's chunks, its lattice pairs first.
+``settle_ladders`` yields the ladders the loop must run, and ``first_witness`` scans the probes a batch could not
+clear, in the loop's order: the one scan of ``_segment_check``, ``check_condition_iii``, ``check_diagonal_zero`` and
+``setmap.check_convex_values``.  The budgets set the witnesses: changing one changes reports.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ SQRT2_LEAD_POINTS = 4
 SEGMENT_PAIRS = 64
 SEGMENT_EXTRA_LAMBDAS = 3
 
-#: The most rows of one batch chunk: ``segment_plan``'s lattice chunks and ``setmap``'s ladder tables.
+#: The most rows of a batch chunk: ``segment_plan``'s, ``subset_plan``'s random ones and ``setmap``'s ladder tables.
 CHUNK_ROWS = 2**13
 
 #: Slack of the bifunction checkers' f-value comparisons on float domains (exact domains use 0).
@@ -188,11 +188,6 @@ def _clip(v: float, k: int, box: CompactBox) -> float:
     return min(max(v, float(box.lower[k])), float(box.upper[k]))
 
 
-def _shifted(p: tuple, k: int, s: float, box: CompactBox) -> tuple:
-    """p with axis k moved by s, clipped to the box."""
-    return p[:k] + (_clip(p[k] + s, k, box),) + p[k + 1:]
-
-
 def _jittered(p: tuple, r: float, box: CompactBox, rng: random.Random) -> tuple:
     """p with every axis moved by a uniform draw from [-r, r], clipped to the box."""
     return tuple(_clip(v + rng.uniform(-r, r), k, box) for k, v in enumerate(p))
@@ -200,7 +195,7 @@ def _jittered(p: tuple, r: float, box: CompactBox, rng: random.Random) -> tuple:
 
 def axis_moves(x: tuple, r: float, box: CompactBox) -> list:
     """x with each axis moved by +r, then -r, in axis order, clipped to the box: no draw."""
-    return [_shifted(x, k, s, box) for k in range(len(x)) for s in (r, -r)]
+    return [x[:k] + (_clip(x[k] + s, k, box),) + x[k + 1:] for k in range(len(x)) for s in (r, -r)]
 
 
 def ball_candidates(x: tuple, r: float, box: CompactBox, rng: random.Random) -> list:
@@ -229,19 +224,17 @@ def ladder_jitters(centres: np.ndarray, radii: tuple, rungs, box: CompactBox, rn
     return _clip_points(p + (-r + (r - -r) * rng.take(p.size).reshape(p.shape)), box).reshape(-1, box.dim).T
 
 
-def pair_moves(P: np.ndarray, r: float, box: CompactBox) -> np.ndarray:
-    """``pair_ball_candidates``' 4 * dim axis moves of each pair (x, y) of a (n, 2, dim) array, as (n, 4 * dim, 2, dim)."""
-    dim = P.shape[-1]  # sign[axis moved, by +r or -r, point moved (x or y), point, coordinate]
-    sign = np.einsum("kc,s,mp->ksmpc", np.eye(dim), [1.0, -1.0], np.eye(2)).reshape(4 * dim, 2, dim)
+def point_moves(P: np.ndarray, r: float, box: CompactBox) -> np.ndarray:
+    """Each axis of each point moved by +r, then -r, in turn, clipped to the box, of a (n, q, dim) array of groups of q
+    points, as (n, 2 * q * dim, q, dim): ``axis_moves`` of each point for q = 1, ``pair_ball_candidates``' for q = 2."""
+    q, dim = P.shape[1:]  # sign[axis moved, by +r or -r, point moved, point, coordinate]
+    sign = np.einsum("kc,s,mp->ksmpc", np.eye(dim), [1.0, -1.0], np.eye(q)).reshape(2 * q * dim, q, dim)
     return np.where(sign != 0, _clip_points(P[:, None] + r * sign, box), P[:, None])
 
 
 def pair_ball_candidates(xf: tuple, yf: tuple, r: float, box: CompactBox, rng: random.Random) -> list:
     """Pairs near (xf, yf): each axis of either point moved by +-r, then 4 random pairs; in the box."""
-    cands = []
-    for k in range(len(xf)):
-        for s in (r, -r):
-            cands += [(_shifted(xf, k, s, box), yf), (xf, _shifted(yf, k, s, box))]
+    cands = [c for mx, my in zip(axis_moves(xf, r, box), axis_moves(yf, r, box)) for c in ((mx, yf), (xf, my))]
     return cands + [(_jittered(xf, r, box, rng), _jittered(yf, r, box, rng)) for _ in range(4)]
 
 
@@ -361,7 +354,20 @@ def random_subset(n: int, rng: random.Random, exact: bool) -> tuple:
     return picks, weights[:-1] + (1.0 - sum(weights[:-1]),)
 
 
-def segment_plan(C: CompactBox, rng: random.Random, exact: bool, trials: int, order: tuple):
+def subset_plan(C: CompactBox, rng: random.Random, trials: int) -> tuple:
+    """condition_iii's (pool, chunks): C's box lattice then ``SUBSET_POOL_EXTRA`` random points, and chunks (picks,
+    weights) of each subset's pool indices and convex weights.  First every lattice pair (``itertools.combinations``
+    order) at 1/2, 1/2, then ``trials`` ``random_subset``s drawn in turn, ``CHUNK_ROWS // SUBSET_SIZE_MAX`` a chunk,
+    when the check reaches the chunk."""
+    lattice, step = box_lattice(C), CHUNK_ROWS // SUBSET_SIZE_MAX
+    pool, pairs = lattice + random_points(C, rng, SUBSET_POOL_EXTRA), list(itertools.combinations(range(len(lattice)), 2))
+    halves = [(Fraction(1, 2),) * 2 if C.is_exact else (0.5, 0.5)] * len(pairs)
+    draws = (tuple(zip(*(random_subset(len(pool), rng, C.is_exact) for _ in range(min(step, trials - t)))))
+             for t in range(0, trials, step))
+    return pool, itertools.chain([(pairs, halves)], draws)
+
+
+def segment_plan(C: CompactBox, rng: random.Random, trials: int, order: tuple):
     """The probes (fixed, a, b, lambda) of a mirrored quasiconvexity check, in chunks (P, rows, lams, spent).
 
     Row r of a chunk is the probe (P[:, i], P[:, j], P[:, k], lams[r]) for (i, j, k) = rows[r]; no chunk spends an
@@ -369,7 +375,7 @@ def segment_plan(C: CompactBox, rng: random.Random, exact: bool, trials: int, or
     as many whole lattice points a chunk as fit in ``CHUNK_ROWS`` rows.  Then ``trials`` triples of points drawn in
     turn, ``CHUNK_ROWS // 4`` a chunk, each probed in ``order`` at ``lambdas(extra=1)``, drawn after its points.
     """
-    lattice, half = point_columns(box_lattice(C)), Fraction(1, 2) if exact else 0.5
+    lattice, half = point_columns(box_lattice(C)), Fraction(1, 2) if C.is_exact else 0.5
     j, k = np.triu_indices(lattice.shape[1], 1)
     step = max(1, CHUNK_ROWS // max(1, len(j)))
     for i in np.split(np.arange(lattice.shape[1]), np.arange(step, lattice.shape[1], step)):  # whole lattice points
@@ -377,8 +383,8 @@ def segment_plan(C: CompactBox, rng: random.Random, exact: bool, trials: int, or
         yield lattice, rows, np.full(len(rows), half), 0
     for t in range(0, trials, CHUNK_ROWS // 4):
         n = min(CHUNK_ROWS // 4, trials - t)
-        if exact or C.is_exact:  # one trial after another
-            drawn = [(random_points(C, rng, 3), lambdas(exact, rng, extra=1)) for _ in range(n)]
+        if C.is_exact:  # one trial after another
+            drawn = [(random_points(C, rng, 3), lambdas(True, rng, extra=1)) for _ in range(n)]
             P, lams = point_columns([p for trio, _ in drawn for p in trio]), np.concatenate([g for _, g in drawn])
         else:  # per trial, 3 points then one lambda
             u = floats(rng, n * (3 * C.dim + 1)).reshape(n, -1)

@@ -288,8 +288,9 @@ def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_
         lo, hi, finite = K._bounds(X)
         return lo, hi, finite & (lo <= hi).all(axis=0)
 
-    lo, hi, ok = images(point_columns([p for x in xs for r in radii for p in [x] + sampling.axis_moves(x, r, box)]))
-    shape = (dim, len(xs), len(radii), 1 + 2 * dim)  # a rung: x, then its axis moves
+    rungs = np.stack([np.concatenate([centres[:, None], sampling.point_moves(centres, r, box)], axis=1) for r in radii], 1)
+    lo, hi, ok = images(rungs.reshape(-1, dim).T)  # (xs, radii, 1 + 2 * dim, 1, dim): a rung is x, then its axis moves
+    shape = (dim, len(xs), len(radii), 1 + 2 * dim)
     lo, hi, clear = lo.reshape(shape), hi.reshape(shape), ok.reshape(len(xs), -1).all(axis=1)
     table, chunk = np.empty((n, len(radii)), dtype=np.int8), 1 + sampling.CHUNK_ROWS // lo[:, 0].size
     for a in range(0, n, chunk):  # never a (dim, ladders, rungs, candidates) array of every ladder at once

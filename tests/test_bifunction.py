@@ -349,9 +349,10 @@ class TestQuasiconcaveFirst:
         assert check_quasiconcave_first(f, box).verdict == NO_VIOLATION_FOUND
 
 
-@pytest.mark.parametrize("check", [check_quasiconvex_second, check_quasiconcave_first])
+@pytest.mark.parametrize("check", [check_condition_iii, check_quasiconvex_second, check_quasiconcave_first])
 def test_random_trials_are_drawn_in_capped_chunks(check):
-    # CHUNK_ROWS // 4 trials a chunk: 20,000 trials peak within 1 MB of 2,000 (about 17 MB above it in one chunk)
+    # CHUNK_ROWS // 4 trials, or CHUNK_ROWS // SUBSET_SIZE_MAX subsets, a chunk: 20,000 trials peak within 1 MB of
+    # 2,000 (about 10 MB above it for condition_iii's subsets in one chunk, 17 MB for the segment trials)
     inst = random_instance(3000, 1)
     f = inst.bifunction()
     check(f, inst.C, 2000)  # the expressions compile once, outside the measurement
@@ -432,6 +433,19 @@ class TestCheckerProperties:
         kinds = ("an exact", "a float") if f_exact else ("a float", "an exact")
         with pytest.raises(ValueError, match=f"C is {kinds[1]} box but f's domain is {kinds[0]} box"):
             check(f, C)
+
+    @pytest.mark.parametrize("check", [check_condition_iv, check_diagonal_zero])
+    @pytest.mark.parametrize("f_exact", [False, True])
+    def test_a_grid_in_other_scalars_than_f_is_refused_before_any_evaluation(self, check, f_exact):
+        # the exact f on a float grid raised from inside f; the float f on the exact grid read NO_VIOLATION_FOUND
+        exact, floating = remark_bifunction_instance(), random_instance(3000, 1)
+        f, grid = (exact.bifunction(), floating.grid((11,))) if f_exact else (floating.bifunction(), exact.grid((11,)))
+        calls = []
+        spy = Bifunction(lambda x, y: calls.append((x, y)) or f.fn(x, y), f.domain)
+        kinds = ("an exact", "a float") if f_exact else ("a float", "an exact")
+        with pytest.raises(ValueError, match=f"C is {kinds[1]} box but f's domain is {kinds[0]} box"):
+            check(spy, grid)
+        assert calls == []
 
     def test_remark_consistency_triple(self):
         # condition ii holds while the two sufficient conditions fail
@@ -626,7 +640,8 @@ class TestBatchedCheckers:
 
 
 class TestConditionIIIRandomSubsets:
-    """condition_iii's random subsets are drawn first and screened in one batch; only the flagged ones replay."""
+    """condition_iii's subsets, its lattice pairs first, are drawn a capped chunk at a time and each chunk is screened
+    in one batch; only the flagged ones replay."""
 
     C01 = CompactBox((0.0,), (1.0,))
 

@@ -9,7 +9,6 @@ degenerate count shows up here.  The checker digests further down pin the
 hypothesis checkers the same way.
 """
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -251,7 +250,8 @@ def _theorem(inst, cfg):
 
 
 def _lone(report):
-    return json.dumps(_sanitize(dataclasses.asdict(report)), sort_keys=True).encode()
+    # vars, not dataclasses.asdict: asdict deep-copies a witness, and a Root2 cannot be copied
+    return json.dumps(_sanitize(vars(report)), sort_keys=True).encode()
 
 
 def _half_open_map():
@@ -306,6 +306,28 @@ def _segment_case(check, inst, trials=400, plain=False):
     return _lone(check(Bifunction(f.fn, f.domain) if plain else f, inst.C, trials))
 
 
+def _condition_iii_case(make, trials=400):
+    """condition_iii on the bifunction of ``make()``, an instance or a bare Bifunction."""
+    f = make()
+    f, C = (f, f.domain) if isinstance(f, Bifunction) else (f.bifunction(), f.C)
+    return _lone(check_condition_iii(f, C, trials))
+
+
+def _bifunction(fn, C):
+    """A maker of the Bifunction of fn, an expression's text or a callable, on C."""
+    return lambda: Bifunction(parse_expression(fn) if isinstance(fn, str) else fn, C)
+
+
+_UNIT, _EXACT_UNIT = CompactBox((0.0,), (1.0,)), CompactBox((Root2(0),), (Root2(1),))
+# f < 0 only where x_1 is in the notch (0.001, 0.024), where no lattice midpoint lies, or the dip [0.45, 0.55] or
+# [2/5, 1/2], where one does
+_III_PAYLOADS = {
+    "random(3000,1)": lambda: random_instance(3000, 1),
+    "random(3101,2)": lambda: random_instance(3101, 2),
+    "remark": lambda: get_instance("remark"),
+    "notch": _bifunction("piecewise(x_1 > 0.001, piecewise(x_1 < 0.024, -1, 1), 1) + 0 * y_1", _UNIT),
+}
+
 CHECKER_CASES = {
     **{f"verify-{name}": (lambda tmp, _n=name: _cli_verify(_n, tmp)) for name in sorted(CATALOG)},
     "theorem-random(3101,2)@41": lambda tmp: _theorem(
@@ -338,9 +360,32 @@ CHECKER_CASES = {
         check_quasiconcave_first, random_instance(3000, 1), 5000, plain=True
     ),
     "qccv-first-remark@3000": lambda tmp: _segment_case(check_quasiconcave_first, get_instance("remark"), 3000),
+    # recorded before condition_iii's lattice pairs and random subsets became one chunked subset plan
+    **{f"condition-iii-{name}@{trials}": (lambda tmp, _m=make, _t=trials: _condition_iii_case(_m, _t))
+       for name, make in _III_PAYLOADS.items() for trials in (400, 5000, 20000)},
+    "condition-iii-dip": lambda tmp: _condition_iii_case(
+        _bifunction("piecewise(x_1 < 0.45, 1, piecewise(x_1 > 0.55, 1, -1)) + 0 * y_1", _UNIT)
+    ),
+    "condition-iii-exact-dip": lambda tmp: _condition_iii_case(
+        _bifunction(lambda x, y: Root2(-1) if Root2(Fraction(2, 5)) <= x[0] <= Root2(Fraction(1, 2)) else Root2(1), _EXACT_UNIT)
+    ),
 }
 
 CHECKER_DIGESTS = {
+    "condition-iii-dip": "184709957c8464f2932df77c675eb34ef0d44eb45e1290ff99eee1c6c256c909",
+    "condition-iii-exact-dip": "b8b389b71536d8579985a756f6160cb09eeeda478bdad77729dcf6938bd71886",
+    "condition-iii-notch@400": "9d2944ed9cbc4a4870971b014e19b1eeb68e4d7b37d42d1997ba4af04940f5c9",
+    "condition-iii-notch@5000": "9d2944ed9cbc4a4870971b014e19b1eeb68e4d7b37d42d1997ba4af04940f5c9",
+    "condition-iii-notch@20000": "9d2944ed9cbc4a4870971b014e19b1eeb68e4d7b37d42d1997ba4af04940f5c9",
+    "condition-iii-random(3000,1)@400": "fea61bf8892c7d4630d7e2f1e737fa7e5678d38625d6aa078dd5aa8802171c2a",
+    "condition-iii-random(3000,1)@5000": "a9faca0f3d64ed323906e694e272bff90ed46596f3346dfd55a99c2ecd58664e",
+    "condition-iii-random(3000,1)@20000": "e9bd7522ec31189733c426eabef67559f62671c54de1d2e6abcabbb194acc32f",
+    "condition-iii-random(3101,2)@400": "46996d4602c2c8dfa48ca48ddf1c998bf3e2ad0eb95eefc7dfbb8100c6a6f02a",
+    "condition-iii-random(3101,2)@5000": "d30ee2c50b9eaf99ddb1418cff6811863c54fedd116237c977fefdb92875e2b3",
+    "condition-iii-random(3101,2)@20000": "f3239210fbc0de7e3ebbdb671acc50ae0b3371a68d7fa00319272957178abd82",
+    "condition-iii-remark@400": "052d0c06e664884276d0a1c745e00a125f320f25e46969657adcd470c168f892",
+    "condition-iii-remark@5000": "a873f445f8240a59345df8f9207b358216c2f06c999c2676be3267f60a57a148",
+    "condition-iii-remark@20000": "e8a9d7cd27128402fd904e6f79e9a6b1bebc75ea7001ea307772a921d40d5ea2",
     "closed-graph-half-open@101": "ca49c641de38d34f375ceff021891ebd452416cc88948b0b4818374ec39621b2",
     "condition-iii-concave": "562de18d339cc0a6ae13b32357c14e0ecec2cc181a1e792174debcddf25c1423",
     "condition-iv-jump@101": "5656dbc900027c62bec9c65d9274eacc3dd678be6ef6483511a84071ec01e9a5",

@@ -61,6 +61,12 @@ class TestRoot2:
         with pytest.raises(ZeroDivisionError):
             Root2(1) / Root2(0)
 
+    def test_the_int_zero_added_or_subtracted_gives_the_same_object(self):
+        # an exact check's tolerance is the int 0: r + tol and r - tol build no new Root2
+        r = Root2(Fraction(1, 3), -2)
+        assert r + 0 is r and r - 0 is r and 0 + r is r
+        assert r + 1 == Root2(Fraction(4, 3), -2) and r - 1 == Root2(Fraction(-2, 3), -2) and 0 - r == -r
+
     def test_str_parse_roundtrip(self):
         for s in (Root2(Fraction(1, 2)), Root2(Fraction(-3, 7), Fraction(2, 5)), Root2(0, 1)):
             assert Root2.parse(str(s)) == s

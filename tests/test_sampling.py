@@ -1,6 +1,7 @@
 """The draw layer: ``sampling.floats`` against ``random()`` one call at a time, and the float plans built on it
 against verbatim copies of the plans that drew one value at a time."""
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Callable
@@ -162,7 +163,7 @@ class TestPlansMatchTheReferences:
             return y, x1, x2
 
         rng, reference = random.Random(1732), random.Random(1732)
-        got = probe_sequence(sampling.segment_plan(C, rng, exact, trials, order))
+        got = probe_sequence(sampling.segment_plan(C, rng, trials, order))
         want = probe_sequence(reference_segment_plan(sampling.box_lattice(C), reference, exact, trials, draw))
         assert got == want
         assert rng.getstate() == reference.getstate()
@@ -184,7 +185,7 @@ class TestPlansMatchTheReferences:
         # 2 * 2048 + 3 trials: three trial chunks, the draws in the order of one
         C, trials = BOXES[box], sampling.CHUNK_ROWS // 2 + 3
         rng, reference = random.Random(1733), random.Random(1733)
-        plan = list(sampling.segment_plan(C, rng, C.is_exact, trials, (0, 1, 2)))
+        plan = list(sampling.segment_plan(C, rng, trials, (0, 1, 2)))
         want = reference_segment_plan(sampling.box_lattice(C), reference, C.is_exact, trials, lambda r: reference_random_points(C, r, 3))
         assert probe_sequence(plan) == probe_sequence(want)
         assert rng.getstate() == reference.getstate()
@@ -207,7 +208,7 @@ class TestChunkForm:
     def test_segment_plan(self, box, monkeypatch):
         monkeypatch.setitem(sampling.BOX_LATTICE_BUDGET, 3, 3)
         C = BOXES[box]
-        for chunk in sampling.segment_plan(C, random.Random(5), C.is_exact, 40, (2, 0, 1)):
+        for chunk in sampling.segment_plan(C, random.Random(5), 40, (2, 0, 1)):
             self.assert_chunk(C, chunk)
 
     @pytest.mark.parametrize("box", BOXES)
@@ -223,7 +224,7 @@ class TestLatticeChunks:
     def test_whole_lattice_points_up_to_the_cap(self, dim, chunks, largest):
         C = CompactBox((0.0,) * dim, (1.0,) * dim)
         n = sampling.BOX_LATTICE_BUDGET[dim] ** dim
-        plan = list(sampling.segment_plan(C, random.Random(1), False, 1, (0, 1, 2)))
+        plan = list(sampling.segment_plan(C, random.Random(1), 1, (0, 1, 2)))
         lattice_chunks = plan[:-1]
         assert len(lattice_chunks) == chunks and max(len(rows) for _, rows, _, _ in lattice_chunks) == largest
         assert all(len(rows) <= sampling.CHUNK_ROWS for _, rows, _, _ in plan)
@@ -231,3 +232,37 @@ class TestLatticeChunks:
             assert (np.unique(rows[:, 0], return_counts=True)[1] == n * (n - 1) // 2).all()
         firsts = np.concatenate([rows[:, 0] for _, rows, _, _ in lattice_chunks])
         assert (np.diff(firsts) >= 0).all() and len(np.unique(firsts)) == n
+
+
+class TestSubsetPlan:
+    @pytest.mark.parametrize("box", ["float-2d", "exact-1d"])
+    def test_lattice_pairs_then_random_subsets_in_capped_chunks(self, box):
+        # 2 * 2048 + 3 subsets: three random chunks, each drawn when it is reached, the draws in the order of one
+        C, step = BOXES[box], sampling.CHUNK_ROWS // sampling.SUBSET_SIZE_MAX
+        rng, reference = random.Random(1730), random.Random(1730)
+        pool, chunks = sampling.subset_plan(C, rng, 2 * step + 3)
+        lattice = sampling.box_lattice(C)
+        assert pool == lattice + reference_random_points(C, reference, sampling.SUBSET_POOL_EXTRA)
+        pairs, halves = next(chunks)  # the lattice pairs draw nothing
+        assert rng.getstate() == reference.getstate()
+        assert pairs == list(itertools.combinations(range(len(lattice)), 2))
+        assert repr(halves) == repr([(Fraction(1, 2),) * 2 if C.is_exact else (0.5, 0.5)] * len(pairs))
+        rest = list(chunks)
+        want = [sampling.random_subset(len(pool), reference, C.is_exact) for _ in range(2 * step + 3)]
+        assert [len(picks) for picks, _ in rest] == [step, step, 3]
+        assert repr([s for picks, weights in rest for s in zip(picks, weights)]) == repr(want)
+        assert rng.getstate() == reference.getstate()
+
+
+class TestPointMoves:
+    @pytest.mark.parametrize("box", ["float-1d", "float-2d", "float-3d"])
+    def test_one_point_moves_are_axis_moves(self, box):
+        # the ladders' rung images: each axis moved by +r, then -r, clipped to the box, bit for bit
+        C, rng = BOXES[box], random.Random(11)
+        xs = [tuple(rng.uniform(lo, hi) for lo, hi in zip(C.lower, C.upper)) for _ in range(5)] + [C.lower, C.upper]
+        for r in (0.5, 1e-3, 10.0):
+            moves = sampling.point_moves(np.array(xs)[:, None, :], r, C)
+            assert moves.shape == (len(xs), 2 * C.dim, 1, C.dim)
+            for x, got in zip(xs, moves):
+                want = sampling.axis_moves(x, r, C)
+                assert [[c.hex() for c in p] for p in got[:, 0].tolist()] == [[c.hex() for c in p] for p in want]
