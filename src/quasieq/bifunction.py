@@ -36,7 +36,7 @@ from .geometry import (
     Point,
     contains,
     convex_combination,
-    grid_coords,
+    mesh_points,
     pair_combinations,
     point_columns,
 )
@@ -56,9 +56,9 @@ class ConditionReport:
         object.__setattr__(self, "tolerance", float(self.tolerance))  # an exact check's int 0 reads 0.0
 
 
-def _column(values, X: np.ndarray) -> np.ndarray:
-    """A batch evaluation's result as a writable array, one value per column of X in X's dtype (a constant expression gives one number)."""
-    return np.broadcast_to(np.asarray(values, dtype=X.dtype), X.shape[1:]).copy()
+def _column(values, at) -> np.ndarray:
+    """A batch result as a writable array in the dtype and broadcast shape of coordinates ``at``, (dim, N) or a mesh."""
+    return np.full(np.broadcast(*at).shape, values, dtype=at[0].dtype)
 
 
 class ObjectiveFunction:
@@ -70,11 +70,11 @@ class ObjectiveFunction:
     def __call__(self, x: Point):
         return self.fn(x)
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """h at every point (column) of X, in X's dtype; a callable sees each point as a tuple of Python scalars."""
+    def eval_batch(self, at) -> np.ndarray:
+        """h at every point of coordinates ``at``, as ``_column``; a callable sees each point as a tuple of Python scalars."""
         if isinstance(self.fn, Expression):
-            return _column(self.fn.eval_batch(X), X)
-        return np.array([self.fn(x) for x in zip(*X.tolist())], dtype=X.dtype)
+            return _column(self.fn.eval_batch(at), at)
+        return np.array([self.fn(x) for x in mesh_points(at)[1]], dtype=at[0].dtype).reshape(np.broadcast(*at).shape)
 
 
 class QviOperator:
@@ -181,7 +181,7 @@ def make_qvi_bifunction(T: QviOperator, domain: CompactBox) -> Bifunction:
 
 
 def _pair_values(f: Bifunction) -> Optional[Callable]:
-    """(X, Y) -> f at the column pairs of two float point arrays that broadcast, where f has a batch form that cannot raise; else None.
+    """(X, Y) -> f at the point pairs of float coordinates that broadcast, where f has a batch form that cannot raise; else None.
 
     Exact domains and plain callables keep the probe-by-probe loop: a batch
     would evaluate a callable past the first hit, where it could raise
@@ -466,13 +466,13 @@ def check_quasiconcave_first(
 def check_diagonal_zero(f: Bifunction, grid: Grid) -> ConditionReport:
     """|f(x, x)| <= tol at every grid x (exactly 0 over exact scalars); FAIL with the first offender."""
     _refuse(f, grid.box)
-    tol, X = sampling.tolerance(f.domain.is_exact), grid_coords(grid)
+    tol, mesh = sampling.tolerance(f.domain.is_exact), np.ix_(*grid.axes)
 
     def violates(r):
-        x = tuple(X[:, r].tolist())
+        x = next(grid.points_at([r]))
         v = f.fn(x, x)
         return None if abs(v) <= tol else {"x": x, "f_value": v}
 
-    batch = _pair_values(f)
-    samples, w = sampling.first_witness(X.shape[1], violates, None if batch is None else ~(np.abs(batch(X, X)) <= tol))
+    batch = _pair_values(f)  # on the open mesh: h or f over the axes it reads
+    samples, w = sampling.first_witness(grid.size(), violates, None if batch is None else ~(np.abs(batch(mesh, mesh)) <= tol).ravel())
     return ConditionReport("diagonal_zero", NO_VIOLATION_FOUND if w is None else FAIL, w, samples, tol)

@@ -25,7 +25,7 @@ from .bifunction import (
 )
 from .errors import InstanceDefinitionError, SpecError
 from .expressions import Expression, parse_expression
-from .geometry import CompactBox, Grid, Root2, grid_coords, point_columns
+from .geometry import CompactBox, Grid, Root2
 from .setmap import SetValuedMap, fixed_point_set, image_index_ranges
 from .solver import EP, EXTRA_CHECKS, QEP, QOPT, QVI, SolverConfig, solve_qep, solve_qopt
 
@@ -319,11 +319,10 @@ def random_instance(seed: int, dim: int = 1) -> ProblemInstance:
         grid_default = (201,) if dim == 1 else (41, 41)
         grid = Grid(C, grid_default)
         try:
-            lo, hi = K.bounds_batch(grid_coords(grid))
+            lo, hi = K.bounds_batch(np.ix_(*grid.axes))
         except InstanceDefinitionError:  # an empty image: draw again
             continue
-        col = point_columns([anchor])
-        if not ((lo <= col) & (col <= hi)).all():
+        if not all(((a <= c) & (c <= b)).all() for a, c, b in zip(lo, anchor, hi)):
             continue
         h = ObjectiveFunction(parse_expression(h_text))
         step = grid.max_step()

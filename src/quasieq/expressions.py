@@ -20,7 +20,7 @@ Each Expression compiles two evaluators, each on its first call, of points, not 
 Python, used in tight per-point loops) takes tuples of numbers, so an
 Expression is itself a map bound, an objective or a bifunction.  The batch one
 (numpy) takes one array per coordinate, so it reads a (dim, N) array whose
-columns are points, as ``geometry.grid_coords`` gives them, as it is.  The two
+columns are points, or a grid's open mesh ``np.ix_(*grid.axes)``, as it is.  The two
 give equal values, down to the sign of a zero: ``power`` is one
 repeated-squaring routine in both, and ``min``/``max`` follow one rule in both
 (NaN propagates, and a tie such as 0.0 with -0.0 keeps the first argument).

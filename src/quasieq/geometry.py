@@ -20,14 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InstanceDefinitionError, NonFiniteValueError
+from .errors import InstanceDefinitionError
 
 MAX_DIM = 3
 #: The most points a grid may have; a larger one is refused before any axis is built.
 GRID_POINT_BUDGET = 2**24
-#: The most points an exact (``Root2``) grid may have, refused the same way.  An exact scan holds about 670 bytes
-#: per point (``fixed_table`` at 51**2 and 101**2), so this is about 2.8 GB; a float scan about 80 (2-D, at 1001**2
-#: and 2001**2), so ``GRID_POINT_BUDGET`` is about 1.3 GB.
+#: The most points an exact (``Root2``) grid may have, refused the same way.  An exact scan holds about 660 bytes
+#: per point (``fixed_table`` at 51**2 and 101**2), so this is about 2.8 GB; a float scan at most about 63 (2-D at
+#: 401**2 and 2001**2; 42-45 in 3-D, 59 in 1-D), so ``GRID_POINT_BUDGET`` is about 1.1 GB.
 EXACT_GRID_POINT_BUDGET = 2**22
 
 #: Machine-noise guard for box membership comparisons, scaled by box diameter.
@@ -75,6 +75,9 @@ class Root2:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Root2 is immutable")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild it from its normal form, not through __setattr__
+        return _of, (self._t,)
 
     # -- constructors ------------------------------------------------------
 
@@ -390,8 +393,8 @@ def grid_points(grid: Grid) -> list:
 def grid_coords(grid: Grid) -> np.ndarray:
     """All grid points as a (dim, N) array in the grid's own scalars, column i being grid_points(grid)[i].
 
-    Row k, contiguous, holds coordinate k: ``Expression.eval_batch`` reads it as it is.  The dtype of the
-    grid's axes: float64 on float boxes, an object array of ``Root2`` on exact boxes.
+    Row k, contiguous, holds coordinate k, in the dtype of the grid's axes: float64, or ``Root2`` objects.  Only the row
+    path's blocks need it; what reads a point's coordinates alone reads the open mesh ``np.ix_(*grid.axes)``.
     """
     return np.stack([m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")])
 
@@ -401,16 +404,17 @@ def point_columns(points: Sequence[Point], dtype=None) -> np.ndarray:
     return np.array(points, dtype=dtype).T
 
 
-def require_finite(what: str, X: np.ndarray, *values: np.ndarray) -> None:
-    """Raise NonFiniteValueError naming the first point (column of X) where a value, (N,) or (dim, N), is not finite."""
-    if X.dtype == object:
-        return  # a Root2 is always finite
-    finite = np.ones(X.shape[1], dtype=bool)
-    for v in values:
-        finite &= np.isfinite(v).reshape(-1, X.shape[1]).all(axis=0)
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise NonFiniteValueError(f"{what} is not finite at grid point {tuple(X[:, bad[0]].tolist())}")
+def mesh_points(at) -> tuple:
+    """The broadcast shape of coordinates ``at`` (a grid's open mesh, or the rows of a (dim, N) array) and its points, in C order."""
+    shape = np.broadcast(*at).shape
+    return shape, zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in at))
+
+
+def first_point(at, where: np.ndarray) -> Point:
+    """The first point of coordinates ``at`` (as ``mesh_points``), in C order, where the flags ``where`` are set."""
+    shape = np.broadcast(*at, where).shape
+    index = np.unravel_index(np.broadcast_to(where, shape).argmax(), shape)
+    return tuple(np.broadcast_to(a, shape).item(index) for a in at)
 
 
 def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:

@@ -10,6 +10,7 @@ check; convex_values replays the probes its batch flags through ``sampling.first
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -27,7 +28,8 @@ from .geometry import (
     Point,
     box_distance,
     contains,
-    grid_coords,
+    first_point,
+    mesh_points,
     point_columns,
     point_distance,
 )
@@ -129,45 +131,40 @@ class SetValuedMap:
         return ConvexRegion(tuple(lo), tuple(hi))
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite bounds are flagged instead
-    def _bounds(self, X: np.ndarray, mesh: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``bounds_batch``'s (lo, hi), with no raise, and per point whether every bound was finite before clipping."""
-        box = self.domain
-        lo, hi = np.empty(X.shape, dtype=X.dtype), np.empty(X.shape, dtype=X.dtype)
+    def _bounds(self, at) -> tuple[list, list, np.ndarray]:
+        """``bounds_batch``'s (lo, hi), with no raise, and where every bound was finite before clipping, broadcast."""
+        box, dtype = self.domain, at[0].dtype
         if all(isinstance(fn, Expression) for fn in self.lower_fns + self.upper_fns):
-            at = X if mesh is None else mesh  # each bound reads only its own axes of an open mesh, broadcast into its row
-            shape = (box.dim, *np.broadcast(*at).shape)
-            for k in range(box.dim):
-                lo.reshape(shape)[k] = self.lower_fns[k].eval_batch(at)
-                hi.reshape(shape)[k] = self.upper_fns[k].eval_batch(at)
+            lo, hi = ([np.asarray(fn.eval_batch(at), dtype=dtype) for fn in fns] for fns in (self.lower_fns, self.upper_fns))
         else:
-            for i, x in enumerate(zip(*X.tolist())):
-                for k in range(box.dim):
-                    lo[k, i] = self.lower_fns[k](x)
-                    hi[k, i] = self.upper_fns[k](x)
-        finite = np.ones(X.shape[1], dtype=bool)
-        if X.dtype != object:  # a Root2 is always finite; before clipping, which would turn an infinite bound finite
-            finite = np.isfinite(lo).all(axis=0) & np.isfinite(hi).all(axis=0)
-        np.maximum(lo, np.asarray(box.lower, dtype=X.dtype)[:, None], out=lo)
-        np.minimum(hi, np.asarray(box.upper, dtype=X.dtype)[:, None], out=hi)
-        return lo, hi, finite
+            shape, points = mesh_points(at)
+            fns = [fn for pair in zip(self.lower_fns, self.upper_fns) for fn in pair]  # lower_1, upper_1, lower_2, ...
+            v = np.fromiter((fn(x) for x in points for fn in fns), dtype, len(fns) * math.prod(shape)).reshape(*shape, -1)
+            lo, hi = list(np.moveaxis(v[..., 0::2], -1, 0)), list(np.moveaxis(v[..., 1::2], -1, 0))
+        # before clipping, which would turn an infinite bound finite; a Root2 is always finite
+        finite = np.True_ if dtype == object else functools.reduce(np.logical_and, map(np.isfinite, lo + hi))
+        limits, clipped = np.asarray(box.lower + box.upper, dtype=dtype), []
+        for k, b in enumerate(lo + hi):  # in place, unless b is (a view of) an operand, such as the bound x_1
+            own = b.flags.writeable and not any(np.may_share_memory(b, a) for a in at)
+            clipped.append((np.maximum if k < box.dim else np.minimum)(b, limits[k], out=b if own else None))
+        return clipped[:box.dim], clipped[box.dim:], finite
 
-    def bounds_batch(self, X: np.ndarray, mesh: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Clipped bounds (lo, hi), X's shape and dtype, at the points of X, a (dim, N) array in the domain's scalars.
+    def bounds_batch(self, at) -> tuple[list, list]:
+        """Clipped bounds (lo, hi) at the points of ``at``: coordinates in the domain's scalars that broadcast, the rows
+        of a (dim, N) array or a grid's open mesh ``np.ix_(*grid.axes)``.
 
-        Row k of ``lo`` and ``hi`` is axis k.  When every bound is an
-        ``Expression`` each is evaluated in one batch over X, or over ``mesh``,
-        X's open mesh ``np.ix_(*grid.axes)`` where X is ``grid_coords(grid)``; otherwise each
-        point, a tuple of Python scalars, goes to lower_1, upper_1, lower_2,
-        ... in turn.  Raises NonFiniteValueError at the first point with a
-        non-finite bound (before clipping), then InstanceDefinitionError at the first
-        point whose image is empty, each naming that point.
+        ``lo[k]`` and ``hi[k]``, axis k's, broadcast against ``at``: when every bound is an ``Expression``, each is its
+        batch value in the shape of the axes it reads, never copied out to every point; else each point, a tuple of
+        Python scalars, goes to lower_1, upper_1, lower_2, ... in turn.  Raises NonFiniteValueError at the first point
+        (in C order) with a bound not finite before clipping, then InstanceDefinitionError at the first point whose
+        image is empty, each naming that point.
         """
-        lo, hi, finite = self._bounds(X, mesh)
+        lo, hi, finite = self._bounds(at)
         if not finite.all():
-            raise NonFiniteValueError(f"a map bound is not finite at grid point {tuple(X[:, finite.argmin()].tolist())}")
-        empty = (lo > hi).any(axis=0)
-        if empty.any():
-            raise InstanceDefinitionError(f"image of grid point {tuple(X[:, empty.argmax()].tolist())} is empty after clipping")
+            raise NonFiniteValueError(f"a map bound is not finite at grid point {first_point(at, ~finite)}")
+        if any((a > b).any() for a, b in zip(lo, hi)):
+            empty = functools.reduce(np.logical_or, map(np.greater, lo, hi))
+            raise InstanceDefinitionError(f"image of grid point {first_point(at, empty)} is empty after clipping")
         return lo, hi
 
 
@@ -193,33 +190,35 @@ def image_grid(K: SetValuedMap, x: Point, grid: Grid) -> list:
     return list(itertools.product(*axes))
 
 
-def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0, X: Optional[np.ndarray] = None) -> tuple:
+def fixed_table(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> tuple:
     """Every grid x with dist(x, K(x)) <= delta, as arrays ``(fixed, residuals, spans)``.
 
-    ``fixed`` holds the flat indices in increasing (lexicographic) order,
-    ``residuals`` the membership residuals as floats and ``spans[j, k]`` the
-    (start, stop) index range on axis k of the grid points in K(x), start >=
-    stop if none.  The domain's membership snap widens the residual limit and
-    the ranges.  All of them come from one ``bounds_batch`` table of ``X =
-    grid_coords(grid)`` and its open mesh, in the grid's scalars, and the ranges are searched in
-    ``grid.axes``: exact grids test the residual exactly and round it on return.
+    ``fixed`` holds the flat indices in increasing (lexicographic) order, ``residuals`` the membership residuals as
+    floats and ``spans[j, k]`` the (start, stop) index range on axis k of the grid points in K(x), start >= stop if
+    none.  The domain's membership snap widens the residual limit and the ranges.  All of them come from one
+    ``bounds_batch`` over the grid's open mesh, in the grid's scalars, and one grid-shaped array of residuals; the
+    ranges are searched in ``grid.axes``, a bound that reads every axis at the fixed points alone, one that reads
+    fewer on its own small array.  Exact grids test the residual exactly and round it on return.
     """
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
-    snap = K.domain.snap()
-    X = grid_coords(grid) if X is None else X
-    lo, hi = K.bounds_batch(X, np.ix_(*grid.axes))
-    residuals = np.zeros(X.shape[1], dtype=X.dtype)  # a running maximum over N-vectors: no (dim, N) temporaries
+    snap, mesh = K.domain.snap(), np.ix_(*grid.axes)
+    lo, hi = K.bounds_batch(mesh)
+    residuals = np.zeros(grid.points_per_axis, dtype=mesh[0].dtype)  # a running maximum over the grid's shape
     for k in range(grid.dim):
-        np.maximum(residuals, lo[k] - X[k], out=residuals)
-        np.maximum(residuals, X[k] - hi[k], out=residuals)
+        np.maximum(residuals, lo[k] - mesh[k], out=residuals)
+        np.maximum(residuals, mesh[k] - hi[k], out=residuals)
     np.maximum(residuals, 0.0, out=residuals)  # every zero residual becomes +0.0
     fixed = np.flatnonzero(residuals <= delta + snap)
-    spans = np.empty((len(fixed), grid.dim, 2), dtype=np.intp)
+    spans, index = np.empty((len(fixed), grid.dim, 2), dtype=np.intp), None
     for k, ax in enumerate(grid.axes):
-        spans[:, k, 0] = np.searchsorted(ax, lo[k, fixed] - snap, side="left")
-        spans[:, k, 1] = np.searchsorted(ax, hi[k, fixed] + snap, side="right")
-    return fixed, residuals[fixed].astype(float), spans
+        for j, b, shift, side in ((0, lo[k], -snap, "left"), (1, hi[k], snap, "right")):
+            if b.size == residuals.size:  # read at every point: gathered flat at the fixed points, then searched
+                spans[:, k, j] = np.searchsorted(ax, b.ravel()[fixed] + shift, side=side)
+            else:  # searched on its own small array, then gathered
+                index = np.unravel_index(fixed, grid.points_per_axis) if index is None else index
+                spans[:, k, j] = np.broadcast_to(np.searchsorted(ax, b + shift, side=side), residuals.shape)[index]
+    return fixed, residuals.ravel()[fixed].astype(float), spans
 
 
 def fixed_point_set(K: SetValuedMap, grid: Grid, delta: float = 0.0) -> list:
@@ -285,8 +284,10 @@ def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_
     dim, radii_col, centres = box.dim, np.array(radii)[:, None], point_columns(xs, float).T[:, None]
 
     def images(X):  # a non-finite bound or an empty image is replayed by the loop instead
-        lo, hi, finite = K._bounds(X)
-        return lo, hi, finite & (lo <= hi).all(axis=0)
+        (lo, hi, finite), table = K._bounds(X), np.empty((2, *X.shape))
+        for row, v in zip(table.reshape(-1, X.shape[1]), lo + hi):
+            row[...] = v  # lo and hi as (dim, N) arrays, for the goes_on tests
+        return table[0], table[1], finite & (table[0] <= table[1]).all(axis=0)
 
     rungs = np.stack([np.concatenate([centres[:, None], sampling.point_moves(centres, r, box)], axis=1) for r in radii], 1)
     lo, hi, ok = images(rungs.reshape(-1, dim).T)  # (xs, radii, 1 + 2 * dim, 1, dim): a rung is x, then its axis moves

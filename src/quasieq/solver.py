@@ -9,11 +9,12 @@ reformulations literal sequence equalities.
 QEP, EP, QVI and QOpt run one straight line over the arrays of
 ``setmap.fixed_table``, which alone finds the fixed points x in K(x), in
 lexicographic order and with the index ranges of their image grids.  Every
-array holds the grid's own scalars, as ``geometry.grid_coords`` gives them:
-floats, or ``Root2`` objects on exact grids, which stay exact until the
-report rounds them.  The inner minimum depends only on the payload.
-Separable payloads (QOpt gaps and the opt adapter's h(y) - h(x)) read one
-table of h over the grid, and a sparse table of range minima answers every
+array holds the grid's scalars, as ``grid.axes``: floats, or exact ``Root2``
+objects until the report rounds them.  The inner minimum depends only on the
+payload.  Separable payloads (QOpt gaps and the opt adapter's h(y) - h(x))
+build no (dim, N) array of points: bounds and h read the open mesh
+``np.ix_(*grid.axes)``, h fills one table over the grid, and a sparse table
+of range minima answers every
 image at once, built one level tuple at a time, so it holds about d
 grid-sized arrays, never all its levels.  Other payloads take the minimum of
 ``Bifunction.row`` over the image's block of the grid, one fixed point at a
@@ -61,7 +62,7 @@ from .bifunction import (
 )
 from .errors import DegenerateImageError, NonFiniteValueError
 from .expressions import Expression
-from .geometry import Grid, Point, grid_coords, point_columns, require_finite
+from .geometry import Grid, Point, first_point, grid_coords, point_columns
 from .setmap import (
     FAIL,
     NO_VIOLATION_FOUND,
@@ -150,9 +151,9 @@ def _box(span) -> tuple:
     return tuple(slice(s, e) for s, e in span)
 
 
-def _fixed_points(K: SetValuedMap, cfg: SolverConfig, X: np.ndarray) -> tuple:
+def _fixed_points(K: SetValuedMap, cfg: SolverConfig) -> tuple:
     """``setmap.fixed_table``'s arrays less the fixed points whose image holds no grid point, and their count."""
-    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership, X)
+    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership)
     held = (spans[:, :, 0] < spans[:, :, 1]).all(axis=1)
     return fixed[held], residuals[held], spans[held], len(held) - int(held.sum())
 
@@ -167,11 +168,13 @@ def _all_finite(what: str, values, grid: Grid, fixed: np.ndarray) -> np.ndarray:
     return values
 
 
-def _objective_table(h: ObjectiveFunction, grid: Grid, X: np.ndarray) -> np.ndarray:
-    """h over the grid, shaped ``grid.points_per_axis``, in X's scalars."""
-    table = h.eval_batch(X)
-    require_finite("the objective", X, table)
-    return table.reshape(grid.points_per_axis)
+def _objective_table(h: ObjectiveFunction, grid: Grid) -> np.ndarray:
+    """h over the grid, shaped ``grid.points_per_axis``, in the grid's scalars: evaluated on the open mesh."""
+    mesh = np.ix_(*grid.axes)
+    table = h.eval_batch(mesh)
+    if table.dtype != object and not np.isfinite(table).all():  # a Root2 is always finite
+        raise NonFiniteValueError(f"the objective is not finite at grid point {first_point(mesh, ~np.isfinite(table))}")
+    return table
 
 
 def _row_minima(f: Bifunction, grid: Grid, X: np.ndarray, fixed: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -280,11 +283,10 @@ def smap(f: Bifunction, K: SetValuedMap, x: Point, cfg: SolverConfig) -> tuple:
 def solve_qep(f: Bifunction, K: SetValuedMap, cfg: SolverConfig, kind: str = QEP) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
-    X = grid_coords(grid)
-    table = None if f.objective is None else _objective_table(f.objective, grid, X)
-    fixed, residuals, spans, degenerate = _fixed_points(K, cfg, X)
+    table = None if f.objective is None else _objective_table(f.objective, grid)
+    fixed, residuals, spans, degenerate = _fixed_points(K, cfg)
     if table is None:
-        min_f = _inner_minima(f, grid, X, fixed, spans)
+        min_f = _inner_minima(f, grid, grid_coords(grid), fixed, spans)
     else:
         # float-identical to the row minimum: subtracting a constant is
         # monotone under correct rounding, so min and subtract commute
@@ -322,9 +324,8 @@ def qopt_gap(h: ObjectiveFunction, K: SetValuedMap, x: Point, cfg: SolverConfig)
 def solve_qopt(h: ObjectiveFunction, K: SetValuedMap, cfg: SolverConfig) -> SolveReport:
     start = time.perf_counter()
     grid = cfg.grid
-    X = grid_coords(grid)
-    table = _objective_table(h, grid, X)
-    fixed, residuals, spans, degenerate = _fixed_points(K, cfg, X)
+    table = _objective_table(h, grid)
+    fixed, residuals, spans, degenerate = _fixed_points(K, cfg)
     gaps = table.ravel()[fixed] - _range_minima(table, spans)
     floats = _all_finite("the gap", gaps, grid, fixed)
     chosen = np.flatnonzero(gaps <= cfg.eps_value)  # exact on exact grids

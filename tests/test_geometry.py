@@ -1,5 +1,8 @@
 import bisect
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -10,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasieq.bifunction import check_diagonal_zero
+from quasieq.catalog import remark_bifunction_instance
 from quasieq.errors import InstanceDefinitionError
 from quasieq.geometry import (
     EXACT_GRID_POINT_BUDGET,
@@ -26,6 +31,7 @@ from quasieq.geometry import (
     pair_combination,
     point_distance,
 )
+from quasieq.setmap import FAIL
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 root2s = st.builds(Root2, fractions, fractions)
@@ -70,6 +76,18 @@ class TestRoot2:
     def test_str_parse_roundtrip(self):
         for s in (Root2(Fraction(1, 2)), Root2(Fraction(-3, 7), Fraction(2, 5)), Root2(0, 1)):
             assert Root2.parse(str(s)) == s
+
+    def test_copy_deepcopy_and_pickle_give_an_equal_root2(self):
+        for r in (Root2(1, 2), Root2(Fraction(-3, 7), Fraction(2, 5)), Root2(0)):
+            for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+                assert type(twin) is Root2 and twin == r and twin._t == r._t and hash(twin) == hash(r)
+
+    def test_asdict_of_a_report_with_an_exact_witness(self):
+        # dataclasses.asdict deep-copies the witness: diagonal_zero fails on remark at an exact grid point
+        inst = remark_bifunction_instance()
+        rep = check_diagonal_zero(inst.payload, inst.grid((11,)))
+        assert rep.verdict == FAIL and isinstance(rep.witness["x"][0], Root2)
+        assert dataclasses.asdict(rep) == {**vars(rep), "witness": rep.witness}
 
 
 class TestExactIsRational:

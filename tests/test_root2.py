@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from typing import Sequence
@@ -143,7 +144,10 @@ class Root2:
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        value = float(self.a) + float(self.b) * 1.4142135623730951
+        if abs(value) < sys.float_info.min:  # not verbatim: 0 or subnormal, rounded exactly as the package rounds it
+            return _rounded(self.a, self.b)
+        return value
 
     def __repr__(self) -> str:
         return f"Root2({self.a!r}, {self.b!r})"
@@ -198,6 +202,14 @@ def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:
             acc = term if acc is None else acc + term
         coords.append(acc)
     return tuple(coords)
+
+
+def _rounded(a: Fraction, b: Fraction) -> float:
+    """a + b*sqrt(2) correctly rounded: b*sqrt(2) is floored to a multiple of 2**-1200, far below the 2**-1074 of a
+    subnormal, so the rounding of the two terms never moves it, as float(b) * sqrt(2) can (2**-1075 rounds to 0.0)."""
+    scale = 1 << 1200
+    root = math.isqrt(2 * (abs(b.numerator) * scale) ** 2 // b.denominator**2)
+    return float(a + Fraction(root if b >= 0 else -root, scale))
 
 
 # -- operands, built alike in both implementations ----------------------------
@@ -261,6 +273,7 @@ class TestAgainstFractionPairs:
     @example(("root2", Fraction(-1, 3), Fraction(1, 5)), ("float", float("nan")))
     @example(("root2", Fraction(-1, 3), Fraction(1, 5)), ("float", float("-inf")))
     @example(("root2", Fraction(0), Fraction(0)), ("float", -0.0))
+    @example(("root2", Fraction(0), Fraction(1)), ("float", 5e-324))  # 5e-324 / sqrt(2) rounds to 5e-324, not 0.0
     def test_binary_operations(self, x, y):
         for op in BINARY:
             for left, right in ((x, y), (y, x)):

@@ -182,9 +182,9 @@ class TestFixedPointSet:
         inst = random_instance(seed, dim)
         g = Grid(inst.C, (m,) * dim)
         X = grid_coords(g)
-        lo, hi = inst.K.bounds_batch(X)
+        lo, hi = (np.stack(np.broadcast_arrays(*b, X[0])[:-1]) for b in inst.K.bounds_batch(X))  # (dim, N) each
         reference = np.maximum(np.maximum(lo - X, X - hi).max(axis=0), 0.0)  # with (dim, N) temporaries
-        fixed, residuals, _spans = fixed_table(inst.K, g, delta, X)
+        fixed, residuals, _spans = fixed_table(inst.K, g, delta)
         assert np.array_equal(fixed, np.flatnonzero(reference <= delta + inst.C.snap()))
         assert residuals.tobytes() == reference[fixed].tobytes()  # bits, signs of zero included
     @pytest.mark.parametrize("delta", [float("nan"), -0.1])
@@ -473,6 +473,7 @@ class TestTopologyBatchDifferential:
         K, _ppa = _DIFFERENTIAL_MAPS[name]()
         X = grid_coords(Grid(K.domain, {1: (1001,), 2: (41, 41), 3: (9, 9, 9)}[K.domain.dim]))
         lo, hi, finite = K._bounds(X)
+        lo, hi = (np.stack(np.broadcast_arrays(*b, X[0])[:-1]) for b in (lo, hi))  # (dim, N) each
         ok = finite & (lo <= hi).all(axis=0)
         for i, x in enumerate(zip(*X.tolist())):
             try:
@@ -482,7 +483,7 @@ class TestTopologyBatchDifferential:
                 continue
             assert ok[i] and (region.lower, region.upper) == (tuple(lo[:, i]), tuple(hi[:, i])), x
         assert ok.any()
-        kept_lo, kept_hi = K.bounds_batch(X[:, ok])
+        kept_lo, kept_hi = (np.stack(np.broadcast_arrays(*b, X[0, ok])[:-1]) for b in K.bounds_batch(X[:, ok]))
         assert np.array_equal(kept_lo, lo[:, ok]) and np.array_equal(kept_hi, hi[:, ok])
         if not ok.all():
             with pytest.raises(QuasieqError):

@@ -390,7 +390,7 @@ def _slice_reports(h, K, cfg):
     shaped = table.reshape(cfg.grid.points_per_axis)
     eps = cfg.eps_value
     qopt, qep, min_gap, degenerate = [], [], None, 0
-    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership, X)
+    fixed, residuals, spans = fixed_table(K, cfg.grid, cfg.delta_membership)
     for i, r, span in zip(fixed, residuals, spans):
         if any(s >= e for s, e in span):
             degenerate += 1
@@ -460,7 +460,7 @@ class TestRangeMinima:
         cfg = SolverConfig(Grid(K.domain, (m,) * K.domain.dim), 0.05, delta)
         X = grid_coords(cfg.grid)
         table = h.eval_batch(X).reshape(cfg.grid.points_per_axis)
-        _fixed, _residuals, spans = fixed_table(K, cfg.grid, delta, X)
+        _fixed, _residuals, spans = fixed_table(K, cfg.grid, delta)
         held = spans[(spans[:, :, 0] < spans[:, :, 1]).all(axis=1)]
         assert len(held) > 100
         if case.startswith("narrow"):
