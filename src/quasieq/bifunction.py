@@ -12,7 +12,8 @@ f works over exact Q[sqrt(2)] scalars exactly when its domain box does.
 The checkers are falsifiers with verdicts FAIL / NO_VIOLATION_FOUND.  They run
 deterministic structured probes (coarse lattices, segment midpoints, and for
 exact scalars a sqrt(2)-witness family) before seeded random trials, so
-measure-zero witnesses are found reproducibly.  Their budgets and tolerances
+measure-zero witnesses are found reproducibly; each chunk's combined points
+come from one ``geometry.convex_combinations``.  Their budgets and tolerances
 are ``sampling`` constants: f-values are compared with tolerance 0 over exact
 scalars and ``sampling.FLOAT_TOL`` over floats.  Only ``trials`` and ``seed``
 are parameters.
@@ -20,6 +21,7 @@ are parameters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -30,16 +32,7 @@ import numpy as np
 from . import sampling
 from .errors import InstanceDefinitionError
 from .expressions import Expression, parse_expression
-from .geometry import (
-    CompactBox,
-    Grid,
-    Point,
-    contains,
-    convex_combination,
-    mesh_points,
-    pair_combinations,
-    point_columns,
-)
+from .geometry import CompactBox, Grid, Point, contains, convex_combinations, mesh_points, point_columns
 from .setmap import FAIL, NO_VIOLATION_FOUND
 
 
@@ -198,11 +191,6 @@ def _pair_values(f: Bifunction) -> Optional[Callable]:
     return None
 
 
-def _midpoints(A: np.ndarray, B: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The batch twin of ``pair_combination(a, b, lam)`` at every column: its products and sum, a == b kept as is."""
-    return np.where((A == B).all(axis=0), A, A * lam + B * (1.0 - lam))
-
-
 def _above_max(v_mid, v1, v2, tol):
     """v_mid > max(v1, v2) + tol at every row, with Python's max (v1 unless v2 > v1) on NaN too."""
     return v_mid > np.where(v2 > v1, v2, v1) + tol
@@ -271,9 +259,9 @@ def check_condition_iii(
     _refuse(f, C, trials)
     tol, batch = sampling.tolerance(f.domain.is_exact), _pair_values(f)
     pool, chunks = sampling.subset_plan(C, random.Random(seed + 1), trials)
+    P = point_columns(pool)
 
-    def violates(subset, weights):
-        x = convex_combination(subset, weights)
+    def violates(subset, weights, x):
         vals = [f.fn(x, xi) for xi in subset]
         worst = max(vals)
         if worst < -tol:
@@ -281,35 +269,23 @@ def check_condition_iii(
         return None
 
     samples = 0
-    for picks, weights in chunks:
-        unclear = None if batch is None else _subset_suspects(batch, pool, picks, weights, tol)
-        n, w = sampling.first_witness(len(picks), lambda r: violates(tuple(pool[i] for i in picks[r]), weights[r]), unclear)
+    for picks, weights in chunks:  # padded to the chunk's largest subset with index -1, weight 0
+        size = np.fromiter(map(len, picks), np.intp, len(picks))
+        live = np.arange(size.max()) < size[:, None]
+        I, W = np.full(live.shape, -1), np.zeros(live.shape, P.dtype)
+        I[live] = np.fromiter(itertools.chain.from_iterable(picks), np.intp, size.sum())
+        W[live] = np.fromiter(itertools.chain.from_iterable(weights), P.dtype, size.sum())
+        X, unclear = convex_combinations(P, I, W), None
+        if batch is not None:  # max_i f(x, x_i) < -tol or a value not finite; padding reads a subset's first point
+            Y = P[:, np.where(live, I, I[:, :1])]  # (dim, subsets, k)
+            V = batch(np.broadcast_to(X[:, :, None], Y.shape), Y)
+            unclear = _unclear(functools.reduce(lambda m, v: np.where(v > m, v, m), V.T) < -tol, *V.T)  # Python's max
+        probe = lambda r: violates(tuple(pool[i] for i in picks[r]), weights[r], tuple(X[:, r].tolist()))
+        n, w = sampling.first_witness(len(picks), probe, unclear)
         samples += sum(map(len, picks[:n]))
         if w is not None:
             return ConditionReport("iii", FAIL, w, samples, tol)
     return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
-
-
-def _subset_suspects(values: Callable, pool: list, picks: tuple, weights: tuple, tol: float) -> np.ndarray:
-    """The subsets of condition_iii that a batch cannot clear: max_i f(x, x_i) < -tol, a value not finite, or weights
-    that ``convex_combination`` refuses.  x is formed with its float operations, in its order, and is the first point
-    itself where every point equals it.  Subsets are padded to the chunk's largest with their first point, weight 0."""
-    size = np.fromiter(map(len, picks), np.intp, len(picks))
-    live = np.arange(size.max()) < size[:, None]
-    I, W, k = np.zeros(live.shape, np.intp), np.zeros(live.shape), live.shape[1]
-    I[live] = np.fromiter(itertools.chain.from_iterable(picks), np.intp, size.sum())
-    W[live] = np.fromiter(itertools.chain.from_iterable(weights), float, size.sum())
-    I = np.where(live, I, I[:, :1])
-    Y = point_columns(pool, float)[:, I]  # (dim, subsets, k)
-    X, total = Y[:, :, 0] * W[:, 0], W[:, 0]
-    for j in range(1, k):
-        X, total = np.where(live[:, j], X + Y[:, :, j] * W[:, j], X), np.where(live[:, j], total + W[:, j], total)
-    X = np.where((Y == Y[:, :, :1]).all(axis=(0, 2)), Y[:, :, 0], X)
-    V = values(np.broadcast_to(X[:, :, None], Y.shape), Y)
-    worst = V[:, 0]
-    for j in range(1, k):  # Python's max: padding repeats the first value, which never replaces it
-        worst = np.where(V[:, j] > worst, V[:, j], worst)
-    return _unclear((worst < -tol) | (W < 0).any(axis=1) | (np.abs(total - 1.0) > 1e-12), *V.T)
 
 
 def _pair_ladders(values: Callable, P: np.ndarray, radii: tuple, C: CompactBox, rng: sampling.DrawStream) -> tuple:
@@ -393,26 +369,25 @@ def _segment_check(condition_id, f, plan, cost, violates, suspects) -> Condition
     at ``lams[r]``, the last two being the segment's ends and any before them held fixed, and ``spent`` counts the
     f-values that planning the chunk took.  ``violates(*points, lam, mid, tol)`` evaluates f ``cost`` times, mid
     being the segment's point at lam, and returns a witness or None; its arguments, tuples and lams of Python scalars,
-    are made row by row, in ``sampling.first_witness``'s order.  On float columns every mid comes from ``_midpoints``,
-    and where f has a batch form ``suspects(values, *columns, mid, tol)`` evaluates the chunk with it and gives the
-    rows where ``violates`` is run; on ``Root2`` columns every row is, with its mid from ``pair_combinations``.
+    are made row by row, in ``sampling.first_witness``'s order.  Every mid comes from one ``convex_combinations`` of
+    the chunk; on float columns, where f has a batch form, ``suspects(values, *columns, mid, tol)`` evaluates the
+    chunk with it and gives the rows where ``violates`` is run; on ``Root2`` columns every row is.
     """
     tol = sampling.tolerance(f.domain.is_exact)
     batch = _pair_values(f)
     samples = 0
     for P, rows, lams, spent in plan:
         lam, unclear = lams.tolist(), None
-        if P.dtype == object:  # every probe is run, in turn, on one tuple per column
-            points = list(zip(*P.tolist()))
-            probes = zip(*np.fromiter(points, object, len(points))[rows].T, lam)
-            mid = pair_combinations(points, rows[:, -2], rows[:, -1], lam)
+        if P.dtype == object:  # every probe is run, in turn, on one tuple per column; mids are made 1,024 rows ahead
+            mids = (m for s in range(0, len(rows), 1024)
+                    for m in zip(*convex_combinations(P, rows[s:s + 1024, -2:], lams[s:s + 1024]).tolist()))
+            probes = zip(*np.fromiter(zip(*P.tolist()), object, P.shape[1])[rows].T, lam, mids)
         else:  # a tuple is made only for a row that is probed
-            columns = [P[:, rows[:, c]] for c in range(rows.shape[1])]
-            M = _midpoints(*columns[-2:], lams)
+            columns, M = [P[:, rows[:, c]] for c in range(rows.shape[1])], convex_combinations(P, rows[:, -2:], lams)
             unclear = np.ones(len(rows), dtype=bool) if batch is None else suspects(batch, *columns, M, tol)
-            probes = ((*[tuple(P[:, i].tolist()) for i in rows[r]], lam[r]) for r in np.flatnonzero(unclear).tolist())
-            mid = lambda r: tuple(M[:, r].tolist())
-        n, w = sampling.first_witness(len(rows), lambda r: violates(*next(probes), mid(r), tol), unclear)
+            probes = ((*[tuple(P[:, i].tolist()) for i in rows[r]], lam[r], tuple(M[:, r].tolist()))
+                      for r in np.flatnonzero(unclear).tolist())
+        n, w = sampling.first_witness(len(rows), lambda r: violates(*next(probes), tol), unclear)
         samples += spent + cost * n
         if w is not None:
             return ConditionReport(condition_id, FAIL, w, samples, tol)

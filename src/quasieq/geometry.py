@@ -11,6 +11,7 @@ metric used for box membership residuals, probe radii and witness distances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -51,6 +52,8 @@ def _comparison(test: Callable) -> Callable:
             return test(_sign(sp - other * sd, sq), 0)
         if not isinstance(other, _OPERANDS):
             return NotImplemented
+        if isinstance(other, float) and not math.isfinite(other):  # a Root2 is finite: it compares as 0.0 does
+            return test(0.0, other)
         p, q, d = other._t if type(other) is Root2 else _parts(other)
         return test(_sign(sp * d - p * sd, sq * d - q * sd), 0)
 
@@ -61,10 +64,11 @@ class Root2:
     """An exact scalar a + b*sqrt(2) with rational a, b.
 
     Stored as integers (p, q, d) with a = p/d, b = q/d, d > 0 and gcd(p, q, d)
-    == 1, a unique normal form, so equality compares the triples.  Arithmetic
-    and ordering run on ints and build no ``Fraction``; ``a`` and ``b`` are
-    built when read.  Ordering is one sign test, never in floats.  Adding an
-    ``int`` keeps gcd(p, q, d) == 1, so that sum takes no gcd.
+    == 1, a unique normal form.  Arithmetic, equality and ordering run on ints
+    and build no ``Fraction``; ``a`` and ``b`` are built when read.  A
+    comparison is one sign test, never in floats; with a float infinity or NaN
+    a ``Root2``, being finite, compares as 0.0 does.  Adding an ``int`` keeps
+    gcd(p, q, d) == 1, so that sum takes no gcd.
     """
 
     __slots__ = ("_t",)
@@ -146,10 +150,7 @@ class Root2:
 
     # -- comparisons -------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        return _parts(other) == self._t if isinstance(other, _OPERANDS) else NotImplemented  # both normal forms
-
-    __lt__, __le__, __gt__, __ge__ = map(_comparison, (operator.lt, operator.le, operator.gt, operator.ge))
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_comparison, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))
@@ -159,9 +160,9 @@ class Root2:
     def __float__(self) -> float:
         p, q, d = self._t
         r = p / d + q / d * 1.4142135623730951  # float(a) + float(b) * sqrt(2)
-        if abs(r) > 2**-40 * max(abs(p / d), abs(q / d)) and (r > 0) - (r < 0) == _sign(p, q):
+        if abs(r) > max(2**-40 * max(abs(p / d), abs(q / d)), 2**-1022) and (r > 0) - (r < 0) == _sign(p, q):
             return r
-        k = 2 * max(p.bit_length(), q.bit_length()) + 64  # the terms cancel: round p + q*sqrt(2) from integers
+        k = 2 * max(p.bit_length(), q.bit_length()) + 64  # the terms cancel, or r is subnormal: round from integers
         return float(Fraction((p << k) + (1 if q > 0 else -1) * math.isqrt(2 * q * q << 2 * k), d << k))
 
     def __repr__(self) -> str:
@@ -401,6 +402,8 @@ def grid_coords(grid: Grid) -> np.ndarray:
 
 def point_columns(points: Sequence[Point], dtype=None) -> np.ndarray:
     """A list of points as a (dim, n) array, column i being points[i]: the one place tuples change layout."""
+    if dtype is None and len(points) and isinstance(points[0][0], Root2):  # np.array would inspect each for nesting
+        return np.fromiter(itertools.chain.from_iterable(points), object).reshape(len(points), -1).T
     return np.array(points, dtype=dtype).T
 
 
@@ -420,86 +423,103 @@ def first_point(at, where: np.ndarray) -> Point:
 def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:
     """Componentwise weighted sum; weights nonnegative and summing to 1.
 
-    For float weights the sum must match 1 within 1e-12; exact weights must
-    sum to 1 exactly.  A combination of identical points returns that point
-    unchanged (no float dust).
+    For float weights the sum must match 1 within 1e-12 (a NaN weight fails); exact weights must sum to 1 exactly.
+    A combination of identical points returns that point unchanged (no float dust).  Float coordinates add each
+    point's term in turn; a ``Root2`` one is one normal form over the least common denominators of the points' integer
+    triples and the weights' integer ratios.  ``convex_combinations`` is the batch form.
     """
     if len(points) != len(weights):
         raise ValueError("points and weights must have equal length")
     if not points:
         raise ValueError("need at least one point")
     first = points[0]
-    exact = isinstance(weights[0], (Root2, Fraction)) or isinstance(first[0], Root2)
-    if exact:
-        exact_weights = [Root2.coerce(w) for w in weights]
-        if any(w.sign() < 0 for w in exact_weights) or sum(exact_weights[1:], exact_weights[0]) != 1:
+    exact = isinstance(first[0], Root2)
+    if exact or isinstance(weights[0], (Root2, Fraction)):
+        try:
+            W = [_parts(w) for w in weights]
+        except (ValueError, OverflowError):  # NaN or an infinity
+            raise ValueError("weights must be nonnegative and sum to 1 exactly") from None
+        L = math.lcm(*[d for _, _, d in W])
+        W = [(p * (L // d), q * (L // d)) for p, q, d in W]  # each weight as (p + q*sqrt(2)) / L
+        if sum([p for p, _ in W]) != L or sum([q for _, q in W]) or any([_sign(p, q) < 0 for p, q in W]):
             raise ValueError("weights must be nonnegative and sum to 1 exactly")
-    else:
-        wsum = sum(weights)
-        if any(w < 0 for w in weights) or abs(wsum - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
+    elif any(w < 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-12:
+        raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
     if all(p == first for p in points[1:]):
         return first
-    dim = len(first)
-    if any(len(p) != dim for p in points):
-        raise ValueError("points have mismatched dimensions")
-    if isinstance(first[0], Root2):  # exact coordinates take exact weights; float ones their own
-        weights = exact_weights
-    coords = []
-    for k in range(dim):
-        acc = None
-        for p, w in zip(points, weights):
-            term = p[k] * w
-            acc = term if acc is None else acc + term
-        coords.append(acc)
-    return tuple(coords)
-
-
-def pair_combination(a: Point, b: Point, lam) -> Point:
-    """``convex_combination((a, b), (lam, 1 - lam))`` for a float or rational lam in [0, 1].
-
-    Float coordinates are ``u * lam + v * (1 - lam)``, the same operations.  ``Root2`` ones, with lam = n/m, are
-    one normal form each of (n * u + (m - n) * v) / m on the integer triples; a float lam's 1.0 - lam must then be
-    exact, as ``convex_combination``'s exact weight check asks.  ``pair_combinations`` is the batch form.
-    """
-    exact = isinstance(a[0], Root2)
-    n, q, m = _parts(lam) if not isinstance(lam, float) or exact and math.isfinite(lam) else (lam, 0, 1)
-    if q or not 0 <= n <= m or isinstance(lam, float) and m > 2**53:  # 2**-53 divides lam iff 1.0 - lam is exact
-        raise ValueError("lam must be a float or a rational in [0, 1]")
-    if a == b:
-        return a
-    if len(a) != len(b):
+    if any(len(p) != len(first) for p in points):
         raise ValueError("points have mismatched dimensions")
     if not exact:
-        return tuple(u * lam + v * (1 - lam) for u, v in zip(a, b))
-    out, k = [], m - n
-    for u, v in zip(a, b):  # a loop: a generator here takes longer than the arithmetic on a 1-D point
-        (p1, q1, d1), (p2, q2, d2) = u._t, v._t
-        out.append(_normal(_new(Root2), n * p1 * d2 + k * p2 * d1, n * q1 * d2 + k * q2 * d1, m * d1 * d2))
+        return tuple(functools.reduce(operator.add, [p[k] * w for p, w in zip(points, weights)]) for k in range(len(first)))
+    out = []
+    for T in zip(*[map(_parts, p) for p in points]):  # a coordinate's triple in each point
+        D = math.lcm(*[d for _, _, d in T])
+        terms = [((p * wp + 2 * q * wq) * (D // d), (p * wq + q * wp) * (D // d)) for (p, q, d), (wp, wq) in zip(T, W)]
+        out.append(_normal(_new(Root2), sum([t[0] for t in terms]), sum([t[1] for t in terms]), D * L))
     return tuple(out)
 
 
-def pair_combinations(points: Sequence[Point], a: np.ndarray, b: np.ndarray, lams: Sequence) -> Callable:
-    """r -> ``pair_combination(points[a[r]], points[b[r]], lams[r])`` for the rows r of index columns a and b.
+@np.errstate(over="ignore", invalid="ignore")  # float columns as Python's float arithmetic: inf and NaN, no warning
+def convex_combinations(P: np.ndarray, picks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Column r is ``convex_combination`` of the points ``P[:, i] for i in picks[r]`` with weights ``weights[r]``.
 
-    On ``Root2`` points and ``Fraction`` lams n/m in [0, 1], one int64 batch forms every row's normal form of
-    (n*p1*d2 + (m-n)*p2*d1, n*q1*d2 + (m-n)*q2*d1, m*d1*d2), and a row's point is built from it when asked (a
-    itself where a == b).  A chunk whose bit lengths could pass 2**EXACT_BATCH_BITS, or of other scalars, takes
-    ``pair_combination`` row by row.
+    P holds (dim, n) point columns, float64 or ``Root2`` objects, and the result is (dim, rows) in its dtype.  picks
+    is (rows, k), a row of fewer points padded at its end with -1; weights is (rows, k) in P's scalars, or one lam a
+    row for pairs, weighted (lam, 1 - lam) in the lams' own arithmetic.  Float columns are the scalar's bit for bit,
+    the first point where every point of a row is equal; ``Root2`` columns its normal forms, from int64 columns
+    (``_exact_batch``) or the scalar row by row.  Weights the scalar refuses raise its ValueError.
     """
+
+    def scalar(r):  # the row as convex_combination takes it: points as tuples, weights as the row's scalars
+        ws = (weights[r], 1 - weights[r]) if weights.ndim == 1 else weights[r, picks[r] >= 0].tolist()
+        return convex_combination([tuple(P[:, i].tolist()) for i in picks[r][picks[r] >= 0]], ws)
+
+    if P.dtype != object and weights.ndim == 1:  # pairs: a * lam + b * (1.0 - lam)
+        if not (weights.min(initial=0) >= 0 and weights.max(initial=0) <= 1):  # the scalar refuses the lam
+            scalar(int(((weights >= 0) & (weights <= 1)).argmin()))  # raises
+        A, B = P.take(picks[:, 0], axis=1), P.take(picks[:, 1], axis=1)
+        X, same = A * weights + B * (1.0 - weights), (A == B).all(axis=0)
+        return np.where(same, A, X) if same.any() else X
+    I = np.where(live := picks >= 0, picks, picks[:, :1])  # padding reads the row's first point
+    if P.dtype != object:
+        Y, W = P.take(I, axis=1), weights  # Y: (dim, rows, k)
+        X, total, refused, same = Y[..., 0] * W[:, 0], W[:, 0], W[:, 0] < 0, True
+        for j, on in enumerate(live.T[1:], 1):
+            X, total = np.where(on, X + Y[..., j] * W[:, j], X), np.where(on, total + W[:, j], total)
+            refused, same = refused | on & (W[:, j] < 0), same & (~on | (Y[..., j] == Y[..., 0]).all(axis=0))
+        if (refused := refused | ~(np.abs(total - 1.0) <= 1e-12)).any():
+            scalar(int(refused.argmax()))  # raises
+        return np.where(same, Y[..., 0], X)
+    X = _exact_batch(P, I, live, weights)
+    return np.array([scalar(r) for r in range(len(I))], dtype=object).T if X is None else X
+
+
+def _exact_batch(P: np.ndarray, I: np.ndarray, live: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """``convex_combinations`` on ``Root2`` columns P, or None for a scalar not a ``Root2`` or a rational, refused
+    weights, or integers that could pass 2**EXACT_BATCH_BITS.  Row r's weights are integers N over their least common
+    denominator L (``np.lcm``), P's coordinates integers over its least common denominator D, and its normal forms
+    (sum N*p, sum N*q, L*D) reduced by ``np.gcd``: as the weights are nonnegative and sum to L, no partial sum passes
+    L times D times the largest integer of P."""
     try:
-        ratios = itertools.chain.from_iterable(map(Fraction.as_integer_ratio, lams))
-        nm = np.fromiter(ratios, np.int64, 2 * len(lams)).reshape(-1, 2, 1, 1)
-        T = np.array([c._t for p in points for c in p], dtype=np.int64).reshape(len(points), -1, 3)
-    except (AttributeError, OverflowError):  # a lam not a Fraction, a coordinate not a Root2, an integer past int64
-        T = None
-    if T is not None:
-        n, m = nm[:, 0], nm[:, 1]
-        tb, lb = (max(int(A.max(initial=0)), -int(A.min(initial=0))).bit_length() for A in (T, nm))
-    if T is None or 2 * tb + lb + 1 > EXACT_BATCH_BITS or (n < 0).any() or (n > m).any():
-        return lambda r: pair_combination(points[a[r]], points[b[r]], lams[r])
-    X, Y = T[a], T[b]
-    S = n * X * Y[..., 2:] + (m - n) * Y * X[..., 2:]  # each term under 2**(2tb+lb); n*d1*d2 + (m-n)*d2*d1 == m*d1*d2
-    M = S // np.gcd.reduce(S, axis=-1, keepdims=True)
-    same = set(np.flatnonzero((X == Y).all(axis=(1, 2))).tolist())
-    return lambda r: points[a[r]] if r in same else tuple([_of(tuple(t)) for t in M[r].tolist()])
+        T = np.fromiter(itertools.chain.from_iterable(c._t for c in P.T.ravel().tolist()), np.int64, 3 * P.size)
+        ratio = Fraction.as_integer_ratio if weights.ndim == 1 else operator.methodcaller("as_integer_ratio")
+        ratios = map(ratio, (weights if weights.ndim == 1 else weights[live]).tolist())
+        R = np.fromiter(itertools.chain.from_iterable(ratios), np.int64).reshape(-1, 2)
+    except (AttributeError, TypeError, ValueError, OverflowError):  # other scalars, NaN, integers past int64
+        return None
+    if weights.ndim == 1:  # rational lams n/m: the weights n/m and (m - n)/m
+        R = np.column_stack([R[:, 0], R[:, 1], R[:, 1] - R[:, 0], R[:, 1]]).reshape(-1, 2)
+    T, num, den = T.reshape(P.shape[1], -1, 3), np.zeros(live.shape, np.int64), np.ones(live.shape, np.int64)
+    num[live], den[live] = R.T
+    L, D = np.lcm.reduce(den, axis=1), math.lcm(*np.unique(T[..., 2]).tolist())  # L may wrap, and is refused then
+    N, big = num * (L[:, None] // den), max(int(T.max(initial=1)), -int(T.min(initial=0))) * D * int(L.max(initial=1))
+    refused = (N < 0).any() or (N.sum(axis=1) != L).any()  # the scalar raises at the row
+    if refused or (np.log2(den).sum(axis=1) > EXACT_BATCH_BITS).any() or big.bit_length() > EXACT_BATCH_BITS:
+        return None
+    S = np.empty((len(I), P.shape[0], 3), np.int64)
+    S[..., :2], S[..., 2] = np.einsum("rk,rkdc->rdc", N, T[I, :, :2] * (D // T[I, :, 2:])), L[:, None] * D
+    S //= np.gcd.reduce(S, axis=-1, keepdims=True)
+    X = np.fromiter(map(_of, map(tuple, S.reshape(-1, 3).tolist())), object, S.size // 3).reshape(len(I), len(P)).T
+    same = (T[I] == T[I[:, :1]]).all(axis=(1, 2, 3))
+    X[:, same] = P[:, I[same, 0]]  # the first point itself
+    return X

@@ -6,7 +6,8 @@ sampling parameters are ``trials`` and ``seed``; it evaluates what a plan names.
 happen together, float ones in one ``floats`` call, when the checker reaches the chunk, so RNG calls come in one fixed
 order and no chunk grows with ``trials``.  The segment plans give chunks (P, rows, lams, spent), the form that
 ``bifunction._segment_check`` reads: (dim, N) point columns P in the domain's scalars (float64, or ``Root2``) and one
-lam per row (float64, or ``Fraction``); ``subset_plan`` gives condition_iii's chunks, its lattice pairs first.
+lam per row (float64, or ``Fraction``); ``subset_plan`` gives condition_iii's chunks, its lattice pairs first.  Plans
+combine no points themselves: exact random points, too, come from ``geometry.convex_combinations``.
 ``settle_ladders`` yields the ladders the loop must run, and ``first_witness`` scans the probes a batch could not
 clear, in the loop's order: the one scan of ``_segment_check``, ``check_condition_iii``, ``check_diagonal_zero`` and
 ``setmap.check_convex_values``.  The budgets set the witnesses: changing one changes reports.
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import CompactBox, Grid, Point, Root2, pair_combination, point_columns
+from .geometry import CompactBox, Grid, Point, Root2, convex_combinations, point_columns
 
 #: Lattice points per axis of the grid probes (closed_graph, lsc, convex_values).
 GRID_PROBE_BUDGET = {1: 33, 2: 9, 3: 5}
@@ -315,17 +316,20 @@ def first_witness(n: int, probe: Callable, unclear: Optional[np.ndarray]) -> tup
 
 
 def _box_columns(C: CompactBox, u: np.ndarray) -> np.ndarray:
-    """The points of the float box C at the rows of draws u in [0, 1), as columns: ``uniform(lo, hi)`` of each coordinate."""
+    """The points of C at the rows of draws u in [0, 1], as columns: on a float box ``uniform(lo, hi)`` of each
+    coordinate; on an exact box, whose draws are multiples of 1/256, hi and lo combined at the weights u and 1 - u."""
+    if C.is_exact:
+        ends = point_columns([(c,) for pair in zip(C.upper, C.lower) for c in pair])  # (1, 2 dim): hi_1, lo_1, ...
+        picks, w = np.tile(np.arange(2 * C.dim).reshape(-1, 2), (u.size // C.dim, 1)), u.reshape(-1, 1)
+        return convex_combinations(ends, picks, np.hstack([w, 1 - w])).reshape(-1, C.dim).T
     lo, hi = (np.array(b, dtype=float)[:, None] for b in (C.lower, C.upper))
     return lo + (hi - lo) * u.reshape(-1, C.dim).T
 
 
 def random_points(C: CompactBox, rng: random.Random, n: int) -> list:
     """n uniform points of C, drawn one after another; on exact boxes a multiple of 1/256 of each side."""
-    if C.is_exact:  # lo + (hi - lo) * k/256, formed as one normal form
-        return [tuple(pair_combination((hi,), (lo,), Fraction(rng.randrange(0, 257), 256))[0] for lo, hi in zip(C.lower, C.upper))
-                for _ in range(n)]
-    return list(zip(*_box_columns(C, floats(rng, n * C.dim)).tolist()))
+    u = np.array([rng.randrange(0, 257) / 256 for _ in range(n * C.dim)]) if C.is_exact else floats(rng, n * C.dim)
+    return list(zip(*_box_columns(C, u).tolist()))
 
 
 def float_lambdas(u: np.ndarray) -> np.ndarray:
@@ -384,8 +388,8 @@ def segment_plan(C: CompactBox, rng: random.Random, trials: int, order: tuple):
     for t in range(0, trials, CHUNK_ROWS // 4):
         n = min(CHUNK_ROWS // 4, trials - t)
         if C.is_exact:  # one trial after another
-            drawn = [(random_points(C, rng, 3), lambdas(True, rng, extra=1)) for _ in range(n)]
-            P, lams = point_columns([p for trio, _ in drawn for p in trio]), np.concatenate([g for _, g in drawn])
+            drawn = [([rng.randrange(0, 257) / 256 for _ in range(3 * C.dim)], lambdas(True, rng, extra=1)) for _ in range(n)]
+            P, lams = _box_columns(C, np.concatenate([u for u, _ in drawn])), np.concatenate([g for _, g in drawn])
         else:  # per trial, 3 points then one lambda
             u = floats(rng, n * (3 * C.dim + 1)).reshape(n, -1)
             P, lams = _box_columns(C, u[:, :-1]), float_lambdas(u[:, -1:])

@@ -28,6 +28,7 @@ from .geometry import (
     Point,
     box_distance,
     contains,
+    convex_combinations,
     first_point,
     mesh_points,
     point_columns,
@@ -410,25 +411,24 @@ def check_convex_values(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     snap, samples, per = K.domain.snap(), 0, 3 + sampling.SEGMENT_EXTRA_LAMBDAS
     n = len(sampling.index_lattice(grid, sampling.GRID_PROBE_BUDGET))  # the rng is this check's own: draw every x's
     every = sampling.lambdas(False, random.Random(sampling.PROBE_SEED + 2), sampling.SEGMENT_EXTRA_LAMBDAS, n).reshape(n, per)
+    picks = np.repeat(np.arange(2 * sampling.SEGMENT_PAIRS).reshape(-1, 2), per, axis=0)  # row r: pair r // per
     for p, (x, x_map, lo, hi) in enumerate(sampling.lattice_regions(K, grid)):
         pts = _member_samples(K, x_map, lo, hi, grid)
-        lams = every[p].tolist()
         pairs = list(itertools.islice(itertools.combinations(pts, 2), sampling.SEGMENT_PAIRS))
-        unclear = None
-        if K.member_predicate is None and pairs:
-            Y, lam = point_columns([y for pair in pairs for y in pair], float), every[p, :, None, None]
-            mid = lam * Y[:, 0::2] + (1.0 - lam) * Y[:, 1::2]  # (lams, dim, pairs): y1 and y2 alternate in Y
-            unclear = (~(np.maximum(np.array(lo)[:, None] - mid, mid - np.array(hi)[:, None]).max(axis=1) <= snap)).T.ravel()
+        if not pairs:
+            continue
+        Y = point_columns([y for pair in pairs for y in pair], float)  # y1 and y2 alternate
+        M = convex_combinations(Y, picks[:len(pairs) * per], np.tile(every[p], len(pairs)))
+        outside = ~(np.maximum(np.array(lo)[:, None] - M, M - np.array(hi)[:, None]).max(axis=0) <= snap)
 
-        def probe(r):  # row r is pair r // per at lambda r % per: the loop's order, pair first
-            (y1, y2), lam = pairs[r // per], lams[r % per]
-            mid = tuple(lam * a + (1.0 - lam) * b for a, b in zip(y1, y2))
+        def probe(r):  # the loop's order, pair first
+            (y1, y2), lam, mid = pairs[r // per], every[p, r % per].item(), tuple(M[:, r].tolist())
             inside = box_distance(lo, hi, mid) <= snap
             if inside and K.member_predicate is not None:
                 inside = K.member_predicate(x_map, mid)
             return None if inside else {"x": x, "y1": y1, "y2": y2, "lambda": lam, "combination": mid}
 
-        n, witness = sampling.first_witness(len(pairs) * per, probe, unclear)
+        n, witness = sampling.first_witness(len(pairs) * per, probe, None if K.member_predicate else outside)
         samples += n
         if witness is not None:
             return TopologyProbeReport(FAIL, witness, (), samples)

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quasieq import geometry, sampling
 from quasieq.bifunction import (
@@ -24,14 +22,12 @@ from quasieq.bifunction import (
     make_qvi_bifunction,
     _above_max,
     _below_min,
-    _midpoints,
     _pair_values,
-    _subset_suspects,
 )
 from quasieq.catalog import figure1_instance, quasiconvex_variant_instance, random_instance, remark_bifunction_instance
 from quasieq.errors import InstanceDefinitionError, NonFiniteValueError, QuasieqError
 from quasieq.expressions import parse_expression
-from quasieq.geometry import CompactBox, Grid, Root2, convex_combination, pair_combination, point_columns
+from quasieq.geometry import CompactBox, Grid, Root2, convex_combinations, point_columns
 from quasieq.setmap import FAIL, NO_VIOLATION_FOUND
 
 C02 = CompactBox((0.0,), (2.0,))
@@ -589,33 +585,6 @@ class TestBatchedCheckers:
         outcomes = self.assert_same_reports(text, CompactBox((0.0,), (10.0,)))
         assert all(isinstance(out, str) and "overflows" in out for out in outcomes)
 
-    def test_midpoints_match_convex_combination(self):
-        rng = random.Random(5)
-        A = point_columns([(0.1, 0.2), (rng.uniform(-2, 2), rng.uniform(-2, 2)), (-0.0, 0.0)])
-        B = point_columns([(0.1, 0.2), (rng.uniform(-2, 2), rng.uniform(-2, 2)), (0.0, -0.0)])
-        lam = np.array([0.3, rng.uniform(0.05, 0.95), 0.5])
-        # 0.1 * 0.3 + 0.1 * 0.7 is not 0.1: the equal pair is returned unchanged
-        assert 0.1 * 0.3 + 0.1 * (1.0 - 0.3) != 0.1
-        a_pts, b_pts, mids = (zip(*M.tolist()) for M in (A, B, _midpoints(A, B, lam)))
-        for a, b, w, mid in zip(a_pts, b_pts, lam.tolist(), mids):
-            assert _same(tuple(mid), convex_combination((tuple(a), tuple(b)), (w, 1.0 - w)))
-            assert _same(tuple(mid), pair_combination(tuple(a), tuple(b), w))
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_midpoints_are_pair_combination_bit_for_bit(self, data):
-        # _midpoints is the one source of float segment points: every column as pair_combination's tuple
-        dim, trials = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
-        coordinate = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]), st.floats(-1e-300, 1e-300))
-        pool = [tuple(data.draw(coordinate) for _ in range(dim)) for _ in range(data.draw(st.integers(1, 5)))]
-        lams = sampling.float_lambdas(np.array([[data.draw(st.floats(0.0, 1.0, exclude_max=True))] for _ in range(trials)]))
-        a = [data.draw(st.sampled_from(pool)) for _ in lams]
-        b = [data.draw(st.one_of(st.sampled_from(pool), st.just(p), st.just(tuple(-0.0 if c == 0 else c for c in p)))) for p in a]
-        M = _midpoints(point_columns(a), point_columns(b), lams)
-        for r, lam in enumerate(lams.tolist()):
-            want = pair_combination(a[r], b[r], lam)
-            assert [c.hex() for c in M[:, r].tolist()] == [c.hex() for c in want], (a[r], b[r], lam)
-
     def test_exact_lambdas_match_fresh_fractions(self):
         def reference_lambdas(exact, rng, extra=2):  # sampling.lambdas as it built a Fraction per weight, verbatim
             """1/2, 1/4, 3/4, then ``extra`` random weights in (0, 1)."""
@@ -671,15 +640,15 @@ class TestConditionIIIRandomSubsets:
         w1, w2 = rep.witness["weights"]
         assert p * w1 + p * w2 != p
 
-    def test_weights_the_combination_refuses_are_replayed(self):
-        f = Bifunction(parse_expression("1 + 0 * x_1 + 0 * y_1"), self.C01)  # never below 0: only the weights flag
-        pool, picks = [(0.0,), (1.0,)], ((0, 1), (0, 1), (1, 1, 0), (0, 1, 1, 0))
-        weights = ((0.5, 0.5), (0.5, 0.5 + 1e-11), (-0.5, 1.0, 0.5), (0.25, 0.25, 0.25, 0.25))
-        flagged = _subset_suspects(_pair_values(f), pool, picks, weights, sampling.FLOAT_TOL)
-        assert flagged.tolist() == [False, True, True, False]
-        for subset, w in zip(picks[1:3], weights[1:3]):  # the loop refuses the flagged ones
+    def test_weights_the_combination_refuses_raise(self):
+        # a chunk with a subset whose weights convex_combination refuses raises its error from the batch
+        P, I = point_columns([(0.0,), (1.0,)]), np.array([[0, 1, -1, -1], [1, 1, 0, -1], [0, 1, 1, 0]])
+        for bad in ((0.5, 0.5 + 1e-11, 0.0, 0.0), (-0.5, 1.0, 0.5, 0.0)):
+            W = np.array([(0.5, 0.5, 0.0, 0.0), bad, (0.25,) * 4])
             with pytest.raises(ValueError, match="weights must be nonnegative"):
-                convex_combination([pool[i] for i in subset], w)
+                convex_combinations(P, I, W)
+        W = np.array([(0.5, 0.5, 0.0, 0.0), (0.5, 0.25, 0.25, 0.0), (0.25,) * 4])
+        assert convex_combinations(P, I, W).tolist() == [[0.5, 0.75, 0.5]]
 
 
 # The probe-by-probe condition_iv, kept verbatim as the reference of the batch path.

@@ -19,6 +19,7 @@ from quasieq import cli
 from quasieq.bifunction import (
     Bifunction,
     ObjectiveFunction,
+    check_condition_ii,
     check_condition_iii,
     check_condition_iv,
     check_quasiconcave_first,
@@ -328,6 +329,18 @@ _III_PAYLOADS = {
     "notch": _bifunction("piecewise(x_1 > 0.001, piecewise(x_1 < 0.024, -1, 1), 1) + 0 * y_1", _UNIT),
 }
 
+def _exact_notch():
+    """f(x, y) = -1 for x_1 strictly between 3/1024 and 1/256, else 1: of the lattice points of [0, 1] combined at
+    multiples of 1/64, only 0 and 1/20 at lambda 15/16 land in the notch."""
+    lo, hi = Root2(Fraction(3, 1024)), Root2(Fraction(1, 256))
+    return Bifunction(lambda x, y: Root2(-1) if lo < x[0] < hi else Root2(1), _EXACT_UNIT)
+
+
+def _exact_off_1024():
+    """f(x, y) = 1 where x_1 is a multiple of 1/1024, else -1: 1/256 points combined at 1/2, 1/4 or 3/4 stay on it."""
+    return Bifunction(lambda x, y: Root2(1) if (x[0] * 1024).a.denominator == 1 else Root2(-1), _EXACT_UNIT)
+
+
 CHECKER_CASES = {
     **{f"verify-{name}": (lambda tmp, _n=name: _cli_verify(_n, tmp)) for name in sorted(CATALOG)},
     "theorem-random(3101,2)@41": lambda tmp: _theorem(
@@ -369,9 +382,15 @@ CHECKER_CASES = {
     "condition-iii-exact-dip": lambda tmp: _condition_iii_case(
         _bifunction(lambda x, y: Root2(-1) if Root2(Fraction(2, 5)) <= x[0] <= Root2(Fraction(1, 2)) else Root2(1), _EXACT_UNIT)
     ),
+    # recorded before every combined point came from geometry's one scalar and batch: exact FAILs at a random
+    # lambda, 15/16 and 57/64, where no lambda 1/2, 1/4 or 3/4 of a lattice or a 1/256 point reaches
+    "condition-ii-exact-notch": lambda tmp: _lone(check_condition_ii(_exact_notch(), _EXACT_UNIT)),
+    "qccv-first-exact-off-1024": lambda tmp: _lone(check_quasiconcave_first(_exact_off_1024(), _EXACT_UNIT, 400)),
 }
 
 CHECKER_DIGESTS = {
+    "condition-ii-exact-notch": "00add3caa883c50008f2ffd5af03e5457813fcf415f17a2179b06c24b66ff3f4",
+    "qccv-first-exact-off-1024": "41394866c220720d9177fd196038ed32dadf3932b15d8deaa711d5eebe23c1b7",
     "condition-iii-dip": "184709957c8464f2932df77c675eb34ef0d44eb45e1290ff99eee1c6c256c909",
     "condition-iii-exact-dip": "b8b389b71536d8579985a756f6160cb09eeeda478bdad77729dcf6938bd71886",
     "condition-iii-notch@400": "9d2944ed9cbc4a4870971b014e19b1eeb68e4d7b37d42d1997ba4af04940f5c9",

@@ -192,6 +192,12 @@ class TestSolveCommand:
         rep = get_instance("remark").solve()
         assert report_from_json(report_to_json(rep)) == rep
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_an_infinite_eps_on_an_exact_grid(self, capsys, command):
+        # exact residuals compare with the float inf, as on float grids: every grid point is a solution
+        assert main([command, "remark", "--eps", "inf"]) == 0
+        assert json.loads(capsys.readouterr().err.strip())["solutions"] == 101
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_carries_the_out_file_bytes(self, tmp_path, capsys, fmt):
         out = tmp_path / "figure1.out"

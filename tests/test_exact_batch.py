@@ -1,9 +1,10 @@
-"""The exact segment probes' batch combination: ``geometry.pair_combinations`` against ``pair_combination``.
+"""The batch combination ``geometry.convex_combinations`` against the scalar ``convex_combination``.
 
-On ``Root2`` points a chunk's combinations are formed at once over int64 columns of the integer triples, and a
-chunk whose integers could pass 2**EXACT_BATCH_BITS takes ``pair_combination`` row by row.  Every row must come
-out as ``pair_combination``'s: the same normal-form triples, and the point a itself where a == b.  The report
-digests at the end were recorded before the batch existed, when every probe called ``pair_combination``.
+Column r of the batch must be the scalar at the points ``P[:, picks[r]]`` and weights ``weights[r]``: on float64 bit
+for bit, the sign of zero too, and on ``Root2`` the same normal-form triples; where every point of a row is equal, the
+first point itself.  Exact rows are formed at once from int64 columns, and a chunk whose integers could pass
+2**EXACT_BATCH_BITS takes the scalar row by row.  The report digests at the end were recorded before the batch
+existed, when every probe combined its own points.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -27,151 +29,203 @@ from quasieq.bifunction import (
     check_quasiconcave_first,
     check_quasiconvex_second,
 )
+from quasieq.catalog import get_instance
 from quasieq.cli import main
-from quasieq.geometry import CompactBox, Root2, pair_combination, pair_combinations
+from quasieq.geometry import CompactBox, Root2, convex_combination, convex_combinations, point_columns
 from quasieq.reporting import _sanitize
-
-LAMS = st.one_of(st.sampled_from(sampling._SIXTY_FOURTHS), st.just(Fraction(1, 2)))
 
 
 @pytest.fixture
 def scalar_calls(monkeypatch):
-    """The rows that ``pair_combinations`` hands to ``pair_combination`` one at a time, counted."""
+    """The rows that ``convex_combinations`` hands to ``convex_combination`` one at a time, counted."""
     calls = []
 
-    def counted(a, b, lam):
-        calls.append(lam)
-        return pair_combination(a, b, lam)
+    def counted(points, weights):
+        calls.append(weights)
+        return convex_combination(points, weights)
 
-    monkeypatch.setattr(geometry, "pair_combination", counted)
+    monkeypatch.setattr(geometry, "convex_combination", counted)
     return calls
 
 
-def _root2(bits: int):
-    """Root2 coordinates with sqrt(2) parts whose numerators and denominators have up to ``bits`` bits."""
+def _root2(bits: int, denominators=None):
+    """Root2 coordinates (p + q*sqrt(2)) / d with p and q of up to ``bits`` bits, and d of up to ``bits`` bits or drawn
+    from ``denominators``."""
     ints = st.integers(-(2**bits) + 1, 2**bits - 1)
-    return st.builds(lambda p, q, d: Root2(Fraction(p, d), Fraction(q, d)), ints, ints, st.integers(1, 2**bits - 1))
+    d = st.integers(1, 2**bits - 1) if denominators is None else st.sampled_from(denominators)
+    return st.builds(lambda p, q, d: Root2(Fraction(p, d), Fraction(q, d)), ints, ints, d)
+
+
+#: Denominators that divide 7680, as a box's lattice (20) and random points (256) do: any pool's least common
+#: denominator is at most 13 bits.
+SMALL_DENOMINATORS = [1, 2, 3, 5, 8, 20, 64, 256, 7680]
+#: Two 17-bit primes: a pool's least common denominator is 34 bits, and 21-bit numerators reach the bound or pass it.
+PRIMES_17 = [131071, 131063]
+
+
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e308]), st.floats(allow_nan=True, allow_infinity=True))
 
 
 @st.composite
-def chunks(draw, coordinate, dim=None):
-    """(points, a, b, lams): points of one dimension, with repeats, and rows of index pairs that include a == b."""
-    dim = dim or draw(st.integers(1, 3))
-    pool = [tuple(draw(coordinate) for _ in range(dim)) for _ in range(draw(st.integers(1, 6)))]
-    points = pool + [tuple(draw(st.sampled_from(pool))) for _ in range(draw(st.integers(0, 3)))]
-    n = draw(st.integers(1, 24))
-    index = st.integers(0, len(points) - 1)
-    a = np.array([draw(index) for _ in range(n)], dtype=np.intp)
-    b = np.array([draw(st.one_of(index, st.just(int(i)))) for i in a], dtype=np.intp)
-    return points, a, b, [draw(LAMS) for _ in range(n)]
+def float_weights(draw, k: int) -> list:
+    """``sampling.random_subset``'s float weights: k raw draws over their sum, the last one 1 minus the others."""
+    raw = [draw(st.floats(0.05, 1.0)) for _ in range(k)]
+    weights = [r / sum(raw) for r in raw]
+    return weights[:-1] + [1.0 - sum(weights[:-1])]
 
 
-def _triples(point):
-    return [(type(c), c._t) for c in point]
+@st.composite
+def exact_weights(draw, k: int) -> list:
+    """Rational weights r/total with r in 1..15, or a lam of ``sampling._SIXTY_FOURTHS`` and 1 - lam for pairs."""
+    if k == 2 and draw(st.booleans()):
+        lam = draw(st.sampled_from(sampling._SIXTY_FOURTHS.tolist()))
+        return [lam, 1 - lam]
+    raw = [draw(st.integers(1, 15)) for _ in range(k)]
+    return [Fraction(r, sum(raw)) for r in raw]
 
 
-def _assert_rows_match(points, a, b, lams):
-    mid = pair_combinations(points, a, b, lams)
-    for r in range(len(lams)):
-        expected = pair_combination(points[a[r]], points[b[r]], lams[r])
-        got = mid(r)
-        assert _triples(got) == _triples(expected)
-        if points[a[r]] == points[b[r]]:
-            assert got is points[a[r]]
+@st.composite
+def batches(draw, coordinate, weights) -> tuple:
+    """(P, picks, weights, rows): point columns with repeated points, and rows of 1 to 4 picks, padded with -1 to the
+    longest, each with its weights; or rows of pairs and one lam each.  rows lists each row's (picks, weights)."""
+    dim = draw(st.integers(1, 3))
+    pool = [tuple(draw(coordinate) for _ in range(dim)) for _ in range(draw(st.integers(1, 5)))]
+    pool += [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, 3)))]
+    index = st.integers(0, len(pool) - 1)
+    pairs, k_max = draw(st.booleans()), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = 2 if pairs else draw(st.integers(1, k_max))
+        first = draw(index)
+        picks = [first] + [draw(st.one_of(index, st.just(first))) for _ in range(k - 1)]
+        rows.append((picks, draw(weights(k))))
+    k = max(len(picks) for picks, _ in rows)
+    picks = np.array([p + [-1] * (k - len(p)) for p, _ in rows])
+    W = np.array([w + [0] * (k - len(w)) for _, w in rows], dtype=object if weights is exact_weights else float)
+    return point_columns(pool), picks, W[:, 0] if pairs else W, rows
 
 
-class TestBatchAgainstPairCombination:
-    @given(chunks(_root2(12)))
+def _observed(point) -> list:
+    return [(type(c), c._t) if isinstance(c, Root2) else (type(c), c.hex()) for c in point]
+
+
+def _assert_rows_match(P, picks, weights, rows):
+    X = convex_combinations(P, picks, weights)
+    assert X.dtype == P.dtype and X.shape == (P.shape[0], len(rows))
+    for r, (row, w) in enumerate(rows):
+        points = [tuple(P[:, i].tolist()) for i in row]
+        want = convex_combination(points, w)
+        assert _observed(X[:, r].tolist()) == _observed(want), (points, w)
+        if P.dtype == object and all(p == points[0] for p in points):
+            assert all(a is b for a, b in zip(X[:, r], P[:, row[0]]))  # the first point's own scalars
+
+
+class TestBatchAgainstTheScalar:
+    @given(batches(FLOATS, float_weights))
     @settings(max_examples=300, deadline=None)
-    def test_small_triples_take_the_batch(self, chunk):
+    def test_float_columns_bit_for_bit(self, batch):
+        _assert_rows_match(*batch)
+
+    @given(batches(_root2(12, SMALL_DENOMINATORS), exact_weights))
+    @settings(max_examples=300, deadline=None)
+    def test_small_triples_take_the_batch(self, batch):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "pair_combination", lambda *args: calls.append(args) or pair_combination(*args))
-            _assert_rows_match(*chunk)
-        assert not calls  # at most 2 * 12 + 7 + 1 bits: under the bound
+            mp.setattr(geometry, "convex_combination", lambda *args: calls.append(args) or convex_combination(*args))
+            convex_combinations(*batch[:3])
+        assert not calls  # 12 + 13 bits a coordinate, weights over at most 64: under the bound
+        _assert_rows_match(*batch)
 
-    @given(chunks(_root2(28), dim=1))
-    @settings(max_examples=200, deadline=None)
-    def test_triples_at_the_bound_do_not_wrap(self, chunk):
-        # up to 2 * 28 bits per numerator and denominator: some chunks pass under the bound, others fall back
-        _assert_rows_match(*chunk)
+    @given(batches(_root2(12, SMALL_DENOMINATORS), exact_weights))
+    @settings(max_examples=100, deadline=None)
+    def test_a_zeroed_bound_takes_the_scalar_row_by_row(self, batch):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "EXACT_BATCH_BITS", 0)
+            mp.setattr(geometry, "convex_combination", lambda *args: calls.append(args) or convex_combination(*args))
+            _assert_rows_match(*batch)
+        assert len(calls) == len(batch[3])
+
+    @given(batches(_root2(21, PRIMES_17), exact_weights))
+    @settings(max_examples=150, deadline=None)
+    def test_triples_at_the_bound_do_not_wrap(self, batch):
+        # 21 + 34 bits a coordinate and weights over up to 64: some batches pass under the bound, others fall back
+        _assert_rows_match(*batch)
+
+    @given(batches(_root2(70), exact_weights))
+    @settings(max_examples=60, deadline=None)
+    def test_triples_past_int64_fall_back(self, batch):
+        _assert_rows_match(*batch)
 
     def test_the_largest_triples_under_the_bound(self, scalar_calls):
-        # 7 + 27 + 27 + 1 = 62 bits: the batch, with products near 2**61
+        # 27 bits of integers, a least common denominator of 27 bits and lams over 64: 60 bits, near 2**61 products
         top = 2**27
-        points = [(Root2(Fraction(top - 2, top - 1), Fraction(-(top - 3), top - 1)),),
-                  (Root2(Fraction(-(top - 4), top - 3), Fraction(top - 5, top - 3)),)]
-        assert max(max(abs(v) for v in c._t) for p in points for c in p).bit_length() == 27
-        lams = [Fraction(63, 64), Fraction(1, 64), Fraction(1, 2)]
-        _assert_rows_match(points, np.array([0, 1, 0]), np.array([1, 0, 1]), lams)
+        P = point_columns([(Root2(Fraction(top - 2, top - 1), Fraction(-(top - 3), top - 1)),),
+                           (Root2(Fraction(-(top - 4), top - 1), Fraction(top - 5, top - 1)),)])
+        picks, lams = np.array([[0, 1], [1, 0], [0, 1]]), np.array([Fraction(63, 64), Fraction(1, 64), Fraction(1, 2)])
+        _assert_rows_match(P, picks, lams, [(p, [lam, 1 - lam]) for p, lam in zip(picks.tolist(), lams)])
         assert not scalar_calls
-
-    def test_triples_past_the_bound_fall_back(self, scalar_calls):
-        # 7 + 2 * 31 + 1 bits: in int64 the products near 2**66 would wrap, so every row goes alone
-        top = 2**31
-        points = [(Root2(Fraction(top - 2, top - 1), Fraction(-(top - 3), top - 1)),),
-                  (Root2(Fraction(-(top - 4), top - 3), Fraction(top - 5, top - 3)),)]
-        lams = [Fraction(63, 64), Fraction(1, 64), Fraction(1, 2)]
-        _assert_rows_match(points, np.array([0, 1, 0]), np.array([1, 0, 1]), lams)
-        assert len(scalar_calls) == 3
-
-    @given(chunks(_root2(70)))
-    @settings(max_examples=100, deadline=None)
-    def test_triples_past_int64_fall_back(self, chunk):
-        _assert_rows_match(*chunk)
 
     def test_sqrt2_witness_pairs(self):
         C = CompactBox((Root2(0), Root2(Fraction(1, 3))), (Root2(1), Root2(1, 1)))
         P, rows, _, _ = sampling.sqrt2_lead(C)
-        pairs = [tuple(tuple(P[:, i].tolist()) for i in row) for row in rows[::sampling.SQRT2_LEAD_POINTS, 1:].tolist()]
-        assert pairs
-        points = [p for pair in pairs for p in pair] + [pairs[0][0]]
-        n = len(points)
-        a = np.repeat(np.arange(n), n)
-        b = np.tile(np.arange(n), n)
-        lams = [sampling._SIXTY_FOURTHS[k % 65] for k in range(n * n)]
-        _assert_rows_match(points, a, b, lams)
+        n = P.shape[1]
+        picks = np.column_stack([np.repeat(np.arange(n), n), np.tile(np.arange(n), n)])
+        lams = sampling._SIXTY_FOURTHS[np.arange(n * n) % 65]
+        _assert_rows_match(P, picks, lams, [(p, [lam, 1 - lam]) for p, lam in zip(picks.tolist(), lams)])
 
-    def test_rows_with_equal_points_give_the_point_itself(self):
-        p = (Root2(Fraction(1, 3), Fraction(-1, 7)), Root2(2))
-        points = [p, tuple(p), (Root2(0), Root2(1))]
-        mid = pair_combinations(points, np.array([0, 1, 0]), np.array([1, 0, 2]), [Fraction(3, 64)] * 3)
-        assert mid(0) is points[0] and mid(1) is points[1]
-        assert mid(2) == pair_combination(points[0], points[2], Fraction(3, 64))
+    def test_the_remarks_subsets_take_the_batch(self, scalar_calls):
+        # 4-point subsets of lattice (denominator 20) and random (256) points at weights r/total: the product of
+        # their denominators passes 2**62, their least common denominators do not
+        pool, chunks = sampling.subset_plan(get_instance("remark").C, random.Random(5), 400)
+        P = point_columns(pool)
+        for picks, weights in chunks:
+            k = max(map(len, picks))
+            I = np.array([list(p) + [-1] * (k - len(p)) for p in picks])
+            W = np.array([list(w) + [0] * (k - len(w)) for w in weights], dtype=object)
+            _assert_rows_match(P, I, W, [(list(p), list(w)) for p, w in zip(picks, weights)])
+        assert not scalar_calls
 
 
 class TestScalarFallback:
     def test_a_zeroed_bound_takes_every_row_alone(self, monkeypatch, scalar_calls):
         monkeypatch.setattr(geometry, "EXACT_BATCH_BITS", 0)
-        points = [(Root2(Fraction(k, 20)),) for k in range(21)]
-        a, b = np.arange(20), np.arange(1, 21)
-        lams = [Fraction(1, 2)] * 20
-        mid = pair_combinations(points, a, b, lams)
-        assert [mid(r) for r in range(20)] == [pair_combination(points[r], points[r + 1], lams[r]) for r in range(20)]
+        P = point_columns([(Root2(Fraction(k, 20)),) for k in range(21)])
+        picks, lams = np.column_stack([np.arange(20), np.arange(1, 21)]), np.full(20, Fraction(1, 2))
+        rows = [(p, [Fraction(1, 2)] * 2) for p in picks.tolist()]
+        _assert_rows_match(P, picks, lams, rows)
         assert len(scalar_calls) == 20
 
     @pytest.mark.parametrize("k", [20, 40])
     def test_bounds_with_denominators_near_3_to_the_40(self, k, scalar_calls):
         # 3**20 fits int64 but its products pass the bound; 3**40 does not fit int64 at all
-        C = _big_box(k)
-        lattice = sampling.box_lattice(C)
-        j, i = np.triu_indices(len(lattice), 1)
-        lams = [Fraction(1, 2)] * len(i)
-        mid = pair_combinations(lattice, i, j, lams)
-        assert mid(7) == pair_combination(lattice[i[7]], lattice[j[7]], lams[7])
+        P = point_columns(sampling.box_lattice(_big_box(k)))
+        j, i = np.triu_indices(P.shape[1], 1)
+        X = convex_combinations(P, np.column_stack([i, j]), np.full(len(i), Fraction(1, 2)))
+        assert len(scalar_calls) == len(i)
+        assert X[:, 7].tolist() == list(convex_combination([tuple(P[:, i[7]]), tuple(P[:, j[7]])], [Fraction(1, 2)] * 2))
+
+    @pytest.mark.parametrize("points, lam", [
+        ([(Root2(0),), (Root2(1),)], Fraction(3, 2)),
+        ([(Root2(0),), (Root2(1),)], Fraction(-1, 64)),
+        ([(0.0,), (1.0,)], 1.5),
+        ([(0.0,), (1.0,)], float("nan")),
+    ])
+    def test_a_row_the_scalar_refuses_raises_its_error(self, points, lam):
+        P = point_columns(points)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            convex_combinations(P, np.array([[0, 1], [0, 1]]), np.array([lam / 3, lam], dtype=P.dtype))
+
+    def test_float_weights_on_exact_points(self, scalar_calls):
+        # two columns of float weights with small ratios, as k/256 and (256 - k)/256, take the batch; float lams go
+        # row by row, and the scalar refuses 0.1, whose 1 - lam is not exact
+        P = point_columns([(Root2(0),), (Root2(1),)])
+        assert convex_combinations(P, np.array([[0, 1]]), np.array([[0.25, 0.75]]))[0, 0] == Root2(Fraction(3, 4))
+        assert not scalar_calls
+        assert convex_combinations(P, np.array([[0, 1]]), np.array([0.25]))[0, 0] == Root2(Fraction(3, 4))
         assert len(scalar_calls) == 1
-
-    def test_a_lam_outside_the_unit_interval_raises_at_its_row(self, scalar_calls):
-        points = [(Root2(0),), (Root2(1),)]
-        mid = pair_combinations(points, np.array([0, 0]), np.array([1, 1]), [Fraction(1, 2), Fraction(3, 2)])
-        assert mid(0) == (Root2(Fraction(1, 2)),)
-        with pytest.raises(ValueError, match="lam must be"):
-            mid(1)
-
-    @pytest.mark.parametrize("points, lam", [([(Root2(0),), (Root2(1),)], 0.25), ([(0.0,), (1.0,)], 0.25)])
-    def test_float_lams_and_float_points_go_row_by_row(self, points, lam, scalar_calls):
-        mid = pair_combinations(points, np.array([0]), np.array([1]), [lam])
-        assert mid(0) == pair_combination(points[0], points[1], lam) and len(scalar_calls) == 1
+        with pytest.raises(ValueError, match="sum to 1 exactly"):
+            convex_combinations(P, np.array([[0, 1]]), np.array([0.1]))
 
 
 class TestRoot2ShortPaths:

@@ -28,7 +28,6 @@ from quasieq.geometry import (
     exact_is_rational,
     grid_coords,
     grid_points,
-    pair_combination,
     point_distance,
 )
 from quasieq.setmap import FAIL
@@ -317,7 +316,7 @@ class TestConvexCombination:
             convex_combination(points, weights)
 
 
-# -- the reference of pair_combination: the k-point function and the weights the segment probes gave it, verbatim --
+# -- the reference of two-point combinations: the k-point function and the weights the segment probes gave it, verbatim --
 
 
 def reference_convex_combination(points: Sequence[tuple], weights: Sequence) -> tuple:
@@ -393,12 +392,13 @@ unit_fractions = st.one_of(
 unit_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0**-60]), st.floats(0.0, 1.0))
 
 
-class TestPairCombination:
-    """``pair_combination(a, b, lam)`` is ``convex_combination((a, b), pair_weights(lam))``, outcome for outcome."""
+class TestTwoPointCombinations:
+    """``convex_combination((a, b), pair_weights(lam))`` is the reference's, outcome for outcome: the exact path's one
+    normal form a coordinate is the sum the reference built term by term."""
 
     def assert_same(self, a, b, lam):
         expected = _combined(lambda: reference_convex_combination((a, b), pair_weights(lam)))
-        assert _combined(lambda: pair_combination(a, b, lam)) == expected
+        assert _combined(lambda: convex_combination((a, b), pair_weights(lam))) == expected
         return expected
 
     @given(point_pairs(root2_coords), unit_fractions)
@@ -420,21 +420,22 @@ class TestPairCombination:
 
     def test_equal_points_come_back_as_they_are(self):
         a = (Root2(1, 1), Root2(Fraction(1, 3)))
-        assert pair_combination(a, tuple(a), Fraction(3, 64)) is a
+        assert convex_combination((a, tuple(a)), pair_weights(Fraction(3, 64))) is a
         p, q = (0.1, -0.0), (0.1, 0.0)
-        assert pair_combination(p, q, 0.3) is p and 0.1 * 0.3 + 0.1 * (1.0 - 0.3) != 0.1
+        assert convex_combination((p, q), pair_weights(0.3)) is p and 0.1 * 0.3 + 0.1 * (1.0 - 0.3) != 0.1
 
     @pytest.mark.parametrize("lam", [-0.1, 1.5, -math.inf, math.inf, math.nan, Fraction(-1, 64), Fraction(65, 64)])
     @pytest.mark.parametrize("points", [((0.0,), (1.0,)), ((Root2(0),), (Root2(1, 1),))], ids=["float", "exact"])
     def test_lambda_outside_the_unit_interval_raises(self, points, lam):
-        # convex_combination let a NaN lam through on float points; no plan draws one
-        with pytest.raises(ValueError):
-            pair_combination(*points, lam)
+        # the reference let a NaN lam through on float points, with NaN coordinates, and raised OverflowError on an
+        # infinite one on exact points
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            convex_combination(points, pair_weights(lam))
 
     @pytest.mark.parametrize("points", [((0.0,), (1.0, 2.0)), ((Root2(0), Root2(1)), (Root2(1),))])
     def test_mismatched_dimensions_raise(self, points):
         with pytest.raises(ValueError, match="mismatched dimensions"):
-            pair_combination(*points, 0.5)
+            convex_combination(points, (0.5, 0.5))
 
 
 class TestPointDistance:
