@@ -258,31 +258,26 @@ def check_condition_iii(
     """The finite-subset condition: max_i f(x, x_i) >= 0 for x in the convex hull of lattice pairs, then of random subsets."""
     _refuse(f, C, trials)
     tol, batch = sampling.tolerance(f.domain.is_exact), _pair_values(f)
-    pool, chunks = sampling.subset_plan(C, random.Random(seed + 1), trials)
-    P = point_columns(pool)
+    P, chunks = sampling.subset_plan(C, random.Random(seed + 1), trials)
+    pool = list(zip(*P.tolist()))  # the points as tuples, for the witnesses
 
-    def violates(subset, weights, x):
-        vals = [f.fn(x, xi) for xi in subset]
+    def violates(r):  # the subset at row r of the chunk and its combination X[:, r], padding left out
+        x, xs = tuple(X[:, r].tolist()), [pool[i] for i in picks[r].tolist() if i >= 0]
+        vals = [f.fn(x, xi) for xi in xs]
         worst = max(vals)
         if worst < -tol:
-            return {"subset": list(subset), "weights": list(weights), "combination": x, "values": vals, "max_value": worst}
+            return dict(subset=xs, weights=weights[r].tolist()[:len(xs)], combination=x, values=vals, max_value=worst)
         return None
 
     samples = 0
-    for picks, weights in chunks:  # padded to the chunk's largest subset with index -1, weight 0
-        size = np.fromiter(map(len, picks), np.intp, len(picks))
-        live = np.arange(size.max()) < size[:, None]
-        I, W = np.full(live.shape, -1), np.zeros(live.shape, P.dtype)
-        I[live] = np.fromiter(itertools.chain.from_iterable(picks), np.intp, size.sum())
-        W[live] = np.fromiter(itertools.chain.from_iterable(weights), P.dtype, size.sum())
-        X, unclear = convex_combinations(P, I, W), None
+    for picks, weights in chunks:  # a subset a row, padded with index -1 and weight 0
+        X, live, unclear = convex_combinations(P, picks, weights), picks >= 0, None
         if batch is not None:  # max_i f(x, x_i) < -tol or a value not finite; padding reads a subset's first point
-            Y = P[:, np.where(live, I, I[:, :1])]  # (dim, subsets, k)
+            Y = P[:, np.where(live, picks, picks[:, :1])]  # (dim, subsets, k)
             V = batch(np.broadcast_to(X[:, :, None], Y.shape), Y)
             unclear = _unclear(functools.reduce(lambda m, v: np.where(v > m, v, m), V.T) < -tol, *V.T)  # Python's max
-        probe = lambda r: violates(tuple(pool[i] for i in picks[r]), weights[r], tuple(X[:, r].tolist()))
-        n, w = sampling.first_witness(len(picks), probe, unclear)
-        samples += sum(map(len, picks[:n]))
+        n, w = sampling.first_witness(len(picks), violates, unclear)
+        samples += int(live[:n].sum())
         if w is not None:
             return ConditionReport("iii", FAIL, w, samples, tol)
     return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)

@@ -459,7 +459,7 @@ def convex_combination(points: Sequence[Point], weights: Sequence) -> Point:
     return tuple(out)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # float columns as Python's float arithmetic: inf and NaN, no warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # float columns as Python's floats; the exact bounds
 def convex_combinations(P: np.ndarray, picks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Column r is ``convex_combination`` of the points ``P[:, i] for i in picks[r]`` with weights ``weights[r]``.
 
@@ -467,59 +467,61 @@ def convex_combinations(P: np.ndarray, picks: np.ndarray, weights: np.ndarray) -
     is (rows, k), a row of fewer points padded at its end with -1; weights is (rows, k) in P's scalars, or one lam a
     row for pairs, weighted (lam, 1 - lam) in the lams' own arithmetic.  Float columns are the scalar's bit for bit,
     the first point where every point of a row is equal; ``Root2`` columns its normal forms, from int64 columns
-    (``_exact_batch``) or the scalar row by row.  Weights the scalar refuses raise its ValueError.
+    (``_exact_batch``) or the scalar at the rows the batch leaves.  Weights the scalar refuses raise its ValueError.
     """
 
     def scalar(r):  # the row as convex_combination takes it: points as tuples, weights as the row's scalars
         ws = (weights[r], 1 - weights[r]) if weights.ndim == 1 else weights[r, picks[r] >= 0].tolist()
         return convex_combination([tuple(P[:, i].tolist()) for i in picks[r][picks[r] >= 0]], ws)
 
-    if P.dtype != object and weights.ndim == 1:  # pairs: a * lam + b * (1.0 - lam)
-        if not (weights.min(initial=0) >= 0 and weights.max(initial=0) <= 1):  # the scalar refuses the lam
+    if P.dtype != object and weights.ndim == 1:  # float pairs: the loop's bits at (lam, 1.0 - lam), in about 0.6 of
+        if not (weights.min(initial=0) >= 0 and weights.max(initial=0) <= 1):  # its time on verify-float; refused lams
             scalar(int(((weights >= 0) & (weights <= 1)).argmin()))  # raises
         A, B = P.take(picks[:, 0], axis=1), P.take(picks[:, 1], axis=1)
         X, same = A * weights + B * (1.0 - weights), (A == B).all(axis=0)
         return np.where(same, A, X) if same.any() else X
     I = np.where(live := picks >= 0, picks, picks[:, :1])  # padding reads the row's first point
-    if P.dtype != object:
-        Y, W = P.take(I, axis=1), weights  # Y: (dim, rows, k)
-        X, total, refused, same = Y[..., 0] * W[:, 0], W[:, 0], W[:, 0] < 0, True
-        for j, on in enumerate(live.T[1:], 1):
-            X, total = np.where(on, X + Y[..., j] * W[:, j], X), np.where(on, total + W[:, j], total)
-            refused, same = refused | on & (W[:, j] < 0), same & (~on | (Y[..., j] == Y[..., 0]).all(axis=0))
-        if (refused := refused | ~(np.abs(total - 1.0) <= 1e-12)).any():
-            scalar(int(refused.argmax()))  # raises
-        return np.where(same, Y[..., 0], X)
-    X = _exact_batch(P, I, live, weights)
-    return np.array([scalar(r) for r in range(len(I))], dtype=object).T if X is None else X
+    if P.dtype != object:  # each point's term added in turn; padding weighs 0 and adds no term
+        W, Y = np.where(live, weights, 0.0).T, [P.take(i, axis=1) for i in I.T]  # W: (k, rows)
+        X, total, same = Y[0] * W[0], W[0], True
+        for j in range(1, len(Y)):
+            X, total, same = np.where(live[:, j], X + Y[j] * W[j], X), total + W[j], same & (Y[j] == Y[0]).all(axis=0)
+        if not (W.min(initial=0) >= 0 and (np.abs(total - 1.0) <= 1e-12).all()):  # a NaN fails too
+            scalar(int(((W < 0).any(axis=0) | ~(np.abs(total - 1.0) <= 1e-12)).argmax()))  # raises
+        return np.where(same, Y[0], X) if np.any(same) else X
+    X, formed = _exact_batch(P, I, live, weights)
+    for r in np.flatnonzero(~formed).tolist():
+        X[:, r] = scalar(r)
+    return X
 
 
-def _exact_batch(P: np.ndarray, I: np.ndarray, live: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
-    """``convex_combinations`` on ``Root2`` columns P, or None for a scalar not a ``Root2`` or a rational, refused
-    weights, or integers that could pass 2**EXACT_BATCH_BITS.  Row r's weights are integers N over their least common
-    denominator L (``np.lcm``), P's coordinates integers over its least common denominator D, and its normal forms
-    (sum N*p, sum N*q, L*D) reduced by ``np.gcd``: as the weights are nonnegative and sum to L, no partial sum passes
-    L times D times the largest integer of P."""
+def _exact_batch(P: np.ndarray, I: np.ndarray, live: np.ndarray, weights: np.ndarray) -> tuple:
+    """(X, formed): ``convex_combinations`` on ``Root2`` columns P at the rows ``formed``, None at the others.  A row's
+    weights are integers N over their lcm L (lam n/m: n and m - n), a coordinate of its points integers over theirs D,
+    and the coordinate (sum N*p, sum N*q, L*D) reduced by ``np.gcd``.  Left out: rows the scalar refuses, rows where a
+    product of denominators (so L or D) or L*D times the largest integer could reach 2**EXACT_BATCH_BITS (the weights
+    being nonnegative and summing to L, no partial sum passes that), and all rows for a scalar not rational or Root2."""
+    X = np.empty((len(P), len(I)), object)
     try:
-        T = np.fromiter(itertools.chain.from_iterable(c._t for c in P.T.ravel().tolist()), np.int64, 3 * P.size)
+        T = np.fromiter(itertools.chain.from_iterable(c._t for c in P.T.flat), np.int64).reshape(*P.shape[::-1], 3)
         ratio = Fraction.as_integer_ratio if weights.ndim == 1 else operator.methodcaller("as_integer_ratio")
         ratios = map(ratio, (weights if weights.ndim == 1 else weights[live]).tolist())
         R = np.fromiter(itertools.chain.from_iterable(ratios), np.int64).reshape(-1, 2)
     except (AttributeError, TypeError, ValueError, OverflowError):  # other scalars, NaN, integers past int64
-        return None
+        return X, np.zeros(len(I), bool)
     if weights.ndim == 1:  # rational lams n/m: the weights n/m and (m - n)/m
         R = np.column_stack([R[:, 0], R[:, 1], R[:, 1] - R[:, 0], R[:, 1]]).reshape(-1, 2)
-    T, num, den = T.reshape(P.shape[1], -1, 3), np.zeros(live.shape, np.int64), np.ones(live.shape, np.int64)
+    Y, num, den = T[I], np.zeros(live.shape, np.int64), np.ones(live.shape, np.int64)  # Y: (rows, k, dim, 3)
     num[live], den[live] = R.T
-    L, D = np.lcm.reduce(den, axis=1), math.lcm(*np.unique(T[..., 2]).tolist())  # L may wrap, and is refused then
-    N, big = num * (L[:, None] // den), max(int(T.max(initial=1)), -int(T.min(initial=0))) * D * int(L.max(initial=1))
-    refused = (N < 0).any() or (N.sum(axis=1) != L).any()  # the scalar raises at the row
-    if refused or (np.log2(den).sum(axis=1) > EXACT_BATCH_BITS).any() or big.bit_length() > EXACT_BATCH_BITS:
-        return None
-    S = np.empty((len(I), P.shape[0], 3), np.int64)
-    S[..., :2], S[..., 2] = np.einsum("rk,rkdc->rdc", N, T[I, :, :2] * (D // T[I, :, 2:])), L[:, None] * D
-    S //= np.gcd.reduce(S, axis=-1, keepdims=True)
-    X = np.fromiter(map(_of, map(tuple, S.reshape(-1, 3).tolist())), object, S.size // 3).reshape(len(I), len(P)).T
-    same = (T[I] == T[I[:, :1]]).all(axis=(1, 2, 3))
+    L, D = functools.reduce(np.lcm, den.T), functools.reduce(np.lcm, Y[..., 2].transpose(1, 0, 2))  # D: (rows, dim)
+    N, top = num * (L[:, None] // den), np.abs(T).max(axis=2)[I].max(axis=1)  # of p, q and d: it bounds L*D too
+    products = np.maximum(np.log2(den).sum(axis=1), (np.log2(T[..., 2])[I] * live[..., None]).sum(axis=1).max(axis=1))
+    fits = (products < EXACT_BATCH_BITS) & ((np.log2(top) + np.log2(D)).max(axis=1) + np.log2(L) < EXACT_BATCH_BITS)
+    r = np.flatnonzero(formed := fits & ((num >= 0) & (num <= den)).all(axis=1) & (N.sum(axis=1) == L))
+    Y, N, L, D = (A[r] if len(r) < len(I) else A for A in (Y, N, L, D))
+    S = np.dstack([np.einsum("rk,rkdc->rdc", N, Y[..., :2] * (D[:, None, :, None] // Y[..., 2:])), L[:, None] * D])
+    S //= np.gcd(np.gcd(S[..., :1], S[..., 1:2]), S[..., 2:])
+    X[:, r] = np.fromiter(map(_of, zip(*S.reshape(-1, 3).T.tolist())), object, S.size // 3).reshape(len(r), len(P)).T
+    same = r[(Y == Y[:, :1]).all(axis=(1, 2, 3))]
     X[:, same] = P[:, I[same, 0]]  # the first point itself
-    return X
+    return X, formed

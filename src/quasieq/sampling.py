@@ -326,9 +326,13 @@ def _box_columns(C: CompactBox, u: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * u.reshape(-1, C.dim).T
 
 
+def _exact_draws(rng: random.Random, n: int) -> np.ndarray:  # for _box_columns: n multiples of 1/256, in turn
+    return np.array([rng.randrange(0, 257) / 256 for _ in range(n)])
+
+
 def random_points(C: CompactBox, rng: random.Random, n: int) -> list:
     """n uniform points of C, drawn one after another; on exact boxes a multiple of 1/256 of each side."""
-    u = np.array([rng.randrange(0, 257) / 256 for _ in range(n * C.dim)]) if C.is_exact else floats(rng, n * C.dim)
+    u = _exact_draws(rng, n * C.dim) if C.is_exact else floats(rng, n * C.dim)
     return list(zip(*_box_columns(C, u).tolist()))
 
 
@@ -347,28 +351,27 @@ def lambdas(exact: bool, rng: random.Random, extra: int = 2, rows: int = 1) -> n
 
 
 def random_subset(n: int, rng: random.Random, exact: bool) -> tuple:
-    """(pool indices, convex weights): 2 to ``SUBSET_SIZE_MAX`` indices below n drawn with replacement."""
+    """(pool indices, convex weights): 2 to ``SUBSET_SIZE_MAX`` indices below n with replacement, then -1s and 0s."""
     k = rng.randint(2, SUBSET_SIZE_MAX)
-    picks = tuple(rng.randrange(n) for _ in range(k))
+    picks = tuple(rng.randrange(n) for _ in range(k)) + (-1,) * (SUBSET_SIZE_MAX - k)
     raw = [Fraction(rng.randrange(1, 16)) if exact else rng.uniform(0.05, 1.0) for _ in range(k)]
     total = sum(raw)
     weights = tuple(r / total for r in raw)
-    if exact:
-        return picks, weights
-    return picks, weights[:-1] + (1.0 - sum(weights[:-1]),)
+    weights = weights if exact else weights[:-1] + (1.0 - sum(weights[:-1]),)
+    return picks, weights + (weights[0] * 0,) * (SUBSET_SIZE_MAX - k)  # a 0 in the weights' scalars
 
 
 def subset_plan(C: CompactBox, rng: random.Random, trials: int) -> tuple:
-    """condition_iii's (pool, chunks): C's box lattice then ``SUBSET_POOL_EXTRA`` random points, and chunks (picks,
-    weights) of each subset's pool indices and convex weights.  First every lattice pair (``itertools.combinations``
-    order) at 1/2, 1/2, then ``trials`` ``random_subset``s drawn in turn, ``CHUNK_ROWS // SUBSET_SIZE_MAX`` a chunk,
-    when the check reaches the chunk."""
-    lattice, step = box_lattice(C), CHUNK_ROWS // SUBSET_SIZE_MAX
-    pool, pairs = lattice + random_points(C, rng, SUBSET_POOL_EXTRA), list(itertools.combinations(range(len(lattice)), 2))
-    halves = [(Fraction(1, 2),) * 2 if C.is_exact else (0.5, 0.5)] * len(pairs)
-    draws = (tuple(zip(*(random_subset(len(pool), rng, C.is_exact) for _ in range(min(step, trials - t)))))
+    """condition_iii's (pool, chunks): point columns of C's box lattice and ``SUBSET_POOL_EXTRA`` random points, and
+    chunks (picks, weights) for ``geometry.convex_combinations``: each lattice pair (``itertools.combinations`` order)
+    at 1/2, 1/2, then ``trials`` ``random_subset``s, ``CHUNK_ROWS // SUBSET_SIZE_MAX`` a chunk drawn when reached."""
+    lattice, step, dtype = box_lattice(C), CHUNK_ROWS // SUBSET_SIZE_MAX, object if C.is_exact else float
+    pool, (a, b) = point_columns(lattice + random_points(C, rng, SUBSET_POOL_EXTRA)), np.triu_indices(len(lattice), 1)
+    rows = lambda tuples, t: np.fromiter(itertools.chain.from_iterable(tuples), t).reshape(len(tuples), -1)
+    draws = (zip(*(random_subset(pool.shape[1], rng, C.is_exact) for _ in range(min(step, trials - t))))
              for t in range(0, trials, step))
-    return pool, itertools.chain([(pairs, halves)], draws)
+    pairs = (np.column_stack([a, b]), np.full((len(a), 2), Fraction(1, 2) if C.is_exact else 0.5, dtype))
+    return pool, itertools.chain([pairs], ((rows(p, np.intp), rows(w, dtype)) for p, w in draws))
 
 
 def segment_plan(C: CompactBox, rng: random.Random, trials: int, order: tuple):
@@ -388,7 +391,7 @@ def segment_plan(C: CompactBox, rng: random.Random, trials: int, order: tuple):
     for t in range(0, trials, CHUNK_ROWS // 4):
         n = min(CHUNK_ROWS // 4, trials - t)
         if C.is_exact:  # one trial after another
-            drawn = [([rng.randrange(0, 257) / 256 for _ in range(3 * C.dim)], lambdas(True, rng, extra=1)) for _ in range(n)]
+            drawn = [(_exact_draws(rng, 3 * C.dim), lambdas(True, rng, extra=1)) for _ in range(n)]
             P, lams = _box_columns(C, np.concatenate([u for u, _ in drawn])), np.concatenate([g for _, g in drawn])
         else:  # per trial, 3 points then one lambda
             u = floats(rng, n * (3 * C.dim + 1)).reshape(n, -1)

@@ -2,8 +2,8 @@
 
 Column r of the batch must be the scalar at the points ``P[:, picks[r]]`` and weights ``weights[r]``: on float64 bit
 for bit, the sign of zero too, and on ``Root2`` the same normal-form triples; where every point of a row is equal, the
-first point itself.  Exact rows are formed at once from int64 columns, and a chunk whose integers could pass
-2**EXACT_BATCH_BITS takes the scalar row by row.  The report digests at the end were recorded before the batch
+first point itself.  Exact rows are formed at once from int64 columns, and a row whose integers could reach
+2**EXACT_BATCH_BITS takes the scalar alone.  The report digests at the end were recorded before the batch
 existed, when every probe combined its own points.
 """
 
@@ -56,9 +56,6 @@ def _root2(bits: int, denominators=None):
     return st.builds(lambda p, q, d: Root2(Fraction(p, d), Fraction(q, d)), ints, ints, d)
 
 
-#: Denominators that divide 7680, as a box's lattice (20) and random points (256) do: any pool's least common
-#: denominator is at most 13 bits.
-SMALL_DENOMINATORS = [1, 2, 3, 5, 8, 20, 64, 256, 7680]
 #: Two 17-bit primes: a pool's least common denominator is 34 bits, and 21-bit numerators reach the bound or pass it.
 PRIMES_17 = [131071, 131063]
 
@@ -85,14 +82,14 @@ def exact_weights(draw, k: int) -> list:
 
 
 @st.composite
-def batches(draw, coordinate, weights) -> tuple:
-    """(P, picks, weights, rows): point columns with repeated points, and rows of 1 to 4 picks, padded with -1 to the
-    longest, each with its weights; or rows of pairs and one lam each.  rows lists each row's (picks, weights)."""
+def batches(draw, coordinate, weights, k_top: int = 4) -> tuple:
+    """(P, picks, weights, rows): point columns with repeated points, and rows of 1 to ``k_top`` picks, padded with -1
+    to the longest, each with its weights; or rows of pairs and one lam each.  rows lists each row's (picks, weights)."""
     dim = draw(st.integers(1, 3))
     pool = [tuple(draw(coordinate) for _ in range(dim)) for _ in range(draw(st.integers(1, 5)))]
     pool += [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, 3)))]
     index = st.integers(0, len(pool) - 1)
-    pairs, k_max = draw(st.booleans()), draw(st.integers(1, 4))
+    pairs, k_max = draw(st.booleans()), draw(st.integers(1, k_top))
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         k = 2 if pairs else draw(st.integers(1, k_max))
@@ -126,17 +123,19 @@ class TestBatchAgainstTheScalar:
     def test_float_columns_bit_for_bit(self, batch):
         _assert_rows_match(*batch)
 
-    @given(batches(_root2(12, SMALL_DENOMINATORS), exact_weights))
+    @given(batches(_root2(12), exact_weights, k_top=3))
     @settings(max_examples=300, deadline=None)
     def test_small_triples_take_the_batch(self, batch):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "convex_combination", lambda *args: calls.append(args) or convex_combination(*args))
             convex_combinations(*batch[:3])
-        assert not calls  # 12 + 13 bits a coordinate, weights over at most 64: under the bound
+        # a row's own least common denominators: 12 bits of integers, 3 * 12 of D and 6 of L (weights over at most
+        # 64) make 54 bits, under the bound however many denominators the pool holds
+        assert not calls
         _assert_rows_match(*batch)
 
-    @given(batches(_root2(12, SMALL_DENOMINATORS), exact_weights))
+    @given(batches(_root2(12), exact_weights))
     @settings(max_examples=100, deadline=None)
     def test_a_zeroed_bound_takes_the_scalar_row_by_row(self, batch):
         calls = []
@@ -158,7 +157,7 @@ class TestBatchAgainstTheScalar:
         _assert_rows_match(*batch)
 
     def test_the_largest_triples_under_the_bound(self, scalar_calls):
-        # 27 bits of integers, a least common denominator of 27 bits and lams over 64: 60 bits, near 2**61 products
+        # 27 bits of integers, a least common denominator of 27 bits and lams over 64: 60 bits, near 2**60 products
         top = 2**27
         P = point_columns([(Root2(Fraction(top - 2, top - 1), Fraction(-(top - 3), top - 1)),),
                            (Root2(Fraction(-(top - 4), top - 1), Fraction(top - 5, top - 1)),)])
@@ -177,17 +176,22 @@ class TestBatchAgainstTheScalar:
     def test_the_remarks_subsets_take_the_batch(self, scalar_calls):
         # 4-point subsets of lattice (denominator 20) and random (256) points at weights r/total: the product of
         # their denominators passes 2**62, their least common denominators do not
-        pool, chunks = sampling.subset_plan(get_instance("remark").C, random.Random(5), 400)
-        P = point_columns(pool)
+        P, chunks = sampling.subset_plan(get_instance("remark").C, random.Random(5), 400)
         for picks, weights in chunks:
-            k = max(map(len, picks))
-            I = np.array([list(p) + [-1] * (k - len(p)) for p in picks])
-            W = np.array([list(w) + [0] * (k - len(w)) for w in weights], dtype=object)
-            _assert_rows_match(P, I, W, [(list(p), list(w)) for p, w in zip(picks, weights)])
+            rows = [(p[p >= 0].tolist(), w[p >= 0].tolist()) for p, w in zip(picks, weights)]
+            _assert_rows_match(P, picks, weights, rows)
         assert not scalar_calls
 
 
 class TestScalarFallback:
+    def test_only_the_rows_past_the_bound_fall_back(self, scalar_calls):
+        # the point over 3**40 passes the bound with any lam; the rows of the other points keep their own 20ths
+        P = point_columns([(Root2(Fraction(k, 20)),) for k in range(5)] + [(Root2(Fraction(1, 3**38)),)])
+        picks = np.array([[0, 1], [5, 2], [3, 4], [1, 5], [2, 2]])
+        lams = np.array([Fraction(k, 64) for k in (1, 32, 63, 5, 7)])
+        _assert_rows_match(P, picks, lams, [(p, [lam, 1 - lam]) for p, lam in zip(picks.tolist(), lams)])
+        assert scalar_calls == [(lams[1], 1 - lams[1]), (lams[3], 1 - lams[3])]
+
     def test_a_zeroed_bound_takes_every_row_alone(self, monkeypatch, scalar_calls):
         monkeypatch.setattr(geometry, "EXACT_BATCH_BITS", 0)
         P = point_columns([(Root2(Fraction(k, 20)),) for k in range(21)])

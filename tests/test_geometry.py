@@ -365,12 +365,17 @@ def pair_weights(lam):
 
 
 def _combined(combine) -> tuple:
-    """("ok", each coordinate's type and integer triple or float bits) or ("raises", the exception's type)."""
+    """("ok", each coordinate's type and integer triple or float bits) or ("raises", the exception's type).
+
+    A NaN reads "nan": which of two NaNs a float sum passes on depends on the add CPython runs, its float_add or, once
+    a ``+`` has been specialized, the interpreter's own, so one function can give two payloads for the same sum.
+    """
     try:
         out = combine()
     except ValueError:
         return ("raises", ValueError)
-    return ("ok", [(type(c), c._t if isinstance(c, Root2) else struct.pack("<d", c)) for c in out])
+    bits = lambda c: c._t if isinstance(c, Root2) else struct.pack("<d", c) if c == c else "nan"
+    return ("ok", [(type(c), bits(c)) for c in out])
 
 
 @st.composite

@@ -242,15 +242,17 @@ class TestSubsetPlan:
         rng, reference = random.Random(1730), random.Random(1730)
         pool, chunks = sampling.subset_plan(C, rng, 2 * step + 3)
         lattice = sampling.box_lattice(C)
-        assert pool == lattice + reference_random_points(C, reference, sampling.SUBSET_POOL_EXTRA)
+        assert list(zip(*pool.tolist())) == lattice + reference_random_points(C, reference, sampling.SUBSET_POOL_EXTRA)
         pairs, halves = next(chunks)  # the lattice pairs draw nothing
         assert rng.getstate() == reference.getstate()
-        assert pairs == list(itertools.combinations(range(len(lattice)), 2))
-        assert repr(halves) == repr([(Fraction(1, 2),) * 2 if C.is_exact else (0.5, 0.5)] * len(pairs))
+        assert pairs.tolist() == [list(p) for p in itertools.combinations(range(len(lattice)), 2)]
+        assert halves.dtype == (object if C.is_exact else float)
+        assert repr(halves.tolist()) == repr([[Fraction(1, 2) if C.is_exact else 0.5] * 2] * len(pairs))
         rest = list(chunks)
-        want = [sampling.random_subset(len(pool), reference, C.is_exact) for _ in range(2 * step + 3)]
+        want = [sampling.random_subset(pool.shape[1], reference, C.is_exact) for _ in range(2 * step + 3)]
         assert [len(picks) for picks, _ in rest] == [step, step, 3]
-        assert repr([s for picks, weights in rest for s in zip(picks, weights)]) == repr(want)
+        assert all(weights.dtype == halves.dtype for _, weights in rest)
+        assert repr([(tuple(p), tuple(w)) for I, W in rest for p, w in zip(I.tolist(), W.tolist())]) == repr(want)
         assert rng.getstate() == reference.getstate()
 
 
