@@ -9,6 +9,10 @@ Grammar (function-call style, no implicit multiplication)::
     call    := ('abs'|'min'|'max'|'power'|'piecewise') '(' args ')'
     cond    := expr ('<='|'<'|'>='|'>') expr      # only as piecewise arg 1
 
+The parser reads ``expr`` and ``term`` with one rule: binary operators bind by
+``_PREC``, tighter first, and left to right within one precedence; the
+renderers bracket by the same table.
+
 Variables are x_1..x_3 and y_1..y_3.  Division requires a constant nonzero
 divisor (checked at parse time); ``power`` requires a nonnegative integer
 literal exponent.  Every parsed expression is total on its domain.  An
@@ -51,11 +55,16 @@ _TOKEN_RE = re.compile(
 
 _FUNCTIONS = {"abs": 1, "min": None, "max": None, "power": 2, "piecewise": 3}
 
+#: The binary operators' precedence, by which the parser binds them and the renderers bracket them.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_LEVELS = [{op for op in _PREC if _PREC[op] == prec} for prec in sorted(set(_PREC.values()))]  # loosest first
+
 #: The deepest expression the parser accepts.  On a path from the whole expression down to a number or a
 #: variable, each binary operator is one level, and each bracket (a parenthesised group or a call) and each
 #: unary minus is ``BRACKET_LEVELS`` levels.  So ``x_1 + x_1 + ...`` with 1,001 terms is 1,000 levels deep, and
 #: at most 100 brackets nest: CPython's tokenizer refuses 200 nested brackets, its compiler about 3,000 chained
-#: operators, and the parser takes up to five stack frames per bracket.
+#: operators, and the parser takes one stack frame per unary minus and three to five per bracket: ``primary`` and
+#: the two levels of ``binary``, then ``call`` inside a call and ``comparison`` inside a ``piecewise`` condition.
 MAX_DEPTH = 1000
 BRACKET_LEVELS = 10
 _VAR_RE = re.compile(r"^[xy]_[123]$")
@@ -106,47 +115,23 @@ class Piecewise:
 Node = Union[Num, Var, Neg, Bin, Call, Piecewise]
 
 
-class _Tokens:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos:].isspace():
-                break
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            if m.group("num") is not None:
-                self.items.append(("num", m.group("num"), m.start("num")))
-            elif m.group("name") is not None:
-                self.items.append(("name", m.group("name"), m.start("name")))
-            else:
-                self.items.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
-        self.i = 0
+def _tokens(text: str) -> list:
+    """The (kind, text, position) tokens of text, kind ``num``, ``name`` or ``op``, then ``("end", "end of input",
+    len(text))``."""
+    items, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            at = len(text) - len(text[pos:].lstrip())
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        items.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return items + [("end", "end of input", len(text))]
 
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.items[self.i] if self.i < len(self.items) else None
 
-    def next(self) -> Optional[tuple[str, str, int]]:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok is None:
-            raise ParseError(f"expected {op!r}, found end of input", len(self.text))
-        if tok[0] != "op" or tok[1] != op:
-            raise ParseError(f"expected {op!r}, found {tok[1]!r}", tok[2])
-
-    @property
-    def end(self) -> int:
-        return len(self.text)
+def _found(tok: tuple) -> str:
+    """What an error message says it found at the token: the end of input, or the token's text quoted."""
+    return tok[1] if tok[0] == "end" else repr(tok[1])
 
 
 def _fold(node: Node) -> Optional[float]:
@@ -158,110 +143,92 @@ def _fold(node: Node) -> Optional[float]:
 
 
 class _Parser:
-    """Recursive descent; each rule returns (node, the levels of its text, brackets included: see MAX_DEPTH)."""
+    """Recursive descent over the tokens from index ``i``; each rule returns (node, the levels of its text, brackets
+    included: see MAX_DEPTH)."""
 
     def __init__(self, text: str) -> None:
-        self.toks = _Tokens(text)
+        self.toks, self.i = _tokens(text), 0
         self.variables: set[str] = set()
         self.open = 0  # the levels of the brackets and unary minuses around the token being parsed
+
+    def _next(self) -> tuple:
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def _expect(self, op: str) -> None:
+        tok = self._next()
+        if tok[1] != op:
+            raise ParseError(f"expected {op!r}, found {_found(tok)}", tok[2])
 
     def _within(self, depth: int, pos: int) -> int:
         if depth > MAX_DEPTH:
             raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
         return depth
 
-    def _enter(self, pos: int) -> None:
-        """One more bracket or unary minus, opened at pos: refused before the parser recurses into it."""
-        self.open = self._within(self.open + BRACKET_LEVELS, pos)
-
     def parse(self) -> Node:
-        node, _depth = self.expr()
-        tok = self.toks.peek()
-        if tok is not None:
-            raise ParseError(f"expected end of input, found {tok[1]!r}", tok[2])
+        node, _depth = self.binary()
+        tok = self.toks[self.i]
+        if tok[0] != "end":
+            raise ParseError(f"expected end of input, found {_found(tok)}", tok[2])
         return node
 
-    def expr(self) -> tuple:
-        node, depth = self.term()
-        while True:
-            tok = self.toks.peek()
-            if tok is not None and tok[0] == "op" and tok[1] in "+-":
-                self.toks.next()
-                right, right_depth = self.term()
-                node, depth = Bin(tok[1], node, right), self._within(1 + max(depth, right_depth), tok[2])
-            else:
-                return node, depth
-
-    def term(self) -> tuple:
-        node, depth = self.unary()
-        while True:
-            tok = self.toks.peek()
-            if tok is not None and tok[0] == "op" and tok[1] in "*/":
-                self.toks.next()
-                right, right_depth = self.unary()
-                if tok[1] == "/":
-                    divisor = _fold(right)
-                    if divisor is None:
-                        raise ParseError("divisor must be a constant expression", tok[2])
-                    if divisor == 0:
-                        raise ParseError("division by zero", tok[2])
-                node, depth = Bin(tok[1], node, right), self._within(1 + max(depth, right_depth), tok[2])
-            else:
-                return node, depth
-
-    def unary(self) -> tuple:
-        tok = self.toks.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
-            self.toks.next()
-            self._enter(tok[2])
-            operand, depth = self.unary()
-            self.open -= BRACKET_LEVELS
-            return Neg(operand), self._within(BRACKET_LEVELS + depth, tok[2])
-        return self.primary()
+    def binary(self, level: int = 0) -> tuple:
+        """A chain of the operators of ``_LEVELS[level]``, left to right, over operands of the tighter levels."""
+        ops, tighter = _LEVELS[level], level + 1 < len(_LEVELS)
+        node, depth = self.binary(level + 1) if tighter else self.primary()
+        while self.toks[self.i][1] in ops:
+            _kind, op, pos = self._next()
+            right, right_depth = self.binary(level + 1) if tighter else self.primary()
+            if op == "/":
+                divisor = _fold(right)
+                if divisor is None:
+                    raise ParseError("divisor must be a constant expression", pos)
+                if divisor == 0:
+                    raise ParseError("division by zero", pos)
+            node, depth = Bin(op, node, right), self._within(1 + max(depth, right_depth), pos)
+        return node, depth
 
     def primary(self) -> tuple:
-        tok = self.toks.next()
-        if tok is None:
-            raise ParseError("expected a value, found end of input", self.toks.end)
+        """A number, a variable, or a unary minus, a parenthesised group or a call: each of those three is refused
+        at its first token if it would nest deeper than MAX_DEPTH, before the parser recurses into it."""
+        tok = self._next()
         kind, text, pos = tok
         if kind == "num":
             return Num(float(text)), 0
         if kind == "name" and _VAR_RE.match(text):
             self.variables.add(text)
             return Var(text), 0
-        if (kind == "op" and text == "(") or (kind == "name" and text in _FUNCTIONS):
-            self._enter(pos)
-            node, depth = self.call(text, pos) if kind == "name" else self.group()
+        if text in ("-", "(") or (kind == "name" and text in _FUNCTIONS):
+            self.open = self._within(self.open + BRACKET_LEVELS, pos)
+            if text == "-":
+                operand, depth = self.primary()
+                node = Neg(operand)
+            elif text == "(":
+                node, depth = self.binary()
+                self._expect(")")
+            else:
+                node, depth = self.call(text, pos)
             self.open -= BRACKET_LEVELS
             return node, self._within(BRACKET_LEVELS + depth, pos)
         if kind == "name":
             raise ParseError(f"unknown identifier {text!r}", pos)
-        raise ParseError(f"expected a value, found {text!r}", pos)
-
-    def group(self) -> tuple:
-        node, depth = self.expr()
-        self.toks.expect_op(")")
-        return node, depth
+        raise ParseError(f"expected a value, found {_found(tok)}", pos)
 
     def call(self, fn: str, pos: int) -> tuple:
-        self.toks.expect_op("(")
+        self._expect("(")
         if fn == "piecewise":
             cond, cond_depth = self.comparison()
-            self.toks.expect_op(",")
-            then, then_depth = self.expr()
-            self.toks.expect_op(",")
-            els, els_depth = self.expr()
-            self.toks.expect_op(")")
+            self._expect(",")
+            then, then_depth = self.binary()
+            self._expect(",")
+            els, els_depth = self.binary()
+            self._expect(")")
             return Piecewise(cond, then, els), max(cond_depth, then_depth, els_depth)
-        parsed = [self.expr()]
-        while True:
-            tok = self.toks.peek()
-            if tok is not None and tok[0] == "op" and tok[1] == ",":
-                self.toks.next()
-                parsed.append(self.expr())
-            else:
-                break
-        self.toks.expect_op(")")
+        parsed = [self.binary()]
+        while self.toks[self.i][1] == ",":
+            self.i += 1
+            parsed.append(self.binary())
+        self._expect(")")
         args = tuple(node for node, _depth in parsed)
         arity = _FUNCTIONS[fn]
         if arity is not None and len(args) != arity:
@@ -275,17 +242,12 @@ class _Parser:
         return Call(fn, args), max(depth for _node, depth in parsed)
 
     def comparison(self) -> tuple:
-        left, left_depth = self.expr()
-        tok = self.toks.next()
-        if tok is None:
-            raise ParseError("expected a comparison operator, found end of input", self.toks.end)
-        if tok[0] != "op" or tok[1] not in ("<=", "<", ">=", ">"):
-            raise ParseError(f"expected a comparison operator, found {tok[1]!r}", tok[2])
-        right, right_depth = self.expr()
+        left, left_depth = self.binary()
+        tok = self._next()
+        if tok[1] not in ("<=", "<", ">=", ">"):
+            raise ParseError(f"expected a comparison operator, found {_found(tok)}", tok[2])
+        right, right_depth = self.binary()
         return Cmp(tok[1], left, right), max(left_depth, right_depth)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _operand(node: Node, text: str, prec: int) -> str:

@@ -152,8 +152,11 @@ class Root2:
 
     __eq__, __lt__, __le__, __gt__, __ge__ = map(_comparison, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
+    def __hash__(self) -> int:  # a rational value hashes as the Fraction, int or float equal to it
+        return hash(self.a) if self._t[1] == 0 else hash((self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return self._t[0] != 0 or self._t[1] != 0
 
     # -- conversions -------------------------------------------------------
 
@@ -315,7 +318,10 @@ class Grid:
     points_per_axis: tuple
 
     def __post_init__(self) -> None:
-        ppa = tuple(int(m) for m in self.points_per_axis)
+        try:
+            ppa = tuple(operator.index(m) for m in self.points_per_axis)
+        except TypeError:
+            raise InstanceDefinitionError(f"points per axis must be integers, got {self.points_per_axis!r}") from None
         object.__setattr__(self, "points_per_axis", ppa)
         if len(ppa) != self.box.dim:
             raise InstanceDefinitionError("points_per_axis does not match box dimension")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sampling
 from .errors import InstanceDefinitionError, NonFiniteValueError
-from .expressions import Expression
+from .expressions import Expression, parse_expression
 from .geometry import (
     CompactBox,
     Grid,
@@ -107,10 +107,11 @@ class SetValuedMap:
 
     @classmethod
     def constant(cls, domain: CompactBox) -> SetValuedMap:
-        """K(x) = C for every x."""
-        lower_fns = tuple((lambda x, v=v: v) for v in domain.lower)
-        upper_fns = tuple((lambda x, v=v: v) for v in domain.upper)
-        return cls(domain, lower_fns, upper_fns, variant="constant")
+        """K(x) = C for every x: on a float box its bounds are ``Expression`` constants, evaluated in one batch."""
+        def bound(v):  # a Root2 stays exact: an Expression evaluates in floats
+            return (lambda x: v) if domain.is_exact else parse_expression(repr(float(v)))
+
+        return cls(domain, [bound(v) for v in domain.lower], [bound(v) for v in domain.upper], variant="constant")
 
     # -- evaluation --------------------------------------------------------
 

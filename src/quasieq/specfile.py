@@ -45,9 +45,9 @@ SpecError comes before an InstanceDefinitionError such as an empty box.  The
 parsed expressions become the map's bounds and the payload's function
 themselves.  No bound is evaluated at load time: the solver checks the
 bounds finite and the images nonempty over the grid it scans (the file's, or
-``--grid``'s), evaluating every bound once over the whole grid: the
-expression bounds of moving_box and piecewise_moving_interval maps in one
-batch, constant maps once per point.
+``--grid``'s), evaluating every bound once over the whole grid in one
+batch: the expression bounds of moving_box and piecewise_moving_interval
+maps, and the domain's bounds as constants for a constant map.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import importlib.util
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -452,3 +454,78 @@ class TestLazyCompile:
         monkeypatch.setattr(expressions, "_compile", lambda node, batch: compiled.append(batch) or real(node, batch))
         assert main(["solve", str(spec), "--format", "json", "--grid", "121", "--out", str(tmp_path / "r.json")]) == 0
         assert compiled == [True] * 5
+
+
+# the pieces of the parse-outcome corpus: numbers, names, x_k/y_k, operators, comparisons, calls, brackets,
+# commas and stray characters; joined without a space two of them may run into one token, as in "x_12"
+_LEAVES = ["0", "1", "2", "0.5", ".25", "3.", "1e3", "2.5E-1", "1e400", "x_1", "x_2", "x_3", "y_1", "y_2", "y_3"]
+_PIECES = _LEAVES + [
+    "x_4", "z", "abs", "piecewise", "+", "-", "*", "/", "+", "-", "*", "/", "<=", "<", ">=", ">",
+    "abs(", "min(", "max(", "power(", "piecewise(", "foo(", "(", ")", ")", ",", ",", "$", "=", "!", "^", ".",
+]
+
+
+def _valid_pieces(rng, depth: int) -> list:
+    """The pieces of a random expression that parses (its divisors and exponents are literals)."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return [rng.choice(_LEAVES)]
+    if r < 0.6:
+        if rng.random() < 0.3:
+            return _valid_pieces(rng, depth - 1) + ["/", rng.choice(["2", "0.5", "3."])]
+        return _valid_pieces(rng, depth - 1) + [rng.choice("+-*")] + _valid_pieces(rng, depth - 1)
+    if r < 0.7:
+        return ["-"] + _valid_pieces(rng, depth - 1)
+    if r < 0.8:
+        return ["("] + _valid_pieces(rng, depth - 1) + [")"]
+    fn = rng.choice(["abs(", "min(", "max(", "power(", "piecewise("])
+    if fn == "abs(":
+        args = [_valid_pieces(rng, depth - 1)]
+    elif fn == "power(":
+        args = [_valid_pieces(rng, depth - 1), [rng.choice(["0", "1", "2", "3."])]]
+    elif fn == "piecewise(":
+        cond = _valid_pieces(rng, depth - 1) + [rng.choice(["<=", "<", ">=", ">"])] + _valid_pieces(rng, depth - 1)
+        args = [cond, _valid_pieces(rng, depth - 1), _valid_pieces(rng, depth - 1)]
+    else:
+        args = [_valid_pieces(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    pieces = [fn]
+    for k, arg in enumerate(args):
+        pieces += ([","] if k else []) + arg
+    return pieces + [")"]
+
+
+def _corpus_text(rng) -> str:
+    """A random token string: a third of them pieces drawn at random, the rest an expression that parses, half of
+    those with one piece dropped, inserted or replaced."""
+    if rng.random() < 1 / 3:
+        pieces = [rng.choice(_PIECES) for _ in range(rng.randint(1, 12))]
+    else:
+        pieces = _valid_pieces(rng, rng.randint(0, 5))
+        if rng.random() < 0.5:
+            at = rng.randrange(len(pieces) + 1)
+            edit = rng.choice(["drop", "insert", "replace"])
+            if edit == "insert" or at == len(pieces):
+                pieces.insert(at, rng.choice(_PIECES))
+            else:
+                pieces[at : at + 1] = [] if edit == "drop" else [rng.choice(_PIECES)]
+    return "".join(piece + rng.choice(["", " ", " "]) for piece in pieces)
+
+
+def _parse_outcome(text: str) -> str:
+    """The rendered AST and variables of text, or the type, message and position of the error it raises."""
+    try:
+        e = parse_expression(text)
+    except Exception as err:  # an error of any type is an outcome the digest pins
+        return f"{type(err).__name__}\t{err}\t{getattr(err, 'position', None)}"
+    return f"{e.to_text()}\t{','.join(sorted(e.variables))}"
+
+
+class TestParseOutcomes:
+    """The parse outcome of a seeded corpus of random token strings, pinned as one digest."""
+
+    DIGEST = "37b787214a771e87432481dcf168bd190b36ba1592ff765719f726877d400b3d"
+
+    def test_corpus_outcomes_are_pinned(self):
+        rng = random.Random(20261022)
+        lines = [f"{text!r}\t{_parse_outcome(text)}" for text in (_corpus_text(rng) for _ in range(20_000))]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST

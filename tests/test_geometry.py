@@ -236,6 +236,15 @@ class TestGrid:
         with pytest.raises(InstanceDefinitionError):
             Grid(CompactBox((0.0,), (1.0,)), (1,))
 
+    @pytest.mark.parametrize("count", [2.9, 5.0, "5", Fraction(5), np.float64(5.0), None])
+    def test_non_integral_point_count_rejected(self, count):
+        with pytest.raises(InstanceDefinitionError, match="points per axis must be integers"):
+            Grid(CompactBox((0.0, 0.0), (1.0, 1.0)), (5, count))
+
+    def test_integral_point_counts_of_any_integer_type(self):
+        box = CompactBox((0.0, 0.0), (1.0, 1.0))
+        assert Grid(box, (np.int64(5), 3)).points_per_axis == (5, 3) == Grid(box, (5, np.int32(3))).points_per_axis
+
     def test_points_per_axis_of_the_wrong_length_rejected(self):
         with pytest.raises(InstanceDefinitionError, match="points_per_axis does not match box dimension"):
             Grid(CompactBox((0.0,), (1.0,)), (5, 5))

@@ -1,8 +1,9 @@
 """``Root2`` over integers against the ``Fraction``-pair class it replaced, operand by operand.
 
 ``Root2`` and ``convex_combination`` below are verbatim copies of the
-implementations that stored a + b*sqrt(2) as two ``Fraction`` objects; the
-package's ``geometry.Root2`` stores integers (p, q, d) instead.  Every
+implementations that stored a + b*sqrt(2) as two ``Fraction`` objects, but for
+``hash`` and ``bool``, which follow Python's numeric contracts as the package's
+do; the package's ``geometry.Root2`` stores integers (p, q, d) instead.  Every
 observable must agree: ``a``, ``b``, ``str``, ``repr``, ``hash``, the bits of
 ``float``, ``sign()``, the six comparisons and the exceptions raised.
 """
@@ -139,7 +140,10 @@ class Root2:
         return (self - Root2.coerce(other)).sign() < 0
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
 
     # -- conversions -------------------------------------------------------
 
@@ -384,3 +388,17 @@ class TestFloatKeepsTheSign:
     def test_float_has_the_sign_of_the_value(self, x):
         value = float(x)
         assert (value > 0) - (value < 0) == x.sign()
+
+
+class TestNumericContracts:
+    """A ``Root2`` equal to an int, Fraction or float hashes as that number does, and is false exactly at zero."""
+
+    @pytest.mark.parametrize("value", [0, 1, -3, 2**70, Fraction(1, 2), Fraction(-7, 3), 0.25, -1.5])
+    def test_an_equal_number_hashes_alike(self, value):
+        r = geometry.Root2.coerce(value)
+        assert r == value and hash(r) == hash(value)
+        assert len({r, value}) == 1 and {value: "x"}.get(r) == "x"
+
+    def test_bool_is_false_exactly_at_zero(self):
+        assert not geometry.Root2(0) and not geometry.Root2(1) - 1 and not geometry.Root2(Fraction(1, 3), 1) * 0
+        assert all([geometry.Root2(1), geometry.Root2(0, 1), geometry.Root2(3, -2), geometry.Root2(Fraction(-1, 9))])

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasieq import sampling
-from quasieq.bifunction import Bifunction, check_condition_iv
+from quasieq import sampling, setmap
+from quasieq.bifunction import Bifunction, ObjectiveFunction, check_condition_iv
 from quasieq.catalog import figure1_instance, get_instance, random_instance
 from quasieq.errors import InstanceDefinitionError, NonFiniteValueError, QuasieqError
 from quasieq.expressions import parse_expression
@@ -40,6 +40,7 @@ from quasieq.setmap import (
     image_grid,
     image_index_ranges,
 )
+from quasieq.solver import SolverConfig, solve_qopt
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +168,16 @@ class TestFixedPointSet:
         K = SetValuedMap.constant(C)
         g = Grid(C, (11,))
         assert fixed_point_set(K, g, 0.0) == grid_points(g)
+
+    def test_constant_float_map_makes_no_per_point_bound_call(self, monkeypatch):
+        # its bounds are Expression constants, each one batch value however many points the grid has
+        C = CompactBox((0.0, -1.0), (1.0, 2.0))
+        K, grid = SetValuedMap.constant(C), Grid(C, (5, 4))
+        monkeypatch.setattr(setmap, "mesh_points", lambda at: pytest.fail("a bound was evaluated point by point"))
+        fixed, residuals, spans = fixed_table(K, grid)
+        assert fixed.tolist() == list(range(20)) and not residuals.any() and (spans == [(0, 5), (0, 4)]).all()
+        h = ObjectiveFunction(parse_expression("power(x_1 - 0.25, 2) + abs(x_2)"))
+        assert [r.point for r in solve_qopt(h, K, SolverConfig(grid, 1e-6, 0.0)).solutions] == [(0.25, 0.0)]
 
     def test_half_point_excluded(self, fig1):
         # dist(0.5, [0.75, 2]) = 0.25 > 0
