@@ -283,29 +283,13 @@ def check_condition_iii(
     return ConditionReport("iii", NO_VIOLATION_FOUND, None, samples, tol)
 
 
-def _pair_ladders(values: Callable, P: np.ndarray, radii: tuple, C: CompactBox, rng: sampling.DrawStream) -> tuple:
-    """(table, the ladders the loop runs) of ``sampling.settle_ladders`` for condition_iv's ladders at the pairs (x, y)
-    of a (n, 2, dim) array, with f's batch form.  A code > 0 counts the candidates the loop evaluates at that rung,
-    through the first with f >= 0.  The table is filled rung by rung, over the ladders still going on."""
-
-    def codes(Q, before=0):  # per row of pairs Q[..., 0, :], Q[..., 1, :], in candidate order
-        v = values(np.moveaxis(Q[..., 0, :], -1, 0), np.moveaxis(Q[..., 1, :], -1, 0))
-        hit = v >= 0
-        return np.where(np.isfinite(v).all(axis=1), np.where(hit.any(axis=1), before + hit.argmax(axis=1) + 1, 0), -1)
-
-    table, live = np.zeros((len(P), len(radii)), dtype=np.intp), np.arange(len(P))
-    for j, r in enumerate(radii):
-        if not live.size:
-            break
-        table[live, j] = codes(sampling.point_moves(P[live], r, C))
-        live = live[table[live, j] > 0]
-
-    def jittered(a, b, rungs):
-        J = sampling.ladder_jitters(P[a:b], radii, rungs, C, rng, per_rung=8).T
-        last = 8 * np.cumsum(rungs)[:, None] - 8 + np.arange(8)  # the last rung's 4 pairs, x and y in turn
-        return codes(J[last].reshape(-1, 4, 2, C.dim), 4 * C.dim)
-
-    return table, sampling.settle_ladders(table, jittered, rng, 8 * C.dim)
+def _pair_codes(values: Callable, Q: np.ndarray) -> np.ndarray:
+    """condition_iv's ``sampling.settle_ladders`` code of each row of candidate pairs Q[..., 0, :], Q[..., 1, :], an
+    (n, candidates, 2, dim) array, with f's batch form ``values``: the count of candidates the loop evaluates, through
+    the first with f >= 0, else 0, or -1 where a value is not finite."""
+    v = values(np.moveaxis(Q[..., 0, :], -1, 0), np.moveaxis(Q[..., 1, :], -1, 0))
+    hit = v >= 0
+    return np.where(np.isfinite(v).all(axis=1), np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0), -1)
 
 
 def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEED) -> ConditionReport:
@@ -314,7 +298,7 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
     Candidates are sampled pairs with f below a margin (2% of the sampled
     value range, so continuous bifunctions are never flagged); the
     refinement search may evaluate off-grid since f is total on C x C.  With
-    a batch form of f, the loop runs only what ``_pair_ladders`` cannot settle.
+    a batch form of f, the loop runs only what ``sampling.settle_ladders`` cannot settle.
     """
     C = grid.box
     _refuse(f, C)
@@ -332,7 +316,7 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
 
     def nonneg_near(xf, yf, r):
         nonlocal samples
-        for qx, qy in sampling.pair_ball_candidates(xf, yf, r, C, rng):
+        for qx, qy in sampling.rung_candidates((xf, yf), r, C, rng):
             samples += 1
             if f.fn(sampling.float_map_point(f.domain, qx), sampling.float_map_point(f.domain, qy)) >= 0:
                 return {"radius": r, "x_prime": qx, "y_prime": qy}
@@ -341,7 +325,9 @@ def check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling.CHECK_SEE
     flagged = [n for n, v in enumerate(vals) if v <= -margin]
     ladders, table = range(len(flagged)), np.zeros((len(flagged), 1), dtype=np.intp)
     if P is not None:
-        table, ladders = _pair_ladders(batch, P[flagged], radii, C, rng)
+        P, codes = P[flagged], functools.partial(_pair_codes, batch)
+        fixed = lambda i, j: codes(sampling.point_moves(P[i], radii[j], C))
+        table, ladders = sampling.settle_ladders(P, radii, C, rng, fixed, lambda i, j, Q: codes(Q))
     done = 0  # ladders done to i - 1 were settled by the batches: add their samples, through each one's last rung
     for i in itertools.chain(ladders, [len(flagged)]):
         samples += int(table[done:i].sum()) + (i - done) * (4 * C.dim + 4)

@@ -237,7 +237,7 @@ class _Parser:
             raise ParseError(f"{fn} takes at least 2 arguments", pos)
         if fn == "power":
             exp = args[1]
-            if not isinstance(exp, Num) or exp.value != int(exp.value) or exp.value < 0:
+            if not isinstance(exp, Num) or not math.isfinite(exp.value) or exp.value != int(exp.value) or exp.value < 0:
                 raise ParseError("power exponent must be a nonnegative integer literal", pos)
         return Call(fn, args), max(depth for _node, depth in parsed)
 

@@ -8,9 +8,13 @@ order and no chunk grows with ``trials``.  The segment plans give chunks (P, row
 ``bifunction._segment_check`` reads: (dim, N) point columns P in the domain's scalars (float64, or ``Root2``) and one
 lam per row (float64, or ``Fraction``); ``subset_plan`` gives condition_iii's chunks, its lattice pairs first.  Plans
 combine no points themselves: exact random points, too, come from ``geometry.convex_combinations``.
-``settle_ladders`` yields the ladders the loop must run, and ``first_witness`` scans the probes a batch could not
-clear, in the loop's order: the one scan of ``_segment_check``, ``check_condition_iii``, ``check_diagonal_zero`` and
-``setmap.check_convex_values``.  The budgets set the witnesses: changing one changes reports.
+``settle_ladders`` is the one driver of the radius ladders of closed_graph, lsc and condition_iv: it fills a check's
+rung table rung by rung over the ladders still going on, builds the random candidates itself (``ladder_jitters``, the
+batch form of the one scalar rung builder ``rung_candidates``), draws as many values a rung as the shape of the
+ladders' centres gives, and yields the ladders the loop must run.  ``first_witness`` scans the probes a batch could
+not clear, in the loop's order: the one scan of ``_segment_check``, ``check_condition_iii``, ``check_diagonal_zero``,
+``setmap.check_convex_values`` and ``solver.smap_closed_graph_probe``.  The budgets set the witnesses: changing one
+changes reports.
 """
 
 from __future__ import annotations
@@ -185,58 +189,39 @@ def near_indices(grid: Grid, index: tuple, r: float) -> list:
     return sorted(set(out))
 
 
-def _clip(v: float, k: int, box: CompactBox) -> float:
-    return min(max(v, float(box.lower[k])), float(box.upper[k]))
-
-
-def _jittered(p: tuple, r: float, box: CompactBox, rng: random.Random) -> tuple:
-    """p with every axis moved by a uniform draw from [-r, r], clipped to the box."""
-    return tuple(_clip(v + rng.uniform(-r, r), k, box) for k, v in enumerate(p))
-
-
-def axis_moves(x: tuple, r: float, box: CompactBox) -> list:
-    """x with each axis moved by +r, then -r, in axis order, clipped to the box: no draw."""
-    return [x[:k] + (_clip(x[k] + s, k, box),) + x[k + 1:] for k in range(len(x)) for s in (r, -r)]
-
-
-def ball_candidates(x: tuple, r: float, box: CompactBox, rng: random.Random) -> list:
-    """x, its ``axis_moves``, then 2 random points: all within sup-distance r, in the box."""
-    return [x] + axis_moves(x, r, box) + [_jittered(x, r, box, rng) for _ in range(2)]
-
-
 def _clip_points(P: np.ndarray, box: CompactBox) -> np.ndarray:
-    """``_clip`` on every coordinate of an array of points along its last axis: Python's max, then min."""
+    """Every coordinate of an array of points along its last axis clipped to the box: Python's max, then min."""
     lower, upper = np.array(box.lower, dtype=float), np.array(box.upper, dtype=float)
     P = np.where(lower > P, lower, P)
     return np.where(upper < P, upper, P)
 
 
-def ladder_jitters(centres: np.ndarray, radii: tuple, rungs, box: CompactBox, rng: DrawStream, per_rung: int = 2) -> np.ndarray:
-    """The random candidates of ladders that run ``rungs[0]``, ``rungs[1]``, ... rungs, in turn, as (dim, n) columns.
+def rung_candidates(points: tuple, r: float, box: CompactBox, rng: random.Random) -> list:
+    """The candidates of a ladder's rung at radius r near a group of q points (x, or the pair (x, y)), each a group of
+    q points within sup-distance r, clipped to the box: each axis of each point moved by +r, then -r, in turn, with no
+    draw, then 2q groups of the q points each moved by a uniform draw from [-r, r] on every axis.  ``point_moves`` and
+    ``ladder_jitters`` are its batch forms, bit for bit."""
+    lower, upper = [float(v) for v in box.lower], [float(v) for v in box.upper]
+    clip = lambda v, k: min(max(v, lower[k]), upper[k])
+    moves = [points[:m] + (p[:k] + (clip(p[k] + s, k),) + p[k + 1:],) + points[m + 1:]
+             for k in range(len(points[0])) for s in (r, -r) for m, p in enumerate(points)]
+    return moves + [tuple(tuple(clip(v + rng.uniform(-r, r), k) for k, v in enumerate(p)) for p in points)
+                    for _ in range(2 * len(points))]
 
-    A rung draws ``per_rung`` points, ``_jittered`` in turn around its ladder's
-    centres, cycled: ``centres`` is a (ladders, c, dim) array, such as each
-    ladder's x (``ball_candidates``) or (x, y), 8 a rung (``pair_ball_candidates``).
-    The draws, read from the stream's cursor, and float operations are the loop's.
-    """
-    step = [j for n in rungs for j in range(n)]  # each rung's place
-    p = np.tile(np.repeat(centres, rungs, axis=0), (1, per_rung // centres.shape[1], 1))  # (rungs, per_rung, dim)
-    r = np.array(radii)[step][:, None, None]
-    return _clip_points(p + (-r + (r - -r) * rng.take(p.size).reshape(p.shape)), box).reshape(-1, box.dim).T
 
-
-def point_moves(P: np.ndarray, r: float, box: CompactBox) -> np.ndarray:
-    """Each axis of each point moved by +r, then -r, in turn, clipped to the box, of a (n, q, dim) array of groups of q
-    points, as (n, 2 * q * dim, q, dim): ``axis_moves`` of each point for q = 1, ``pair_ball_candidates``' for q = 2."""
+def point_moves(P: np.ndarray, r, box: CompactBox) -> np.ndarray:
+    """``rung_candidates``' axis moves of each of the (n, q, dim) groups of q points P, as (n, 2 q dim, q, dim)."""
     q, dim = P.shape[1:]  # sign[axis moved, by +r or -r, point moved, point, coordinate]
     sign = np.einsum("kc,s,mp->ksmpc", np.eye(dim), [1.0, -1.0], np.eye(q)).reshape(2 * q * dim, q, dim)
     return np.where(sign != 0, _clip_points(P[:, None] + r * sign, box), P[:, None])
 
 
-def pair_ball_candidates(xf: tuple, yf: tuple, r: float, box: CompactBox, rng: random.Random) -> list:
-    """Pairs near (xf, yf): each axis of either point moved by +-r, then 4 random pairs; in the box."""
-    cands = [c for mx, my in zip(axis_moves(xf, r, box), axis_moves(yf, r, box)) for c in ((mx, yf), (xf, my))]
-    return cands + [(_jittered(xf, r, box, rng), _jittered(yf, r, box, rng)) for _ in range(4)]
+def ladder_jitters(P: np.ndarray, r: np.ndarray, box: CompactBox, rng: DrawStream) -> np.ndarray:
+    """``rung_candidates``' random groups of each of the (n, q, dim) groups of q points P, row i at radius r[i], as
+    (n, 2 q, q, dim): 2 q**2 dim values a row, read in turn from the stream's cursor."""
+    (n, q, dim), r = P.shape, np.reshape(r, (-1, 1, 1, 1))
+    u = rng.take(2 * q * P.size).reshape(n, 2 * q, q, dim)
+    return _clip_points(P[:, None] + (-r + (r - -r) * u), box)
 
 
 # -- seeded draws -----------------------------------------------------------
@@ -274,33 +259,52 @@ class DrawStream(random.Random):
         return self.kept[at:at + n]
 
 
-def settle_ladders(table: np.ndarray, jittered: Callable, stream: DrawStream, per_rung: int):
-    """Yield, in order, the ladders that the loop must run, each with the stream's cursor at its first draw.
+def settle_ladders(centres: np.ndarray, radii: tuple, box: CompactBox, stream: DrawStream, fixed: Callable,
+                   jittered: Callable) -> tuple:
+    """(table, order): the rung table of the ladders at the (n, q, dim) groups of q points ``centres``, and an iterator
+    over the ladders that the loop must run, in order, each with the stream's cursor at its first draw.
 
-    A ladder goes on while a candidate of its rung lets it, fixed ones first,
-    and draws ``per_rung`` values a rung.  ``table[i, j]`` > 0 if a fixed
-    candidate of rung j lets ladder i go on, 0 if none, < 0 if not finite.
-    ``jittered(a, b, rungs)`` codes alike the random candidates of the last
-    rungs of ladders a to b - 1, run from the cursor.  The loop runs ladders on
-    at every rung, unclear or carried on by a random one; the rest are skipped.
+    A ladder runs rungs at ``radii`` while a candidate of the rung (``rung_candidates``) lets it go on, fixed ones
+    first; a rung draws 2 q**2 dim values.  ``fixed(ladders, j)`` codes the fixed candidates of an array of ladders
+    at rung j, and ``jittered(ladders, rungs, Q)`` the random ones per row, Q[row] of ladder ladders[row] at rung
+    rungs[row] (``ladder_jitters``' rows): > 0 the ladder goes on, 0 not, < 0 the loop must see the rung (a value not
+    finite).  ``table[i, j]`` is ladder i's fixed code at rung j, filled rung by rung over the ladders still going on,
+    a chunk of ladders whose fixed candidates hold at most ``CHUNK_ROWS`` coordinates at a time; a ladder's first rung
+    that no fixed candidate carries on is its guessed last.  Windows of up to 64 ladders that the table settles have
+    their random candidates drawn and coded at once; the loop runs a ladder that goes on at every rung, one with a
+    rung that the loop must see, and one that a random candidate carries past its guess.  The rest are skipped in the
+    stream, not drawn twice.
     """
-    n, n_rungs = table.shape
+    (n, q, dim), n_rungs = centres.shape, len(radii)
+    table, live, chunk = np.zeros((n, n_rungs), dtype=np.int8), np.arange(n), max(1, CHUNK_ROWS // (2 * (q * dim) ** 2))
+    for j in range(n_rungs):
+        for a in range(0, len(live), chunk):
+            table[live[a:a + chunk], j] = fixed(live[a:a + chunk], j)
+        live = live[table[live, j] > 0]
     on = table > 0
     stops = np.where(on.all(axis=1), n_rungs, (~on).argmax(axis=1))
     loop = (stops == n_rungs) | (table[np.arange(n), np.minimum(stops, n_rungs - 1)] < 0)
-    i = 0
-    while i < n:
-        if loop[i]:
-            yield i  # the loop's draws leave the cursor after this ladder's
-            i += 1
-            continue
-        ahead = loop[i:i + 64]  # a window of 64 ladders at most, up to the next one the loop runs
-        end = i + (int(ahead.argmax()) if ahead.any() else len(ahead))
-        rungs, start = stops[i:end] + 1, stream.cursor
-        b = int(np.append(jittered(i, end, rungs) != 0, True).argmax())
-        stream.cursor = start + per_rung * int(rungs[:b].sum())
-        loop[i + b:min(i + b + 1, end)] = True  # the ladder a random candidate carries on, if one does
-        i += b
+
+    def order():
+        i = 0
+        while i < n:
+            if loop[i]:
+                yield i  # the loop's draws leave the cursor after this ladder's
+                i += 1
+                continue
+            ahead = loop[i:i + 64]  # a window of 64 ladders at most, up to the next one the loop runs
+            end = i + (int(ahead.argmax()) if ahead.any() else len(ahead))
+            counts, start = stops[i:end] + 1, stream.cursor
+            first, ladders = np.cumsum(counts) - counts, np.repeat(np.arange(i, end), counts)  # a row per rung
+            rungs = np.arange(len(ladders)) - first[ladders - i]
+            codes = jittered(ladders, rungs, ladder_jitters(centres[ladders], np.array(radii)[rungs], box, stream))
+            goes = (codes[first + counts - 1] != 0) | (np.minimum.reduceat(codes, first) < 0)  # carried on, or unclear
+            b = int(np.append(goes, True).argmax())
+            stream.cursor = start + 2 * q * q * dim * int(counts[:b].sum())
+            loop[i + b:min(i + b + 1, end)] = True  # the ladder the loop must run, if one is
+            i += b
+
+    return table, order()
 
 
 def first_witness(n: int, probe: Callable, unclear: Optional[np.ndarray]) -> tuple:

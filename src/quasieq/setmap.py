@@ -4,8 +4,8 @@ Images are per-axis intervals (clipped to the domain box), so convexity of value
 ``SetValuedMap._bounds``, evaluates a batch of them for the solvers and the ladders alike.  The topological
 hypothesis checks are sampled falsifiers: they return a concrete violation witness or NO_VIOLATION_FOUND, never
 a proof.  They take no sampling parameters: their lattices, radius ladders, margins, budgets and seeds are
-``sampling``'s.  closed_graph and lsc share one ladder driver, ``_ladder_check``, with one table of ladders a
-check; convex_values replays the probes its batch flags through ``sampling.first_witness``.
+``sampling``'s.  closed_graph and lsc share one ladder check, ``_ladder_check``, whose ladders the one ladder driver
+``sampling.settle_ladders`` settles; convex_values replays the probes its batch flags through ``sampling.first_witness``.
 """
 
 from __future__ import annotations
@@ -271,14 +271,15 @@ def _member_samples(K: SetValuedMap, x_map: Point, lo: tuple, hi: tuple, grid: G
 
 def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_on: Callable, xs: list, where, T):
     """The ladders that the loop must run, in order, ladder i at the lattice point xs[where[i]] towards the target
-    T[:, i].  Before each one, rng's cursor stands where the loop over every ladder would leave it.
+    T[:, i], from ``sampling.settle_ladders``.  Before each one, rng's cursor stands where the loop over every ladder
+    would leave it.
 
     A ladder goes on at a rung while ``goes_on(lo, hi, t, r)``, arrays broadcast behind a leading axis per
-    coordinate, holds at a ball candidate of the rung, whose image is [lo, hi].  The images of every lattice point
-    and its axis moves, in one batch, fill the one table of ``sampling.settle_ladders``, a chunk of ladders at a
-    time.  An image that ``K.evaluate`` would refuse (a bound not finite before clipping, or empty) yields its
-    ladder, or at an axis move its lattice point's ladders, so the loop raises as it would.  Without a batch form
-    (exact domains, member predicates, bounds not all ``Expression``s) every ladder is yielded.
+    coordinate, holds at a candidate of the rung, whose image is [lo, hi].  The images of every lattice point and its
+    axis moves at every rung come from one batch, stored rung by rung.  An image that ``K.evaluate`` would refuse (a
+    bound not finite before clipping, or empty) codes its rung as one the loop must see, so the loop raises as it
+    would.  Without a batch form (exact domains, member predicates, bounds not all ``Expression``s) every ladder is
+    yielded.
     """
     box, bounds, n = K.domain, K.lower_fns + K.upper_fns, len(where)
     if n == 0 or box.is_exact or K.member_predicate is not None or not all(isinstance(fn, Expression) for fn in bounds):
@@ -291,33 +292,31 @@ def _ladder_batch(K: SetValuedMap, radii: tuple, rng: sampling.DrawStream, goes_
             row[...] = v  # lo and hi as (dim, N) arrays, for the goes_on tests
         return table[0], table[1], finite & (table[0] <= table[1]).all(axis=0)
 
-    rungs = np.stack([np.concatenate([centres[:, None], sampling.point_moves(centres, r, box)], axis=1) for r in radii], 1)
-    lo, hi, ok = images(rungs.reshape(-1, dim).T)  # (xs, radii, 1 + 2 * dim, 1, dim): a rung is x, then its axis moves
-    shape = (dim, len(xs), len(radii), 1 + 2 * dim)
-    lo, hi, clear = lo.reshape(shape), hi.reshape(shape), ok.reshape(len(xs), -1).all(axis=1)
-    table, chunk = np.empty((n, len(radii)), dtype=np.int8), 1 + sampling.CHUNK_ROWS // lo[:, 0].size
-    for a in range(0, n, chunk):  # never a (dim, ladders, rungs, candidates) array of every ladder at once
-        p = where[a:a + chunk]
-        on = goes_on(lo[:, p], hi[:, p], T[:, a:a + chunk, None, None], radii_col).any(axis=2)
-        table[a:a + chunk] = np.where(clear[p, None], on, -1)
+    rungs = np.stack([np.concatenate([centres[:, None], sampling.point_moves(centres, r, box)], axis=1) for r in radii])
+    lo, hi, ok = images(rungs.reshape(-1, dim).T)  # (radii, xs, 1 + 2 * dim, 1, dim): a rung is x, then its axis moves
+    lo, hi = (np.ascontiguousarray(b.reshape(dim, len(radii), len(xs), -1).swapaxes(0, 1)) for b in (lo, hi))
+    clear = ok.reshape(len(radii), len(xs), -1).all(axis=2)
 
-    def jittered(a, b, rungs):
-        lo, hi, ok = images(sampling.ladder_jitters(centres[where[a:b]], radii, rungs, box, rng))
-        ends = 2 * np.cumsum(rungs) - 1  # each ladder's columns end with its last rung's two points
-        on = goes_on(lo[:, [ends - 1, ends]], hi[:, [ends - 1, ends]], T[:, None, a:b], radii_col[rungs - 1, 0])
-        clear = np.logical_and.reduceat(ok, 2 * (np.cumsum(rungs) - rungs))  # the loop may read every rung's
-        return np.where(clear, on.any(axis=0), -1)
+    def fixed(i, j):  # rung j of the ladders i: x, then its axis moves
+        p = where[i]
+        return np.where(clear[j, p], goes_on(lo[j][:, p], hi[j][:, p], T[:, i, None], radii[j]).any(axis=1), -1)
 
-    return sampling.settle_ladders(table, jittered, rng, 2 * dim)
+    def jittered(i, j, Q):  # rung j[row] of the ladder i[row]: its random candidates, Q[row]
+        lo, hi, ok = images(Q.reshape(-1, dim).T)
+        on = goes_on(lo.reshape(dim, len(i), -1), hi.reshape(dim, len(i), -1), T[:, i, None], radii_col[j])
+        return np.where(ok.reshape(len(i), -1).all(axis=1), on.any(axis=1), -1)
+
+    return sampling.settle_ladders(centres[where], radii, box, rng, fixed, jittered)[1]
 
 
 def _ladder_check(K: SetValuedMap, radii: tuple, seed: int, regions, targets, goes_on, rung, witness):
-    """The driver of closed_graph and lsc: a radius ladder per lattice point x, sample number n and target t.
+    """The ladder check of closed_graph and lsc: a radius ladder per lattice point x, sample number n and target t.
 
     ``regions`` gives each lattice point (x, x in K's scalars, lo, hi), ``targets(x_map, lo, hi)`` its samples,
     None where no ladder runs; every region and target list is made before any ladder runs.  Rung r is
-    ``rung(region, x's ball_candidates, t, r)``, and a hit at every rung FAILs with ``witness(x, lo, hi, t, trail)``,
-    n + 1 samples in.  An error in ``regions`` or ``targets`` is raised only after the ladders before it have run.
+    ``rung(region, candidates, t, r)``, the candidates being x, then ``sampling.rung_candidates`` of x, and a hit at
+    every rung FAILs with ``witness(x, lo, hi, t, trail)``, n + 1 samples in.  An error in ``regions`` or ``targets``
+    is raised only after the ladders before it have run.
     """
     box, rng, points, count, error = K.domain, sampling.DrawStream(seed), [], 0, None
     T, numbers = [], [np.empty(0, dtype=np.intp)]  # T: every target's coordinates in turn, not a tuple per target
@@ -334,10 +333,11 @@ def _ladder_check(K: SetValuedMap, radii: tuple, seed: int, regions, targets, go
     T, numbers = np.array(T, dtype=float).reshape(-1, box.dim).T, np.concatenate(numbers)
     order = _ladder_batch(K, radii, rng, goes_on, [x for x, *_ in points], where, T)
     for p, ladders in itertools.groupby(order, where.__getitem__):
-        (x, lo, hi), region = points[p], sampling.region_lookup(K)  # x's ball candidates recur for every t
+        (x, lo, hi), region = points[p], sampling.region_lookup(K)  # x's candidates recur for every t
+        candidates = lambda r: [x] + [c for c, in sampling.rung_candidates((x,), r, box, rng)]
         for i in ladders:
             t = tuple(T[:, i].tolist())
-            trail = sampling.ladder_search(radii, lambda r: rung(region, sampling.ball_candidates(x, r, box, rng), t, r))
+            trail = sampling.ladder_search(radii, lambda r: rung(region, candidates(r), t, r))
             if trail is not None:
                 return TopologyProbeReport(FAIL, witness(x, lo, hi, t, trail), radii, int(numbers[i]) + 1)
     if error is not None:

@@ -409,17 +409,14 @@ def smap_closed_graph_probe(f: Bifunction, K: SetValuedMap, cfg: SolverConfig) -
         return None
 
     probe = sampling.index_lattice(grid, sampling.SMAP_PROBE_BUDGET)
-    samples = 0
-    for xi in probe:
-        x = grid.point_at(xi)
-        mem_x = members_at(xi)
-        for zi in probe:
-            z = grid.point_at(zi)
-            samples += 1
-            if min((dist(z, m) for m in mem_x), default=float("inf")) < margin:
-                continue
-            trail = sampling.ladder_search(radii, lambda r: approach(xi, x, z, r))
-            if trail is not None:
-                witness = {"x": x, "z": z, "approach": trail}
-                return TopologyProbeReport(FAIL, witness, radii, samples)
-    return TopologyProbeReport(NO_VIOLATION_FOUND, None, radii, samples)
+
+    def ladder(n: int) -> Optional[dict]:  # the lattice pair x = probe[n // len(probe)], z = probe[n % len(probe)]
+        xi, zi = probe[n // len(probe)], probe[n % len(probe)]
+        x, z, mem_x = grid.point_at(xi), grid.point_at(zi), members_at(xi)
+        if min((dist(z, m) for m in mem_x), default=float("inf")) < margin:
+            return None
+        trail = sampling.ladder_search(radii, lambda r: approach(xi, x, z, r))
+        return None if trail is None else {"x": x, "z": z, "approach": trail}
+
+    samples, witness = sampling.first_witness(len(probe) ** 2, ladder, None)
+    return TopologyProbeReport(NO_VIOLATION_FOUND if witness is None else FAIL, witness, radii, samples)

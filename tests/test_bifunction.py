@@ -30,6 +30,8 @@ from quasieq.expressions import parse_expression
 from quasieq.geometry import CompactBox, Grid, Root2, convex_combinations, point_columns
 from quasieq.setmap import FAIL, NO_VIOLATION_FOUND
 
+from rung_reference import pair_ball_candidates
+
 C02 = CompactBox((0.0,), (2.0,))
 
 
@@ -666,7 +668,7 @@ def reference_check_condition_iv(f: Bifunction, grid: Grid, seed: int = sampling
 
     def nonneg_near(xf, yf, r):
         nonlocal samples
-        for qx, qy in sampling.pair_ball_candidates(xf, yf, r, C, rng):
+        for qx, qy in pair_ball_candidates(xf, yf, r, C, rng):
             samples += 1
             if f.fn(sampling.float_map_point(f.domain, qx), sampling.float_map_point(f.domain, qy)) >= 0:
                 return {"radius": r, "x_prime": qx, "y_prime": qy}
@@ -702,6 +704,8 @@ _IV_CASES = {
     "overflow-band": lambda: Bifunction(
         parse_expression("piecewise(abs(y_1 - 0.62) < 0.02, 1e300 * 1e300 * (y_1 + 1), y_1 - x_1)"), _UNIT
     ),
+    # below 0 only between lattice points: no ladder runs, and the batch path settles none
+    "no-ladder": lambda: Bifunction(parse_expression("piecewise(x_1 > 0.001, piecewise(x_1 < 0.024, -1, 1), 1)"), _UNIT),
     # the loop alone: exact scalars and a plain callable
     "remark": lambda: remark_bifunction_instance().payload,
     "callable-jump": lambda: Bifunction(_jump, _UNIT),
@@ -729,6 +733,7 @@ class TestConditionIvBatchDifferential:
         ("jump-2d", FAIL, True),
         ("overflow", NonFiniteValueError, True),
         ("overflow-band", NonFiniteValueError, True),
+        ("no-ladder", NO_VIOLATION_FOUND, True),
         ("remark", NO_VIOLATION_FOUND, False),
         ("callable-jump", FAIL, False),
     ])
@@ -740,8 +745,8 @@ class TestConditionIvBatchDifferential:
     def test_a_random_candidate_hit_replays_one_ladder(self, monkeypatch):
         f = _IV_CASES["random-2d-3101"]()
         calls = []
-        pair_ball_candidates = sampling.pair_ball_candidates
-        monkeypatch.setattr(sampling, "pair_ball_candidates", lambda *a: calls.append(a[:2]) or pair_ball_candidates(*a))
+        rung_candidates = sampling.rung_candidates
+        monkeypatch.setattr(sampling, "rung_candidates", lambda *a: calls.append(a[0]) or rung_candidates(*a))
         assert check_condition_iv(f, Grid(f.domain, (11, 11))).verdict == NO_VIOLATION_FOUND
         # the loop ran a few ladders that a random candidate carried on, each from its first rung, not the others
         ladders = {centre for centre in calls}
@@ -758,3 +763,16 @@ class TestConditionIvBatchDifferential:
         stream, plain = sampling.DrawStream(7), random.Random(7)
         drawn = [v for _ in range(10) for v in stream.take(500).tolist()]
         assert drawn == [plain.random() for _ in range(5000)] and len(stream.kept) < 2000
+
+    def test_peak_memory_on_a_3d_box_at_11(self):
+        # 6,937 ladders: the rung table is filled a bounded chunk of ladders at a time, never for every ladder at once
+        f = Bifunction(parse_expression("y_1 - x_1 + y_2 - x_2 + y_3 - x_3"), CompactBox((0.0,) * 3, (1.0,) * 3))
+        grid = Grid(f.domain, (11, 11, 11))
+        check_condition_iv(f, grid)  # the expression compiles once, outside the measurement
+        tracemalloc.start()
+        try:
+            assert check_condition_iv(f, grid).verdict == NO_VIOLATION_FOUND
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20

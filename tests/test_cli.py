@@ -409,6 +409,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         assert "nests deeper than 1000 levels" in err and not (tmp_path / "out").exists()
 
+    def test_power_exponent_that_overflows(self, tmp_path, capsys):
+        # 1e999 reads as inf, which no integer equals: refused as any other exponent that is not one
+        spec = tmp_path / "power.spec"
+        spec.write_text(_objective_spec("power(x_1, 1e999)"))
+        assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [payload] expr: power exponent must be a nonnegative integer literal (at position 0)\n", err
+        assert not (tmp_path / "out").exists()
+
     def test_file_that_is_not_utf8(self, tmp_path, capsys):
         spec = tmp_path / "latin1.spec"
         spec.write_bytes(figure1_instance().serialize().replace("[map]", "[map] ; caf\u00e9").encode("latin-1"))

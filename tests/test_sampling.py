@@ -12,6 +12,8 @@ import pytest
 from quasieq import sampling
 from quasieq.geometry import CompactBox, Point, Root2
 
+from rung_reference import axis_moves, ball_candidates, pair_ball_candidates
+
 SEEDS = [947, 948, 1729, 1733, 1730, 0, 2**70 + 5]
 
 BOXES = {
@@ -266,5 +268,23 @@ class TestPointMoves:
             moves = sampling.point_moves(np.array(xs)[:, None, :], r, C)
             assert moves.shape == (len(xs), 2 * C.dim, 1, C.dim)
             for x, got in zip(xs, moves):
-                want = sampling.axis_moves(x, r, C)
+                want = axis_moves(x, r, C)
                 assert [[c.hex() for c in p] for p in got[:, 0].tolist()] == [[c.hex() for c in p] for p in want]
+
+
+class TestRungCandidates:
+    @pytest.mark.parametrize("box", ["float-1d", "float-2d", "float-3d", "exact-2d"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rung_candidates_are_the_ball_candidates(self, box, q):
+        # the one scalar rung builder gives the builders it replaced bit for bit, from the same draws, to the same cursor
+        C, points = BOXES[box], random.Random(q)
+        rng, reference = sampling.DrawStream(13), sampling.DrawStream(13)
+        for r in (0.5, 1e-3, 10.0, 0.0):
+            group = tuple(tuple(points.uniform(float(lo) - 0.1, float(hi) + 0.1) for lo, hi in zip(C.lower, C.upper))
+                          for _ in range(q))
+            got = sampling.rung_candidates(group, r, C, rng)
+            want = [(p,) for p in ball_candidates(*group, r, C, reference)[1:]] if q == 1 else \
+                pair_ball_candidates(*group, r, C, reference)
+            assert len(got) == 2 * q * C.dim + 2 * q
+            assert [[[c.hex() for c in p] for p in g] for g in got] == [[[c.hex() for c in p] for p in g] for g in want]
+            assert rng.cursor == reference.cursor

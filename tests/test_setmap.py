@@ -42,6 +42,8 @@ from quasieq.setmap import (
 )
 from quasieq.solver import SolverConfig, solve_qopt
 
+from rung_reference import ball_candidates
+
 
 @pytest.fixture(scope="module")
 def fig1():
@@ -342,7 +344,7 @@ def reference_check_closed_graph(K: SetValuedMap, grid: Grid) -> TopologyProbeRe
     samples = 0
 
     def approach(region, x, z, r):
-        for x_prime in sampling.ball_candidates(x, r, K.domain, rng):
+        for x_prime in ball_candidates(x, r, K.domain, rng):
             z_prime = _nearby_members(K, region, x_prime, z, r, grid)
             if z_prime is not None:
                 return {"radius": r, "x_prime": x_prime, "z_prime": z_prime}
@@ -373,7 +375,7 @@ def reference_check_lsc(K: SetValuedMap, grid: Grid) -> TopologyProbeReport:
     def receding(region, x, y, r):
         # the first candidate whose image is farthest from y
         x_prime, d = max(
-            ((xp, float(box_distance(*region(xp), y))) for xp in sampling.ball_candidates(x, r, K.domain, rng)),
+            ((xp, float(box_distance(*region(xp), y))) for xp in ball_candidates(x, r, K.domain, rng)),
             key=lambda cand: cand[1],
         )
         return None if d < margin else {"radius": r, "x_prime": x_prime, "distance": d}
@@ -503,8 +505,8 @@ class TestTopologyBatchDifferential:
     def test_a_random_candidate_hit_replays_the_loop(self, monkeypatch):
         K, ppa = _DIFFERENTIAL_MAPS["random-2d-3110@401"]()
         calls = []
-        ball_candidates = sampling.ball_candidates
-        monkeypatch.setattr(sampling, "ball_candidates", lambda *args: calls.append(args) or ball_candidates(*args))
+        rung_candidates = sampling.rung_candidates
+        monkeypatch.setattr(sampling, "rung_candidates", lambda *args: calls.append(args) or rung_candidates(*args))
         assert check_closed_graph(K, Grid(K.domain, ppa)).verdict == NO_VIOLATION_FOUND
         assert 0 < len(calls) < 100  # the loop ran at a few ladders, not at every one of them
 
@@ -513,9 +515,11 @@ class TestTopologyBatchDifferential:
         radii = (0.4, 0.2, 0.1)
         rng, loop = sampling.DrawStream(5), sampling.DrawStream(5)
         xs = [(0.9, 0.05), (-0.95, 0.45), (0.0, 0.25)]
-        columns = sampling.ladder_jitters(np.array(xs)[:, None, :], radii, [1, 3, 2], C, rng)
-        drawn = [p for x, n in zip(xs, (1, 3, 2)) for r in radii[:n] for p in sampling.ball_candidates(x, r, C, loop)[-2:]]
-        assert [tuple(c) for c in columns.T.tolist()] == drawn
+        rows = [(x, r) for x, n in zip(xs, (1, 3, 2)) for r in radii[:n]]  # a row per rung: 1, 3 and 2 rungs
+        jitters = sampling.ladder_jitters(np.array([[x] for x, _ in rows]), np.array([r for _, r in rows]), C, rng)
+        assert jitters.shape == (6, 2, 1, 2)
+        drawn = [[[list(p)] for p in ball_candidates(x, r, C, loop)[-2:]] for x, r in rows]
+        assert jitters.tolist() == drawn
         assert rng.cursor == loop.cursor == 2 * 2 * 6
 
     @pytest.mark.parametrize("check", [check_closed_graph, check_lsc])
